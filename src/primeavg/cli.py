@@ -42,20 +42,32 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _write_csv(path: str, rows: list[dict]) -> None:
-    with open(path, "w", newline="") as fh:
-        if not rows:
-            return
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _fmt(v) for k, v in row.items()})
+def _csv_text(rows: list[dict]) -> str:
+    """Rows as CSV, columns in the first row's key order; floats to 12 digits."""
+    if not rows:
+        return ""
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
+    writer.writeheader()
+    for row in rows:
+        writer.writerow({k: _fmt(v) for k, v in row.items()})
+    return buf.getvalue()
 
 
-def _write_summary(path: str, summary: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True, default=_fmt)
-        fh.write("\n")
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True, default=_fmt)
+
+
+def _emit(cfg: dict, command: str, rows: list[dict], payload: dict) -> None:
+    """Write <command>.csv and <command>.json under out_dir; print the JSON."""
+    out_dir = cfg.get("out_dir", ".")
+    os.makedirs(out_dir, exist_ok=True)
+    text = _json_text(payload)
+    with open(os.path.join(out_dir, f"{command}.csv"), "w", newline="") as fh:
+        fh.write(_csv_text(rows))
+    with open(os.path.join(out_dir, f"{command}.json"), "w") as fh:
+        fh.write(text + "\n")
+    print(text)
 
 
 def _merge_config(args: argparse.Namespace, parser_keys: set[str]) -> dict:
@@ -84,15 +96,6 @@ def _prog_from(cfg: dict) -> Progression:
     y = int(cfg.get("y", 1))
     b = int(cfg.get("b", 0 if y == 1 else 1))
     return Progression(y, b)
-
-
-def _artifacts(cfg: dict, command: str) -> tuple[str, str]:
-    out_dir = cfg.get("out_dir", ".")
-    os.makedirs(out_dir, exist_ok=True)
-    return (
-        os.path.join(out_dir, f"{command}.csv"),
-        os.path.join(out_dir, f"{command}.json"),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -194,9 +197,7 @@ def cmd_verify(cfg: dict) -> int:
                 }
             )
 
-    csv_path, json_path = _artifacts(cfg, "verify")
     columns = ("suite", "name", "cases", "max_scaled_err", "measured", "value", "tol", "kind", "pass")
-    _write_csv(csv_path, [{k: r.get(k, "") for k in columns} for r in rows + fixture_rows])
     summary = {
         "suites": {r["suite"]: bool(r["pass"]) for r in rows if r["pass"] != ""},
         "height_class_stated_formula_mismatches": stated_bad,
@@ -207,8 +208,7 @@ def cmd_verify(cfg: dict) -> int:
         "version": __version__,
         "pass": not failed,
     }
-    _write_summary(json_path, summary)
-    print(json.dumps(summary, indent=2, sort_keys=True, default=_fmt))
+    _emit(cfg, "verify", [{k: r.get(k, "") for k in columns} for r in rows + fixture_rows], summary)
     return 0 if not failed else 1
 
 
@@ -227,8 +227,6 @@ def cmd_approx(cfg: dict) -> int:
         {"xi": k / M, "abs_residual": float(abs(residual.values[k]))}
         for k in range(0, M, stride)
     ]
-    csv_path, json_path = _artifacts(cfg, "approx")
-    _write_csv(csv_path, rows)
     summary = {
         "N": N,
         "y": prog.y,
@@ -240,21 +238,17 @@ def cmd_approx(cfg: dict) -> int:
         "seed": int(cfg.get("seed", 0)),
         "version": __version__,
     }
-    _write_summary(json_path, summary)
-    print(json.dumps(summary, indent=2, sort_keys=True, default=_fmt))
+    _emit(cfg, "approx", rows, summary)
     return 0
 
 
 def cmd_highlow(cfg: dict) -> int:
     from .highlow import (
         DecompositionConfig,
-        apply_profile,
+        dual_path_rel,
         hi_hat_profile,
         hi_l2_ratio,
-        indicator,
         lo_hat_profile,
-        lo_kernel_closed,
-        lo_kernel_spectral,
         lo_linf_ratio,
     )
     from .multiplier import approximant_profile
@@ -276,22 +270,16 @@ def cmd_highlow(cfg: dict) -> int:
         total = approximant_profile(N, prog, dcfg.q_cut, dcfg.cutoff, M)
         partition_err = float(np.abs(hi.values + lo.values - total.values).max())
         worst_partition = max(worst_partition, partition_err)
-        ks = lo_kernel_spectral(dcfg).values
-        kc = lo_kernel_closed(dcfg, tables).values
-        peak = float(np.abs(ks).max())
-        dual_rel = float(np.abs(ks - kc).max()) / peak if peak else 0.0
         rows.append(
             {
                 "Q": Q,
                 "q_cut": dcfg.q_cut,
                 "partition_err": partition_err,
-                "dual_path_rel": dual_rel,
-                "hi_l2_ratio_interval": hi_l2_ratio(dcfg, F),
-                "lo_linf_ratio_interval": lo_linf_ratio(dcfg, F, r),
+                "dual_path_rel": dual_path_rel(lo, dcfg, tables),
+                "hi_l2_ratio_interval": hi_l2_ratio(hi, F),
+                "lo_linf_ratio_interval": lo_linf_ratio(lo, F, r),
             }
         )
-    csv_path, json_path = _artifacts(cfg, "highlow")
-    _write_csv(csv_path, rows)
     ok = worst_partition < 1e-10
     summary = {
         "N": N,
@@ -305,9 +293,19 @@ def cmd_highlow(cfg: dict) -> int:
         "seed": int(cfg.get("seed", 0)),
         "version": __version__,
     }
-    _write_summary(json_path, summary)
-    print(json.dumps(summary, indent=2, sort_keys=True, default=_fmt))
+    _emit(cfg, "highlow", rows, summary)
     return 0 if ok else 1
+
+
+def _run_scan(scan, scan_cfg: dict, cfg: dict):
+    """One scan with the optional keys and worker count of cfg; bad input is a ConfigError."""
+    for key in ("densities", "n_floor_factor"):
+        if key in cfg:
+            scan_cfg[key] = cfg[key]
+    try:
+        return scan(scan_cfg, workers=int(cfg.get("workers", os.cpu_count() or 1)))
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def cmd_improving(cfg: dict) -> int:
@@ -320,21 +318,8 @@ def cmd_improving(cfg: dict) -> int:
         "seed": int(cfg.get("seed", 0)),
         "adversarial": bool(cfg.get("adversarial", True)),
     }
-    if "densities" in cfg:
-        scan_cfg["densities"] = cfg["densities"]
-    if "n_floor_factor" in cfg:
-        scan_cfg["n_floor_factor"] = cfg["n_floor_factor"]
-    workers = int(cfg.get("workers", os.cpu_count() or 1))
-    try:
-        report = improving_scan(scan_cfg, workers=workers)
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-    csv_path, json_path = _artifacts(cfg, "improving")
-    with open(csv_path, "w", newline="") as fh:
-        fh.write(report.to_csv())
-    with open(json_path, "w") as fh:
-        fh.write(report.to_json() + "\n")
-    print(report.to_json())
+    report = _run_scan(improving_scan, scan_cfg, cfg)
+    _emit(cfg, "improving", report.rows, report.payload())
     return 0 if report.summary["stable"] else 1
 
 
@@ -342,34 +327,21 @@ def cmd_maximal(cfg: dict) -> int:
     from .scans import maximal_scan
 
     scan_cfg = {
-        "N_list": cfg.get("N_list", [1 << k for k in range(12, 17)]),
+        "N_list": cfg.get("N_list", [1 << k for k in range(13, 17)]),
         "y_list": cfg.get("y_list", [1, 5]),
         "r": float(cfg.get("r", 2.0)),
         "lambda_grid": cfg.get("lambda_grid", [2.0**-k for k in range(1, 7)]),
         "seed": int(cfg.get("seed", 0)),
         "b_sweep": bool(cfg.get("b_sweep", False)),
     }
-    if "densities" in cfg:
-        scan_cfg["densities"] = cfg["densities"]
-    if "n_floor_factor" in cfg:
-        scan_cfg["n_floor_factor"] = cfg["n_floor_factor"]
-    workers = int(cfg.get("workers", os.cpu_count() or 1))
-    try:
-        report = maximal_scan(scan_cfg, workers=workers)
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    report = _run_scan(maximal_scan, scan_cfg, cfg)
     ceiling = float(cfg.get("weak_ceiling", 1.0))
     variation_cap = float(cfg.get("variation_cap", 1.5))
     ok = report.summary["max_weak_ratio"] <= ceiling and all(
         v < variation_cap for v in report.summary["b_variation"].values()
     )
     report.summary["pass"] = ok
-    csv_path, json_path = _artifacts(cfg, "maximal")
-    with open(csv_path, "w", newline="") as fh:
-        fh.write(report.to_csv())
-    with open(json_path, "w") as fh:
-        fh.write(report.to_json() + "\n")
-    print(report.to_json())
+    _emit(cfg, "maximal", report.rows, report.payload())
     return 0 if ok else 1
 
 
@@ -388,8 +360,6 @@ def cmd_ramanujan_avg(cfg: dict) -> int:
     exponent = float(
         np.polyfit(np.log([r["Q"] for r in rows]), np.log([r["lhs"] for r in rows]), 1)[0]
     )
-    csv_path, json_path = _artifacts(cfg, "ramanujan-avg")
-    _write_csv(csv_path, rows)
     cap = cfg.get("exponent_cap")
     ok = True if cap is None else exponent <= float(cap)
     summary = {
@@ -403,8 +373,7 @@ def cmd_ramanujan_avg(cfg: dict) -> int:
         "seed": int(cfg.get("seed", 0)),
         "version": __version__,
     }
-    _write_summary(json_path, summary)
-    print(json.dumps(summary, indent=2, sort_keys=True, default=_fmt))
+    _emit(cfg, "ramanujan-avg", rows, summary)
     return 0 if ok else 1
 
 
@@ -414,8 +383,6 @@ def cmd_sw(cfg: dict) -> int:
     J = int(cfg.get("J", 2))
     tables = build_tables(_table_bound(max(x_grid)))
     rows = sw_error_report(x_grid, prog, tables, J=J)
-    csv_path, json_path = _artifacts(cfg, "sw")
-    _write_csv(csv_path, rows)
     summary = {
         "y": prog.y,
         "b": prog.b,
@@ -425,8 +392,7 @@ def cmd_sw(cfg: dict) -> int:
         "seed": int(cfg.get("seed", 0)),
         "version": __version__,
     }
-    _write_summary(json_path, summary)
-    print(json.dumps(summary, indent=2, sort_keys=True, default=_fmt))
+    _emit(cfg, "sw", rows, summary)
     return 0
 
 
@@ -525,12 +491,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    keys = {
-        a.dest
-        for a in parser._subparsers._group_actions[0].choices[args.command]._actions
-        if a.dest not in ("help", "config")
-    }
-    keys |= {"workers", "Q_list", "N_list", "densities"}
+    keys = set(vars(args)) - {"config", "command", "func"}
+    if args.command in ("improving", "maximal"):
+        keys.add("densities")  # config-file only: a list of Bernoulli density exponents
     try:
         cfg = _merge_config(args, keys)
         with warnings.catch_warnings():

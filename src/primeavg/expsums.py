@@ -267,14 +267,14 @@ def bourgain_average(
     Q: int, M: int, prog: Progression, t: int, tables: ArithTables
 ) -> float:
     """[(y/M) sum over n <= M in the progression of (sum_{q<=Q, (q,y)=1} |tau_q(n)|)^t]^(1/t)."""
-    y, b = prog.y, prog.b
+    y = prog.y
     if Q**t * y >= M:
         warnings.warn(
             f"average length M={M} does not exceed y*Q^t={y * Q ** t}", stacklevel=2
         )
     if Q**t > 2**62:
         raise OverflowError(f"Q^t = {Q}^{t} too large")
-    n = np.arange(b if b >= 1 else y, M + 1, y, dtype=np.int64)
+    n = prog.indices(M + 1)
     inner = np.zeros(n.shape, dtype=np.float64)
     for q in range(1, Q + 1):
         if math.gcd(q, y) != 1:

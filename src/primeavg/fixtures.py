@@ -75,9 +75,7 @@ def _measure_residual_sup(y: int, b: int, N: int) -> float:
 
 
 def _measure_dual_path_worst() -> float:
-    import numpy as np
-
-    from .highlow import DecompositionConfig, lo_kernel_closed, lo_kernel_spectral
+    from .highlow import DecompositionConfig, dual_path_rel, lo_hat_profile
 
     tables = _tables(1 << 20)
     worst = 0.0
@@ -85,11 +83,7 @@ def _measure_dual_path_worst() -> float:
         b = 0 if y == 1 else 1
         for Q in (2, 4, 8):
             cfg = DecompositionConfig(N=1 << 12, prog=_prog(y, b), Q=Q, M=1 << 16)
-            ks = lo_kernel_spectral(cfg).values
-            kc = lo_kernel_closed(cfg, tables).values
-            peak = float(np.abs(ks).max())
-            if peak > 0:
-                worst = max(worst, float(np.abs(ks - kc).max()) / peak)
+            worst = max(worst, dual_path_rel(lo_hat_profile(cfg), cfg, tables))
     return worst
 
 
@@ -140,7 +134,7 @@ def hi_decay_family(N: int) -> list:
 def _measure_hi_decay_slope(y: int, b: int) -> float:
     import numpy as np
 
-    from .highlow import DecompositionConfig, apply_profile, hi_hat_profile, indicator
+    from .highlow import DecompositionConfig, hi_hat_profile, hi_l2_ratio
 
     N, M = 1 << 16, 1 << 18
     fams = hi_decay_family(N)
@@ -151,13 +145,8 @@ def _measure_hi_decay_slope(y: int, b: int) -> float:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             cfg = DecompositionConfig(N=N, prog=_prog(y, b), Q=Q, M=M, q_cut=32)
-        profile = hi_hat_profile(cfg)
-        maxima.append(
-            max(
-                float(np.linalg.norm(apply_profile(profile, indicator(F, M))) / np.sqrt(len(F)))
-                for F in fams
-            )
-        )
+        hi = hi_hat_profile(cfg)
+        maxima.append(max(hi_l2_ratio(hi, F) for F in fams))
     return float(np.polyfit(np.log([2.0, 4.0, 8.0, 16.0]), np.log(maxima), 1)[0])
 
 
@@ -194,22 +183,17 @@ def multifrequency_adapted_ratios(D: int = 12, M: int = 1 << 18) -> list[float]:
 
     import numpy as np
 
-    from .highlow import _wrapped_grid, multifrequency_max_ratio
-    from .multiplier import DEFAULT_CUTOFF
+    from .highlow import multifrequency_max_ratio, multifrequency_profile
 
     key = ("multifrequency", D, M)
     if key in _SWEEP_CACHE:
         return _SWEEP_CACHE[key]
-    d = math.ceil(math.log2(D))
-    n0 = 2 * d + 1
-    xi = _wrapped_grid(M)
+    n0 = 2 * math.ceil(math.log2(D)) + 1
     out = []
     for k in (1, 2, 4, 8, 12):
-        mult = np.zeros(M)
-        for j in range(k):
-            offset = (xi - j / D + 0.5) % 1.0 - 0.5
-            mult += DEFAULT_CUTOFF((1 << n0) * offset)
-        f = np.fft.ifft(mult).real
+        # the bands at j/D, j < k, are not symmetric under xi -> -xi, so the
+        # inverse transform is complex; the probe input keeps its real part
+        f = np.fft.ifft(multifrequency_profile(D, k, n0, M).values).real
         out.append(multifrequency_max_ratio(D, k, M, f))
     _SWEEP_CACHE[key] = out
     return out
@@ -218,7 +202,7 @@ def multifrequency_adapted_ratios(D: int = 12, M: int = 1 << 18) -> list[float]:
 def _measure_lo_linf(y: int, b: int) -> float:
     import numpy as np
 
-    from .highlow import DecompositionConfig, lo_linf_ratio
+    from .highlow import DecompositionConfig, lo_hat_profile, lo_linf_ratio
 
     N = 1 << 14
     cfg = DecompositionConfig(N=N, prog=_prog(y, b), Q=4, M=1 << 16)
@@ -226,7 +210,7 @@ def _measure_lo_linf(y: int, b: int) -> float:
         F = np.arange(N // 8)
     else:
         F = np.arange(b, N, y)
-    return lo_linf_ratio(cfg, F, 1.5)
+    return lo_linf_ratio(lo_hat_profile(cfg), F, 1.5)
 
 
 def _measure_sw_rel_error(y: int, b: int) -> float:

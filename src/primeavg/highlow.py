@@ -21,7 +21,9 @@ from .multiplier import (
     CutoffSpec,
     SpectralProfile,
     approximant_profile,
+    indicator,
     m_hat,
+    sup_abs,
 )
 from .tables import ArithTables, Progression
 
@@ -50,26 +52,6 @@ class DecompositionConfig:
                 "violated; desk-scale override",
                 stacklevel=3,
             )
-
-
-@dataclass
-class CyclicSignal:
-    """Real or complex signal on Z_M; norms run over the full cycle."""
-
-    M: int
-    values: np.ndarray
-
-    def norm(self, r: float) -> float:
-        a = np.abs(self.values)
-        if math.isinf(r):
-            return float(a.max())
-        return float((a**r).sum() ** (1.0 / r))
-
-
-def indicator(F, M: int) -> np.ndarray:
-    f = np.zeros(M, dtype=np.float64)
-    f[np.asarray(list(F), dtype=np.int64) % M] = 1.0
-    return f
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +86,7 @@ def _wrapped_grid(M: int) -> np.ndarray:
     return np.where(k < 0.5, k, k - 1.0)
 
 
-def phi_kernel(cfg: DecompositionConfig, q: int) -> CyclicSignal:
+def phi_kernel(cfg: DecompositionConfig, q: int) -> np.ndarray:
     """Inverse transform of the spacing-lcm average times the scale-lcm^2 cutoff.
 
     The spectral side is m_hat of length N/l at l*xi, times cutoff(l^2 xi),
@@ -115,19 +97,10 @@ def phi_kernel(cfg: DecompositionConfig, q: int) -> CyclicSignal:
         raise ValueError(f"lcm^2 = {ell * ell} exceeds M/4 = {cfg.M // 4}")
     xi = _wrapped_grid(cfg.M)
     profile = m_hat(ell * xi, cfg.N / ell) * cfg.cutoff(ell * ell * xi)
-    kernel = np.fft.ifft(profile)
-    _assert_real(kernel, "phi_kernel")
-    return CyclicSignal(cfg.M, kernel.real)
+    return SpectralProfile(cfg.M, profile).kernel()
 
 
-def lo_kernel_spectral(cfg: DecompositionConfig) -> CyclicSignal:
-    """Low kernel by inverse transform of its spectral profile."""
-    kernel = np.fft.ifft(lo_hat_profile(cfg).values)
-    _assert_real(kernel, "lo_kernel_spectral")
-    return CyclicSignal(cfg.M, kernel.real)
-
-
-def lo_kernel_closed(cfg: DecompositionConfig, tables: ArithTables) -> CyclicSignal:
+def lo_kernel_closed(cfg: DecompositionConfig, tables: ArithTables) -> np.ndarray:
     """Low kernel via the closed-form resummation.
 
     Lo(x) = y 1_{y | x-b} sum over q' < Q coprime to y of
@@ -143,59 +116,42 @@ def lo_kernel_closed(cfg: DecompositionConfig, tables: ArithTables) -> CyclicSig
         if mu == 0:
             continue
         phi_qp = int(tables.totient[qp]) if qp > 1 else 1
-        phi_vals = phi_kernel(cfg, qp).values
+        phi_vals = phi_kernel(cfg, qp)
         tau_vals = ramanujan_table(qp, tables)[x % qp]
         out += phi_vals * (mu / phi_qp) * tau_vals
     mask = (x - b) % y == 0
-    return CyclicSignal(cfg.M, y * mask * out)
+    return y * mask * out
 
 
-def _assert_real(values: np.ndarray, what: str, tol: float = 1e-9) -> None:
-    peak = max(np.abs(values.real).max(), 1e-300)
-    worst = np.abs(values.imag).max()
-    if worst > tol * max(peak, 1.0):
-        raise ArithmeticError(f"{what}: imaginary part {worst:g} exceeds tolerance")
+def dual_path_rel(lo: SpectralProfile, cfg: DecompositionConfig, tables: ArithTables) -> float:
+    """Largest gap between the spectral and closed-form Low kernels, relative to the peak."""
+    ks, kc = lo.kernel(), lo_kernel_closed(cfg, tables)
+    peak = float(np.abs(ks).max())
+    return float(np.abs(ks - kc).max()) / peak if peak else 0.0
 
 
 # ---------------------------------------------------------------------------
-# Convolution and ratios
+# Ratios
 
 
-def convolve(kernel: CyclicSignal, f: CyclicSignal) -> CyclicSignal:
-    """Cyclic convolution via the transform pair."""
-    if kernel.M != f.M:
-        raise ValueError(f"size mismatch: {kernel.M} vs {f.M}")
-    out = np.fft.ifft(np.fft.fft(kernel.values) * np.fft.fft(f.values))
-    if np.isrealobj(kernel.values) and np.isrealobj(f.values):
-        return CyclicSignal(kernel.M, out.real)
-    return CyclicSignal(kernel.M, out)
-
-
-def apply_profile(profile: SpectralProfile, f: np.ndarray) -> np.ndarray:
-    """Convolution of f with the kernel whose multiplier is the given profile."""
-    if profile.grid_size != len(f):
-        raise ValueError("size mismatch")
-    return np.fft.ifft(profile.values * np.fft.fft(f))
-
-
-def hi_l2_ratio(cfg: DecompositionConfig, F) -> float:
-    """l2 norm of Hi * 1_F relative to |F|^(1/2)."""
-    F = np.asarray(list(F))
+def hi_l2_ratio(hi: SpectralProfile, F) -> float:
+    """l2 norm of Hi * 1_F relative to |F|^(1/2), for the High profile hi."""
+    F = np.asarray(F)
     if len(F) == 0:
         raise ValueError("empty F")
-    g = apply_profile(hi_hat_profile(cfg), indicator(F, cfg.M))
+    g = hi.apply(indicator(F, hi.grid_size))
     return float(np.linalg.norm(g) / math.sqrt(len(F)))
 
 
-def lo_linf_ratio(cfg: DecompositionConfig, F, r: float) -> float:
-    """sup norm of Lo * 1_F relative to ((y/N)|F|)^(1/r)."""
-    F = np.asarray(list(F))
+def lo_linf_ratio(lo: SpectralProfile, F, r: float) -> float:
+    """sup norm of Lo * 1_F relative to ((y/N)|F|)^(1/r), for the Low profile lo."""
+    F = np.asarray(F)
     if len(F) == 0:
         raise ValueError("empty F")
     if not 1.0 < r < 2.0:
         raise ValueError(f"r must lie in (1, 2), got {r}")
-    g = apply_profile(lo_hat_profile(cfg), indicator(F, cfg.M))
-    scale = (cfg.prog.y / cfg.N * len(F)) ** (1.0 / r)
+    g = lo.apply(indicator(F, lo.grid_size))
+    scale = (lo.meta["y"] / lo.meta["N"] * len(F)) ** (1.0 / r)
     return float(np.abs(g).max() / scale)
 
 
@@ -212,12 +168,8 @@ def maximal_ratios(
     M = cfgs[0].M
     if any(c.M != M for c in cfgs):
         raise ValueError("all configs must share the cyclic size M")
-    fhat = np.fft.fft(f)
-    hi_sup = np.zeros(M)
-    lo_sup = np.zeros(M)
-    for cfg in cfgs:
-        hi_sup = np.maximum(hi_sup, np.abs(np.fft.ifft(hi_hat_profile(cfg).values * fhat)))
-        lo_sup = np.maximum(lo_sup, np.abs(np.fft.ifft(lo_hat_profile(cfg).values * fhat)))
+    hi_sup = sup_abs((hi_hat_profile(cfg) for cfg in cfgs), f)
+    lo_sup = sup_abs((lo_hat_profile(cfg) for cfg in cfgs), f)
     f_l2 = np.linalg.norm(f)
     f_lr = float((np.abs(f) ** r).sum() ** (1.0 / r))
     hi_ratio = float(np.linalg.norm(hi_sup) / f_l2)
@@ -227,6 +179,18 @@ def maximal_ratios(
 
 # ---------------------------------------------------------------------------
 # Common-denominator multifrequency maximal harness
+
+
+def multifrequency_profile(
+    D: int, k: int, n: int, M: int, cutoff: CutoffSpec = DEFAULT_CUTOFF
+) -> SpectralProfile:
+    """Sum over the first k rationals j/D of the cutoff at spatial scale 2^n around j/D."""
+    xi = _wrapped_grid(M)
+    mult = np.zeros(M)
+    for j in range(k):
+        offset = (xi - j / D + 0.5) % 1.0 - 0.5
+        mult += cutoff((1 << n) * offset)
+    return SpectralProfile(M, mult)
 
 
 def multifrequency_max_ratio(
@@ -248,16 +212,9 @@ def multifrequency_max_ratio(
     d = math.ceil(math.log2(D))
     if scales is None:
         scales = list(range(2 * d + 1, int(math.log2(M)) - 1))
-    xi = _wrapped_grid(M)
-    fhat = np.fft.fft(f)
-    sup = np.zeros(M)
     for n in scales:
         if n <= 2 * d:
             raise ValueError(f"scale 2^{n} not above common denominator square {D ** 2}")
-        mult = np.zeros(M)
-        for j in range(num_points):
-            offset = (xi - j / D + 0.5) % 1.0 - 0.5
-            mult += cutoff((1 << n) * offset)
-        g = np.fft.ifft(mult * fhat)
-        sup = np.maximum(sup, np.abs(g))
+    profiles = (multifrequency_profile(D, num_points, n, M, cutoff) for n in scales)
+    sup = sup_abs(profiles, f)
     return float(np.linalg.norm(sup) / np.linalg.norm(f))

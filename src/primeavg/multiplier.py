@@ -74,22 +74,60 @@ DEFAULT_CUTOFF = CutoffSpec()
 
 
 # ---------------------------------------------------------------------------
-# Spectral grid container
+# Fourier multipliers on Z_M
 
 
 @dataclass
 class SpectralProfile:
-    """Multiplier values sampled on the grid {k/M : 0 <= k < M}."""
+    """Multiplier values sampled on the grid {k/M : 0 <= k < M}.
+
+    The one operator on Z_M: convolution with its kernel is multiplication
+    by the values between a forward and an inverse length-M transform.
+    """
 
     grid_size: int
     values: np.ndarray
     meta: dict = field(default_factory=dict)
 
-    def xi(self) -> np.ndarray:
-        return np.arange(self.grid_size) / self.grid_size
-
     def sup(self) -> float:
         return float(np.abs(self.values).max())
+
+    def apply(self, f: np.ndarray) -> np.ndarray:
+        """Cyclic convolution of f with the kernel, as a complex array."""
+        if len(f) != self.grid_size:
+            raise ValueError(f"size mismatch: {len(f)} vs {self.grid_size}")
+        return self._apply_hat(np.fft.fft(f))
+
+    def _apply_hat(self, fhat: np.ndarray) -> np.ndarray:
+        return np.fft.ifft(self.values * fhat)
+
+    def kernel(self) -> np.ndarray:
+        """The real kernel on Z_M; its imaginary part must stay below 1e-9 * max(peak, 1)."""
+        kernel = np.fft.ifft(self.values)
+        worst = np.abs(kernel.imag).max()
+        if worst > 1e-9 * max(np.abs(kernel.real).max(), 1.0):
+            raise ArithmeticError(f"kernel: imaginary part {worst:g} exceeds tolerance")
+        return kernel.real
+
+
+def sup_abs(profiles, f: np.ndarray) -> np.ndarray:
+    """Pointwise sup of |P f| over an iterable of profiles, transforming f once."""
+    fhat = np.fft.fft(f)
+    sup = np.zeros(len(f))
+    for p in profiles:
+        sup = np.maximum(sup, np.abs(p._apply_hat(fhat)))
+    return sup
+
+
+def indicator(F, M: int) -> np.ndarray:
+    """1_F on Z_M, with the entries of F read modulo M."""
+    f = np.zeros(M, dtype=np.float64)
+    f[np.asarray(F, dtype=np.int64) % M] = 1.0
+    return f
+
+
+def pow2_at_least(n: int) -> int:
+    return 1 << (n - 1).bit_length()
 
 
 # ---------------------------------------------------------------------------
@@ -140,8 +178,7 @@ def _weighted_support(N: int, prog: Progression, tables: ArithTables):
     """Indices n < N in the progression with Lambda(n) > 0, and their weights."""
     if N > tables.bound + 1:
         raise ValueError(f"N={N} exceeds table bound {tables.bound}")
-    start = prog.b if prog.b >= 1 else prog.y
-    n = np.arange(start, N, prog.y, dtype=np.int64)
+    n = prog.indices(N)
     w = tables.von_mangoldt[n]
     nz = w > 0
     return n[nz], w[nz]
@@ -154,6 +191,14 @@ def a_hat(theta: float, N: int, prog: Progression, tables: ArithTables) -> compl
     return complex((phi_y / N) * np.sum(w * np.exp(-2j * np.pi * theta * n)))
 
 
+def a_kernel(N: int, prog: Progression, M: int, tables: ArithTables) -> np.ndarray:
+    """Kernel of the average on Z_M: phi(y)/N * Lambda(n) on the progression, n < N."""
+    n, w = _weighted_support(N, prog, tables)
+    kernel = np.zeros(M, dtype=np.float64)
+    kernel[n] = (int(tables.totient[prog.y]) / N) * w
+    return kernel
+
+
 def a_hat_profile(
     N: int, prog: Progression, M: int, tables: ArithTables
 ) -> SpectralProfile:
@@ -161,11 +206,7 @@ def a_hat_profile(
     if M < N:
         raise ValueError(f"grid M={M} smaller than N={N}")
     _guard_grid(M)
-    n, w = _weighted_support(N, prog, tables)
-    phi_y = int(tables.totient[prog.y])
-    kernel = np.zeros(M, dtype=np.float64)
-    kernel[n] = (phi_y / N) * w
-    values = np.fft.fft(kernel)
+    values = np.fft.fft(a_kernel(N, prog, M, tables))
     return SpectralProfile(M, values, meta={"N": N, "y": prog.y, "b": prog.b})
 
 
@@ -257,6 +298,18 @@ def _l_hat_window(point: FareyPoint, N: int, M: int, cutoff: CutoffSpec):
     return k % M, vals
 
 
+def _l_hat_windows(N, prog, q_cut, cutoff, M, height_min=1, height_max=None, points=None):
+    """The l_hat windows of the Farey points with q < q_cut in the height band, in order."""
+    if points is None:
+        points = farey_points(max(q_cut - 1, 1), prog, "denominator")
+    for p in points:
+        if p.q >= q_cut or p.height < max(height_min, 1):
+            continue
+        if height_max is not None and p.height > height_max:
+            continue
+        yield _l_hat_window(p, N, M, cutoff)
+
+
 def approximant_hat(
     xi: float,
     N: int,
@@ -288,15 +341,8 @@ def approximant_profile(
 ) -> SpectralProfile:
     """Approximant sampled on the full {k/M} grid, restricted to a height band."""
     _guard_grid(M)
-    if points is None:
-        points = farey_points(max(q_cut - 1, 1), prog, "denominator")
     values = np.zeros(M, dtype=np.complex128)
-    for p in points:
-        if p.q >= q_cut or p.height < max(height_min, 1):
-            continue
-        if height_max is not None and p.height > height_max:
-            continue
-        idx, vals = _l_hat_window(p, N, M, cutoff)
+    for idx, vals in _l_hat_windows(N, prog, q_cut, cutoff, M, height_min, height_max, points):
         values[idx] += vals  # indices within one window are distinct mod M
     meta = {
         "N": N,
@@ -391,14 +437,12 @@ def approx_error_profile(
 ) -> tuple[float, SpectralProfile]:
     """Residual a_hat - approximant on the full grid; returns (sup error, profile)."""
     if M is None:
-        M = 1 << (4 * N - 1).bit_length()  # smallest power of two >= 4N
+        M = pow2_at_least(4 * N)
     _warn_qcut(q_cut, N)
     prof = a_hat_profile(N, prog, M, tables)
-    residual = prof.values.copy()
-    for p in farey_points(max(q_cut - 1, 1), prog, "denominator"):
-        if p.q >= q_cut or p.height == 0:
-            continue
-        idx, vals = _l_hat_window(p, N, M, cutoff)
-        residual[idx] -= vals
-    out = SpectralProfile(M, residual, meta={**prof.meta, "q_cut": q_cut, "kind": "residual"})
-    return out.sup(), out
+    # In place, window by window: at y = 1 the window of 0/1 overlaps those of
+    # a/q for q >= 4, so subtracting a pre-summed approximant changes last bits.
+    for idx, vals in _l_hat_windows(N, prog, q_cut, cutoff, M):
+        prof.values[idx] -= vals
+    prof.meta.update(q_cut=q_cut, kind="residual")
+    return prof.sup(), prof

@@ -10,9 +10,6 @@ echoed into the report.
 from __future__ import annotations
 
 import concurrent.futures
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -20,20 +17,11 @@ import numpy as np
 
 from . import __version__
 from .fixtures import fixture_hash
+from .multiplier import a_hat_profile, indicator, pow2_at_least, sup_abs
 from .tables import ArithTables, Progression, build_tables, reduced_residues
 
 # Desk-scale replacement for the ineffective asymptotic onset threshold.
 DEFAULT_N_FLOOR_FACTOR = 1 << 10
-
-
-def _pow2_at_least(n: int) -> int:
-    return 1 << (n - 1).bit_length()
-
-
-def _fmt(v):
-    if isinstance(v, float):
-        return format(v, ".12g")
-    return v
 
 
 @dataclass
@@ -47,42 +35,27 @@ class ScanReport:
     version: str = __version__
     fixture_hash: str = field(default_factory=fixture_hash)
 
-    def to_json(self) -> str:
-        payload = {
+    def payload(self) -> dict:
+        """Everything but the rows: the JSON summary of the scan."""
+        return {
             "parameters": self.parameters,
             "summary": self.summary,
             "seed": self.seed,
             "version": self.version,
             "fixture_hash": self.fixture_hash,
         }
-        return json.dumps(payload, indent=2, sort_keys=True, default=_fmt)
-
-    def to_csv(self) -> str:
-        if not self.rows:
-            return ""
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(self.rows[0].keys()))
-        writer.writeheader()
-        for row in self.rows:
-            writer.writerow({k: _fmt(v) for k, v in row.items()})
-        return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
-# Kernels and single-case ratios
+# Single-case ratios
 
 
-def a_kernel(N: int, prog: Progression, M: int, tables: ArithTables) -> np.ndarray:
-    """Exact Lambda-weighted averaging kernel on Z_M: phi(y)/N * Lambda(n) on the progression."""
-    start = prog.b if prog.b >= 1 else prog.y
-    n = np.arange(start, N, prog.y, dtype=np.int64)
-    kern = np.zeros(M, dtype=np.float64)
-    kern[n] = (int(tables.totient[prog.y]) / N) * tables.von_mangoldt[n]
-    return kern
-
-
-def _convolve_fft(kern_fft: np.ndarray, f: np.ndarray) -> np.ndarray:
-    return np.fft.ifft(kern_fft * np.fft.fft(f)).real
+def _improving_value(conv: np.ndarray, r: float, y: int, N: int, size: int) -> float:
+    """||A 1_F||_{r'} / ((y/N)^{1/r - 1/r'} |F|^{1/r}) from the convolution A 1_F."""
+    rp = r / (r - 1.0)
+    num = float((np.abs(conv) ** rp).sum() ** (1.0 / rp))
+    den = (y / N) ** (1.0 / r - 1.0 / rp) * size ** (1.0 / r)
+    return num / den
 
 
 def improving_ratio(
@@ -94,20 +67,15 @@ def improving_ratio(
     M: int | None = None,
 ) -> float:
     """||A 1_F||_{r'} / ((y/N)^{1/r - 1/r'} |F|^{1/r})."""
-    F = np.asarray(list(F), dtype=np.int64)
+    F = np.asarray(F, dtype=np.int64)
     if len(F) == 0:
         raise ValueError("empty F")
     if not 1.0 < r < 2.0:
         raise ValueError(f"r must lie in (1, 2), got {r}")
     if M is None:
-        M = _pow2_at_least(4 * N)
-    rp = r / (r - 1.0)
-    f = np.zeros(M)
-    f[F % M] = 1.0
-    conv = _convolve_fft(np.fft.fft(a_kernel(N, prog, M, tables)), f)
-    num = float((np.abs(conv) ** rp).sum() ** (1.0 / rp))
-    den = (prog.y / N) ** (1.0 / r - 1.0 / rp) * len(F) ** (1.0 / r)
-    return num / den
+        M = pow2_at_least(4 * N)
+    conv = a_hat_profile(N, prog, M, tables).apply(indicator(F, M)).real
+    return _improving_value(conv, r, prog.y, N, len(F))
 
 
 def dual_ratio(
@@ -125,16 +93,14 @@ def dual_ratio(
     entry is True when (y^2/N^2)|F||G| >= (log N)^{-r'}, i.e. the sizes are too
     large for the duality bound to say anything beyond the trivial one.
     """
-    F = np.asarray(list(F), dtype=np.int64)
-    G = np.asarray(list(G), dtype=np.int64)
+    F = np.asarray(F, dtype=np.int64)
+    G = np.asarray(G, dtype=np.int64)
     if len(F) == 0 or len(G) == 0:
         raise ValueError("empty sets")
     if M is None:
-        M = _pow2_at_least(4 * N)
+        M = pow2_at_least(4 * N)
     y = prog.y
-    f = np.zeros(M)
-    f[F % M] = 1.0
-    conv = _convolve_fft(np.fft.fft(a_kernel(N, prog, M, tables)), f)
+    conv = a_hat_profile(N, prog, M, tables).apply(indicator(F, M)).real
     inner = float(conv[G % M].sum())
     ratio = (y / N) * inner / ((y * len(F) / N) ** (1.0 / r) * (y * len(G) / N) ** (1.0 / r))
     rp = r / (r - 1.0)
@@ -156,11 +122,9 @@ def input_families(
 ) -> dict[str, np.ndarray]:
     """Fixed a-priori test sets inside [0, N): intervals, progression segments,
     Bernoulli sets at dyadic densities, and optionally a greedy Lambda-weighted set."""
-    y, b = prog.y, prog.b
     fams: dict[str, np.ndarray] = {}
     fams["interval"] = np.arange(N // 2, dtype=np.int64)
-    start = b if b >= 1 else y
-    fams["progression_segment"] = np.arange(start, N // 2, y, dtype=np.int64)
+    fams["progression_segment"] = prog.indices(N // 2)
     for j in densities:
         mask = rng.random(N) < 2.0**-j
         idx = np.flatnonzero(mask)
@@ -168,7 +132,7 @@ def input_families(
             idx = np.array([0], dtype=np.int64)
         fams[f"bernoulli_2^-{j}"] = idx
     if adversarial and tables is not None:
-        n = np.arange(start, N, y, dtype=np.int64)
+        n = prog.indices(N)
         w = tables.von_mangoldt[n]
         k = max(len(n) // 8, 1)
         fams["greedy_lambda"] = np.sort(n[np.argsort(w)[::-1][:k]])
@@ -195,23 +159,26 @@ def _default_b(y: int) -> int:
     return 0 if y == 1 else 1
 
 
+def _run_cells(cell_fn, cells: list[tuple], workers: int) -> list[dict]:
+    """Rows of every cell in cell order, on a process pool when workers > 1."""
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            return [row for rows in pool.map(cell_fn, cells) for row in rows]
+    return [row for cell in cells for row in cell_fn(cell)]
+
+
 def _improving_cell(payload: tuple) -> list[dict]:
     N, y, b, r_list, densities, adversarial, seed = payload
     tables = build_tables(N)
     prog = Progression(y, b)
-    M = _pow2_at_least(4 * N)
+    M = pow2_at_least(4 * N)
     rng = np.random.default_rng(seed)
     fams = input_families(N, prog, rng, densities, adversarial, tables)
-    kern_fft = np.fft.fft(a_kernel(N, prog, M, tables))
+    profile = a_hat_profile(N, prog, M, tables)
     rows = []
     for name, F in fams.items():
-        f = np.zeros(M)
-        f[F] = 1.0
-        conv = _convolve_fft(kern_fft, f)
+        conv = profile.apply(indicator(F, M)).real
         for r in r_list:
-            rp = r / (r - 1.0)
-            num = float((np.abs(conv) ** rp).sum() ** (1.0 / rp))
-            den = (y / N) ** (1.0 / r - 1.0 / rp) * len(F) ** (1.0 / r)
             rows.append(
                 {
                     "N": N,
@@ -220,7 +187,7 @@ def _improving_cell(payload: tuple) -> list[dict]:
                     "r": r,
                     "family": name,
                     "set_size": int(len(F)),
-                    "ratio": num / den,
+                    "ratio": _improving_value(conv, r, y, N, len(F)),
                 }
             )
     return rows
@@ -252,14 +219,7 @@ def improving_scan(config: dict, workers: int = 1) -> ScanReport:
                 raise ValueError(f"N={N} below desk-scale floor {floor}*y for y={y}")
             cells.append((N, y, b, list(r_list), densities, adversarial, seed))
 
-    rows: list[dict] = []
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            for cell_rows in pool.map(_improving_cell, cells):
-                rows.extend(cell_rows)
-    else:
-        for cell in cells:
-            rows.extend(_improving_cell(cell))
+    rows = _run_cells(_improving_cell, cells, workers)
 
     max_ratio: dict[tuple, dict[int, float]] = {}
     for row in rows:
@@ -315,18 +275,13 @@ def _maximal_cell(payload: tuple) -> list[dict]:
     N_max = max(N_list)
     tables = build_tables(N_max)
     prog = Progression(y, b)
-    M = _pow2_at_least(4 * N_max)
+    M = pow2_at_least(4 * N_max)
     rng = np.random.default_rng(seed)
     fams = input_families(N_max, prog, rng, densities)
-    kern_ffts = [np.fft.fft(a_kernel(N, prog, M, tables)) for N in N_list]
+    profiles = [a_hat_profile(N, prog, M, tables) for N in N_list]
     rows = []
     for name, F in fams.items():
-        f = np.zeros(M)
-        f[F] = 1.0
-        fhat = np.fft.fft(f)
-        sup = np.zeros(M)
-        for kf in kern_ffts:
-            sup = np.maximum(sup, np.abs(np.fft.ifft(kf * fhat).real))
+        sup = sup_abs(profiles, indicator(F, M))
         strong = float((sup**r).sum() ** (1.0 / r) / len(F) ** (1.0 / r))
         for lam in lambdas:
             exceed = int((sup > lam).sum())
@@ -374,14 +329,7 @@ def maximal_scan(config: dict, workers: int = 1) -> ScanReport:
         for b in bs:
             cells.append((list(N_list), y, b, r, lambdas, densities, seed))
 
-    rows: list[dict] = []
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            for cell_rows in pool.map(_maximal_cell, cells):
-                rows.extend(cell_rows)
-    else:
-        for cell in cells:
-            rows.extend(_maximal_cell(cell))
+    rows = _run_cells(_maximal_cell, cells, workers)
 
     max_by_yb: dict[tuple, float] = {}
     for row in rows:

@@ -39,6 +39,10 @@ class Progression:
         if math.gcd(self.b, self.y) != 1:
             raise ValueError(f"gcd(b, y) must be 1, got b={self.b}, y={self.y}")
 
+    def indices(self, stop: int) -> np.ndarray:
+        """The members 1 <= n < stop of the progression, in increasing order."""
+        return np.arange(self.b if self.b >= 1 else self.y, stop, self.y, dtype=np.int64)
+
 
 @dataclass(frozen=True)
 class ArithTables:
@@ -126,9 +130,7 @@ def psi_progression(x: int, prog: Progression, tables: ArithTables) -> float:
         raise ValueError(f"x={x} exceeds table bound {tables.bound}")
     if x < 2:
         return 0.0
-    start = prog.b if prog.b >= 1 else prog.y
-    idx = np.arange(start, x, prog.y)
-    return float(tables.von_mangoldt[idx].sum())
+    return float(tables.von_mangoldt[prog.indices(x)].sum())
 
 
 def sw_error_report(

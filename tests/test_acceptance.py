@@ -131,11 +131,11 @@ def test_criterion_06_approximation_decay():
 
 
 def _dual_path_rel(y: int, b: int, Q: int, M: int, tables) -> float:
-    from primeavg.highlow import DecompositionConfig, lo_kernel_closed, lo_kernel_spectral
+    from primeavg.highlow import DecompositionConfig, lo_hat_profile, lo_kernel_closed
 
     cfg = DecompositionConfig(N=1 << 12, prog=Progression(y, b), Q=Q, M=M)
-    ks = lo_kernel_spectral(cfg).values
-    kc = lo_kernel_closed(cfg, tables).values
+    ks = lo_hat_profile(cfg).kernel()
+    kc = lo_kernel_closed(cfg, tables)
     peak = float(np.abs(ks).max())
     if peak == 0.0:
         return 0.0
@@ -237,7 +237,7 @@ def test_criterion_11_maximal_weak_type():
 
 
 def test_criterion_12_convolution_oracle():
-    from primeavg.highlow import CyclicSignal, convolve, indicator
+    from primeavg.multiplier import SpectralProfile, indicator
 
     rng = np.random.default_rng(12)
     worst = 0.0
@@ -246,7 +246,7 @@ def test_criterion_12_convolution_oracle():
         k = rng.standard_normal(M)
         F = rng.choice(M, size=int(rng.integers(1, min(33, M + 1))), replace=False)
         f = indicator(F, M)
-        via_fft = convolve(CyclicSignal(M, k), CyclicSignal(M, f)).values
+        via_fft = SpectralProfile(M, np.fft.fft(k)).apply(f).real
         direct = np.zeros(M)
         for u in F:
             direct += np.roll(k, u)

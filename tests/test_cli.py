@@ -163,3 +163,45 @@ def test_table_bound_env_raises_default(monkeypatch):
     assert _table_bound(100) == 1 << 16
     # requested work larger than the env bound still gets what it needs
     assert _table_bound(1 << 18) == 1 << 18
+
+
+def _readme_commands():
+    """The command lines of the sh block under README's "Command line"."""
+    import pathlib
+    import shlex
+
+    text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0].strip() for line in block.splitlines()]
+    return [shlex.split(line)[1:] for line in lines if line.startswith("primeavg ")]
+
+
+def test_readme_commands_run(tmp_path):
+    from primeavg.cli import build_parser
+
+    commands = _readme_commands()
+    assert len(commands) == 9
+    for i, argv in enumerate(commands):
+        if argv[0] == "verify":
+            build_parser().parse_args(argv)
+            continue
+        rc = main(argv + ["--out-dir", str(tmp_path / str(i))])
+        assert rc in (0, 1), f"{' '.join(argv)} exited {rc}"
+
+
+def test_config_key_not_taken_by_command_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"workers": 2}))
+    rc = main(["verify", "--config", str(cfg), "--no-fixtures", "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert "workers" in capsys.readouterr().err
+
+
+def test_improving_accepts_densities_from_config(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"densities": [3]}))
+    rc = main(["improving", "--config", str(cfg), "--N-list", "1024", "2048",
+               "--y-list", "1", "--workers", "1", "--out-dir", str(tmp_path)])
+    assert rc == 0
+    report = json.loads((tmp_path / "improving.json").read_text())
+    assert report["parameters"]["densities"] == [3]

@@ -4,22 +4,17 @@ import numpy as np
 import pytest
 
 from primeavg.highlow import (
-    CyclicSignal,
     DecompositionConfig,
-    apply_profile,
-    convolve,
     hi_hat_profile,
     hi_l2_ratio,
-    indicator,
     lo_hat_profile,
     lo_kernel_closed,
-    lo_kernel_spectral,
     lo_linf_ratio,
     maximal_ratios,
     multifrequency_max_ratio,
     phi_kernel,
 )
-from primeavg.multiplier import approximant_profile
+from primeavg.multiplier import SpectralProfile, approximant_profile, indicator
 from primeavg.tables import Progression
 
 
@@ -79,14 +74,14 @@ def test_lo_vanishes_at_Q1(tables):
 def test_phi_kernel_real_and_round_trips(tables):
     cfg = _cfg(N=1 << 12, y=3, b=1, Q=4)
     ker = phi_kernel(cfg, 2)
-    assert ker.values.dtype == np.float64
+    assert ker.dtype == np.float64
     ell = math.lcm(3, 2)
     from primeavg.highlow import _wrapped_grid
     from primeavg.multiplier import m_hat
 
     xi = _wrapped_grid(cfg.M)
     expected = m_hat(ell * xi, cfg.N / ell) * cfg.cutoff(ell * ell * xi)
-    back = np.fft.fft(ker.values)
+    back = np.fft.fft(ker)
     assert np.abs(back - expected).max() < 1e-9
 
 
@@ -94,7 +89,7 @@ def test_phi_kernel_decay_envelope(tables):
     # the kernel concentrates on the one-sided window [0, N); the smooth
     # cutoff forces superpolynomial decay outside it
     cfg = _cfg(N=1 << 12, y=1, b=0, Q=2, M=1 << 15)
-    ker = phi_kernel(cfg, 1).values
+    ker = phi_kernel(cfg, 1)
     from primeavg.highlow import _centered_coords
 
     x = _centered_coords(cfg.M)
@@ -110,8 +105,8 @@ def test_phi_kernel_lcm_guard():
 
 def test_dual_path_low_kernels_agree(tables):
     cfg = _cfg(N=1 << 12, y=3, b=1, Q=4, M=1 << 16)
-    spec = lo_kernel_spectral(cfg).values
-    closed = lo_kernel_closed(cfg, tables).values
+    spec = lo_hat_profile(cfg).kernel()
+    closed = lo_kernel_closed(cfg, tables)
     peak = np.abs(spec).max()
     assert np.abs(spec - closed).max() < 1e-3 * peak
 
@@ -119,7 +114,7 @@ def test_dual_path_low_kernels_agree(tables):
 def test_low_kernel_envelope_invariant(tables):
     # |Lo(x)| stays under a multiple of y Q^2 / N uniformly
     cfg = _cfg(N=1 << 12, y=3, b=1, Q=4, M=1 << 15)
-    ker = lo_kernel_closed(cfg, tables).values
+    ker = lo_kernel_closed(cfg, tables)
     bound = cfg.prog.y * cfg.Q**2 / cfg.N
     assert np.abs(ker).max() <= 10.0 * bound
 
@@ -134,8 +129,8 @@ def test_convolve_with_delta_is_identity():
     f = rng.standard_normal(M)
     delta = np.zeros(M)
     delta[0] = 1.0
-    out = convolve(CyclicSignal(M, delta), CyclicSignal(M, f))
-    assert np.allclose(out.values, f, atol=1e-12)
+    out = SpectralProfile(M, np.fft.fft(delta)).apply(f)
+    assert np.allclose(out, f, atol=1e-12)
 
 
 def test_convolve_matches_direct_sum():
@@ -146,37 +141,30 @@ def test_convolve_matches_direct_sum():
     direct = np.array(
         [sum(k[(x - u) % M] * f[u] for u in range(M)) for x in range(M)]
     )
-    out = convolve(CyclicSignal(M, k), CyclicSignal(M, f))
-    assert np.allclose(out.values, direct, atol=1e-10)
+    out = SpectralProfile(M, np.fft.fft(k)).apply(f)
+    assert np.allclose(out, direct, atol=1e-10)
 
 
 def test_convolve_is_linear():
     M = 128
     rng = np.random.default_rng(5)
-    k = CyclicSignal(M, rng.standard_normal(M))
+    k = SpectralProfile(M, np.fft.fft(rng.standard_normal(M)))
     f = rng.standard_normal(M)
     g = rng.standard_normal(M)
-    lhs = convolve(k, CyclicSignal(M, 2 * f - 3 * g)).values
-    rhs = 2 * convolve(k, CyclicSignal(M, f)).values - 3 * convolve(k, CyclicSignal(M, g)).values
+    lhs = k.apply(2 * f - 3 * g)
+    rhs = 2 * k.apply(f) - 3 * k.apply(g)
     assert np.allclose(lhs, rhs, atol=1e-10)
 
 
 def test_convolve_size_mismatch():
     with pytest.raises(ValueError):
-        convolve(CyclicSignal(64, np.zeros(64)), CyclicSignal(128, np.zeros(128)))
+        SpectralProfile(64, np.fft.fft(np.zeros(64))).apply(np.zeros(128))
 
 
 def test_apply_profile_size_mismatch(tables):
     cfg = _cfg()
     with pytest.raises(ValueError):
-        apply_profile(lo_hat_profile(cfg), np.zeros(cfg.M // 2))
-
-
-def test_cyclic_signal_norms():
-    s = CyclicSignal(4, np.array([3.0, -4.0, 0.0, 0.0]))
-    assert s.norm(2) == pytest.approx(5.0)
-    assert s.norm(float("inf")) == pytest.approx(4.0)
-    assert s.norm(1) == pytest.approx(7.0)
+        lo_hat_profile(cfg).apply(np.zeros(cfg.M // 2))
 
 
 def test_indicator_wraps_modulo():
@@ -190,17 +178,17 @@ def test_indicator_wraps_modulo():
 
 def test_hi_l2_ratio_rejects_empty(tables):
     with pytest.raises(ValueError):
-        hi_l2_ratio(_cfg(), [])
+        hi_l2_ratio(hi_hat_profile(_cfg()), [])
 
 
 def test_lo_linf_ratio_r_range(tables):
-    cfg = _cfg()
+    lo = lo_hat_profile(_cfg())
     with pytest.raises(ValueError):
-        lo_linf_ratio(cfg, [0, 1], 2.5)
+        lo_linf_ratio(lo, [0, 1], 2.5)
     with pytest.raises(ValueError):
-        lo_linf_ratio(cfg, [0, 1], 1.0)
+        lo_linf_ratio(lo, [0, 1], 1.0)
     with pytest.raises(ValueError):
-        lo_linf_ratio(cfg, [], 1.5)
+        lo_linf_ratio(lo, [], 1.5)
 
 
 def test_hi_ratio_decreases_in_Q(tables):
@@ -209,7 +197,8 @@ def test_hi_ratio_decreases_in_Q(tables):
     N = 1 << 14
     F = np.arange(0, N, 3) + 1
     vals = [
-        hi_l2_ratio(_cfg(N=N, y=3, b=1, Q=Q, M=4 * N, q_cut=25), F) for Q in (2, 8)
+        hi_l2_ratio(hi_hat_profile(_cfg(N=N, y=3, b=1, Q=Q, M=4 * N, q_cut=25)), F)
+        for Q in (2, 8)
     ]
     assert vals[1] < vals[0]
 
@@ -219,7 +208,7 @@ def test_lo_linf_ratio_progression_order_one(tables):
     N = 1 << 12
     cfg = _cfg(N=N, y=3, b=1, Q=4, M=1 << 14)
     F = np.arange(1, N, 3)
-    ratio = lo_linf_ratio(cfg, F, 1.5)
+    ratio = lo_linf_ratio(lo_hat_profile(cfg), F, 1.5)
     assert 0.5 < ratio < 2.0
 
 
@@ -230,7 +219,9 @@ def test_maximal_ratios_single_config_reduces(tables):
     f = (rng.random(cfg.M) < 0.1).astype(np.float64)
     F = np.flatnonzero(f)
     hi, lo = maximal_ratios([cfg], f, 1.5)
-    assert hi == pytest.approx(hi_l2_ratio(cfg, F) * math.sqrt(len(F)) / np.linalg.norm(f))
+    assert hi == pytest.approx(
+        hi_l2_ratio(hi_hat_profile(cfg), F) * math.sqrt(len(F)) / np.linalg.norm(f)
+    )
     assert lo >= 0.0
 
 

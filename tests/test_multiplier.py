@@ -257,3 +257,25 @@ def test_approx_error_profile_residual(tables):
     # hermitian symmetry of a real-kernel residual
     v = residual.values
     assert np.allclose(v[1:], np.conj(v[1:][::-1]), atol=1e-9)
+
+
+@pytest.mark.parametrize("y, b", [(1, 0), (3, 1)])
+def test_approx_error_profile_matches_pointwise_oracles(tables, y, b):
+    # the residual, built in place on a_hat's grid, against the pointwise
+    # oracles at every Farey centre, a point inside each window, and uniform draws
+    N, q_cut = 1 << 12, 16
+    M = 4 * N
+    prog = Progression(y, b)
+    _, residual = approx_error_profile(N, prog, q_cut, M=M, tables=tables)
+    points = farey_points(q_cut - 1, prog)
+    centres = [round(p.center * M) for p in points]
+    draws = np.random.default_rng(11).integers(0, M, 32).tolist()
+    ks = sorted({k % M for c in centres for k in (c, c + 7)} | set(draws))
+    worst = max(
+        abs(
+            residual.values[k]
+            - (a_hat(k / M, N, prog, tables) - approximant_hat(k / M, N, prog, q_cut, points=points))
+        )
+        for k in ks
+    )
+    assert worst < 1e-9

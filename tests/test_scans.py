@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from primeavg.cli import _csv_text, _json_text
+from primeavg.multiplier import a_kernel
 from primeavg.scans import (
     ScanReport,
-    a_kernel,
     dual_ratio,
     fit_exponent,
     improving_ratio,
@@ -131,8 +132,8 @@ def test_improving_scan_report_shape():
 def test_improving_scan_workers_deterministic():
     serial = improving_scan(_small_improving_config())
     parallel = improving_scan(_small_improving_config(), workers=4)
-    assert serial.to_csv() == parallel.to_csv()
-    assert serial.to_json() == parallel.to_json()
+    assert serial.rows == parallel.rows
+    assert serial.payload() == parallel.payload()
 
 
 def test_improving_scan_stable_at_small_scale():
@@ -192,7 +193,8 @@ def test_maximal_scan_weak_below_strong():
 def test_maximal_scan_workers_deterministic():
     serial = maximal_scan(_small_maximal_config())
     parallel = maximal_scan(_small_maximal_config(), workers=4)
-    assert serial.to_csv() == parallel.to_csv()
+    assert serial.rows == parallel.rows
+    assert serial.payload() == parallel.payload()
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +203,7 @@ def test_maximal_scan_workers_deterministic():
 
 def test_report_csv_formats_12_sig_digits():
     report = improving_scan(_small_improving_config(y_list=[1], N_list=[1 << 10]))
-    line = report.to_csv().splitlines()[1]
+    line = _csv_text(report.rows).splitlines()[1]
     ratio_field = line.split(",")[-1]
     mantissa = ratio_field.replace("-", "").replace(".", "").lstrip("0")
     assert len(mantissa.split("e")[0]) <= 12
@@ -212,7 +214,7 @@ def test_report_json_carries_provenance():
     import json
 
     report = maximal_scan(_small_maximal_config(y_list=[1]))
-    payload = json.loads(report.to_json())
+    payload = json.loads(_json_text(report.payload()))
     assert payload["seed"] == 0
     assert payload["fixture_hash"]
     assert payload["parameters"]["r"] == 2.0
