@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import io
 import json
 import math
@@ -21,19 +22,11 @@ import numpy as np
 
 from . import __version__
 from .fixtures import MEASUREMENTS, check_fixture, fixture_hash, load_fixtures, measure_fixture
-from .tables import Progression, build_tables, sw_error_report
-
-DEFAULT_TABLE_BOUND = 1 << 20
+from .tables import Progression, build_tables, default_residue, sw_error_report
 
 
 class ConfigError(Exception):
     pass
-
-
-def _table_bound(needed: int) -> int:
-    env = os.environ.get("PRIMEAVG_TABLE_BOUND")
-    bound = int(env) if env else DEFAULT_TABLE_BOUND
-    return max(bound, needed)
 
 
 def _fmt(v) -> str:
@@ -94,7 +87,7 @@ def _merge_config(args: argparse.Namespace, parser_keys: set[str]) -> dict:
 
 def _prog_from(cfg: dict) -> Progression:
     y = int(cfg.get("y", 1))
-    b = int(cfg.get("b", 0 if y == 1 else 1))
+    b = int(cfg.get("b", default_residue(y)))
     return Progression(y, b)
 
 
@@ -128,10 +121,10 @@ def cmd_verify(cfg: dict) -> int:
     failed |= not ok
     rows.append({"suite": "gauss_upsilon", "cases": count, "max_scaled_err": err, "pass": ok})
 
-    tables = build_tables(_table_bound(1 << 18))
-    err, count = verify_cohen_progression(
-        int(cfg.get("cohen_qmax", 64)), int(cfg.get("cohen_ymax", 24)), tables
-    )
+    # the Cohen suite indexes the tables up to cohen_qmax, the divisor suite up to 200
+    cohen_qmax = int(cfg.get("cohen_qmax", 64))
+    tables = build_tables(max(200, cohen_qmax))
+    err, count = verify_cohen_progression(cohen_qmax, int(cfg.get("cohen_ymax", 24)), tables)
     ok = err < 1e-8
     failed |= not ok
     rows.append({"suite": "cohen_progression", "cases": count, "max_scaled_err": err, "pass": ok})
@@ -219,7 +212,7 @@ def cmd_approx(cfg: dict) -> int:
     prog = _prog_from(cfg)
     q_cut = int(cfg.get("qcut", 16))
     M = int(cfg["M"]) if "M" in cfg else 4 * N
-    tables = build_tables(_table_bound(N))
+    tables = build_tables(N)
     sup, residual = approx_error_profile(N, prog, q_cut, M=M, tables=tables)
     near = near_zero_error(N, prog, tables=tables)
     stride = max(1, M // int(cfg.get("max_rows", 1 << 14)))
@@ -256,9 +249,9 @@ def cmd_highlow(cfg: dict) -> int:
     N = int(cfg.get("N", 4096))
     prog = _prog_from(cfg)
     M = int(cfg["M"]) if "M" in cfg else 16 * N
-    Q_list = cfg.get("Q_list") or [int(cfg.get("Q", 4))]
+    Q_list = cfg.get("Q_list") or [4]
     r = float(cfg.get("r", 1.5))
-    tables = build_tables(_table_bound(N))
+    tables = build_tables(N)
     F = np.arange(N // 8)
     rows = []
     worst_partition = 0.0
@@ -267,7 +260,7 @@ def cmd_highlow(cfg: dict) -> int:
         dcfg = DecompositionConfig(N=N, prog=prog, Q=Q, M=M)
         hi = hi_hat_profile(dcfg)
         lo = lo_hat_profile(dcfg)
-        total = approximant_profile(N, prog, dcfg.q_cut, dcfg.cutoff, M)
+        total = approximant_profile(N, prog, dcfg.q_cut, M)
         partition_err = float(np.abs(hi.values + lo.values - total.values).max())
         worst_partition = max(worst_partition, partition_err)
         rows.append(
@@ -297,28 +290,18 @@ def cmd_highlow(cfg: dict) -> int:
     return 0 if ok else 1
 
 
-def _run_scan(scan, scan_cfg: dict, cfg: dict):
-    """One scan with the optional keys and worker count of cfg; bad input is a ConfigError."""
-    for key in ("densities", "n_floor_factor"):
-        if key in cfg:
-            scan_cfg[key] = cfg[key]
-    try:
-        return scan(scan_cfg, workers=int(cfg.get("workers", os.cpu_count() or 1)))
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+def _run_scan(scan, cfg: dict):
+    """One scan with the keys of cfg it takes; workers default to the cpu count."""
+    taken = inspect.signature(scan).parameters
+    kwargs = {key: value for key, value in cfg.items() if key in taken}
+    kwargs["workers"] = int(cfg.get("workers", os.cpu_count() or 1))
+    return scan(**kwargs)
 
 
 def cmd_improving(cfg: dict) -> int:
     from .scans import improving_scan
 
-    scan_cfg = {
-        "N_list": cfg.get("N_list", [1 << 14, 1 << 16]),
-        "y_list": cfg.get("y_list", [1, 3, 5]),
-        "r_list": cfg.get("r_list", [1.5]),
-        "seed": int(cfg.get("seed", 0)),
-        "adversarial": bool(cfg.get("adversarial", True)),
-    }
-    report = _run_scan(improving_scan, scan_cfg, cfg)
+    report = _run_scan(improving_scan, cfg)
     _emit(cfg, "improving", report.rows, report.payload())
     return 0 if report.summary["stable"] else 1
 
@@ -326,15 +309,7 @@ def cmd_improving(cfg: dict) -> int:
 def cmd_maximal(cfg: dict) -> int:
     from .scans import maximal_scan
 
-    scan_cfg = {
-        "N_list": cfg.get("N_list", [1 << k for k in range(13, 17)]),
-        "y_list": cfg.get("y_list", [1, 5]),
-        "r": float(cfg.get("r", 2.0)),
-        "lambda_grid": cfg.get("lambda_grid", [2.0**-k for k in range(1, 7)]),
-        "seed": int(cfg.get("seed", 0)),
-        "b_sweep": bool(cfg.get("b_sweep", False)),
-    }
-    report = _run_scan(maximal_scan, scan_cfg, cfg)
+    report = _run_scan(maximal_scan, cfg)
     ceiling = float(cfg.get("weak_ceiling", 1.0))
     variation_cap = float(cfg.get("variation_cap", 1.5))
     ok = report.summary["max_weak_ratio"] <= ceiling and all(
@@ -351,7 +326,7 @@ def cmd_ramanujan_avg(cfg: dict) -> int:
     prog = _prog_from(cfg)
     t = int(cfg.get("t", 2))
     Q_list = [int(q) for q in cfg.get("Q_list", [4, 8, 16, 32])]
-    tables = build_tables(_table_bound(max(16 * prog.y * Q**t for Q in Q_list)))
+    tables = build_tables(max(16 * prog.y * Q**t for Q in Q_list))
     rows = []
     for Q in Q_list:
         M = 16 * prog.y * Q**t
@@ -381,7 +356,7 @@ def cmd_sw(cfg: dict) -> int:
     prog = _prog_from(cfg)
     x_grid = [int(x) for x in cfg.get("x_grid", [10**4, 10**5, 10**6])]
     J = int(cfg.get("J", 2))
-    tables = build_tables(_table_bound(max(x_grid)))
+    tables = build_tables(max(2, *x_grid))  # the sieve starts at 2; psi below 2 reads no entry
     rows = sw_error_report(x_grid, prog, tables, J=J)
     summary = {
         "y": prog.y,
@@ -440,7 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, default=None)
     p.add_argument("--y", type=int, default=None)
     p.add_argument("--b", type=int, default=None)
-    p.add_argument("--Q", type=int, default=None)
     p.add_argument("--Q-list", dest="Q_list", type=int, nargs="+", default=None)
     p.add_argument("--M", type=int, default=None)
     p.add_argument("--r", type=float, default=None)

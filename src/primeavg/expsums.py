@@ -254,7 +254,7 @@ def count_height_class(y: int, r: int) -> tuple[int, int]:
     """
     if y < 1 or r < 1:
         raise ValueError("y, r must be >= 1")
-    enumerated = sum(_phi(q) if q > 1 else 1 for q in range(1, y * r + 1) if height(q, y) == r)
+    enumerated = sum(_phi(q) for q in range(1, y * r + 1) if height(q, y) == r)
     formula = _phi(r) * y // math.gcd(y, r)
     return enumerated, formula
 
@@ -326,7 +326,7 @@ def _sample_tuples(qmax: int, ymax: int, max_tuples: int, rng) -> list[tuple[int
     for y in range(1, ymax + 1):
         bs = reduced_residues(y)
         for q in range(1, qmax + 1):
-            a_count = _phi(q) if q > 1 else 1
+            a_count = _phi(q)
             groups.append((q, y, bs, a_count))
             total += len(bs) * a_count
     keep = min(1.0, max_tuples / total)

@@ -11,7 +11,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import warnings
 from importlib import resources
+
+import numpy as np
+
+from .tables import Progression, build_tables, default_residue, sw_error_report
 
 
 def _raw() -> bytes:
@@ -49,64 +55,48 @@ def check_fixture(name: str, measured: float, fixtures: dict | None = None) -> b
 _SWEEP_CACHE: dict = {}
 
 
-def _tables(bound: int):
-    from .tables import build_tables
-
-    return build_tables(bound)
-
-
-def _prog(y: int, b: int):
-    from .tables import Progression
-
-    return Progression(y, b)
-
-
 def _measure_near_zero(y: int, b: int, N: int) -> float:
     from .multiplier import near_zero_error
 
-    return near_zero_error(N, _prog(y, b), tables=_tables(max(N, 1 << 20)))
+    return near_zero_error(N, Progression(y, b), tables=build_tables(N))
 
 
 def _measure_residual_sup(y: int, b: int, N: int) -> float:
     from .multiplier import approx_error_profile
 
-    sup, _ = approx_error_profile(N, _prog(y, b), 16, M=4 * N, tables=_tables(max(N, 1 << 20)))
+    sup, _ = approx_error_profile(N, Progression(y, b), 16, M=4 * N, tables=build_tables(N))
     return sup
 
 
 def _measure_dual_path_worst() -> float:
     from .highlow import DecompositionConfig, dual_path_rel, lo_hat_profile
 
-    tables = _tables(1 << 20)
+    N = 1 << 12
+    tables = build_tables(N)
     worst = 0.0
     for y in range(1, 7):
-        b = 0 if y == 1 else 1
         for Q in (2, 4, 8):
-            cfg = DecompositionConfig(N=1 << 12, prog=_prog(y, b), Q=Q, M=1 << 16)
+            cfg = DecompositionConfig(N=N, prog=Progression(y, default_residue(y)), Q=Q, M=1 << 16)
             worst = max(worst, dual_path_rel(lo_hat_profile(cfg), cfg, tables))
     return worst
 
 
 def _bourgain_sweep(y: int, b: int) -> list[float]:
-    import warnings
-
     from .expsums import bourgain_average
 
     key = ("bourgain", y, b)
     if key not in _SWEEP_CACHE:
-        tables = _tables(1 << 18)
+        tables = build_tables(1 << 18)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             _SWEEP_CACHE[key] = [
-                bourgain_average(Q, 16 * y * Q * Q, _prog(y, b), 2, tables)
+                bourgain_average(Q, 16 * y * Q * Q, Progression(y, b), 2, tables)
                 for Q in (4, 8, 16, 32)
             ]
     return _SWEEP_CACHE[key]
 
 
 def _measure_bourgain_exponent(y: int, b: int) -> float:
-    import numpy as np
-
     vals = _bourgain_sweep(y, b)
     return float(np.polyfit(np.log([4.0, 8.0, 16.0, 32.0]), np.log(vals), 1)[0])
 
@@ -123,8 +113,6 @@ def hi_decay_family(N: int) -> list:
     """Inputs probing the High operator norm: interval, Bernoulli set, and
     progressions of every modulus below the denominator ceiling (the sharp
     class: their spectra spike exactly on the Farey points)."""
-    import numpy as np
-
     rng = np.random.default_rng(7)
     fams = [np.arange(N // 8), np.flatnonzero(rng.random(N) < 0.125)]
     fams += [np.arange(0, N, qp) for qp in range(2, 32)]
@@ -132,19 +120,15 @@ def hi_decay_family(N: int) -> list:
 
 
 def _measure_hi_decay_slope(y: int, b: int) -> float:
-    import numpy as np
-
     from .highlow import DecompositionConfig, hi_hat_profile, hi_l2_ratio
 
     N, M = 1 << 16, 1 << 18
     fams = hi_decay_family(N)
     maxima = []
     for Q in (2, 4, 8, 16):
-        import warnings
-
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            cfg = DecompositionConfig(N=N, prog=_prog(y, b), Q=Q, M=M, q_cut=32)
+            cfg = DecompositionConfig(N=N, prog=Progression(y, b), Q=Q, M=M, q_cut=32)
         hi = hi_hat_profile(cfg)
         maxima.append(max(hi_l2_ratio(hi, F) for F in fams))
     return float(np.polyfit(np.log([2.0, 4.0, 8.0, 16.0]), np.log(maxima), 1)[0])
@@ -153,7 +137,7 @@ def _measure_hi_decay_slope(y: int, b: int) -> float:
 def _measure_improving_max(y: int, b: int) -> float:
     from .scans import _improving_cell
 
-    rows = _improving_cell((1 << 16, y, b, [1.5], (3, 5), True, 0))
+    rows = _improving_cell((1 << 16, y, b, [1.5], (3, 5), 0))
     return max(row["ratio"] for row in rows)
 
 
@@ -162,15 +146,13 @@ def _maximal_summary() -> dict:
         from .scans import maximal_scan
 
         report = maximal_scan(
-            {
-                "N_list": [1 << k for k in range(10, 17)],
-                "y_list": [1, 5],
-                "r": 2.0,
-                "lambda_grid": [2.0**-k for k in range(1, 7)],
-                "seed": 0,
-                "b_sweep": True,
-                "n_floor_factor": 128,
-            }
+            N_list=[1 << k for k in range(10, 17)],
+            y_list=[1, 5],
+            r=2.0,
+            lambda_grid=[2.0**-k for k in range(1, 7)],
+            seed=0,
+            b_sweep=True,
+            n_floor_factor=128,
         )
         _SWEEP_CACHE["maximal"] = report.summary
     return _SWEEP_CACHE["maximal"]
@@ -179,10 +161,6 @@ def _maximal_summary() -> dict:
 def multifrequency_adapted_ratios(D: int = 12, M: int = 1 << 18) -> list[float]:
     """Per point count, the maximal-projection ratio on an input whose
     spectrum fills exactly the bands in play (the operator-norm probe)."""
-    import math
-
-    import numpy as np
-
     from .highlow import multifrequency_max_ratio, multifrequency_profile
 
     key = ("multifrequency", D, M)
@@ -200,12 +178,10 @@ def multifrequency_adapted_ratios(D: int = 12, M: int = 1 << 18) -> list[float]:
 
 
 def _measure_lo_linf(y: int, b: int) -> float:
-    import numpy as np
-
     from .highlow import DecompositionConfig, lo_hat_profile, lo_linf_ratio
 
     N = 1 << 14
-    cfg = DecompositionConfig(N=N, prog=_prog(y, b), Q=4, M=1 << 16)
+    cfg = DecompositionConfig(N=N, prog=Progression(y, b), Q=4, M=1 << 16)
     if y == 1:
         F = np.arange(N // 8)
     else:
@@ -214,9 +190,7 @@ def _measure_lo_linf(y: int, b: int) -> float:
 
 
 def _measure_sw_rel_error(y: int, b: int) -> float:
-    from .tables import sw_error_report
-
-    rows = sw_error_report([10**6], _prog(y, b), _tables(1 << 20))
+    rows = sw_error_report([10**6], Progression(y, b), build_tables(10**6))
     return rows[0]["rel_error"]
 
 

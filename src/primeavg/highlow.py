@@ -17,10 +17,9 @@ import numpy as np
 
 from .expsums import ramanujan_table
 from .multiplier import (
-    DEFAULT_CUTOFF,
-    CutoffSpec,
     SpectralProfile,
     approximant_profile,
+    cutoff,
     indicator,
     m_hat,
     sup_abs,
@@ -36,7 +35,6 @@ class DecompositionConfig:
     prog: Progression
     Q: int
     M: int
-    cutoff: CutoffSpec = DEFAULT_CUTOFF
     q_cut: int | None = None  # denominator ceiling; defaults to y * Q
 
     def __post_init__(self):
@@ -61,14 +59,14 @@ class DecompositionConfig:
 def lo_hat_profile(cfg: DecompositionConfig) -> SpectralProfile:
     """Sum of l_hat over Farey points with 0 < height < Q."""
     return approximant_profile(
-        cfg.N, cfg.prog, cfg.q_cut, cfg.cutoff, cfg.M, height_min=1, height_max=cfg.Q - 1
+        cfg.N, cfg.prog, cfg.q_cut, cfg.M, height_min=1, height_max=cfg.Q - 1
     )
 
 
 def hi_hat_profile(cfg: DecompositionConfig) -> SpectralProfile:
     """Sum of l_hat over Farey points with height >= Q (same q_cut ceiling as Low)."""
     return approximant_profile(
-        cfg.N, cfg.prog, cfg.q_cut, cfg.cutoff, cfg.M, height_min=cfg.Q, height_max=None
+        cfg.N, cfg.prog, cfg.q_cut, cfg.M, height_min=cfg.Q, height_max=None
     )
 
 
@@ -96,7 +94,7 @@ def phi_kernel(cfg: DecompositionConfig, q: int) -> np.ndarray:
     if ell * ell > cfg.M // 4:
         raise ValueError(f"lcm^2 = {ell * ell} exceeds M/4 = {cfg.M // 4}")
     xi = _wrapped_grid(cfg.M)
-    profile = m_hat(ell * xi, cfg.N / ell) * cfg.cutoff(ell * ell * xi)
+    profile = m_hat(ell * xi, cfg.N / ell) * cutoff(ell * ell * xi)
     return SpectralProfile(cfg.M, profile).kernel()
 
 
@@ -115,10 +113,9 @@ def lo_kernel_closed(cfg: DecompositionConfig, tables: ArithTables) -> np.ndarra
         mu = int(tables.mobius[qp])
         if mu == 0:
             continue
-        phi_qp = int(tables.totient[qp]) if qp > 1 else 1
         phi_vals = phi_kernel(cfg, qp)
         tau_vals = ramanujan_table(qp, tables)[x % qp]
-        out += phi_vals * (mu / phi_qp) * tau_vals
+        out += phi_vals * (mu / int(tables.totient[qp])) * tau_vals
     mask = (x - b) % y == 0
     return y * mask * out
 
@@ -181,9 +178,7 @@ def maximal_ratios(
 # Common-denominator multifrequency maximal harness
 
 
-def multifrequency_profile(
-    D: int, k: int, n: int, M: int, cutoff: CutoffSpec = DEFAULT_CUTOFF
-) -> SpectralProfile:
+def multifrequency_profile(D: int, k: int, n: int, M: int) -> SpectralProfile:
     """Sum over the first k rationals j/D of the cutoff at spatial scale 2^n around j/D."""
     xi = _wrapped_grid(M)
     mult = np.zeros(M)
@@ -198,8 +193,6 @@ def multifrequency_max_ratio(
     num_points: int,
     M: int,
     f: np.ndarray,
-    cutoff: CutoffSpec = DEFAULT_CUTOFF,
-    scales: list[int] | None = None,
 ) -> float:
     """l2 ratio of the maximal function over smooth projections at {j/D}.
 
@@ -210,11 +203,7 @@ def multifrequency_max_ratio(
     if not 1 <= num_points <= D:
         raise ValueError("num_points must lie in [1, D]")
     d = math.ceil(math.log2(D))
-    if scales is None:
-        scales = list(range(2 * d + 1, int(math.log2(M)) - 1))
-    for n in scales:
-        if n <= 2 * d:
-            raise ValueError(f"scale 2^{n} not above common denominator square {D ** 2}")
-    profiles = (multifrequency_profile(D, num_points, n, M, cutoff) for n in scales)
+    scales = range(2 * d + 1, int(math.log2(M)) - 1)
+    profiles = (multifrequency_profile(D, num_points, n, M) for n in scales)
     sup = sup_abs(profiles, f)
     return float(np.linalg.norm(sup) / np.linalg.norm(f))

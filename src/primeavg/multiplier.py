@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -20,6 +19,11 @@ from .expsums import FareyPoint, height
 from .tables import ArithTables, Progression, reduced_residues
 
 TWO_PI = 2.0 * math.pi
+
+# The sup errors sweep |theta| < (log N)^ARC_J / N with POINTS_PER_UNIT grid
+# points per 1/N.
+ARC_J = 2
+POINTS_PER_UNIT = 64
 
 
 # ---------------------------------------------------------------------------
@@ -48,29 +52,18 @@ def _mollifier_tail() -> tuple[np.ndarray, np.ndarray]:
     return _MOLLIFIER_TABLE
 
 
-def _default_evaluator(u) -> np.ndarray:
+# The cutoff vanishes for |u| >= CUTOFF_OUTER.
+CUTOFF_OUTER = 1.0 / 4.0
+
+
+def cutoff(u) -> np.ndarray:
+    """Smooth even cutoff: 1 on [-1/16, 1/16], 0 outside (-1/4, 1/4)."""
     # indicator of [-5/32, 5/32] mollified by the bump at half-width 3/32:
     # identically 1 for |u| <= 1/16, identically 0 for |u| >= 1/4, C-infinity
     a = np.abs(np.asarray(u, dtype=np.float64))
     s = np.clip((a - 5.0 / 32.0) / (3.0 / 32.0), -1.0, 1.0)
     grid, tail = _mollifier_tail()
     return np.interp(s, grid, tail)
-
-
-@dataclass(frozen=True)
-class CutoffSpec:
-    """Smooth even cutoff: 1 on [-1/16, 1/16], 0 outside (-1/4, 1/4)."""
-
-    name: str = "bump"
-    inner: float = 1.0 / 16.0
-    outer: float = 1.0 / 4.0
-    evaluator: Callable = _default_evaluator
-
-    def __call__(self, u):
-        return self.evaluator(u)
-
-
-DEFAULT_CUTOFF = CutoffSpec()
 
 
 # ---------------------------------------------------------------------------
@@ -217,17 +210,14 @@ def a_hat_uniform_grid(
     dtheta: float,
     count: int,
     tables: ArithTables,
-    extra_phase: float = 0.0,
 ) -> np.ndarray:
     """a_hat on the uniform grid theta0 + j*dtheta, j < count.
 
-    extra_phase shifts every evaluation point by a constant (used to center a
-    sweep on a rational a/q while keeping the recurrence in the offset).
     Phase-recurrence evaluation: one O(#prime powers) pass per grid point.
     """
     n, w = _weighted_support(N, prog, tables)
     phi_y = int(tables.totient[prog.y])
-    z = w * np.exp(-2j * np.pi * (theta0 + extra_phase) * n)
+    z = w * np.exp(-2j * np.pi * theta0 * n)
     step = np.exp(-2j * np.pi * dtheta * n)
     out = np.empty(count, dtype=np.complex128)
     for j in range(count):
@@ -271,7 +261,6 @@ def l_hat(
     point: FareyPoint,
     N: int,
     prog: Progression,
-    cutoff: CutoffSpec = DEFAULT_CUTOFF,
 ) -> complex:
     """One major-arc term: Upsilon * average at lcm spacing * cutoff at scale lcm^2."""
     if point.y != prog.y or point.b != prog.b:
@@ -280,15 +269,15 @@ def l_hat(
         return 0j
     ell = point.ell
     d = _torus_offset(xi, point.center)
-    if abs(d) >= cutoff.outer / ell**2:
+    if abs(d) >= CUTOFF_OUTER / ell**2:
         return 0j
     return complex(point.upsilon * m_hat(ell * d, N / ell) * cutoff(ell * ell * d))
 
 
-def _l_hat_window(point: FareyPoint, N: int, M: int, cutoff: CutoffSpec):
+def _l_hat_window(point: FareyPoint, N: int, M: int):
     """Grid indices inside the support of l_hat at this point, and the values there."""
     ell = point.ell
-    radius = cutoff.outer / ell**2
+    radius = CUTOFF_OUTER / ell**2
     c = point.center
     k0 = math.floor((c - radius) * M) + 1
     k1 = math.ceil((c + radius) * M) - 1
@@ -298,16 +287,14 @@ def _l_hat_window(point: FareyPoint, N: int, M: int, cutoff: CutoffSpec):
     return k % M, vals
 
 
-def _l_hat_windows(N, prog, q_cut, cutoff, M, height_min=1, height_max=None, points=None):
+def _l_hat_windows(N, prog, q_cut, M, height_min=1, height_max=None):
     """The l_hat windows of the Farey points with q < q_cut in the height band, in order."""
-    if points is None:
-        points = farey_points(max(q_cut - 1, 1), prog, "denominator")
-    for p in points:
+    for p in farey_points(max(q_cut - 1, 1), prog, "denominator"):
         if p.q >= q_cut or p.height < max(height_min, 1):
             continue
         if height_max is not None and p.height > height_max:
             continue
-        yield _l_hat_window(p, N, M, cutoff)
+        yield _l_hat_window(p, N, M)
 
 
 def approximant_hat(
@@ -315,7 +302,6 @@ def approximant_hat(
     N: int,
     prog: Progression,
     q_cut: int,
-    cutoff: CutoffSpec = DEFAULT_CUTOFF,
     points: list[FareyPoint] | None = None,
 ) -> complex:
     """Sum of l_hat over Farey points with q < q_cut (warn when q_cut > N^{1/10})."""
@@ -325,7 +311,7 @@ def approximant_hat(
     total = 0j
     for p in points:
         if p.q < q_cut and p.height > 0:
-            total += l_hat(xi, p, N, prog, cutoff)
+            total += l_hat(xi, p, N, prog)
     return total
 
 
@@ -333,16 +319,14 @@ def approximant_profile(
     N: int,
     prog: Progression,
     q_cut: int,
-    cutoff: CutoffSpec,
     M: int,
     height_min: int = 1,
     height_max: int | None = None,
-    points: list[FareyPoint] | None = None,
 ) -> SpectralProfile:
     """Approximant sampled on the full {k/M} grid, restricted to a height band."""
     _guard_grid(M)
     values = np.zeros(M, dtype=np.complex128)
-    for idx, vals in _l_hat_windows(N, prog, q_cut, cutoff, M, height_min, height_max, points):
+    for idx, vals in _l_hat_windows(N, prog, q_cut, M, height_min, height_max):
         values[idx] += vals  # indices within one window are distinct mod M
     meta = {
         "N": N,
@@ -379,20 +363,18 @@ def _guard_grid(M: int) -> None:
 def near_zero_error(
     N: int,
     prog: Progression,
-    J: int = 2,
     tables: ArithTables | None = None,
-    points_per_unit: int = 64,
 ) -> float:
-    """sup over |theta| < (log N)^J / N of |a_hat(theta) - m_hat(N/y, y theta)|.
+    """sup over |theta| < (log N)^ARC_J / N of |a_hat(theta) - m_hat(N/y, y theta)|.
 
     The error is even in theta (both multipliers conjugate under negation), so
     only theta >= 0 is swept.
     """
     y = prog.y
-    if y >= math.log(N) ** J:
-        warnings.warn(f"y={y} not below (log N)^J = {math.log(N) ** J:.3g}", stacklevel=2)
-    T = math.log(N) ** J / N
-    dtheta = 1.0 / (points_per_unit * N)
+    if y >= math.log(N) ** ARC_J:
+        warnings.warn(f"y={y} not below (log N)^J = {math.log(N) ** ARC_J:.3g}", stacklevel=2)
+    T = math.log(N) ** ARC_J / N
+    dtheta = 1.0 / (POINTS_PER_UNIT * N)
     count = int(T / dtheta) + 1
     avals = a_hat_uniform_grid(N, prog, 0.0, dtheta, count, tables)
     thetas = dtheta * np.arange(count)
@@ -404,24 +386,20 @@ def major_arc_error(
     N: int,
     prog: Progression,
     point: FareyPoint,
-    J: int = 2,
     tables: ArithTables | None = None,
-    points_per_unit: int = 64,
 ) -> float:
-    """sup over |xi - a/q| < (log N)^J / N of |a_hat(xi) - Upsilon * m_hat(N/l, l(xi - a/q))|."""
+    """sup over |xi - a/q| < (log N)^ARC_J / N of |a_hat(xi) - Upsilon * m_hat(N/l, l(xi - a/q))|."""
     y, q = prog.y, point.q
-    if max(y, q) >= math.log(N) ** J:
+    if max(y, q) >= math.log(N) ** ARC_J:
         warnings.warn(
-            f"y={y}, q={q} not below (log N)^J = {math.log(N) ** J:.3g}", stacklevel=2
+            f"y={y}, q={q} not below (log N)^J = {math.log(N) ** ARC_J:.3g}", stacklevel=2
         )
     ell = point.ell
-    T = math.log(N) ** J / N
-    dtheta = 1.0 / (points_per_unit * N)
+    T = math.log(N) ** ARC_J / N
+    dtheta = 1.0 / (POINTS_PER_UNIT * N)
     half = int(T / dtheta)
     count = 2 * half + 1
-    avals = a_hat_uniform_grid(
-        N, prog, -half * dtheta, dtheta, count, tables, extra_phase=point.center
-    )
+    avals = a_hat_uniform_grid(N, prog, -half * dtheta + point.center, dtheta, count, tables)
     thetas = dtheta * (np.arange(count) - half)
     mvals = point.upsilon * m_hat(ell * thetas, N / ell)
     return float(np.abs(avals - mvals).max())
@@ -431,7 +409,6 @@ def approx_error_profile(
     N: int,
     prog: Progression,
     q_cut: int,
-    cutoff: CutoffSpec = DEFAULT_CUTOFF,
     M: int | None = None,
     tables: ArithTables | None = None,
 ) -> tuple[float, SpectralProfile]:
@@ -442,7 +419,7 @@ def approx_error_profile(
     prof = a_hat_profile(N, prog, M, tables)
     # In place, window by window: at y = 1 the window of 0/1 overlaps those of
     # a/q for q >= 4, so subtracting a pre-summed approximant changes last bits.
-    for idx, vals in _l_hat_windows(N, prog, q_cut, cutoff, M):
+    for idx, vals in _l_hat_windows(N, prog, q_cut, M):
         prof.values[idx] -= vals
     prof.meta.update(q_cut=q_cut, kind="residual")
     return prof.sup(), prof

@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .fixtures import fixture_hash
 from .multiplier import a_hat_profile, indicator, pow2_at_least, sup_abs
-from .tables import ArithTables, Progression, build_tables, reduced_residues
+from .tables import ArithTables, Progression, build_tables, default_residue, reduced_residues
 
 # Desk-scale replacement for the ineffective asymptotic onset threshold.
 DEFAULT_N_FLOOR_FACTOR = 1 << 10
@@ -143,22 +143,6 @@ def input_families(
 # Improving scan
 
 
-_IMPROVING_KEYS = {
-    "N_list",
-    "y_list",
-    "r_list",
-    "densities",
-    "adversarial",
-    "seed",
-    "b_map",
-    "n_floor_factor",
-}
-
-
-def _default_b(y: int) -> int:
-    return 0 if y == 1 else 1
-
-
 def _run_cells(cell_fn, cells: list[tuple], workers: int) -> list[dict]:
     """Rows of every cell in cell order, on a process pool when workers > 1."""
     if workers > 1:
@@ -168,12 +152,12 @@ def _run_cells(cell_fn, cells: list[tuple], workers: int) -> list[dict]:
 
 
 def _improving_cell(payload: tuple) -> list[dict]:
-    N, y, b, r_list, densities, adversarial, seed = payload
+    N, y, b, r_list, densities, seed = payload
     tables = build_tables(N)
     prog = Progression(y, b)
     M = pow2_at_least(4 * N)
     rng = np.random.default_rng(seed)
-    fams = input_families(N, prog, rng, densities, adversarial, tables)
+    fams = input_families(N, prog, rng, densities, adversarial=True, tables=tables)
     profile = a_hat_profile(N, prog, M, tables)
     rows = []
     for name, F in fams.items():
@@ -193,31 +177,33 @@ def _improving_cell(payload: tuple) -> list[dict]:
     return rows
 
 
-def improving_scan(config: dict, workers: int = 1) -> ScanReport:
+def improving_scan(
+    *,
+    N_list=(1 << 14, 1 << 16),
+    y_list=(1, 3, 5),
+    r_list=(1.5,),
+    densities=(3, 5),
+    seed=0,
+    n_floor_factor=DEFAULT_N_FLOOR_FACTOR,
+    workers: int = 1,
+) -> ScanReport:
     """Improving-inequality sweep over (N, y, r, input family).
 
-    Summary holds the max ratio per (y, r) at each N and a stability verdict:
-    the max must move by less than a factor of 2 between consecutive scales.
+    The families include the greedy Lambda-weighted set.  Summary holds the
+    max ratio per (y, r) at each N and a stability verdict: the max must move
+    by less than a factor of 2 between consecutive scales.
     """
-    unknown = set(config) - _IMPROVING_KEYS
-    if unknown:
-        raise KeyError(f"unknown config keys: {sorted(unknown)}")
-    N_list = sorted(config["N_list"])
-    y_list = config["y_list"]
-    r_list = config.get("r_list", [1.5])
-    densities = tuple(config.get("densities", (3, 5)))
-    adversarial = bool(config.get("adversarial", True))
-    seed = int(config.get("seed", 0))
-    floor = int(config.get("n_floor_factor", DEFAULT_N_FLOOR_FACTOR))
-    b_map = {int(k): v for k, v in config.get("b_map", {}).items()}
+    N_list = sorted(N_list)
+    densities = tuple(densities)
+    seed = int(seed)
+    floor = int(n_floor_factor)
 
     cells = []
     for y in y_list:
-        b = b_map.get(y, _default_b(y))
         for N in N_list:
             if N < floor * y:
                 raise ValueError(f"N={N} below desk-scale floor {floor}*y for y={y}")
-            cells.append((N, y, b, list(r_list), densities, adversarial, seed))
+            cells.append((N, y, default_residue(y), list(r_list), densities, seed))
 
     rows = _run_cells(_improving_cell, cells, workers)
 
@@ -243,7 +229,7 @@ def improving_scan(config: dict, workers: int = 1) -> ScanReport:
         "y_list": list(y_list),
         "r_list": list(r_list),
         "densities": list(densities),
-        "adversarial": adversarial,
+        "adversarial": True,
         "seed": seed,
     }
     return ScanReport(
@@ -256,18 +242,6 @@ def improving_scan(config: dict, workers: int = 1) -> ScanReport:
 
 # ---------------------------------------------------------------------------
 # Maximal scan
-
-
-_MAXIMAL_KEYS = {
-    "N_list",
-    "y_list",
-    "r",
-    "lambda_grid",
-    "densities",
-    "seed",
-    "b_sweep",
-    "n_floor_factor",
-}
 
 
 def _maximal_cell(payload: tuple) -> list[dict]:
@@ -302,30 +276,37 @@ def _maximal_cell(payload: tuple) -> list[dict]:
     return rows
 
 
-def maximal_scan(config: dict, workers: int = 1) -> ScanReport:
+def maximal_scan(
+    *,
+    N_list=tuple(1 << k for k in range(13, 17)),
+    y_list=(1, 5),
+    r=2.0,
+    lambda_grid=tuple(2.0**-k for k in range(1, 7)),
+    densities=(3,),
+    seed=0,
+    b_sweep=False,
+    n_floor_factor=DEFAULT_N_FLOOR_FACTOR,
+    workers: int = 1,
+) -> ScanReport:
     """Weak-type sweep of the dyadic maximal function sup_N |A_{N,y,b} 1_F|.
 
     Ratios are lambda |{sup > lambda}|^{1/r} / |F|^{1/r} over a lambda grid;
     the strong-type norm is reported as a secondary column.  With b_sweep the
     scan covers every b in A_y and records the variation across b.
     """
-    unknown = set(config) - _MAXIMAL_KEYS
-    if unknown:
-        raise KeyError(f"unknown config keys: {sorted(unknown)}")
-    N_list = sorted(config["N_list"])
-    y_list = config["y_list"]
-    r = float(config.get("r", 2.0))
-    lambdas = list(config.get("lambda_grid", [2.0**-k for k in range(1, 7)]))
-    densities = tuple(config.get("densities", (3,)))
-    seed = int(config.get("seed", 0))
-    b_sweep = bool(config.get("b_sweep", False))
-    floor = int(config.get("n_floor_factor", DEFAULT_N_FLOOR_FACTOR))
+    N_list = sorted(N_list)
+    r = float(r)
+    lambdas = list(lambda_grid)
+    densities = tuple(densities)
+    seed = int(seed)
+    b_sweep = bool(b_sweep)
+    floor = int(n_floor_factor)
 
     cells = []
     for y in y_list:
         if min(N_list) < floor * y:
             raise ValueError(f"min N below desk-scale floor {floor}*y for y={y}")
-        bs = [int(v) for v in reduced_residues(y)] if b_sweep else [_default_b(y)]
+        bs = [int(v) for v in reduced_residues(y)] if b_sweep else [default_residue(y)]
         for b in bs:
             cells.append((list(N_list), y, b, r, lambdas, densities, seed))
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -22,6 +23,11 @@ _TABLE_CACHE: dict[int, "ArithTables"] = {}
 
 def memory_cap() -> int:
     return int(os.environ.get("PRIMEAVG_MEMORY_CAP", DEFAULT_MEMORY_CAP))
+
+
+def default_residue(y: int) -> int:
+    """The residue b taken when none is given: 0 for y = 1, else 1."""
+    return 0 if y == 1 else 1
 
 
 @dataclass(frozen=True)
@@ -66,6 +72,9 @@ def build_tables(bound: int, cap: int | None = None) -> ArithTables:
     """Sieve Lambda, mu, phi and primality up to bound (inclusive).
 
     Deterministic, single allocation per array.  Results are cached by bound.
+    A bound below the largest table sieved so far gets read-only slices of
+    that table, equal to a fresh sieve: the sieve is exact and the prefix
+    sums of a prefix do not depend on the length.
     """
     if bound < 2:
         raise ValueError(f"bound must be >= 2, got {bound}")
@@ -74,6 +83,14 @@ def build_tables(bound: int, cap: int | None = None) -> ArithTables:
     cached = _TABLE_CACHE.get(bound)
     if cached is not None:
         return cached
+    top = max(_TABLE_CACHE, default=0)
+    if top > bound:
+        largest = _TABLE_CACHE[top]
+        view = ArithTables(
+            bound, **{f.name: getattr(largest, f.name)[: bound + 1] for f in fields(ArithTables)[1:]}
+        )
+        _TABLE_CACHE[bound] = view
+        return view
 
     n = bound
     is_prime = np.ones(n + 1, dtype=bool)
@@ -144,12 +161,10 @@ def sw_error_report(
     """
     if not x_grid:
         raise ValueError("empty x grid")
-    phi_y = int(tables.totient[prog.y]) if prog.y > 1 else 1
+    phi_y = int(tables.totient[prog.y])
     rows = []
     for x in x_grid:
         if prog.y > (math.log(max(x, 3))) ** J:
-            import warnings
-
             warnings.warn(
                 f"y={prog.y} exceeds (log x)^J = {(math.log(x)) ** J:.3g} at x={x}",
                 stacklevel=2,

@@ -179,7 +179,7 @@ def test_criterion_08_highlow_partition(tables):
         (1 << 12, 6, 1, 8),
     ):
         cfg = DecompositionConfig(N=N, prog=Progression(y, b), Q=Q, M=4 * N)
-        total = approximant_profile(N, cfg.prog, cfg.q_cut, cfg.cutoff, cfg.M)
+        total = approximant_profile(N, cfg.prog, cfg.q_cut, cfg.M)
         split = hi_hat_profile(cfg).values + lo_hat_profile(cfg).values
         worst = max(worst, float(np.abs(split - total.values).max()))
     ok = worst < 1e-10
@@ -200,12 +200,10 @@ def test_criterion_10_improving_stability():
 
     t0 = time.monotonic()
     report = improving_scan(
-        {
-            "N_list": [1 << 16, 1 << 18],
-            "y_list": [1, 3, 5],
-            "r_list": [1.5],
-            "seed": 0,
-        },
+        N_list=[1 << 16, 1 << 18],
+        y_list=[1, 3, 5],
+        r_list=[1.5],
+        seed=0,
         workers=8,
     )
     elapsed = time.monotonic() - t0

@@ -156,15 +156,6 @@ def test_memory_cap_env_exits_two(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("config error")
 
 
-def test_table_bound_env_raises_default(monkeypatch):
-    from primeavg.cli import _table_bound
-
-    monkeypatch.setenv("PRIMEAVG_TABLE_BOUND", str(1 << 16))
-    assert _table_bound(100) == 1 << 16
-    # requested work larger than the env bound still gets what it needs
-    assert _table_bound(1 << 18) == 1 << 18
-
-
 def _readme_commands():
     """The command lines of the sh block under README's "Command line"."""
     import pathlib

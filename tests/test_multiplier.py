@@ -5,14 +5,16 @@ import pytest
 
 from primeavg.expsums import FareyPoint
 from primeavg.multiplier import (
-    DEFAULT_CUTOFF,
-    CutoffSpec,
+    ARC_J,
+    CUTOFF_OUTER,
+    POINTS_PER_UNIT,
     a_hat,
     a_hat_profile,
     a_hat_uniform_grid,
     approx_error_profile,
     approximant_hat,
     approximant_profile,
+    cutoff,
     farey_points,
     geometric_sum,
     l_hat,
@@ -29,19 +31,19 @@ from primeavg.tables import Progression
 
 
 def test_cutoff_plateau_and_support():
-    assert DEFAULT_CUTOFF(0.0) == 1.0
-    assert DEFAULT_CUTOFF(1 / 16) == 1.0
-    assert DEFAULT_CUTOFF(-1 / 16) == 1.0
-    assert DEFAULT_CUTOFF(0.25) == 0.0
-    assert DEFAULT_CUTOFF(0.3) == 0.0
-    assert DEFAULT_CUTOFF(5 / 32) == pytest.approx(0.5, abs=1e-9)
+    assert cutoff(0.0) == 1.0
+    assert cutoff(1 / 16) == 1.0
+    assert cutoff(-1 / 16) == 1.0
+    assert cutoff(0.25) == 0.0
+    assert cutoff(0.3) == 0.0
+    assert cutoff(5 / 32) == pytest.approx(0.5, abs=1e-9)
 
 
 def test_cutoff_range_and_evenness():
     u = np.linspace(-0.5, 0.5, 4001)
-    v = DEFAULT_CUTOFF(u)
+    v = cutoff(u)
     assert v.min() >= 0.0 and v.max() <= 1.0
-    assert np.allclose(v, DEFAULT_CUTOFF(-u))
+    assert np.allclose(v, cutoff(-u))
 
 
 def test_cutoff_finite_difference_smoothness():
@@ -52,7 +54,7 @@ def test_cutoff_finite_difference_smoothness():
         for h in (1e-2, 5e-3, 2.5e-3):
             acc = np.zeros_like(x)
             for j in range(k + 1):
-                acc += (-1) ** j * math.comb(k, j) * DEFAULT_CUTOFF(x + (k / 2 - j) * h)
+                acc += (-1) ** j * math.comb(k, j) * cutoff(x + (k / 2 - j) * h)
             vals.append(np.abs(acc).max() / h**k)
         # divided differences stay bounded as h shrinks (they converge to the
         # sup of the k-th derivative; a mere C^(k-1) kink would blow up like 1/h)
@@ -61,8 +63,7 @@ def test_cutoff_finite_difference_smoothness():
 
 
 def test_cutoff_spec_defaults():
-    c = CutoffSpec()
-    assert c.inner == 1 / 16 and c.outer == 1 / 4
+    assert CUTOFF_OUTER == 1 / 4
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +224,7 @@ def test_major_arc_supports_disjoint_within_scale():
 def test_approximant_profile_matches_pointwise(tables):
     prog = Progression(3, 1)
     N, M = 1 << 10, 1 << 12
-    prof = approximant_profile(N, prog, 8, DEFAULT_CUTOFF, M)
+    prof = approximant_profile(N, prog, 8, M)
     for k in (0, 3, 341, 1365, 2048, 4095):
         assert abs(prof.values[k] - approximant_hat(k / M, N, prog, 8)) < 1e-9
 
@@ -246,6 +247,20 @@ def test_major_arc_error_small_on_main_arc(tables):
     p = FareyPoint.build(0, 1, prog)
     err = major_arc_error(1 << 14, prog, p, tables=tables)
     assert err == pytest.approx(near_zero_error(1 << 14, prog, tables=tables), rel=1e-9)
+
+
+def test_major_arc_error_off_zero_matches_pointwise(tables):
+    # the sweep centred on a/q = 1/3 against a_hat and m_hat evaluated point by point
+    prog, N = Progression(1, 0), 1 << 10
+    p = FareyPoint.build(1, 3, prog)
+    dtheta = 1.0 / (POINTS_PER_UNIT * N)
+    half = int(math.log(N) ** ARC_J / N / dtheta)
+    thetas = dtheta * (np.arange(2 * half + 1) - half)
+    expected = max(
+        abs(a_hat(p.center + t, N, prog, tables) - p.upsilon * m_hat(p.ell * t, N / p.ell))
+        for t in thetas
+    )
+    assert abs(major_arc_error(N, prog, p, tables=tables) - expected) < 1e-12
 
 
 def test_approx_error_profile_residual(tables):

@@ -111,17 +111,17 @@ def _small_improving_config(**kw):
 
 
 def test_improving_scan_unknown_key():
-    with pytest.raises(KeyError):
-        improving_scan(_small_improving_config(bogus=1))
+    with pytest.raises(TypeError):
+        improving_scan(**_small_improving_config(bogus=1))
 
 
 def test_improving_scan_floor_violation():
     with pytest.raises(ValueError):
-        improving_scan(_small_improving_config(y_list=[5]))
+        improving_scan(**_small_improving_config(y_list=[5]))
 
 
 def test_improving_scan_report_shape():
-    report = improving_scan(_small_improving_config())
+    report = improving_scan(**_small_improving_config())
     assert isinstance(report, ScanReport)
     assert {r["family"] for r in report.rows} >= {"interval", "progression_segment"}
     key = "y=3,r=1.5"
@@ -130,14 +130,14 @@ def test_improving_scan_report_shape():
 
 
 def test_improving_scan_workers_deterministic():
-    serial = improving_scan(_small_improving_config())
-    parallel = improving_scan(_small_improving_config(), workers=4)
+    serial = improving_scan(**_small_improving_config())
+    parallel = improving_scan(**_small_improving_config(), workers=4)
     assert serial.rows == parallel.rows
     assert serial.payload() == parallel.payload()
 
 
 def test_improving_scan_stable_at_small_scale():
-    report = improving_scan(_small_improving_config())
+    report = improving_scan(**_small_improving_config())
     assert report.summary["stable"] is True
 
 
@@ -160,17 +160,17 @@ def _small_maximal_config(**kw):
 
 
 def test_maximal_scan_unknown_key():
-    with pytest.raises(KeyError):
-        maximal_scan(_small_maximal_config(nope=True))
+    with pytest.raises(TypeError):
+        maximal_scan(**_small_maximal_config(nope=True))
 
 
 def test_maximal_scan_floor_violation():
     with pytest.raises(ValueError):
-        maximal_scan(_small_maximal_config(y_list=[7]))
+        maximal_scan(**_small_maximal_config(y_list=[7]))
 
 
 def test_maximal_scan_b_sweep_covers_residues():
-    report = maximal_scan(_small_maximal_config())
+    report = maximal_scan(**_small_maximal_config())
     keys = set(report.summary["max_weak_by_yb"])
     assert {"y=3,b=1", "y=3,b=2", "y=1,b=0"} <= keys
     assert "3" in report.summary["b_variation"]
@@ -178,21 +178,21 @@ def test_maximal_scan_b_sweep_covers_residues():
 
 
 def test_maximal_scan_q_policy_column():
-    report = maximal_scan(_small_maximal_config())
+    report = maximal_scan(**_small_maximal_config())
     for row in report.rows:
         assert row["q_policy"] == pytest.approx(row["lambda"] ** (-1.0 + row["r"] / 2.0))
 
 
 def test_maximal_scan_weak_below_strong():
     # weak-type ratio never exceeds the strong-type norm ratio
-    report = maximal_scan(_small_maximal_config())
+    report = maximal_scan(**_small_maximal_config())
     for row in report.rows:
         assert row["weak_ratio"] <= row["strong_ratio"] + 1e-12
 
 
 def test_maximal_scan_workers_deterministic():
-    serial = maximal_scan(_small_maximal_config())
-    parallel = maximal_scan(_small_maximal_config(), workers=4)
+    serial = maximal_scan(**_small_maximal_config())
+    parallel = maximal_scan(**_small_maximal_config(), workers=4)
     assert serial.rows == parallel.rows
     assert serial.payload() == parallel.payload()
 
@@ -202,7 +202,7 @@ def test_maximal_scan_workers_deterministic():
 
 
 def test_report_csv_formats_12_sig_digits():
-    report = improving_scan(_small_improving_config(y_list=[1], N_list=[1 << 10]))
+    report = improving_scan(**_small_improving_config(y_list=[1], N_list=[1 << 10]))
     line = _csv_text(report.rows).splitlines()[1]
     ratio_field = line.split(",")[-1]
     mantissa = ratio_field.replace("-", "").replace(".", "").lstrip("0")
@@ -213,7 +213,7 @@ def test_report_csv_formats_12_sig_digits():
 def test_report_json_carries_provenance():
     import json
 
-    report = maximal_scan(_small_maximal_config(y_list=[1]))
+    report = maximal_scan(**_small_maximal_config(y_list=[1]))
     payload = json.loads(_json_text(report.payload()))
     assert payload["seed"] == 0
     assert payload["fixture_hash"]

@@ -1,8 +1,10 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from primeavg import tables as tables_module
 from primeavg.tables import (
     ArithTables,
     Progression,
@@ -88,6 +90,26 @@ def test_build_tables_cached():
     a = build_tables(1 << 14)
     b = build_tables(1 << 14)
     assert a is b
+
+
+def test_smaller_bound_is_read_only_view_of_largest_table():
+    saved = dict(tables_module._TABLE_CACHE)
+    tables_module._TABLE_CACHE.clear()
+    try:
+        large = build_tables(1 << 16)
+        small = build_tables(1 << 12)
+        tables_module._TABLE_CACHE.clear()
+        fresh = build_tables(1 << 12)
+    finally:
+        tables_module._TABLE_CACHE.clear()
+        tables_module._TABLE_CACHE.update(saved)
+    assert small.bound == fresh.bound == 1 << 12
+    for f in fields(ArithTables)[1:]:
+        view = getattr(small, f.name)
+        assert np.shares_memory(view, getattr(large, f.name)), f.name
+        assert not view.flags.writeable, f.name
+        assert view.dtype == getattr(fresh, f.name).dtype, f.name
+        assert np.array_equal(view, getattr(fresh, f.name)), f.name
 
 
 def test_tables_are_write_protected(tables):
