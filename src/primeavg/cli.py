@@ -1,9 +1,11 @@
 """Command-line entry point: verification suites and reproducible reports.
 
 Every subcommand reads an optional JSON config file, lets explicit flags
-override it, and writes a CSV artifact plus a JSON summary.  Exit codes:
-0 on pass, 1 when an assertion or stability verdict fails, 2 on config
-errors.  All randomness flows from the single echoed seed.
+override it, and returns (rows, summary, ok).  `main` alone stamps the seed,
+version and fixture hash on the summary, writes the rows as a CSV artifact
+and the summary as JSON, and maps ok to the exit code.  Exit codes: 0 on
+pass, 1 when an assertion or stability verdict fails, 2 on config errors.
+All randomness flows from the single echoed seed.
 """
 
 from __future__ import annotations
@@ -21,7 +23,26 @@ import warnings
 import numpy as np
 
 from . import __version__
+from .expsums import (
+    _phi,
+    bourgain_average,
+    count_height_class,
+    divisor_tau_check,
+    verify_cohen_progression,
+    verify_gauss_upsilon,
+    verify_progression_ramanujan,
+)
 from .fixtures import MEASUREMENTS, check_fixture, fixture_hash, load_fixtures, measure_fixture
+from .highlow import (
+    DecompositionConfig,
+    dual_path_rel,
+    hi_hat_profile,
+    hi_l2_ratio,
+    lo_hat_profile,
+    lo_linf_ratio,
+)
+from .multiplier import approx_error_profile, approximant_profile, near_zero_error
+from .scans import fit_exponent, improving_scan, maximal_scan
 from .tables import Progression, build_tables, default_residue, sw_error_report
 
 
@@ -49,18 +70,6 @@ def _csv_text(rows: list[dict]) -> str:
 
 def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, default=_fmt)
-
-
-def _emit(cfg: dict, command: str, rows: list[dict], payload: dict) -> None:
-    """Write <command>.csv and <command>.json under out_dir; print the JSON."""
-    out_dir = cfg.get("out_dir", ".")
-    os.makedirs(out_dir, exist_ok=True)
-    text = _json_text(payload)
-    with open(os.path.join(out_dir, f"{command}.csv"), "w", newline="") as fh:
-        fh.write(_csv_text(rows))
-    with open(os.path.join(out_dir, f"{command}.json"), "w") as fh:
-        fh.write(text + "\n")
-    print(text)
 
 
 def _merge_config(args: argparse.Namespace, parser_keys: set[str]) -> dict:
@@ -95,39 +104,31 @@ def _prog_from(cfg: dict) -> Progression:
 # Subcommands
 
 
-def cmd_verify(cfg: dict) -> int:
-    from .expsums import (
-        divisor_tau_check,
-        verify_cohen_progression,
-        verify_gauss_upsilon,
-        verify_progression_ramanujan,
-    )
-    from .expsums import count_height_class
-
+def cmd_verify(cfg: dict) -> tuple[list[dict], dict, bool]:
+    names = cfg.get("fixture_names") or sorted(MEASUREMENTS)
+    for name in names:
+        if name not in MEASUREMENTS:
+            raise ConfigError(f"unknown fixture name: {name}")
     qmax = int(cfg.get("qmax", 96))
     ymax = int(cfg.get("ymax", 36))
     max_tuples = int(cfg.get("max_tuples", 100_000))
     seed = int(cfg.get("seed", 0))
-    rows: list[dict] = []
-    failed = False
-
-    err, count = verify_progression_ramanujan(qmax, ymax, max_tuples=max_tuples, seed=seed)
-    ok = err < 1e-8
-    failed |= not ok
-    rows.append({"suite": "progression_ramanujan", "cases": count, "max_scaled_err": err, "pass": ok})
-
-    err, count = verify_gauss_upsilon(qmax, ymax, max_tuples=max_tuples, seed=seed)
-    ok = err < 1e-8
-    failed |= not ok
-    rows.append({"suite": "gauss_upsilon", "cases": count, "max_scaled_err": err, "pass": ok})
-
     # the Cohen suite indexes the tables up to cohen_qmax, the divisor suite up to 200
     cohen_qmax = int(cfg.get("cohen_qmax", 64))
     tables = build_tables(max(200, cohen_qmax))
-    err, count = verify_cohen_progression(cohen_qmax, int(cfg.get("cohen_ymax", 24)), tables)
-    ok = err < 1e-8
-    failed |= not ok
-    rows.append({"suite": "cohen_progression", "cases": count, "max_scaled_err": err, "pass": ok})
+    suites = {
+        "progression_ramanujan": verify_progression_ramanujan(
+            qmax, ymax, max_tuples=max_tuples, seed=seed
+        ),
+        "gauss_upsilon": verify_gauss_upsilon(qmax, ymax, max_tuples=max_tuples, seed=seed),
+        "cohen_progression": verify_cohen_progression(
+            cohen_qmax, int(cfg.get("cohen_ymax", 24)), tables
+        ),
+    }
+    rows = [
+        {"suite": suite, "cases": count, "max_scaled_err": err, "pass": err < 1e-8}
+        for suite, (err, count) in suites.items()
+    ]
 
     div_bad = sum(
         divisor_tau_check(r, x, tables) != (r if x % r == 0 else 0)
@@ -135,13 +136,10 @@ def cmd_verify(cfg: dict) -> int:
         for x in range(2 * r)
     )
     rows.append({"suite": "divisor_identity", "cases": 200 * 400, "max_scaled_err": float(div_bad), "pass": div_bad == 0})
-    failed |= div_bad > 0
 
     # The stated closed-form count phi(r) y / gcd(y, r) is wrong off the
     # coprime pairs (nonzero heights are always coprime to y); the suite
     # checks the corrected count and reports the stated-formula mismatches.
-    from .expsums import _phi
-
     height_bad = 0
     stated_bad = 0
     for y in range(1, 61):
@@ -166,18 +164,12 @@ def cmd_verify(cfg: dict) -> int:
             "pass": "",
         }
     )
-    failed |= height_bad > 0
 
     fixture_rows: list[dict] = []
     if cfg.get("fixtures", True):
         fx = load_fixtures()
-        names = cfg.get("fixture_names") or sorted(MEASUREMENTS)
         for name in names:
-            if name not in MEASUREMENTS:
-                raise ConfigError(f"unknown fixture name: {name}")
             measured = measure_fixture(name)
-            ok = check_fixture(name, measured, fx)
-            failed |= not ok
             fixture_rows.append(
                 {
                     "suite": "fixture",
@@ -186,36 +178,34 @@ def cmd_verify(cfg: dict) -> int:
                     "value": fx[name]["value"],
                     "tol": fx[name]["tol"],
                     "kind": fx[name]["kind"],
-                    "pass": ok,
+                    "pass": check_fixture(name, measured, fx),
                 }
             )
 
     columns = ("suite", "name", "cases", "max_scaled_err", "measured", "value", "tol", "kind", "pass")
+    ok = all(r["pass"] for r in rows + fixture_rows if r["pass"] != "")
     summary = {
         "suites": {r["suite"]: bool(r["pass"]) for r in rows if r["pass"] != ""},
         "height_class_stated_formula_mismatches": stated_bad,
         "fixtures_checked": len(fixture_rows),
         "fixtures_passed": sum(bool(r["pass"]) for r in fixture_rows),
-        "fixture_hash": fixture_hash(),
-        "seed": seed,
-        "version": __version__,
-        "pass": not failed,
+        "pass": ok,
     }
-    _emit(cfg, "verify", [{k: r.get(k, "") for k in columns} for r in rows + fixture_rows], summary)
-    return 0 if not failed else 1
+    return [{k: r.get(k, "") for k in columns} for r in rows + fixture_rows], summary, ok
 
 
-def cmd_approx(cfg: dict) -> int:
-    from .multiplier import approx_error_profile, near_zero_error
-
+def cmd_approx(cfg: dict) -> tuple[list[dict], dict, bool]:
     N = int(cfg.get("N", 4096))
     prog = _prog_from(cfg)
     q_cut = int(cfg.get("qcut", 16))
     M = int(cfg["M"]) if "M" in cfg else 4 * N
+    max_rows = int(cfg.get("max_rows", 1 << 14))
+    if max_rows < 1:
+        raise ConfigError(f"max_rows must be >= 1, got {max_rows}")
     tables = build_tables(N)
     sup, residual = approx_error_profile(N, prog, q_cut, M=M, tables=tables)
     near = near_zero_error(N, prog, tables=tables)
-    stride = max(1, M // int(cfg.get("max_rows", 1 << 14)))
+    stride = max(1, M // max_rows)
     rows = [
         {"xi": k / M, "abs_residual": float(abs(residual.values[k]))}
         for k in range(0, M, stride)
@@ -228,24 +218,11 @@ def cmd_approx(cfg: dict) -> int:
         "M": M,
         "sup_residual": sup,
         "near_zero_error": near,
-        "seed": int(cfg.get("seed", 0)),
-        "version": __version__,
     }
-    _emit(cfg, "approx", rows, summary)
-    return 0
+    return rows, summary, True
 
 
-def cmd_highlow(cfg: dict) -> int:
-    from .highlow import (
-        DecompositionConfig,
-        dual_path_rel,
-        hi_hat_profile,
-        hi_l2_ratio,
-        lo_hat_profile,
-        lo_linf_ratio,
-    )
-    from .multiplier import approximant_profile
-
+def cmd_highlow(cfg: dict) -> tuple[list[dict], dict, bool]:
     N = int(cfg.get("N", 4096))
     prog = _prog_from(cfg)
     M = int(cfg["M"]) if "M" in cfg else 16 * N
@@ -283,11 +260,8 @@ def cmd_highlow(cfg: dict) -> int:
         "r": r,
         "max_partition_err": worst_partition,
         "partition_pass": ok,
-        "seed": int(cfg.get("seed", 0)),
-        "version": __version__,
     }
-    _emit(cfg, "highlow", rows, summary)
-    return 0 if ok else 1
+    return rows, summary, ok
 
 
 def _run_scan(scan, cfg: dict):
@@ -298,31 +272,24 @@ def _run_scan(scan, cfg: dict):
     return scan(**kwargs)
 
 
-def cmd_improving(cfg: dict) -> int:
-    from .scans import improving_scan
-
-    report = _run_scan(improving_scan, cfg)
-    _emit(cfg, "improving", report.rows, report.payload())
-    return 0 if report.summary["stable"] else 1
+def cmd_improving(cfg: dict) -> tuple[list[dict], dict, bool]:
+    rows, report = _run_scan(improving_scan, cfg)
+    return rows, report, report["summary"]["stable"]
 
 
-def cmd_maximal(cfg: dict) -> int:
-    from .scans import maximal_scan
-
-    report = _run_scan(maximal_scan, cfg)
+def cmd_maximal(cfg: dict) -> tuple[list[dict], dict, bool]:
+    rows, report = _run_scan(maximal_scan, cfg)
     ceiling = float(cfg.get("weak_ceiling", 1.0))
     variation_cap = float(cfg.get("variation_cap", 1.5))
-    ok = report.summary["max_weak_ratio"] <= ceiling and all(
-        v < variation_cap for v in report.summary["b_variation"].values()
+    summary = report["summary"]
+    ok = summary["max_weak_ratio"] <= ceiling and all(
+        v < variation_cap for v in summary["b_variation"].values()
     )
-    report.summary["pass"] = ok
-    _emit(cfg, "maximal", report.rows, report.payload())
-    return 0 if ok else 1
+    summary["pass"] = ok
+    return rows, report, ok
 
 
-def cmd_ramanujan_avg(cfg: dict) -> int:
-    from .expsums import bourgain_average
-
+def cmd_ramanujan_avg(cfg: dict) -> tuple[list[dict], dict, bool]:
     prog = _prog_from(cfg)
     t = int(cfg.get("t", 2))
     Q_list = [int(q) for q in cfg.get("Q_list", [4, 8, 16, 32])]
@@ -332,9 +299,7 @@ def cmd_ramanujan_avg(cfg: dict) -> int:
         M = 16 * prog.y * Q**t
         lhs = bourgain_average(Q, M, prog, t, tables)
         rows.append({"Q": Q, "M": M, "t": t, "lhs": lhs, "lhs_over_Q125": lhs / Q**1.25})
-    exponent = float(
-        np.polyfit(np.log([r["Q"] for r in rows]), np.log([r["lhs"] for r in rows]), 1)[0]
-    )
+    exponent = fit_exponent([r["Q"] for r in rows], [r["lhs"] for r in rows])
     cap = cfg.get("exponent_cap")
     ok = True if cap is None else exponent <= float(cap)
     summary = {
@@ -345,14 +310,11 @@ def cmd_ramanujan_avg(cfg: dict) -> int:
         "fitted_exponent": exponent,
         "exponent_cap": cap,
         "pass": ok,
-        "seed": int(cfg.get("seed", 0)),
-        "version": __version__,
     }
-    _emit(cfg, "ramanujan-avg", rows, summary)
-    return 0 if ok else 1
+    return rows, summary, ok
 
 
-def cmd_sw(cfg: dict) -> int:
+def cmd_sw(cfg: dict) -> tuple[list[dict], dict, bool]:
     prog = _prog_from(cfg)
     x_grid = [int(x) for x in cfg.get("x_grid", [10**4, 10**5, 10**6])]
     J = int(cfg.get("J", 2))
@@ -364,11 +326,8 @@ def cmd_sw(cfg: dict) -> int:
         "J": J,
         "x_grid": x_grid,
         "final_rel_error": rows[-1]["rel_error"],
-        "seed": int(cfg.get("seed", 0)),
-        "version": __version__,
     }
-    _emit(cfg, "sw", rows, summary)
-    return 0
+    return rows, summary, True
 
 
 # ---------------------------------------------------------------------------
@@ -472,13 +431,20 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _merge_config(args, keys)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            return args.func(cfg)
-    except ConfigError as exc:
+            rows, summary, ok = args.func(cfg)
+    except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    summary.update(seed=int(cfg.get("seed", 0)), version=__version__, fixture_hash=fixture_hash())
+    out_dir = cfg.get("out_dir", ".")
+    os.makedirs(out_dir, exist_ok=True)
+    text = _json_text(summary)
+    with open(os.path.join(out_dir, f"{args.command}.csv"), "w", newline="") as fh:
+        fh.write(_csv_text(rows))
+    with open(os.path.join(out_dir, f"{args.command}.json"), "w") as fh:
+        fh.write(text + "\n")
+    print(text)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

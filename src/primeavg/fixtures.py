@@ -17,6 +17,19 @@ from importlib import resources
 
 import numpy as np
 
+from .expsums import bourgain_average
+from .highlow import (
+    DecompositionConfig,
+    dual_path_rel,
+    hi_hat_profile,
+    hi_l2_ratio,
+    lo_hat_profile,
+    lo_linf_ratio,
+    multifrequency_max_ratio,
+    multifrequency_profile,
+)
+from .multiplier import approx_error_profile, near_zero_error
+from .scans import _improving_cell, fit_exponent, maximal_scan
 from .tables import Progression, build_tables, default_residue, sw_error_report
 
 
@@ -56,21 +69,15 @@ _SWEEP_CACHE: dict = {}
 
 
 def _measure_near_zero(y: int, b: int, N: int) -> float:
-    from .multiplier import near_zero_error
-
     return near_zero_error(N, Progression(y, b), tables=build_tables(N))
 
 
 def _measure_residual_sup(y: int, b: int, N: int) -> float:
-    from .multiplier import approx_error_profile
-
     sup, _ = approx_error_profile(N, Progression(y, b), 16, M=4 * N, tables=build_tables(N))
     return sup
 
 
 def _measure_dual_path_worst() -> float:
-    from .highlow import DecompositionConfig, dual_path_rel, lo_hat_profile
-
     N = 1 << 12
     tables = build_tables(N)
     worst = 0.0
@@ -82,8 +89,6 @@ def _measure_dual_path_worst() -> float:
 
 
 def _bourgain_sweep(y: int, b: int) -> list[float]:
-    from .expsums import bourgain_average
-
     key = ("bourgain", y, b)
     if key not in _SWEEP_CACHE:
         tables = build_tables(1 << 18)
@@ -97,8 +102,7 @@ def _bourgain_sweep(y: int, b: int) -> list[float]:
 
 
 def _measure_bourgain_exponent(y: int, b: int) -> float:
-    vals = _bourgain_sweep(y, b)
-    return float(np.polyfit(np.log([4.0, 8.0, 16.0, 32.0]), np.log(vals), 1)[0])
+    return fit_exponent([4.0, 8.0, 16.0, 32.0], _bourgain_sweep(y, b))
 
 
 def _measure_bourgain_ceiling() -> float:
@@ -120,8 +124,6 @@ def hi_decay_family(N: int) -> list:
 
 
 def _measure_hi_decay_slope(y: int, b: int) -> float:
-    from .highlow import DecompositionConfig, hi_hat_profile, hi_l2_ratio
-
     N, M = 1 << 16, 1 << 18
     fams = hi_decay_family(N)
     maxima = []
@@ -131,21 +133,17 @@ def _measure_hi_decay_slope(y: int, b: int) -> float:
             cfg = DecompositionConfig(N=N, prog=Progression(y, b), Q=Q, M=M, q_cut=32)
         hi = hi_hat_profile(cfg)
         maxima.append(max(hi_l2_ratio(hi, F) for F in fams))
-    return float(np.polyfit(np.log([2.0, 4.0, 8.0, 16.0]), np.log(maxima), 1)[0])
+    return fit_exponent([2.0, 4.0, 8.0, 16.0], maxima)
 
 
 def _measure_improving_max(y: int, b: int) -> float:
-    from .scans import _improving_cell
-
     rows = _improving_cell((1 << 16, y, b, [1.5], (3, 5), 0))
     return max(row["ratio"] for row in rows)
 
 
 def _maximal_summary() -> dict:
     if "maximal" not in _SWEEP_CACHE:
-        from .scans import maximal_scan
-
-        report = maximal_scan(
+        _SWEEP_CACHE["maximal"] = maximal_scan(
             N_list=[1 << k for k in range(10, 17)],
             y_list=[1, 5],
             r=2.0,
@@ -153,16 +151,13 @@ def _maximal_summary() -> dict:
             seed=0,
             b_sweep=True,
             n_floor_factor=128,
-        )
-        _SWEEP_CACHE["maximal"] = report.summary
+        )[1]["summary"]
     return _SWEEP_CACHE["maximal"]
 
 
 def multifrequency_adapted_ratios(D: int = 12, M: int = 1 << 18) -> list[float]:
     """Per point count, the maximal-projection ratio on an input whose
     spectrum fills exactly the bands in play (the operator-norm probe)."""
-    from .highlow import multifrequency_max_ratio, multifrequency_profile
-
     key = ("multifrequency", D, M)
     if key in _SWEEP_CACHE:
         return _SWEEP_CACHE[key]
@@ -178,8 +173,6 @@ def multifrequency_adapted_ratios(D: int = 12, M: int = 1 << 18) -> list[float]:
 
 
 def _measure_lo_linf(y: int, b: int) -> float:
-    from .highlow import DecompositionConfig, lo_hat_profile, lo_linf_ratio
-
     N = 1 << 14
     cfg = DecompositionConfig(N=N, prog=Progression(y, b), Q=4, M=1 << 16)
     if y == 1:

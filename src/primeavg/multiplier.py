@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expsums import FareyPoint, height
+from .expsums import FareyPoint
 from .tables import ArithTables, Progression, reduced_residues
 
 TWO_PI = 2.0 * math.pi
@@ -230,23 +230,12 @@ def a_hat_uniform_grid(
 # Farey points and the approximant
 
 
-def farey_points(
-    Qmax: int, prog: Progression, mode: str = "denominator"
-) -> list[FareyPoint]:
-    """All reduced a/q in [0, 1) passing the filter.
-
-    mode "denominator": q <= Qmax.  mode "height": 1 <= h_y(q) <= Qmax
-    (height-0 points are dropped; their Gauss sums vanish).
-    """
+def farey_points(Qmax: int, prog: Progression) -> list[FareyPoint]:
+    """All reduced a/q in [0, 1) with q <= Qmax."""
     if Qmax < 1:
         raise ValueError("Qmax must be >= 1")
-    if mode not in ("denominator", "height"):
-        raise ValueError(f"unknown mode {mode!r}")
     points = []
-    q_ceiling = Qmax if mode == "denominator" else prog.y * Qmax
-    for q in range(1, q_ceiling + 1):
-        if mode == "height" and not 1 <= height(q, prog.y) <= Qmax:
-            continue
+    for q in range(1, Qmax + 1):
         for a in reduced_residues(q):
             points.append(FareyPoint.build(int(a), q, prog))
     return points
@@ -289,7 +278,7 @@ def _l_hat_window(point: FareyPoint, N: int, M: int):
 
 def _l_hat_windows(N, prog, q_cut, M, height_min=1, height_max=None):
     """The l_hat windows of the Farey points with q < q_cut in the height band, in order."""
-    for p in farey_points(max(q_cut - 1, 1), prog, "denominator"):
+    for p in farey_points(max(q_cut - 1, 1), prog):
         if p.q >= q_cut or p.height < max(height_min, 1):
             continue
         if height_max is not None and p.height > height_max:
@@ -307,7 +296,7 @@ def approximant_hat(
     """Sum of l_hat over Farey points with q < q_cut (warn when q_cut > N^{1/10})."""
     _warn_qcut(q_cut, N)
     if points is None:
-        points = farey_points(q_cut - 1, prog, "denominator") if q_cut > 1 else []
+        points = farey_points(q_cut - 1, prog) if q_cut > 1 else []
     total = 0j
     for p in points:
         if p.q < q_cut and p.height > 0:

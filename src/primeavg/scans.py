@@ -3,47 +3,23 @@
 Theorem-level claims are asymptotic with ineffective constants; these scans
 collect desk-scale evidence: ratio stability across dyadic N for the
 fixed-scale improving inequality, and bounded weak-type ratios for the
-dyadic maximal function.  Every random choice flows from a single seed and is
-echoed into the report.
+dyadic maximal function.  Each scan returns its rows and a
+{"parameters", "summary"} dict; every random choice flows from a single seed
+that is echoed into the parameters.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import __version__
-from .fixtures import fixture_hash
 from .multiplier import a_hat_profile, indicator, pow2_at_least, sup_abs
 from .tables import ArithTables, Progression, build_tables, default_residue, reduced_residues
 
 # Desk-scale replacement for the ineffective asymptotic onset threshold.
 DEFAULT_N_FLOOR_FACTOR = 1 << 10
-
-
-@dataclass
-class ScanReport:
-    """Reproducible record of one scan: parameters, per-case rows, summary."""
-
-    parameters: dict
-    rows: list[dict] = field(default_factory=list)
-    summary: dict = field(default_factory=dict)
-    seed: int = 0
-    version: str = __version__
-    fixture_hash: str = field(default_factory=fixture_hash)
-
-    def payload(self) -> dict:
-        """Everything but the rows: the JSON summary of the scan."""
-        return {
-            "parameters": self.parameters,
-            "summary": self.summary,
-            "seed": self.seed,
-            "version": self.version,
-            "fixture_hash": self.fixture_hash,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +162,7 @@ def improving_scan(
     seed=0,
     n_floor_factor=DEFAULT_N_FLOOR_FACTOR,
     workers: int = 1,
-) -> ScanReport:
+) -> tuple[list[dict], dict]:
     """Improving-inequality sweep over (N, y, r, input family).
 
     The families include the greedy Lambda-weighted set.  Summary holds the
@@ -232,12 +208,7 @@ def improving_scan(
         "adversarial": True,
         "seed": seed,
     }
-    return ScanReport(
-        parameters=params,
-        rows=rows,
-        summary={"stability": stability, "stable": verdict},
-        seed=seed,
-    )
+    return rows, {"parameters": params, "summary": {"stability": stability, "stable": verdict}}
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +258,7 @@ def maximal_scan(
     b_sweep=False,
     n_floor_factor=DEFAULT_N_FLOOR_FACTOR,
     workers: int = 1,
-) -> ScanReport:
+) -> tuple[list[dict], dict]:
     """Weak-type sweep of the dyadic maximal function sup_N |A_{N,y,b} 1_F|.
 
     Ratios are lambda |{sup > lambda}|^{1/r} / |F|^{1/r} over a lambda grid;
@@ -335,7 +306,7 @@ def maximal_scan(
         "seed": seed,
         "b_sweep": b_sweep,
     }
-    return ScanReport(parameters=params, rows=rows, summary=summary, seed=seed)
+    return rows, {"parameters": params, "summary": summary}
 
 
 def fit_exponent(x: np.ndarray, yvals: np.ndarray) -> float:

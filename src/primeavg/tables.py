@@ -161,6 +161,8 @@ def sw_error_report(
     """
     if not x_grid:
         raise ValueError("empty x grid")
+    if min(x_grid) < 1:
+        raise ValueError(f"x must be >= 1, got {min(x_grid)}")
     phi_y = int(tables.totient[prog.y])
     rows = []
     for x in x_grid:

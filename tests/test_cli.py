@@ -3,12 +3,21 @@ import json
 
 import pytest
 
+from primeavg import __version__
 from primeavg.cli import main
+from primeavg.fixtures import fixture_hash
 
 
 def _read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def _assert_provenance(summary_path):
+    summary = json.loads(summary_path.read_text())
+    assert summary["seed"] == 0
+    assert summary["version"] == __version__
+    assert summary["fixture_hash"] == fixture_hash()
 
 
 def test_sw_runs_and_writes_artifacts(tmp_path, capsys):
@@ -88,6 +97,7 @@ def test_verify_no_fixtures(tmp_path):
     suites = {r["suite"] for r in rows}
     assert "progression_ramanujan" in suites and "divisor_identity" in suites
     assert "fixture" not in suites
+    _assert_provenance(tmp_path / "verify.json")
 
 
 def test_verify_selected_fixture(tmp_path):
@@ -178,6 +188,7 @@ def test_readme_commands_run(tmp_path):
             continue
         rc = main(argv + ["--out-dir", str(tmp_path / str(i))])
         assert rc in (0, 1), f"{' '.join(argv)} exited {rc}"
+        _assert_provenance(tmp_path / str(i) / f"{argv[0]}.json")
 
 
 def test_config_key_not_taken_by_command_exits_two(tmp_path, capsys):
@@ -196,3 +207,33 @@ def test_improving_accepts_densities_from_config(tmp_path):
     assert rc == 0
     report = json.loads((tmp_path / "improving.json").read_text())
     assert report["parameters"]["densities"] == [3]
+
+
+@pytest.mark.parametrize("x", ["0", "-5"])
+def test_sw_x_below_one_exits_two(tmp_path, capsys, x):
+    rc = main(["sw", "--x-grid", x, "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert "x must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "sw.json").exists()
+
+
+def test_approx_max_rows_zero_exits_two(tmp_path, capsys):
+    rc = main(["approx", "--N", "1024", "--max-rows", "0", "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert "max_rows must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [[], ["--no-fixtures"]])
+def test_unknown_fixture_name_exits_two_before_any_suite(tmp_path, capsys, monkeypatch, extra):
+    import primeavg.cli as cli
+
+    def must_not_run(*args, **kwargs):
+        pytest.fail("a suite ran before the fixture names were checked")
+
+    for suite in ("verify_progression_ramanujan", "verify_gauss_upsilon", "verify_cohen_progression",
+                  "divisor_tau_check", "count_height_class", "measure_fixture"):
+        monkeypatch.setattr(cli, suite, must_not_run)
+    rc = main(["verify", "--fixture-names", "near_zero_y1_N12", "no_such_fixture", *extra,
+               "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert "no_such_fixture" in capsys.readouterr().err

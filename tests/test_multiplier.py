@@ -169,24 +169,11 @@ def test_a_hat_profile_requires_power_of_two(tables):
 
 def test_farey_denominator_mode_count():
     # order 5 on the half-open circle [0, 1): sum of phi(q) = 10
-    pts = farey_points(5, Progression(1, 0), "denominator")
+    pts = farey_points(5, Progression(1, 0))
     assert len(pts) == 10
     assert {p.center for p in pts} == {
         0.0, 1 / 2, 1 / 3, 2 / 3, 1 / 4, 3 / 4, 1 / 5, 2 / 5, 3 / 5, 4 / 5,
     }
-
-
-def test_farey_height_mode_filters():
-    prog = Progression(3, 1)
-    pts = farey_points(2, prog, "height")
-    assert all(1 <= p.height <= 2 for p in pts)
-    # denominators can exceed Qmax: q = y*h points are retained
-    assert any(p.q > 2 for p in pts)
-
-
-def test_farey_rejects_bad_mode():
-    with pytest.raises(ValueError):
-        farey_points(5, Progression(1, 0), "weird")
 
 
 def test_l_hat_support_and_center(tables):
@@ -209,7 +196,7 @@ def test_major_arc_supports_disjoint_within_scale():
     # cutoff supports at scale lcm^2 never overlap for distinct points whose
     # denominators agree within a factor of 2
     prog = Progression(3, 1)
-    pts = [p for p in farey_points(16, prog, "denominator") if p.height > 0]
+    pts = [p for p in farey_points(16, prog) if p.height > 0]
     for i, p in enumerate(pts):
         for q in pts[i + 1 :]:
             if not 0.5 <= p.q / q.q <= 2.0:

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from primeavg.cli import _csv_text, _json_text
+from primeavg.cli import _csv_text
 from primeavg.multiplier import a_kernel
 from primeavg.scans import (
-    ScanReport,
     dual_ratio,
     fit_exponent,
     improving_ratio,
@@ -121,24 +120,23 @@ def test_improving_scan_floor_violation():
 
 
 def test_improving_scan_report_shape():
-    report = improving_scan(**_small_improving_config())
-    assert isinstance(report, ScanReport)
-    assert {r["family"] for r in report.rows} >= {"interval", "progression_segment"}
+    rows, report = improving_scan(**_small_improving_config())
+    assert set(report) == {"parameters", "summary"}
+    assert {r["family"] for r in rows} >= {"interval", "progression_segment"}
     key = "y=3,r=1.5"
-    assert key in report.summary["stability"]
-    assert isinstance(report.summary["stable"], bool)
+    assert key in report["summary"]["stability"]
+    assert isinstance(report["summary"]["stable"], bool)
 
 
 def test_improving_scan_workers_deterministic():
     serial = improving_scan(**_small_improving_config())
     parallel = improving_scan(**_small_improving_config(), workers=4)
-    assert serial.rows == parallel.rows
-    assert serial.payload() == parallel.payload()
+    assert serial == parallel
 
 
 def test_improving_scan_stable_at_small_scale():
-    report = improving_scan(**_small_improving_config())
-    assert report.summary["stable"] is True
+    _, report = improving_scan(**_small_improving_config())
+    assert report["summary"]["stable"] is True
 
 
 # ---------------------------------------------------------------------------
@@ -170,31 +168,30 @@ def test_maximal_scan_floor_violation():
 
 
 def test_maximal_scan_b_sweep_covers_residues():
-    report = maximal_scan(**_small_maximal_config())
-    keys = set(report.summary["max_weak_by_yb"])
+    _, report = maximal_scan(**_small_maximal_config())
+    keys = set(report["summary"]["max_weak_by_yb"])
     assert {"y=3,b=1", "y=3,b=2", "y=1,b=0"} <= keys
-    assert "3" in report.summary["b_variation"]
-    assert report.summary["b_variation"]["3"] >= 1.0
+    assert "3" in report["summary"]["b_variation"]
+    assert report["summary"]["b_variation"]["3"] >= 1.0
 
 
 def test_maximal_scan_q_policy_column():
-    report = maximal_scan(**_small_maximal_config())
-    for row in report.rows:
+    rows, _ = maximal_scan(**_small_maximal_config())
+    for row in rows:
         assert row["q_policy"] == pytest.approx(row["lambda"] ** (-1.0 + row["r"] / 2.0))
 
 
 def test_maximal_scan_weak_below_strong():
     # weak-type ratio never exceeds the strong-type norm ratio
-    report = maximal_scan(**_small_maximal_config())
-    for row in report.rows:
+    rows, _ = maximal_scan(**_small_maximal_config())
+    for row in rows:
         assert row["weak_ratio"] <= row["strong_ratio"] + 1e-12
 
 
 def test_maximal_scan_workers_deterministic():
     serial = maximal_scan(**_small_maximal_config())
     parallel = maximal_scan(**_small_maximal_config(), workers=4)
-    assert serial.rows == parallel.rows
-    assert serial.payload() == parallel.payload()
+    assert serial == parallel
 
 
 # ---------------------------------------------------------------------------
@@ -202,22 +199,12 @@ def test_maximal_scan_workers_deterministic():
 
 
 def test_report_csv_formats_12_sig_digits():
-    report = improving_scan(**_small_improving_config(y_list=[1], N_list=[1 << 10]))
-    line = _csv_text(report.rows).splitlines()[1]
+    rows, _ = improving_scan(**_small_improving_config(y_list=[1], N_list=[1 << 10]))
+    line = _csv_text(rows).splitlines()[1]
     ratio_field = line.split(",")[-1]
     mantissa = ratio_field.replace("-", "").replace(".", "").lstrip("0")
     assert len(mantissa.split("e")[0]) <= 12
     assert float(ratio_field) > 0
-
-
-def test_report_json_carries_provenance():
-    import json
-
-    report = maximal_scan(**_small_maximal_config(y_list=[1]))
-    payload = json.loads(_json_text(report.payload()))
-    assert payload["seed"] == 0
-    assert payload["fixture_hash"]
-    assert payload["parameters"]["r"] == 2.0
 
 
 def test_fit_exponent_exact_power_law():
