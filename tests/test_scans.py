@@ -207,6 +207,20 @@ def test_report_csv_formats_12_sig_digits():
     assert float(ratio_field) > 0
 
 
+def test_report_json_carries_provenance(tmp_path):
+    import json
+
+    from primeavg.cli import main
+
+    rc = main(["maximal", "--N-list", "1024", "2048", "--y-list", "1", "--r", "2.0",
+               "--workers", "1", "--out-dir", str(tmp_path)])
+    assert rc in (0, 1)
+    payload = json.loads((tmp_path / "maximal.json").read_text())
+    assert payload["seed"] == 0
+    assert payload["fixture_hash"]
+    assert payload["parameters"]["r"] == 2.0
+
+
 def test_fit_exponent_exact_power_law():
     x = np.array([2.0, 4.0, 8.0, 16.0])
     assert fit_exponent(x, 3.0 * x**-1.25) == pytest.approx(-1.25, abs=1e-12)
