@@ -15,7 +15,6 @@ import csv
 import inspect
 import io
 import json
-import math
 import os
 import sys
 import warnings
@@ -24,12 +23,11 @@ import numpy as np
 
 from . import __version__
 from .expsums import (
-    _phi,
     bourgain_average,
-    count_height_class,
-    divisor_tau_check,
     verify_cohen_progression,
+    verify_divisor_identity,
     verify_gauss_upsilon,
+    verify_height_classes,
     verify_progression_ramanujan,
 )
 from .fixtures import MEASUREMENTS, check_fixture, fixture_hash, load_fixtures, measure_fixture
@@ -113,9 +111,11 @@ def cmd_verify(cfg: dict) -> tuple[list[dict], dict, bool]:
     ymax = int(cfg.get("ymax", 36))
     max_tuples = int(cfg.get("max_tuples", 100_000))
     seed = int(cfg.get("seed", 0))
-    # the Cohen suite indexes the tables up to cohen_qmax, the divisor suite up to 200
+    # the Cohen suite indexes the tables up to cohen_qmax, the height-class
+    # suite up to 60 * 60 and the divisor suite up to 200
     cohen_qmax = int(cfg.get("cohen_qmax", 64))
-    tables = build_tables(max(200, cohen_qmax))
+    tables = build_tables(max(3600, cohen_qmax))
+    height_bad, stated_bad, height_cases = verify_height_classes(60, 60, tables)
     suites = {
         "progression_ramanujan": verify_progression_ramanujan(
             qmax, ymax, max_tuples=max_tuples, seed=seed
@@ -124,42 +124,17 @@ def cmd_verify(cfg: dict) -> tuple[list[dict], dict, bool]:
         "cohen_progression": verify_cohen_progression(
             cohen_qmax, int(cfg.get("cohen_ymax", 24)), tables
         ),
+        "divisor_identity": verify_divisor_identity(200, tables),
+        "height_class_count": (height_bad, height_cases),
     }
     rows = [
-        {"suite": suite, "cases": count, "max_scaled_err": err, "pass": err < 1e-8}
+        {"suite": suite, "cases": count, "max_scaled_err": float(err), "pass": err < 1e-8}
         for suite, (err, count) in suites.items()
     ]
-
-    div_bad = sum(
-        divisor_tau_check(r, x, tables) != (r if x % r == 0 else 0)
-        for r in range(1, 201)
-        for x in range(2 * r)
-    )
-    rows.append({"suite": "divisor_identity", "cases": 200 * 400, "max_scaled_err": float(div_bad), "pass": div_bad == 0})
-
-    # The stated closed-form count phi(r) y / gcd(y, r) is wrong off the
-    # coprime pairs (nonzero heights are always coprime to y); the suite
-    # checks the corrected count and reports the stated-formula mismatches.
-    height_bad = 0
-    stated_bad = 0
-    for y in range(1, 61):
-        for r in range(1, 61):
-            enum, formula = count_height_class(y, r)
-            corrected = _phi(r) * y if math.gcd(y, r) == 1 else 0
-            height_bad += enum != corrected
-            stated_bad += enum != formula
-    rows.append(
-        {
-            "suite": "height_class_count",
-            "cases": 3600,
-            "max_scaled_err": float(height_bad),
-            "pass": height_bad == 0,
-        }
-    )
     rows.append(
         {
             "suite": "height_class_stated_formula",
-            "cases": 3600,
+            "cases": height_cases,
             "max_scaled_err": float(stated_bad),
             "pass": "",
         }
@@ -293,6 +268,10 @@ def cmd_ramanujan_avg(cfg: dict) -> tuple[list[dict], dict, bool]:
     prog = _prog_from(cfg)
     t = int(cfg.get("t", 2))
     Q_list = [int(q) for q in cfg.get("Q_list", [4, 8, 16, 32])]
+    if t < 1:
+        raise ConfigError(f"t must be >= 1, got {t}")
+    if len(set(Q_list)) < 2:
+        raise ConfigError(f"fitting an exponent needs at least two distinct Q values, got {Q_list}")
     tables = build_tables(max(16 * prog.y * Q**t for Q in Q_list))
     rows = []
     for Q in Q_list:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tables import ArithTables, Progression, reduced_residues
+from .tables import ArithTables, Progression, build_tables, reduced_residues
 
 TWO_PI_I = 2j * math.pi
 
@@ -60,12 +60,16 @@ _TAU_TABLE_CACHE: dict[int, np.ndarray] = {}
 
 
 def ramanujan_table(q: int, tables: ArithTables) -> np.ndarray:
-    """tau_q(x) for x in [0, q), closed form; index by x mod q."""
+    """tau_q(x) for x in [0, q) as sum over d | q of d mu(q/d) [d | x]; index by x mod q.
+
+    The same closed form as ramanujan_sum_closed, over the whole x array at once.
+    """
     cached = _TAU_TABLE_CACHE.get(q)
     if cached is None:
-        cached = np.array(
-            [ramanujan_sum_closed(q, x, tables) for x in range(q)], dtype=np.int64
-        )
+        x = np.arange(q)
+        cached = np.zeros(q, dtype=np.int64)
+        for d in _divisors(q):
+            cached += d * int(tables.mobius[q // d]) * (x % d == 0)
         cached.setflags(write=False)
         _TAU_TABLE_CACHE[q] = cached
     return cached
@@ -74,6 +78,21 @@ def ramanujan_table(q: int, tables: ArithTables) -> np.ndarray:
 def divisor_tau_check(r: int, x: int, tables: ArithTables) -> int:
     """sum over d | r of tau_d(x); equals r when r | x and 0 otherwise."""
     return sum(ramanujan_sum_closed(d, x, tables) for d in _divisors(r))
+
+
+def verify_divisor_identity(rmax: int, tables: ArithTables) -> tuple[int, int]:
+    """(failures, pairs checked) of divisor_tau_check's identity over r <= rmax, x < 2r.
+
+    Each r is one array sum of ramanujan_table rows over its divisors;
+    divisor_tau_check is the pointwise oracle.
+    """
+    bad = count = 0
+    for r in range(1, rmax + 1):
+        x = np.arange(2 * r)
+        lhs = sum(ramanujan_table(d, tables)[x % d] for d in _divisors(r))
+        bad += int(np.count_nonzero(lhs != np.where(x % r == 0, r, 0)))
+        count += 2 * r
+    return bad, count
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +278,38 @@ def count_height_class(y: int, r: int) -> tuple[int, int]:
     return enumerated, formula
 
 
+def height_class_counts(y: int, rmax: int, tables: ArithTables) -> np.ndarray:
+    """Enumerated counts of a/q with h_y(q) = r for r = 1..rmax (entry r - 1).
+
+    h_y(q) = r forces q <= y*r, so the heights of every q <= y*rmax are taken
+    at once and phi(q) is summed per height.  count_height_class is the
+    pointwise oracle.
+    """
+    q = np.arange(1, y * rmax + 1)
+    g = np.gcd(q, y)
+    h = np.where((g > 1) & (g < q) & (np.gcd(g, q // g) > 1), 0, q // g)
+    counts = np.bincount(h, weights=tables.totient[q], minlength=rmax + 1)
+    return counts[1 : rmax + 1].astype(np.int64)
+
+
+def verify_height_classes(ymax: int, rmax: int, tables: ArithTables) -> tuple[int, int, int]:
+    """(corrected mismatches, stated mismatches, pairs) over y <= ymax, r <= rmax.
+
+    The stated closed-form count phi(r) y / gcd(y, r) is wrong off the coprime
+    pairs (nonzero heights are always coprime to y); the corrected count is
+    phi(r) y on coprime pairs and 0 otherwise.
+    """
+    r = np.arange(1, rmax + 1)
+    phi_r = tables.totient[r]
+    corrected_bad = stated_bad = 0
+    for y in range(1, ymax + 1):
+        enum = height_class_counts(y, rmax, tables)
+        g = np.gcd(y, r)
+        corrected_bad += int(np.count_nonzero(enum != np.where(g == 1, phi_r * y, 0)))
+        stated_bad += int(np.count_nonzero(enum != phi_r * y // g))
+    return corrected_bad, stated_bad, ymax * rmax
+
+
 # ---------------------------------------------------------------------------
 # Bourgain-type averages
 
@@ -296,51 +347,98 @@ def verify_progression_ramanujan(
     Returns (max scaled error, number of tuples checked).  The grid is
     exhaustive until it would exceed max_tuples, then sampled deterministically.
     """
-    rng = np.random.default_rng(seed)
-    tuples = _sample_tuples(qmax, ymax, max_tuples, rng)
-    worst = 0.0
-    for q, y, b, a in tuples:
-        d = progression_ramanujan_direct(q, y, b, a)
-        c = progression_ramanujan_closed(q, y, b, a)
-        worst = max(worst, abs(d - c) / q)
-    return worst, len(tuples)
+    return _verify_sampled(progression_ramanujan_batch, qmax, ymax, max_tuples, seed)
 
 
 def verify_gauss_upsilon(
     qmax: int, ymax: int, max_tuples: int = 100_000, seed: int = 0
 ) -> tuple[float, int]:
     """Max |direct - closed| / q for Upsilon over sampled (q, y, b, a) tuples."""
+    return _verify_sampled(gauss_upsilon_batch, qmax, ymax, max_tuples, seed)
+
+
+def progression_ramanujan_batch(
+    q: int, y: np.ndarray, b: np.ndarray, a: np.ndarray, tables: ArithTables
+) -> tuple[np.ndarray, np.ndarray]:
+    """Direct and closed progression Ramanujan sums of the tuples (q, y[i], b[i], a[i]).
+
+    The tuples share q and are valid: a in A_q, gcd(b, gcd(q, y)) = 1.  The
+    direct sums are one product of the e(ra/q) matrix over A_q with the
+    masks of the distinct classes b mod g, g = gcd(q, y); the closed form is
+    one array expression per distinct g.  The pointwise
+    progression_ramanujan_direct and _closed are the oracles.
+    """
+    g = np.gcd(q, y)
+    r = reduced_residues(q)
+    # one integer g*q + (b mod g) per class; b mod g < g <= q, so both parts decode
+    classes, which = np.unique(g * q + b % g, return_inverse=True)
+    in_class = r % (classes // q)[:, None] == (classes % q)[:, None]
+    direct = (_e(np.outer(np.arange(q), r) / q) @ in_class.T)[a, which]
+    closed = np.zeros(len(a), dtype=np.complex128)
+    for gv in np.unique(g).tolist():
+        sel = g == gv
+        ab = a[sel] * b[sel]
+        if gv == q:
+            closed[sel] = _e((ab % q) / q)
+        elif math.gcd(gv, q // gv) == 1:
+            mu = int(tables.mobius[q // gv])
+            closed[sel] = mu * _e((ab * _cofactor_shift(gv, q) % gv) / gv)
+    return direct, closed
+
+
+def gauss_upsilon_batch(
+    q: int, y: np.ndarray, b: np.ndarray, a: np.ndarray, tables: ArithTables
+) -> tuple[np.ndarray, np.ndarray]:
+    """Direct and closed Upsilon(a[i], q) for the progressions b[i] mod y[i].
+
+    Upsilon is phi(y)/phi(l) times the conjugate progression Ramanujan sum.
+    The tuples share q and are valid: a in A_q, gcd(b, y) = 1.  The pointwise
+    gauss_upsilon_direct and _closed are the oracles.
+    """
+    direct, closed = progression_ramanujan_batch(q, y, b, a, tables)
+    # phi(y) / phi(l) is exactly 1 when q | y, where the closed form has no factor
+    ratio = tables.totient[y] / tables.totient[np.lcm(y, q)]
+    return ratio * direct.conj(), ratio * closed.conj()
+
+
+def _verify_sampled(batch, qmax: int, ymax: int, max_tuples: int, seed: int) -> tuple[float, int]:
     rng = np.random.default_rng(seed)
-    tuples = _sample_tuples(qmax, ymax, max_tuples, rng)
-    worst = 0.0
-    for q, y, b, a in tuples:
-        d = gauss_upsilon_direct(a, q, y, b)
-        c = gauss_upsilon_closed(a, q, y, b)
-        worst = max(worst, abs(d - c) / q)
-    return worst, len(tuples)
+    tables = build_tables(max(2, qmax * ymax))
+    worst, count = 0.0, 0
+    for q, (y, b, a) in _sample_tuples(qmax, ymax, max_tuples, rng).items():
+        direct, closed = batch(q, y, b, a, tables)
+        worst = max(worst, float(np.abs(direct - closed).max()) / q)
+        count += len(a)
+    return worst, count
 
 
-def _sample_tuples(qmax: int, ymax: int, max_tuples: int, rng) -> list[tuple[int, int, int, int]]:
-    groups = []
-    total = 0
-    for y in range(1, ymax + 1):
-        bs = reduced_residues(y)
-        for q in range(1, qmax + 1):
-            a_count = _phi(q)
-            groups.append((q, y, bs, a_count))
-            total += len(bs) * a_count
+def _sample_tuples(
+    qmax: int, ymax: int, max_tuples: int, rng
+) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """q -> (y, b, a) arrays of the tuples with b in A_y and a in A_q.
+
+    Every tuple is kept while the grid holds at most max_tuples; beyond that
+    each is kept with probability max_tuples / total, one uniform draw per
+    tuple in (y, q, b, a) order.
+    """
+    residues = {n: reduced_residues(n) for n in range(1, max(qmax, ymax) + 1)}
+    total = sum(len(residues[y]) for y in range(1, ymax + 1)) * sum(
+        len(residues[q]) for q in range(1, qmax + 1)
+    )
     keep = min(1.0, max_tuples / total)
-    tuples = []
-    for q, y, bs, _ in groups:
-        aa = reduced_residues(q)
-        for b in bs:
-            if keep >= 1.0:
-                chosen = aa
-            else:
-                mask = rng.random(len(aa)) < keep
-                chosen = aa[mask]
-            tuples.extend((q, y, int(b), int(a)) for a in chosen)
-    return tuples
+    parts: dict[int, list] = {}
+    for y in range(1, ymax + 1):
+        bs = residues[y]
+        for q in range(1, qmax + 1):
+            aa = residues[q]
+            shape = (len(bs), len(aa))
+            chosen = rng.random(shape) < keep if keep < 1.0 else np.ones(shape, dtype=bool)
+            bi, ai = np.nonzero(chosen)
+            if len(ai):
+                parts.setdefault(q, []).append((np.full(len(ai), y), bs[bi], aa[ai]))
+    return {
+        q: tuple(np.concatenate(col) for col in zip(*groups)) for q, groups in sorted(parts.items())
+    }
 
 
 def verify_cohen_progression(

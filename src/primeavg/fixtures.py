@@ -22,7 +22,7 @@ from .highlow import (
     DecompositionConfig,
     dual_path_rel,
     hi_hat_profile,
-    hi_l2_ratio,
+    hi_l2_ratios,
     lo_hat_profile,
     lo_linf_ratio,
     multifrequency_max_ratio,
@@ -126,14 +126,14 @@ def hi_decay_family(N: int) -> list:
 def _measure_hi_decay_slope(y: int, b: int) -> float:
     N, M = 1 << 16, 1 << 18
     fams = hi_decay_family(N)
-    maxima = []
-    for Q in (2, 4, 8, 16):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            cfg = DecompositionConfig(N=N, prog=Progression(y, b), Q=Q, M=M, q_cut=32)
-        hi = hi_hat_profile(cfg)
-        maxima.append(max(hi_l2_ratio(hi, F) for F in fams))
-    return fit_exponent([2.0, 4.0, 8.0, 16.0], maxima)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cfgs = [
+            DecompositionConfig(N=N, prog=Progression(y, b), Q=Q, M=M, q_cut=32)
+            for Q in (2, 4, 8, 16)
+        ]
+    his = (hi_hat_profile(cfg) for cfg in cfgs)
+    return fit_exponent([2.0, 4.0, 8.0, 16.0], hi_l2_ratios(his, fams).max(axis=0))
 
 
 def _measure_improving_max(y: int, b: int) -> float:

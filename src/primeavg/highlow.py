@@ -133,11 +133,28 @@ def dual_path_rel(lo: SpectralProfile, cfg: DecompositionConfig, tables: ArithTa
 
 def hi_l2_ratio(hi: SpectralProfile, F) -> float:
     """l2 norm of Hi * 1_F relative to |F|^(1/2), for the High profile hi."""
-    F = np.asarray(F)
-    if len(F) == 0:
-        raise ValueError("empty F")
-    g = hi.apply(indicator(F, hi.grid_size))
-    return float(np.linalg.norm(g) / math.sqrt(len(F)))
+    return float(hi_l2_ratios([hi], [F])[0, 0])
+
+
+def hi_l2_ratios(his, families) -> np.ndarray:
+    """hi_l2_ratio of every input set (rows) under every High profile (columns).
+
+    By Parseval ||Hi * 1_F||_2 = ||hi.values * fft(1_F)||_2 / sqrt(M), so each
+    F is transformed once and no inverse transform is taken.  The sum is
+    accumulated as |hi|^2 . |fft(1_F)|^2, making no complex product array.
+    Only |hi|^2 is kept, so his may be an iterator building each profile.
+    """
+    powers = [hi.values.real**2 + hi.values.imag**2 for hi in his]
+    M = len(powers[0])
+    out = []
+    for F in families:
+        F = np.asarray(F)
+        if len(F) == 0:
+            raise ValueError("empty F")
+        fhat = np.fft.fft(indicator(F, M))
+        fpower = fhat.real**2 + fhat.imag**2
+        out.append([math.sqrt(float(p @ fpower) / (M * len(F))) for p in powers])
+    return np.array(out)
 
 
 def lo_linf_ratio(lo: SpectralProfile, F, r: float) -> float:

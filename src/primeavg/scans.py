@@ -173,6 +173,9 @@ def improving_scan(
     densities = tuple(densities)
     seed = int(seed)
     floor = int(n_floor_factor)
+    for r in r_list:
+        if not 1.0 < r < 2.0:
+            raise ValueError(f"r must lie in (1, 2), got {r}")
 
     cells = []
     for y in y_list:

@@ -231,9 +231,46 @@ def test_unknown_fixture_name_exits_two_before_any_suite(tmp_path, capsys, monke
         pytest.fail("a suite ran before the fixture names were checked")
 
     for suite in ("verify_progression_ramanujan", "verify_gauss_upsilon", "verify_cohen_progression",
-                  "divisor_tau_check", "count_height_class", "measure_fixture"):
+                  "verify_divisor_identity", "verify_height_classes", "measure_fixture"):
         monkeypatch.setattr(cli, suite, must_not_run)
     rc = main(["verify", "--fixture-names", "near_zero_y1_N12", "no_such_fixture", *extra,
                "--out-dir", str(tmp_path)])
     assert rc == 2
     assert "no_such_fixture" in capsys.readouterr().err
+
+
+def test_verify_divisor_identity_reports_pairs_checked(tmp_path):
+    rc = main(["verify", "--no-fixtures", "--qmax", "8", "--ymax", "4", "--cohen-qmax", "8",
+               "--cohen-ymax", "4", "--max-tuples", "200", "--out-dir", str(tmp_path)])
+    assert rc == 0
+    rows = {r["suite"]: r for r in _read_csv(tmp_path / "verify.csv")}
+    # r <= 200 and x < 2r
+    assert int(rows["divisor_identity"]["cases"]) == sum(2 * r for r in range(1, 201))
+    assert int(rows["height_class_count"]["cases"]) == 60 * 60
+
+
+@pytest.mark.parametrize("bad", [["--t", "0", "--Q-list", "4", "8"], ["--Q-list", "4"]], ids=["t_zero", "one_Q"])
+def test_ramanujan_avg_bad_input_exits_two_before_sieving(tmp_path, capsys, monkeypatch, bad):
+    import primeavg.cli as cli
+
+    def must_not_run(*args, **kwargs):
+        pytest.fail("tables were sieved before the input was checked")
+
+    monkeypatch.setattr(cli, "build_tables", must_not_run)
+    rc = main(["ramanujan-avg", *bad, "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("config error")
+    assert not (tmp_path / "ramanujan-avg.json").exists()
+
+
+def test_improving_r_outside_range_exits_two_before_pool(tmp_path, capsys, monkeypatch):
+    import primeavg.scans as scans
+
+    def must_not_run(*args, **kwargs):
+        pytest.fail("the scan started before r was checked")
+
+    monkeypatch.setattr(scans, "_run_cells", must_not_run)
+    rc = main(["improving", "--N-list", "1024", "--y-list", "1", "--r-list", "2.5",
+               "--n-floor-factor", "1", "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert "r must lie in (1, 2)" in capsys.readouterr().err

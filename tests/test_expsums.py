@@ -11,9 +11,12 @@ from primeavg.expsums import (
     cohen_progression_check,
     count_height_class,
     divisor_tau_check,
+    gauss_upsilon_batch,
     gauss_upsilon_closed,
     gauss_upsilon_direct,
     height,
+    height_class_counts,
+    progression_ramanujan_batch,
     progression_ramanujan_closed,
     progression_ramanujan_direct,
     ramanujan_sum,
@@ -23,7 +26,7 @@ from primeavg.expsums import (
     verify_gauss_upsilon,
     verify_progression_ramanujan,
 )
-from primeavg.tables import Progression, reduced_residues
+from primeavg.tables import Progression, build_tables, reduced_residues
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +74,14 @@ def test_divisor_identity_examples(tables):
     assert divisor_tau_check(12, 5, tables) == 0
 
 
+@settings(max_examples=60, deadline=None)
+@given(q=st.integers(1, 400))
+def test_ramanujan_table_matches_closed_form(q):
+    tables = build_tables(1 << 12)
+    tau = ramanujan_table(q, tables)
+    assert tau.tolist() == [ramanujan_sum_closed(q, x, tables) for x in range(q)]
+
+
 def test_divisor_identity_exhaustive(tables):
     for r in range(1, 201):
         for x in range(2 * r):
@@ -101,6 +112,28 @@ def test_progression_ramanujan_closed_matches_direct_sampled():
 def test_gauss_upsilon_closed_matches_direct_sampled():
     err, count = verify_gauss_upsilon(48, 18, max_tuples=20_000, seed=1)
     assert err < 1e-8
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    q=st.integers(1, 96),
+    picks=st.lists(st.tuples(st.integers(1, 36), st.integers(0, 10**6), st.integers(0, 10**6)),
+                   min_size=1, max_size=8),
+)
+def test_batch_sums_match_pointwise(q, picks):
+    # tuples sharing q, each (y, b in A_y, a in A_q) picked by index
+    tables = build_tables(96 * 36)
+    aa = reduced_residues(q)
+    y = np.array([yy for yy, _, _ in picks])
+    b = np.array([reduced_residues(yy)[i % len(reduced_residues(yy))] for yy, i, _ in picks])
+    a = np.array([aa[j % len(aa)] for _, _, j in picks])
+    direct, closed = progression_ramanujan_batch(q, y, b, a, tables)
+    ups_direct, ups_closed = gauss_upsilon_batch(q, y, b, a, tables)
+    for i, (yy, bb, a_) in enumerate(zip(y.tolist(), b.tolist(), a.tolist())):
+        assert abs(direct[i] - progression_ramanujan_direct(q, yy, bb, a_)) < 1e-12
+        assert abs(closed[i] - progression_ramanujan_closed(q, yy, bb, a_)) < 1e-12
+        assert abs(ups_direct[i] - gauss_upsilon_direct(a_, q, yy, bb)) < 1e-12
+        assert abs(ups_closed[i] - gauss_upsilon_closed(a_, q, yy, bb)) < 1e-12
 
 
 def test_cohen_progression_exhaustive_small(tables):
@@ -179,6 +212,14 @@ def test_count_height_class_corrected_formula():
             enum, _ = count_height_class(y, r)
             expected = _phi(r) * y if math.gcd(y, r) == 1 else 0
             assert enum == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(y=st.integers(1, 60), r=st.integers(1, 60), extra=st.integers(0, 20))
+def test_height_class_counts_match_enumeration(y, r, extra):
+    counts = height_class_counts(y, r + extra, build_tables(60 * 80))
+    assert len(counts) == r + extra
+    assert counts[r - 1] == count_height_class(y, r)[0]
 
 
 def test_farey_point_build(tables):

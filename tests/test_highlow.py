@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from primeavg.highlow import (
     DecompositionConfig,
     hi_hat_profile,
     hi_l2_ratio,
+    hi_l2_ratios,
     lo_hat_profile,
     lo_kernel_closed,
     lo_linf_ratio,
@@ -179,6 +182,25 @@ def test_indicator_wraps_modulo():
 def test_hi_l2_ratio_rejects_empty(tables):
     with pytest.raises(ValueError):
         hi_l2_ratio(hi_hat_profile(_cfg()), [])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    families=st.lists(
+        st.lists(st.integers(-(1 << 13), 1 << 13), min_size=1, max_size=300, unique=True),
+        min_size=1, max_size=3,
+    ),
+)
+def test_hi_l2_ratios_match_inverse_transform(families):
+    # Parseval path against ||hi.apply(1_F)||_2 / |F|^(1/2) through the inverse FFT
+    his = [hi_hat_profile(_cfg(N=1 << 10, y=3, b=1, Q=Q, M=1 << 12, q_cut=12)) for Q in (2, 4)]
+    ratios = hi_l2_ratios(his, families)
+    assert ratios.shape == (len(families), len(his))
+    for i, F in enumerate(families):
+        for j, hi in enumerate(his):
+            oracle = np.linalg.norm(hi.apply(indicator(F, hi.grid_size))) / math.sqrt(len(F))
+            assert ratios[i, j] == pytest.approx(oracle, rel=1e-12, abs=1e-15)
+        assert hi_l2_ratio(his[0], F) == ratios[i, 0]
 
 
 def test_lo_linf_ratio_r_range(tables):
