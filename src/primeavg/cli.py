@@ -2,9 +2,11 @@
 
 Every subcommand reads an optional JSON config file, lets explicit flags
 override it, and returns (rows, summary, ok).  `main` alone stamps the seed,
-version and fixture hash on the summary, writes the rows as a CSV artifact
-and the summary as JSON, and maps ok to the exit code.  Exit codes: 0 on
-pass, 1 when an assertion or stability verdict fails, 2 on config errors.
+version, fixture hash and the distinct warning messages the command raised
+(the desk-scale overrides that fired) on the summary, writes the rows as a
+CSV artifact and the summary as JSON, and maps ok to the exit code.  Exit
+codes: 0 on pass, 1 when an assertion or stability verdict fails, 2 on
+config errors.
 All randomness flows from the single echoed seed.
 """
 
@@ -222,7 +224,7 @@ def cmd_highlow(cfg: dict) -> tuple[list[dict], dict, bool]:
                 "partition_err": partition_err,
                 "dual_path_rel": dual_path_rel(lo, dcfg, tables),
                 "hi_l2_ratio_interval": hi_l2_ratio(hi, F),
-                "lo_linf_ratio_interval": lo_linf_ratio(lo, F, r),
+                "lo_linf_ratio_interval": lo_linf_ratio(lo, dcfg, F, r),
             }
         )
     ok = worst_partition < 1e-10
@@ -408,13 +410,18 @@ def main(argv: list[str] | None = None) -> int:
         keys.add("densities")  # config-file only: a list of Bernoulli density exponents
     try:
         cfg = _merge_config(args, keys)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             rows, summary, ok = args.func(cfg)
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    summary.update(seed=int(cfg.get("seed", 0)), version=__version__, fixture_hash=fixture_hash())
+    summary.update(
+        seed=int(cfg.get("seed", 0)),
+        version=__version__,
+        fixture_hash=fixture_hash(),
+        warnings=list(dict.fromkeys(str(w.message) for w in caught)),
+    )
     out_dir = cfg.get("out_dir", ".")
     os.makedirs(out_dir, exist_ok=True)
     text = _json_text(summary)

@@ -447,28 +447,29 @@ def verify_cohen_progression(
     """Max |lhs - rhs| / q for the progression Cohen identity, exhaustive grid.
 
     Covers every q <= qmax, y <= ymax, b in A_y and x in [0, q), with both
-    sides evaluated over the full x range at once.
+    sides evaluated over the full x range at once.  Both sides depend on (y, b)
+    only through g = gcd(q, y) and the class b mod g, which runs over all of
+    A_g as b runs over A_y; so each (q, g, class) is evaluated once, and each
+    (q, y, b) still counts its q cases.  cohen_progression_check is the
+    pointwise oracle.
     """
     worst = 0.0
-    count = 0
     for q in range(1, qmax + 1):
         tau_q = ramanujan_table(q, tables)
         x = np.arange(q)
-        for y in range(1, ymax + 1):
-            g = math.gcd(q, y)
+        for g in sorted({math.gcd(q, y) for y in range(1, ymax + 1)}):
             degenerate = g < q and math.gcd(g, q // g) > 1
             if not degenerate:
                 mu_qg = int(tables.mobius[q // g])
                 tau_qg = ramanujan_table(q // g, tables)
                 tau_g = ramanujan_table(g, tables)
-            for b in reduced_residues(y):
-                b = int(b)
-                t = _progression_residues(q, y, b)
+            for c in reduced_residues(g).tolist():
+                t = _progression_residues(q, g, c)
                 lhs = tau_q[(x[:, None] + t[None, :]) % q].sum(axis=1)
                 if degenerate:
                     rhs = np.zeros(q)
                 else:
-                    rhs = mu_qg * tau_qg[x % (q // g)] * tau_g[(x + b) % g]
+                    rhs = mu_qg * tau_qg[x % (q // g)] * tau_g[(x + c) % g]
                 worst = max(worst, float(np.abs(lhs - rhs).max()) / q)
-                count += q
-    return worst, count
+    cases_per_q = sum(len(reduced_residues(y)) for y in range(1, ymax + 1))
+    return worst, cases_per_q * qmax * (qmax + 1) // 2

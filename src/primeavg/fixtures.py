@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import warnings
 from importlib import resources
 
 import numpy as np
@@ -92,12 +91,10 @@ def _bourgain_sweep(y: int, b: int) -> list[float]:
     key = ("bourgain", y, b)
     if key not in _SWEEP_CACHE:
         tables = build_tables(1 << 18)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            _SWEEP_CACHE[key] = [
-                bourgain_average(Q, 16 * y * Q * Q, Progression(y, b), 2, tables)
-                for Q in (4, 8, 16, 32)
-            ]
+        _SWEEP_CACHE[key] = [
+            bourgain_average(Q, 16 * y * Q * Q, Progression(y, b), 2, tables)
+            for Q in (4, 8, 16, 32)
+        ]
     return _SWEEP_CACHE[key]
 
 
@@ -126,12 +123,10 @@ def hi_decay_family(N: int) -> list:
 def _measure_hi_decay_slope(y: int, b: int) -> float:
     N, M = 1 << 16, 1 << 18
     fams = hi_decay_family(N)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        cfgs = [
-            DecompositionConfig(N=N, prog=Progression(y, b), Q=Q, M=M, q_cut=32)
-            for Q in (2, 4, 8, 16)
-        ]
+    cfgs = [
+        DecompositionConfig(N=N, prog=Progression(y, b), Q=Q, M=M, q_cut=32)
+        for Q in (2, 4, 8, 16)
+    ]
     his = (hi_hat_profile(cfg) for cfg in cfgs)
     return fit_exponent([2.0, 4.0, 8.0, 16.0], hi_l2_ratios(his, fams).max(axis=0))
 
@@ -179,7 +174,7 @@ def _measure_lo_linf(y: int, b: int) -> float:
         F = np.arange(N // 8)
     else:
         F = np.arange(b, N, y)
-    return lo_linf_ratio(lo_hat_profile(cfg), F, 1.5)
+    return lo_linf_ratio(lo_hat_profile(cfg), cfg, F, 1.5)
 
 
 def _measure_sw_rel_error(y: int, b: int) -> float:

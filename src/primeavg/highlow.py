@@ -157,15 +157,15 @@ def hi_l2_ratios(his, families) -> np.ndarray:
     return np.array(out)
 
 
-def lo_linf_ratio(lo: SpectralProfile, F, r: float) -> float:
-    """sup norm of Lo * 1_F relative to ((y/N)|F|)^(1/r), for the Low profile lo."""
+def lo_linf_ratio(lo: SpectralProfile, cfg: DecompositionConfig, F, r: float) -> float:
+    """sup norm of Lo * 1_F relative to ((y/N)|F|)^(1/r), for the Low profile lo of cfg."""
     F = np.asarray(F)
     if len(F) == 0:
         raise ValueError("empty F")
     if not 1.0 < r < 2.0:
         raise ValueError(f"r must lie in (1, 2), got {r}")
     g = lo.apply(indicator(F, lo.grid_size))
-    scale = (lo.meta["y"] / lo.meta["N"] * len(F)) ** (1.0 / r)
+    scale = (cfg.prog.y / cfg.N * len(F)) ** (1.0 / r)
     return float(np.abs(g).max() / scale)
 
 

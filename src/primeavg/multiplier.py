@@ -5,13 +5,19 @@ smooth major-arc approximant attaches to each reduced rational a/q a Gauss
 sum, a plain average at the lcm spacing, and a compactly supported cutoff at
 scale lcm^2.  This module evaluates all of them pointwise and on dyadic grids
 of the torus, and measures the approximation error.
+
+The major-arc errors sweep a_hat over a short uniform grid near a rational.
+That sweep is a blocked Bluestein chirp-z transform (Rabiner, Schafer and
+Rader 1969; Bluestein 1970): two length-P transforms per block of about P/2
+consecutive n, P the power of two at least twice the grid, and O(P) memory
+besides the prime-power support.  The pointwise a_hat stays as its oracle.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,7 +86,6 @@ class SpectralProfile:
 
     grid_size: int
     values: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def sup(self) -> float:
         return float(np.abs(self.values).max())
@@ -200,7 +205,7 @@ def a_hat_profile(
         raise ValueError(f"grid M={M} smaller than N={N}")
     _guard_grid(M)
     values = np.fft.fft(a_kernel(N, prog, M, tables))
-    return SpectralProfile(M, values, meta={"N": N, "y": prog.y, "b": prog.b})
+    return SpectralProfile(M, values)
 
 
 def a_hat_uniform_grid(
@@ -213,17 +218,39 @@ def a_hat_uniform_grid(
 ) -> np.ndarray:
     """a_hat on the uniform grid theta0 + j*dtheta, j < count.
 
-    Phase-recurrence evaluation: one O(#prime powers) pass per grid point.
+    Bluestein's chirp-z transform: with nj = (n^2 + j^2 - (j-n)^2)/2 and the
+    chirp C(k) = e(-dtheta k^2/2), the sweep is C(j) times the linear
+    convolution of the chirped support z_n C(n) with conj(C).  The convolution
+    runs by overlap-save over blocks of K = P - count + 1 consecutive n, with
+    P = pow2_at_least(2 count): each block's length-P spectrum product is
+    accumulated, and one inverse transform gives every output, in positions
+    K-1 .. K-2+count.  Only O(P) buffers are held besides the support, never a
+    length-N array; blocks holding no prime power are skipped.  The chirp
+    phase k^2 dtheta/2 is rounded once in float64, an error near
+    (N + count)^2 dtheta 2^-53; for the sweeps' dyadic dtheta = 1/(64 N),
+    N a power of two, it is exact.
     """
     n, w = _weighted_support(N, prog, tables)
     phi_y = int(tables.totient[prog.y])
-    z = w * np.exp(-2j * np.pi * theta0 * n)
-    step = np.exp(-2j * np.pi * dtheta * n)
-    out = np.empty(count, dtype=np.complex128)
-    for j in range(count):
-        out[j] = z.sum()
-        z *= step
-    return (phi_y / N) * out
+    P = pow2_at_least(2 * count)
+    K = P - count + 1
+
+    def chirp(k, sign):
+        # reduced mod 1 before the 2 pi scaling, so a dyadic dtheta loses no bits
+        return np.exp(sign * 2j * np.pi * np.mod(k * k * (dtheta / 2), 1.0))
+
+    u = w * np.exp(-2j * np.pi * theta0 * n) * chirp(n, -1)
+    lags = np.arange(P) - (K - 1)  # j - n over a block starting at n = 0
+    spectrum = np.zeros(P, dtype=np.complex128)
+    starts = np.arange(0, N, K)
+    bounds = np.searchsorted(n, np.append(starts, N))
+    for s, lo, hi in zip(starts, bounds[:-1], bounds[1:]):
+        if lo == hi:
+            continue
+        block = np.zeros(P, dtype=np.complex128)
+        block[n[lo:hi] - s] = u[lo:hi]
+        spectrum += np.fft.fft(block) * np.fft.fft(chirp(lags - s, 1))
+    return (phi_y / N) * chirp(np.arange(count), -1) * np.fft.ifft(spectrum)[K - 1 : K - 1 + count]
 
 
 # ---------------------------------------------------------------------------
@@ -317,15 +344,7 @@ def approximant_profile(
     values = np.zeros(M, dtype=np.complex128)
     for idx, vals in _l_hat_windows(N, prog, q_cut, M, height_min, height_max):
         values[idx] += vals  # indices within one window are distinct mod M
-    meta = {
-        "N": N,
-        "y": prog.y,
-        "b": prog.b,
-        "q_cut": q_cut,
-        "height_min": height_min,
-        "height_max": height_max,
-    }
-    return SpectralProfile(M, values, meta=meta)
+    return SpectralProfile(M, values)
 
 
 def _warn_qcut(q_cut: int, N: int) -> None:
@@ -410,5 +429,4 @@ def approx_error_profile(
     # a/q for q >= 4, so subtracting a pre-summed approximant changes last bits.
     for idx, vals in _l_hat_windows(N, prog, q_cut, M):
         prof.values[idx] -= vals
-    prof.meta.update(q_cut=q_cut, kind="residual")
     return prof.sup(), prof

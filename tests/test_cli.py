@@ -46,6 +46,24 @@ def test_approx_summary_and_csv(tmp_path):
     assert {"xi", "abs_residual"} <= set(rows[0])
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # q_cut = 8 exceeds N^(1/10) = 2.30 at N = 4096
+        (["approx", "--N", "4096", "--y", "3", "--b", "1", "--qcut", "8"],
+         "q_cut=8 exceeds N^(1/10)=2.30; desk-scale override"),
+        # the same split twice warns twice and is listed once
+        (["highlow", "--N", "4096", "--Q-list", "2", "2"],
+         "Q=2 <= q_cut=3 <= N^(1/10)=2.30 violated; desk-scale override"),
+    ],
+    ids=["approx_qcut", "highlow_repeated"],
+)
+def test_summary_lists_each_override_once(tmp_path, argv, message):
+    assert main([*argv, "--out-dir", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / f"{argv[0]}.json").read_text())
+    assert summary["warnings"] == [message]
+
+
 def test_highlow_partition_gate(tmp_path):
     rc = main(
         ["highlow", "--N", "4096", "--y", "3", "--b", "1",

@@ -142,6 +142,20 @@ def test_cohen_progression_exhaustive_small(tables):
     assert count > 10_000
 
 
+def test_cohen_progression_matches_pointwise_loop(tables):
+    # one evaluation per (q, gcd(q, y), class) against every (q, y, b, x) case
+    # through the pointwise oracle
+    worst, count = 0.0, 0
+    for q in range(1, 19):
+        for y in range(1, 10):
+            for b in reduced_residues(y).tolist():
+                for x in range(q):
+                    lhs, rhs = cohen_progression_check(q, y, b, x, tables)
+                    worst = max(worst, abs(lhs - rhs) / q)
+                    count += 1
+    assert verify_cohen_progression(18, 9, tables) == (worst, count)
+
+
 def test_cohen_progression_single_case(tables):
     lhs, rhs = cohen_progression_check(12, 9, 2, 5, tables)
     assert abs(lhs - rhs) < 1e-8

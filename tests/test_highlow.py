@@ -204,13 +204,14 @@ def test_hi_l2_ratios_match_inverse_transform(families):
 
 
 def test_lo_linf_ratio_r_range(tables):
-    lo = lo_hat_profile(_cfg())
+    cfg = _cfg()
+    lo = lo_hat_profile(cfg)
     with pytest.raises(ValueError):
-        lo_linf_ratio(lo, [0, 1], 2.5)
+        lo_linf_ratio(lo, cfg, [0, 1], 2.5)
     with pytest.raises(ValueError):
-        lo_linf_ratio(lo, [0, 1], 1.0)
+        lo_linf_ratio(lo, cfg, [0, 1], 1.0)
     with pytest.raises(ValueError):
-        lo_linf_ratio(lo, [], 1.5)
+        lo_linf_ratio(lo, cfg, [], 1.5)
 
 
 def test_hi_ratio_decreases_in_Q(tables):
@@ -230,7 +231,7 @@ def test_lo_linf_ratio_progression_order_one(tables):
     N = 1 << 12
     cfg = _cfg(N=N, y=3, b=1, Q=4, M=1 << 14)
     F = np.arange(1, N, 3)
-    ratio = lo_linf_ratio(lo_hat_profile(cfg), F, 1.5)
+    ratio = lo_linf_ratio(lo_hat_profile(cfg), cfg, F, 1.5)
     assert 0.5 < ratio < 2.0
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from primeavg.expsums import FareyPoint
 from primeavg.multiplier import (
@@ -23,7 +25,7 @@ from primeavg.multiplier import (
     major_arc_error,
     near_zero_error,
 )
-from primeavg.tables import Progression
+from primeavg.tables import Progression, build_tables, default_residue
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +158,29 @@ def test_a_hat_uniform_grid_matches_pointwise(tables):
     grid = a_hat_uniform_grid(N, prog, 0.01, 0.003, 5, tables)
     for j in range(5):
         assert abs(grid[j] - a_hat(0.01 + 0.003 * j, N, prog, tables)) < 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    N=st.integers(2, 3000),
+    y=st.sampled_from([1, 3, 5]),
+    theta0=st.floats(-1.0, 1.0),
+    scale=st.floats(0.01, 1.0),
+    count=st.integers(1, 6000),
+)
+@example(N=3000, y=1, theta0=0.25, scale=1 / 64, count=1)  # count = 1: blocks of 2 n
+@example(N=2999, y=3, theta0=-0.4, scale=0.3, count=37)  # K = 28: support over 100+ blocks
+@example(N=1000, y=5, theta0=0.1, scale=1.0, count=2500)  # count >= N: one block
+def test_a_hat_uniform_grid_chirp_matches_pointwise(N, y, theta0, scale, count):
+    # the blocked chirp-z sweep against pointwise a_hat at up to 50 grid points,
+    # first and last included; dtheta = scale / N, the sweeps' regime of spacing below 1/N
+    prog = Progression(y, default_residue(y))
+    tables = build_tables(4096)
+    dtheta = scale / N
+    grid = a_hat_uniform_grid(N, prog, theta0, dtheta, count, tables)
+    assert grid.shape == (count,)
+    for j in np.unique(np.linspace(0, count - 1, min(count, 50)).astype(int)).tolist():
+        assert abs(grid[j] - a_hat(theta0 + dtheta * j, N, prog, tables)) < 1e-9
 
 
 def test_a_hat_profile_requires_power_of_two(tables):
