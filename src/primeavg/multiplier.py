@@ -6,6 +6,14 @@ sum, a plain average at the lcm spacing, and a compactly supported cutoff at
 scale lcm^2.  This module evaluates all of them pointwise and on dyadic grids
 of the torus, and measures the approximation error.
 
+A SpectralProfile holds a multiplier on Z_M in one of two storage forms.
+a_hat is the spectrum of a real kernel, and the scans apply it only to real
+indicators, so a_hat_profile keeps the Hermitian half, M//2 + 1 values, and
+convolves by real transforms (Sorensen, Jones, Heideman and Burrus 1987).
+approx_error_profile is the one full-grid consumer of a_hat: it subtracts
+complex major-arc windows across the whole grid, so it builds all M values,
+as do the High/Low and multifrequency profiles.
+
 The major-arc errors sweep a_hat over a short uniform grid near a rational.
 That sweep is a blocked Bluestein chirp-z transform (Rabiner, Schafer and
 Rader 1969; Bluestein 1970): two length-P transforms per block of about P/2
@@ -81,26 +89,51 @@ class SpectralProfile:
     """Multiplier values sampled on the grid {k/M : 0 <= k < M}.
 
     The one operator on Z_M: convolution with its kernel is multiplication
-    by the values between a forward and an inverse length-M transform.
+    by the values between a forward and an inverse length-M transform.  A
+    profile holds one of two storage forms, told apart by len(values):
+
+    * full: all M values, any complex multiplier (the High/Low parts, the
+      multifrequency multiplier, the approximation residual);
+    * half: the M//2 + 1 values at k <= M/2 of a real kernel's Hermitian
+      spectrum, as np.fft.rfft returns them (a_hat_profile).  The values at
+      k > M/2 are the conjugates of those at M - k, so apply and kernel run
+      real transforms of half the work and return real arrays.
+
+    For M <= 2 the forms coincide (rfft and fft agree on a real input) and
+    the profile reads as full.
     """
 
     grid_size: int
     values: np.ndarray
 
+    @property
+    def half_spectrum(self) -> bool:
+        """True when values hold only the k <= M/2 half of a real kernel's spectrum."""
+        return len(self.values) != self.grid_size
+
     def sup(self) -> float:
+        # a Hermitian spectrum takes its sup over k <= M/2
         return float(np.abs(self.values).max())
 
     def apply(self, f: np.ndarray) -> np.ndarray:
-        """Cyclic convolution of f with the kernel, as a complex array."""
+        """Cyclic convolution of f with the kernel: real for a half profile, else complex."""
         if len(f) != self.grid_size:
             raise ValueError(f"size mismatch: {len(f)} vs {self.grid_size}")
-        return self._apply_hat(np.fft.fft(f))
+        return self._apply_hat(self._transform(f))
+
+    def _transform(self, f: np.ndarray) -> np.ndarray:
+        """The spectrum of f in this profile's form; a half profile needs f real."""
+        return np.fft.rfft(f) if self.half_spectrum else np.fft.fft(f)
 
     def _apply_hat(self, fhat: np.ndarray) -> np.ndarray:
+        if self.half_spectrum:
+            return np.fft.irfft(self.values * fhat, self.grid_size)
         return np.fft.ifft(self.values * fhat)
 
     def kernel(self) -> np.ndarray:
-        """The real kernel on Z_M; its imaginary part must stay below 1e-9 * max(peak, 1)."""
+        """The real kernel on Z_M; a full profile's imaginary part must stay below 1e-9 * max(peak, 1)."""
+        if self.half_spectrum:
+            return np.fft.irfft(self.values, self.grid_size)
         kernel = np.fft.ifft(self.values)
         worst = np.abs(kernel.imag).max()
         if worst > 1e-9 * max(np.abs(kernel.real).max(), 1.0):
@@ -109,11 +142,13 @@ class SpectralProfile:
 
 
 def sup_abs(profiles, f: np.ndarray) -> np.ndarray:
-    """Pointwise sup of |P f| over an iterable of profiles, transforming f once."""
-    fhat = np.fft.fft(f)
+    """Pointwise sup of |P f| over an iterable of profiles, transforming f once per storage form."""
+    fhats: dict[bool, np.ndarray] = {}
     sup = np.zeros(len(f))
     for p in profiles:
-        sup = np.maximum(sup, np.abs(p._apply_hat(fhat)))
+        if p.half_spectrum not in fhats:
+            fhats[p.half_spectrum] = p._transform(f)
+        sup = np.maximum(sup, np.abs(p._apply_hat(fhats[p.half_spectrum])))
     return sup
 
 
@@ -197,15 +232,19 @@ def a_kernel(N: int, prog: Progression, M: int, tables: ArithTables) -> np.ndarr
     return kernel
 
 
-def a_hat_profile(
-    N: int, prog: Progression, M: int, tables: ArithTables
-) -> SpectralProfile:
-    """a_hat on the full grid {k/M} via a length-M transform of the padded kernel."""
+def _padded_a_kernel(N: int, prog: Progression, M: int, tables: ArithTables) -> np.ndarray:
+    """a_kernel on a grid M >= N that passes _guard_grid."""
     if M < N:
         raise ValueError(f"grid M={M} smaller than N={N}")
     _guard_grid(M)
-    values = np.fft.fft(a_kernel(N, prog, M, tables))
-    return SpectralProfile(M, values)
+    return a_kernel(N, prog, M, tables)
+
+
+def a_hat_profile(
+    N: int, prog: Progression, M: int, tables: ArithTables
+) -> SpectralProfile:
+    """a_hat on the grid {k/M}, as the half profile rfft of the padded real kernel."""
+    return SpectralProfile(M, np.fft.rfft(_padded_a_kernel(N, prog, M, tables)))
 
 
 def a_hat_uniform_grid(
@@ -424,7 +463,8 @@ def approx_error_profile(
     if M is None:
         M = pow2_at_least(4 * N)
     _warn_qcut(q_cut, N)
-    prof = a_hat_profile(N, prog, M, tables)
+    # all M values, not the half form: the windows below and cmd_approx touch every k
+    prof = SpectralProfile(M, np.fft.fft(_padded_a_kernel(N, prog, M, tables)))
     # In place, window by window: at y = 1 the window of 0/1 overlaps those of
     # a/q for q >= 4, so subtracting a pre-summed approximant changes last bits.
     for idx, vals in _l_hat_windows(N, prog, q_cut, M):

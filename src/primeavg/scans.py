@@ -50,7 +50,7 @@ def improving_ratio(
         raise ValueError(f"r must lie in (1, 2), got {r}")
     if M is None:
         M = pow2_at_least(4 * N)
-    conv = a_hat_profile(N, prog, M, tables).apply(indicator(F, M)).real
+    conv = a_hat_profile(N, prog, M, tables).apply(indicator(F, M))
     return _improving_value(conv, r, prog.y, N, len(F))
 
 
@@ -76,7 +76,7 @@ def dual_ratio(
     if M is None:
         M = pow2_at_least(4 * N)
     y = prog.y
-    conv = a_hat_profile(N, prog, M, tables).apply(indicator(F, M)).real
+    conv = a_hat_profile(N, prog, M, tables).apply(indicator(F, M))
     inner = float(conv[G % M].sum())
     ratio = (y / N) * inner / ((y * len(F) / N) ** (1.0 / r) * (y * len(G) / N) ** (1.0 / r))
     rp = r / (r - 1.0)
@@ -137,7 +137,7 @@ def _improving_cell(payload: tuple) -> list[dict]:
     profile = a_hat_profile(N, prog, M, tables)
     rows = []
     for name, F in fams.items():
-        conv = profile.apply(indicator(F, M)).real
+        conv = profile.apply(indicator(F, M))
         for r in r_list:
             rows.append(
                 {

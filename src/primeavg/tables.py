@@ -71,10 +71,12 @@ class ArithTables:
 def build_tables(bound: int, cap: int | None = None) -> ArithTables:
     """Sieve Lambda, mu, phi and primality up to bound (inclusive).
 
-    Deterministic, single allocation per array.  Results are cached by bound.
-    A bound below the largest table sieved so far gets read-only slices of
-    that table, equal to a fresh sieve: the sieve is exact and the prefix
-    sums of a prefix do not depend on the length.
+    Deterministic, single allocation per array.  Results are cached by bound,
+    and the cache holds one copy: a bound below the largest table sieved so
+    far gets read-only slices of that table, and sieving a larger bound
+    re-points every smaller entry at slices of the new one.  A slice equals a
+    fresh sieve: the sieve is exact and the prefix sums of a prefix do not
+    depend on the length.
     """
     if bound < 2:
         raise ValueError(f"bound must be >= 2, got {bound}")
@@ -85,39 +87,66 @@ def build_tables(bound: int, cap: int | None = None) -> ArithTables:
         return cached
     top = max(_TABLE_CACHE, default=0)
     if top > bound:
-        largest = _TABLE_CACHE[top]
-        view = ArithTables(
-            bound, **{f.name: getattr(largest, f.name)[: bound + 1] for f in fields(ArithTables)[1:]}
-        )
-        _TABLE_CACHE[bound] = view
-        return view
+        _TABLE_CACHE[bound] = _prefix(_TABLE_CACHE[top], bound)
+        return _TABLE_CACHE[bound]
+    tables = _sieve(bound)
+    for smaller in _TABLE_CACHE:
+        _TABLE_CACHE[smaller] = _prefix(tables, smaller)
+    _TABLE_CACHE[bound] = tables
+    return tables
 
-    n = bound
+
+def _prefix(tables: ArithTables, bound: int) -> ArithTables:
+    """The table up to bound, as read-only slices of a larger one."""
+    return ArithTables(
+        bound, **{f.name: getattr(tables, f.name)[: bound + 1] for f in fields(ArithTables)[1:]}
+    )
+
+
+def _sieve(n: int) -> ArithTables:
+    """The tables up to n, sieving in Python only over the primes p <= sqrt(n).
+
+    Each small prime updates mu and phi on its multiples and sets Lambda on
+    its powers.  A k <= n has at most one prime factor P above sqrt(n), so
+    the large primes are applied in one vector step per cofactor m = k / P
+    < sqrt(n), with temporaries no longer than the list of primes.  phi stays
+    exact in int64 whatever the order of the primes.
+    """
     is_prime = np.ones(n + 1, dtype=bool)
     is_prime[:2] = False
-    for p in range(2, math.isqrt(n) + 1):
+    root = math.isqrt(n)
+    for p in range(2, root + 1):
         if is_prime[p]:
             is_prime[p * p :: p] = False
     primes = np.flatnonzero(is_prime)
+    split = np.searchsorted(primes, root, side="right")  # primes[:split] <= sqrt(n)
 
     mobius = np.ones(n + 1, dtype=np.int8)
     mobius[0] = 0
     totient = np.arange(n + 1, dtype=np.int64)
     lam = np.zeros(n + 1, dtype=np.float64)
-    for p in primes:
-        p = int(p)
+    for p in primes[:split].tolist():
         mobius[p::p] *= -1
-        if p * p <= n:
-            mobius[p * p :: p * p] = 0
+        mobius[p * p :: p * p] = 0
         totient[p::p] -= totient[p::p] // p
         logp = math.log(p)
         pk = p
         while pk <= n:
             lam[pk] = logp
             pk *= p
+    # k = m P with P a prime above sqrt(n) and m < P: one pass per cofactor m
+    large = primes[split:]
+    lam[large] = np.fromiter(map(math.log, large), np.float64, len(large))  # bit for bit as math.log(p) above
+    for m in range(1, n // int(large[0]) + 1):
+        P = large[: np.searchsorted(large, n // m, side="right")]
+        k = m * P
+        mobius[k] *= -1
+        totient[k] -= totient[k] // P
 
     psi_cum = np.cumsum(lam)
-    tables = ArithTables(
+    for arr in (lam, mobius, totient, is_prime, psi_cum):
+        arr.setflags(write=False)
+    return ArithTables(
         bound=n,
         von_mangoldt=lam,
         mobius=mobius,
@@ -125,10 +154,6 @@ def build_tables(bound: int, cap: int | None = None) -> ArithTables:
         is_prime=is_prime,
         psi_cumulative=psi_cum,
     )
-    for arr in (lam, mobius, totient, is_prime, psi_cum):
-        arr.setflags(write=False)
-    _TABLE_CACHE[n] = tables
-    return tables
 
 
 def reduced_residues(q: int) -> np.ndarray:

@@ -168,6 +168,16 @@ def test_improving_workers_csv_identical(tmp_path):
     assert (d1 / "improving.csv").read_bytes() == (d2 / "improving.csv").read_bytes()
 
 
+def test_maximal_b_sweep_workers_artifacts_identical(tmp_path):
+    args = ["maximal", "--N-list", "8192", "16384", "--y-list", "1", "5", "--b-sweep"]
+    d1, d2 = tmp_path / "a", tmp_path / "b"
+    d1.mkdir(), d2.mkdir()
+    assert main(args + ["--workers", "1", "--out-dir", str(d1)]) == 0
+    assert main(args + ["--workers", "2", "--out-dir", str(d2)]) == 0
+    for name in ("maximal.csv", "maximal.json"):
+        assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
+
+
 def test_csv_values_use_12_sig_digits(tmp_path):
     main(["sw", "--y", "1", "--b", "0", "--x-grid", "10000",
           "--out-dir", str(tmp_path)])

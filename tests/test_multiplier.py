@@ -10,7 +10,9 @@ from primeavg.multiplier import (
     ARC_J,
     CUTOFF_OUTER,
     POINTS_PER_UNIT,
+    SpectralProfile,
     a_hat,
+    a_kernel,
     a_hat_profile,
     a_hat_uniform_grid,
     approx_error_profile,
@@ -19,11 +21,14 @@ from primeavg.multiplier import (
     cutoff,
     farey_points,
     geometric_sum,
+    indicator,
     l_hat,
     m_hat,
     m_prog_hat,
     major_arc_error,
     near_zero_error,
+    pow2_at_least,
+    sup_abs,
 )
 from primeavg.tables import Progression, build_tables, default_residue
 
@@ -149,7 +154,57 @@ def test_a_hat_profile_matches_pointwise(tables):
     N, M = 512, 2048
     prof = a_hat_profile(N, prog, M, tables)
     for k in (0, 1, 100, 1024, 2047):
-        assert abs(prof.values[k] - a_hat(k / M, N, prog, tables)) < 1e-9
+        # the half profile holds k <= M/2; above, a_hat is the conjugate at M - k
+        value = prof.values[k] if k <= M // 2 else np.conj(prof.values[M - k])
+        assert abs(value - a_hat(k / M, N, prog, tables)) < 1e-9
+
+
+def _full_a_hat_profile(N, prog, M, tables):
+    """The complex length-M form of a_hat_profile: the oracle of the real path."""
+    return SpectralProfile(M, np.fft.fft(a_kernel(N, prog, M, tables)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    N=st.integers(5, 3000),
+    y=st.sampled_from([1, 3, 5]),
+    pad=st.integers(0, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(N=2999, y=3, pad=0, seed=0)  # M = 4096 < 2N: the cyclic wrap is exercised
+@example(N=1024, y=5, pad=2, seed=1)  # N a power of two, M = 4N as in the scans
+def test_a_hat_profile_real_apply_matches_full_spectrum(N, y, pad, seed):
+    # the rfft/irfft path against the complex fft/ifft path on random real f
+    prog = Progression(y, default_residue(y))
+    tables = build_tables(4096)
+    M = pow2_at_least(N) << pad
+    f = np.random.default_rng(seed).standard_normal(M)
+    out = a_hat_profile(N, prog, M, tables).apply(f)
+    oracle = _full_a_hat_profile(N, prog, M, tables).apply(f).real
+    assert isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == (M,)
+    assert np.abs(out - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+
+@pytest.mark.parametrize("y", [1, 3, 5])
+def test_a_hat_profile_kernel_and_sup_match_full_spectrum(tables, y):
+    prog, N, M = Progression(y, default_residue(y)), 3000, 1 << 13
+    prof = a_hat_profile(N, prog, M, tables)
+    assert prof.half_spectrum and len(prof.values) == M // 2 + 1
+    kernel = a_kernel(N, prog, M, tables)
+    assert np.abs(prof.kernel() - kernel).max() <= 1e-12 * np.abs(kernel).max()
+    assert prof.sup() == pytest.approx(_full_a_hat_profile(N, prog, M, tables).sup(), rel=1e-12)
+
+
+def test_sup_abs_mixes_real_and_complex_profiles(tables):
+    # one half profile and one full complex profile through a generator
+    prog, N, M = Progression(3, 1), 2000, 1 << 12
+    f = indicator(np.random.default_rng(5).integers(0, N, 300), M)
+    real = a_hat_profile(N, prog, M, tables)
+    complex_ = approximant_profile(N, prog, 8, M)
+    assert real.half_spectrum and not complex_.half_spectrum
+    sup = sup_abs((p for p in (real, complex_)), f)
+    expected = np.maximum(np.abs(real.apply(f)), np.abs(complex_.apply(f)))
+    assert np.array_equal(sup, expected)
 
 
 def test_a_hat_uniform_grid_matches_pointwise(tables):

@@ -3,6 +3,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from primeavg import tables as tables_module
 from primeavg.tables import (
@@ -22,6 +24,56 @@ def _primes_below(n):
         if sieve[p]:
             sieve[p * p :: p] = False
     return np.flatnonzero(sieve)
+
+
+def _loop_sieve(n):
+    """The sieve as a Python loop over every prime up to n: the oracle of tables._sieve."""
+    is_prime = np.ones(n + 1, dtype=bool)
+    is_prime[:2] = False
+    for p in range(2, math.isqrt(n) + 1):
+        if is_prime[p]:
+            is_prime[p * p :: p] = False
+    mobius = np.ones(n + 1, dtype=np.int8)
+    mobius[0] = 0
+    totient = np.arange(n + 1, dtype=np.int64)
+    lam = np.zeros(n + 1, dtype=np.float64)
+    for p in np.flatnonzero(is_prime).tolist():
+        mobius[p::p] *= -1
+        if p * p <= n:
+            mobius[p * p :: p * p] = 0
+        totient[p::p] -= totient[p::p] // p
+        pk = p
+        while pk <= n:
+            lam[pk] = math.log(p)
+            pk *= p
+    return {
+        "von_mangoldt": lam,
+        "mobius": mobius,
+        "totient": totient,
+        "is_prime": is_prime,
+        "psi_cumulative": np.cumsum(lam),
+    }
+
+
+def _assert_sieve_matches_loop(n):
+    fast, oracle = tables_module._sieve(n), _loop_sieve(n)
+    assert fast.bound == n
+    for name, expected in oracle.items():
+        got = getattr(fast, name)
+        assert got.dtype == expected.dtype, (n, name)
+        assert np.array_equal(got, expected), (n, name)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 24, 25, 48, 49, 97**2 - 1, 97**2, 10**5])
+def test_sieve_bitwise_equals_loop_oracle(n):
+    # squares of primes and their neighbours move the small/large prime split
+    _assert_sieve_matches_loop(n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 20_000))
+def test_sieve_bitwise_equals_loop_oracle_random_bounds(n):
+    _assert_sieve_matches_loop(n)
 
 
 def test_von_mangoldt_against_prime_power_oracle(tables):
@@ -109,6 +161,27 @@ def test_smaller_bound_is_read_only_view_of_largest_table():
         assert np.shares_memory(view, getattr(large, f.name)), f.name
         assert not view.flags.writeable, f.name
         assert view.dtype == getattr(fresh, f.name).dtype, f.name
+        assert np.array_equal(view, getattr(fresh, f.name)), f.name
+
+
+def test_larger_sieve_repoints_smaller_cached_table():
+    # the cache holds one copy: sieving 2^16 after 2^12 turns the 2^12 entry into views
+    saved = dict(tables_module._TABLE_CACHE)
+    tables_module._TABLE_CACHE.clear()
+    try:
+        build_tables(1 << 12)
+        large = build_tables(1 << 16)
+        small = tables_module._TABLE_CACHE[1 << 12]
+        assert build_tables(1 << 12) is small
+        fresh = tables_module._sieve(1 << 12)
+    finally:
+        tables_module._TABLE_CACHE.clear()
+        tables_module._TABLE_CACHE.update(saved)
+    assert small.bound == 1 << 12
+    for f in fields(ArithTables)[1:]:
+        view = getattr(small, f.name)
+        assert np.shares_memory(view, getattr(large, f.name)), f.name
+        assert not view.flags.writeable, f.name
         assert np.array_equal(view, getattr(fresh, f.name)), f.name
 
 
