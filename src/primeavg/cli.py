@@ -109,6 +109,9 @@ def cmd_verify(cfg: dict) -> tuple[list[dict], dict, bool]:
     for name in names:
         if name not in MEASUREMENTS:
             raise ConfigError(f"unknown fixture name: {name}")
+    for key in ("qmax", "ymax", "max_tuples", "cohen_qmax", "cohen_ymax"):
+        if key in cfg and int(cfg[key]) < 1:
+            raise ConfigError(f"{key} must be >= 1, got {cfg[key]}")
     qmax = int(cfg.get("qmax", 96))
     ymax = int(cfg.get("ymax", 36))
     max_tuples = int(cfg.get("max_tuples", 100_000))

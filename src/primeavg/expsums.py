@@ -126,7 +126,7 @@ def _cofactor_shift(g: int, q: int) -> int:
     return (1 - g * gbar) // m
 
 
-def progression_ramanujan_closed(q: int, y: int, b: int, a: int) -> complex:
+def progression_ramanujan_closed(q: int, y: int, b: int, a: int, tables: ArithTables) -> complex:
     """Three-case closed form of the progression-restricted Ramanujan sum."""
     g = math.gcd(q, y)
     if math.gcd(a, q) != 1:
@@ -138,23 +138,8 @@ def progression_ramanujan_closed(q: int, y: int, b: int, a: int) -> complex:
     if math.gcd(g, q // g) > 1:
         return 0j
     t = _cofactor_shift(g, q)
-    mu = _mobius_int(q // g)
+    mu = int(tables.mobius[q // g])
     return complex(mu * _e((a * b * t % g) / g))
-
-
-def _mobius_int(n: int) -> int:
-    m = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            m = -m
-        d += 1
-    if n > 1:
-        m = -m
-    return m
 
 
 def cohen_progression_check(
@@ -182,7 +167,7 @@ def cohen_progression_check(
     return lhs, rhs
 
 
-def gauss_upsilon_direct(a: int, q: int, y: int, b: int) -> complex:
+def gauss_upsilon_direct(a: int, q: int, y: int, b: int, tables: ArithTables) -> complex:
     """Upsilon(a, q) = (phi(y)/phi(l)) sum of e(-ra/q) over r in A_q, r = b mod g."""
     if math.gcd(a, q) != 1:
         raise ValueError(f"gcd(a, q) must be 1, got a={a}, q={q}")
@@ -190,11 +175,11 @@ def gauss_upsilon_direct(a: int, q: int, y: int, b: int) -> complex:
         raise ValueError(f"gcd(b, y) must be 1, got b={b}, y={y}")
     ell = math.lcm(y, q)
     r = _progression_residues(q, y, b)
-    phi_ratio = _phi(y) / _phi(ell)
+    phi_ratio = tables.totient[y] / tables.totient[ell]
     return complex(phi_ratio * _e(-(r * (a % q)) / q).sum())
 
 
-def gauss_upsilon_closed(a: int, q: int, y: int, b: int) -> complex:
+def gauss_upsilon_closed(a: int, q: int, y: int, b: int, tables: ArithTables) -> complex:
     """Closed form of Upsilon via the three-case evaluation (conjugate phase)."""
     if math.gcd(a, q) != 1:
         raise ValueError(f"gcd(a, q) must be 1, got a={a}, q={q}")
@@ -207,22 +192,8 @@ def gauss_upsilon_closed(a: int, q: int, y: int, b: int) -> complex:
     if math.gcd(g, q // g) > 1:
         return 0j
     t = _cofactor_shift(g, q)
-    mu = _mobius_int(q // g)
-    return complex(_phi(y) / _phi(ell) * mu * _e(-((a * b * t) % g) / g))
-
-
-def _phi(n: int) -> int:
-    out = n
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            while n % d == 0:
-                n //= d
-            out -= out // d
-        d += 1
-    if n > 1:
-        out -= out // n
-    return out
+    mu = int(tables.mobius[q // g])
+    return complex(tables.totient[y] / tables.totient[ell] * mu * _e(-((a * b * t) % g) / g))
 
 
 # ---------------------------------------------------------------------------
@@ -247,25 +218,23 @@ class FareyPoint:
     q: int
     y: int
     b: int
-    g: int
     ell: int
     height: int
     upsilon: complex
 
     @classmethod
-    def build(cls, a: int, q: int, prog: Progression) -> "FareyPoint":
-        g = math.gcd(q, prog.y)
+    def build(cls, a: int, q: int, prog: Progression, tables: ArithTables) -> "FareyPoint":
         ell = math.lcm(q, prog.y)
         h = height(q, prog.y)
-        ups = gauss_upsilon_closed(a, q, prog.y, prog.b) if h > 0 else 0j
-        return cls(a=a, q=q, y=prog.y, b=prog.b, g=g, ell=ell, height=h, upsilon=ups)
+        ups = gauss_upsilon_closed(a, q, prog.y, prog.b, tables) if h > 0 else 0j
+        return cls(a=a, q=q, y=prog.y, b=prog.b, ell=ell, height=h, upsilon=ups)
 
     @property
     def center(self) -> float:
         return self.a / self.q
 
 
-def count_height_class(y: int, r: int) -> tuple[int, int]:
+def count_height_class(y: int, r: int, tables: ArithTables) -> tuple[int, int]:
     """(enumerated, formula) count of rationals a/q with h_y(q) = r.
 
     Enumeration scans all q <= y*r and filters on the height; the formula is
@@ -273,8 +242,8 @@ def count_height_class(y: int, r: int) -> tuple[int, int]:
     """
     if y < 1 or r < 1:
         raise ValueError("y, r must be >= 1")
-    enumerated = sum(_phi(q) for q in range(1, y * r + 1) if height(q, y) == r)
-    formula = _phi(r) * y // math.gcd(y, r)
+    enumerated = sum(int(tables.totient[q]) for q in range(1, y * r + 1) if height(q, y) == r)
+    formula = int(tables.totient[r]) * y // math.gcd(y, r)
     return enumerated, formula
 
 

@@ -38,6 +38,8 @@ class DecompositionConfig:
     q_cut: int | None = None  # denominator ceiling; defaults to y * Q
 
     def __post_init__(self):
+        if self.Q < 1:
+            raise ValueError(f"Q must be >= 1, got {self.Q}")
         if self.q_cut is None:
             object.__setattr__(self, "q_cut", self.prog.y * self.Q + 1)
         if self.M < 4 * self.N:
@@ -167,28 +169,6 @@ def lo_linf_ratio(lo: SpectralProfile, cfg: DecompositionConfig, F, r: float) ->
     g = lo.apply(indicator(F, lo.grid_size))
     scale = (cfg.prog.y / cfg.N * len(F)) ** (1.0 / r)
     return float(np.abs(g).max() / scale)
-
-
-def maximal_ratios(
-    cfgs: list[DecompositionConfig], f: np.ndarray, r: float
-) -> tuple[float, float]:
-    """(hi, lo) maximal-function norm ratios over a dyadic family of scales.
-
-    Pointwise sup over N of |Hi_N * f| measured in l2 against ||f||_2, and of
-    |Lo_N * f| in l^r against ||f||_r.
-    """
-    if not cfgs:
-        raise ValueError("empty config list")
-    M = cfgs[0].M
-    if any(c.M != M for c in cfgs):
-        raise ValueError("all configs must share the cyclic size M")
-    hi_sup = sup_abs((hi_hat_profile(cfg) for cfg in cfgs), f)
-    lo_sup = sup_abs((lo_hat_profile(cfg) for cfg in cfgs), f)
-    f_l2 = np.linalg.norm(f)
-    f_lr = float((np.abs(f) ** r).sum() ** (1.0 / r))
-    hi_ratio = float(np.linalg.norm(hi_sup) / f_l2)
-    lo_ratio = float((lo_sup**r).sum() ** (1.0 / r) / f_lr)
-    return hi_ratio, lo_ratio
 
 
 # ---------------------------------------------------------------------------

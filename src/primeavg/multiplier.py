@@ -30,9 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expsums import FareyPoint
-from .tables import ArithTables, Progression, reduced_residues
-
-TWO_PI = 2.0 * math.pi
+from .tables import ArithTables, Progression, build_tables, memory_cap, reduced_residues
 
 # The sup errors sweep |theta| < (log N)^ARC_J / N with POINTS_PER_UNIT grid
 # points per 1/N.
@@ -191,18 +189,6 @@ def m_hat(theta, length: float):
     return geometric_sum(K, theta) / length
 
 
-def m_prog_hat(theta, N: int, prog: Progression):
-    """(y/N) sum over n <= N, n = b mod y, of e(-n theta), n = b + my with m >= 0."""
-    y, b = prog.y, prog.b
-    if N < y:
-        raise ValueError(f"N={N} smaller than spacing y={y}")
-    count = (N - b) // y + 1
-    theta = np.asarray(theta, dtype=np.float64)
-    phase = np.exp(-2j * np.pi * b * theta)
-    out = (y / N) * phase * geometric_sum(count, y * theta)
-    return out if theta.ndim else complex(out)
-
-
 # ---------------------------------------------------------------------------
 # The prime multiplier
 
@@ -300,10 +286,11 @@ def farey_points(Qmax: int, prog: Progression) -> list[FareyPoint]:
     """All reduced a/q in [0, 1) with q <= Qmax."""
     if Qmax < 1:
         raise ValueError("Qmax must be >= 1")
+    tables = build_tables(max(2, prog.y * Qmax))  # lcm(y, q) <= y * Qmax
     points = []
     for q in range(1, Qmax + 1):
         for a in reduced_residues(q):
-            points.append(FareyPoint.build(int(a), q, prog))
+            points.append(FareyPoint.build(int(a), q, prog, tables))
     return points
 
 
@@ -395,8 +382,6 @@ def _warn_qcut(q_cut: int, N: int) -> None:
 
 
 def _guard_grid(M: int) -> None:
-    from .tables import memory_cap
-
     if M > memory_cap():
         raise MemoryError(f"grid size {M} exceeds memory cap")
     if M & (M - 1):
@@ -410,7 +395,7 @@ def _guard_grid(M: int) -> None:
 def near_zero_error(
     N: int,
     prog: Progression,
-    tables: ArithTables | None = None,
+    tables: ArithTables,
 ) -> float:
     """sup over |theta| < (log N)^ARC_J / N of |a_hat(theta) - m_hat(N/y, y theta)|.
 
@@ -433,7 +418,7 @@ def major_arc_error(
     N: int,
     prog: Progression,
     point: FareyPoint,
-    tables: ArithTables | None = None,
+    tables: ArithTables,
 ) -> float:
     """sup over |xi - a/q| < (log N)^ARC_J / N of |a_hat(xi) - Upsilon * m_hat(N/l, l(xi - a/q))|."""
     y, q = prog.y, point.q
@@ -456,12 +441,10 @@ def approx_error_profile(
     N: int,
     prog: Progression,
     q_cut: int,
-    M: int | None = None,
-    tables: ArithTables | None = None,
+    M: int,
+    tables: ArithTables,
 ) -> tuple[float, SpectralProfile]:
     """Residual a_hat - approximant on the full grid; returns (sup error, profile)."""
-    if M is None:
-        M = pow2_at_least(4 * N)
     _warn_qcut(q_cut, N)
     # all M values, not the half form: the windows below and cmd_approx touch every k
     prof = SpectralProfile(M, np.fft.fft(_padded_a_kernel(N, prog, M, tables)))

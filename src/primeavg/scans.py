@@ -11,7 +11,6 @@ that is echoed into the parameters.
 from __future__ import annotations
 
 import concurrent.futures
-import math
 
 import numpy as np
 
@@ -34,56 +33,6 @@ def _improving_value(conv: np.ndarray, r: float, y: int, N: int, size: int) -> f
     return num / den
 
 
-def improving_ratio(
-    N: int,
-    prog: Progression,
-    r: float,
-    F,
-    tables: ArithTables,
-    M: int | None = None,
-) -> float:
-    """||A 1_F||_{r'} / ((y/N)^{1/r - 1/r'} |F|^{1/r})."""
-    F = np.asarray(F, dtype=np.int64)
-    if len(F) == 0:
-        raise ValueError("empty F")
-    if not 1.0 < r < 2.0:
-        raise ValueError(f"r must lie in (1, 2), got {r}")
-    if M is None:
-        M = pow2_at_least(4 * N)
-    conv = a_hat_profile(N, prog, M, tables).apply(indicator(F, M))
-    return _improving_value(conv, r, prog.y, N, len(F))
-
-
-def dual_ratio(
-    N: int,
-    prog: Progression,
-    r: float,
-    F,
-    G,
-    tables: ArithTables,
-    M: int | None = None,
-) -> tuple[float, bool]:
-    """Duality-form ratio and whether the pair sits in the trivially-true regime.
-
-    ratio = (y/N) <A 1_F, 1_G> / ((y|F|/N)^{1/r} (y|G|/N)^{1/r}).  The second
-    entry is True when (y^2/N^2)|F||G| >= (log N)^{-r'}, i.e. the sizes are too
-    large for the duality bound to say anything beyond the trivial one.
-    """
-    F = np.asarray(F, dtype=np.int64)
-    G = np.asarray(G, dtype=np.int64)
-    if len(F) == 0 or len(G) == 0:
-        raise ValueError("empty sets")
-    if M is None:
-        M = pow2_at_least(4 * N)
-    y = prog.y
-    conv = a_hat_profile(N, prog, M, tables).apply(indicator(F, M))
-    inner = float(conv[G % M].sum())
-    ratio = (y / N) * inner / ((y * len(F) / N) ** (1.0 / r) * (y * len(G) / N) ** (1.0 / r))
-    rp = r / (r - 1.0)
-    trivial = (y**2 / N**2) * len(F) * len(G) >= math.log(N) ** (-rp)
-    return ratio, trivial
-
-
 # ---------------------------------------------------------------------------
 # Input families
 
@@ -93,11 +42,10 @@ def input_families(
     prog: Progression,
     rng: np.random.Generator,
     densities=(3, 5),
-    adversarial: bool = False,
     tables: ArithTables | None = None,
 ) -> dict[str, np.ndarray]:
     """Fixed a-priori test sets inside [0, N): intervals, progression segments,
-    Bernoulli sets at dyadic densities, and optionally a greedy Lambda-weighted set."""
+    Bernoulli sets at dyadic densities, and, given tables, a greedy Lambda-weighted set."""
     fams: dict[str, np.ndarray] = {}
     fams["interval"] = np.arange(N // 2, dtype=np.int64)
     fams["progression_segment"] = prog.indices(N // 2)
@@ -107,7 +55,7 @@ def input_families(
         if len(idx) == 0:
             idx = np.array([0], dtype=np.int64)
         fams[f"bernoulli_2^-{j}"] = idx
-    if adversarial and tables is not None:
+    if tables is not None:
         n = prog.indices(N)
         w = tables.von_mangoldt[n]
         k = max(len(n) // 8, 1)
@@ -133,7 +81,7 @@ def _improving_cell(payload: tuple) -> list[dict]:
     prog = Progression(y, b)
     M = pow2_at_least(4 * N)
     rng = np.random.default_rng(seed)
-    fams = input_families(N, prog, rng, densities, adversarial=True, tables=tables)
+    fams = input_families(N, prog, rng, densities, tables=tables)
     profile = a_hat_profile(N, prog, M, tables)
     rows = []
     for name, F in fams.items():
@@ -275,6 +223,8 @@ def maximal_scan(
     seed = int(seed)
     b_sweep = bool(b_sweep)
     floor = int(n_floor_factor)
+    if r < 1.0:
+        raise ValueError(f"r must be >= 1, got {r}")
 
     cells = []
     for y in y_list:

@@ -1,8 +1,8 @@
 """Sieved arithmetic functions and Chebyshev-type prime counting in progressions.
 
 Everything downstream consumes the immutable ArithTables built here: von
-Mangoldt Lambda, Mobius mu, Euler totient phi and a primality flag, all up to
-a configured bound.  Sums written "n < N" are implemented strictly
+Mangoldt Lambda, Mobius mu and Euler totient phi, all up to a configured
+bound.  Sums written "n < N" are implemented strictly
 (1 <= n < N) throughout the package.
 """
 
@@ -11,11 +11,11 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-# Hard ceiling on table entries unless overridden (env var or argument).
+# Hard ceiling on table entries unless PRIMEAVG_MEMORY_CAP overrides it.
 DEFAULT_MEMORY_CAP = 200_000_000
 
 _TABLE_CACHE: dict[int, "ArithTables"] = {}
@@ -58,29 +58,20 @@ class ArithTables:
     von_mangoldt: np.ndarray  # float64, Lambda(n) in natural-log units
     mobius: np.ndarray        # int8, values in {-1, 0, 1}
     totient: np.ndarray       # int64
-    is_prime: np.ndarray      # bool
-    psi_cumulative: np.ndarray = field(repr=False, default=None)  # float64, sum Lambda(m), m <= n
-
-    def psi(self, x: int) -> float:
-        """Chebyshev sum of Lambda(n) over 1 <= n < x."""
-        if x < 1:
-            return 0.0
-        return float(self.psi_cumulative[min(x - 1, self.bound)])
 
 
-def build_tables(bound: int, cap: int | None = None) -> ArithTables:
-    """Sieve Lambda, mu, phi and primality up to bound (inclusive).
+def build_tables(bound: int) -> ArithTables:
+    """Sieve Lambda, mu and phi up to bound (inclusive).
 
     Deterministic, single allocation per array.  Results are cached by bound,
     and the cache holds one copy: a bound below the largest table sieved so
     far gets read-only slices of that table, and sieving a larger bound
     re-points every smaller entry at slices of the new one.  A slice equals a
-    fresh sieve: the sieve is exact and the prefix sums of a prefix do not
-    depend on the length.
+    fresh sieve, since the sieve is exact.
     """
     if bound < 2:
         raise ValueError(f"bound must be >= 2, got {bound}")
-    if bound + 1 > (cap if cap is not None else memory_cap()):
+    if bound + 1 > memory_cap():
         raise ValueError(f"bound {bound} exceeds memory cap")
     cached = _TABLE_CACHE.get(bound)
     if cached is not None:
@@ -143,16 +134,13 @@ def _sieve(n: int) -> ArithTables:
         mobius[k] *= -1
         totient[k] -= totient[k] // P
 
-    psi_cum = np.cumsum(lam)
-    for arr in (lam, mobius, totient, is_prime, psi_cum):
+    for arr in (lam, mobius, totient):
         arr.setflags(write=False)
     return ArithTables(
         bound=n,
         von_mangoldt=lam,
         mobius=mobius,
         totient=totient,
-        is_prime=is_prime,
-        psi_cumulative=psi_cum,
     )
 
 

@@ -68,16 +68,14 @@ def test_criterion_03_divisor_identity(tables):
     assert ok
 
 
-def test_criterion_04_height_class_count():
+def test_criterion_04_height_class_count(tables):
     # stated closed form: phi(r) * y / gcd(y, r); expected to fail off the
     # coprime pairs, where the enumerated count is zero
-    from primeavg.expsums import _phi
-
     mismatches = 0
     for y in range(1, 61):
         for r in range(1, 61):
-            enum, _ = count_height_class(y, r)
-            stated = _phi(r) * y // math.gcd(y, r)
+            enum, _ = count_height_class(y, r, tables)
+            stated = int(tables.totient[r]) * y // math.gcd(y, r)
             mismatches += enum != stated
     ok = mismatches == 0
     _report(4, "height-class count", ok, f"{mismatches}/3600 pairs off the stated formula")

@@ -251,16 +251,20 @@ def test_approx_max_rows_zero_exits_two(tmp_path, capsys):
     assert "max_rows must be >= 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("extra", [[], ["--no-fixtures"]])
-def test_unknown_fixture_name_exits_two_before_any_suite(tmp_path, capsys, monkeypatch, extra):
+def _forbid_verify_suites(monkeypatch, why):
     import primeavg.cli as cli
 
     def must_not_run(*args, **kwargs):
-        pytest.fail("a suite ran before the fixture names were checked")
+        pytest.fail(why)
 
     for suite in ("verify_progression_ramanujan", "verify_gauss_upsilon", "verify_cohen_progression",
                   "verify_divisor_identity", "verify_height_classes", "measure_fixture"):
         monkeypatch.setattr(cli, suite, must_not_run)
+
+
+@pytest.mark.parametrize("extra", [[], ["--no-fixtures"]])
+def test_unknown_fixture_name_exits_two_before_any_suite(tmp_path, capsys, monkeypatch, extra):
+    _forbid_verify_suites(monkeypatch, "a suite ran before the fixture names were checked")
     rc = main(["verify", "--fixture-names", "near_zero_y1_N12", "no_such_fixture", *extra,
                "--out-dir", str(tmp_path)])
     assert rc == 2
@@ -291,14 +295,39 @@ def test_ramanujan_avg_bad_input_exits_two_before_sieving(tmp_path, capsys, monk
     assert not (tmp_path / "ramanujan-avg.json").exists()
 
 
-def test_improving_r_outside_range_exits_two_before_pool(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["improving", "--r-list", "2.5"], "r must lie in (1, 2)"),
+        (["maximal", "--r", "0"], "r must be >= 1"),
+        (["maximal", "--r", "-1"], "r must be >= 1"),
+    ],
+    ids=["improving", "maximal_r0", "maximal_r-1"],
+)
+def test_improving_r_outside_range_exits_two_before_pool(tmp_path, capsys, monkeypatch, argv, message):
     import primeavg.scans as scans
 
     def must_not_run(*args, **kwargs):
         pytest.fail("the scan started before r was checked")
 
     monkeypatch.setattr(scans, "_run_cells", must_not_run)
-    rc = main(["improving", "--N-list", "1024", "--y-list", "1", "--r-list", "2.5",
+    rc = main([*argv, "--N-list", "1024", "--y-list", "1",
                "--n-floor-factor", "1", "--out-dir", str(tmp_path)])
     assert rc == 2
-    assert "r must lie in (1, 2)" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--qmax", "--ymax", "--max-tuples", "--cohen-qmax", "--cohen-ymax"])
+def test_verify_size_below_one_exits_two_before_any_suite(tmp_path, capsys, monkeypatch, flag):
+    _forbid_verify_suites(monkeypatch, "a suite ran before the sizes were checked")
+    rc = main(["verify", flag, "0", "--no-fixtures", "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert "must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "verify.json").exists()
+
+
+def test_highlow_Q_below_one_exits_two(tmp_path, capsys):
+    rc = main(["highlow", "--N", "1024", "--Q-list", "0", "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert "Q must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "highlow.json").exists()

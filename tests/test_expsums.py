@@ -131,9 +131,9 @@ def test_batch_sums_match_pointwise(q, picks):
     ups_direct, ups_closed = gauss_upsilon_batch(q, y, b, a, tables)
     for i, (yy, bb, a_) in enumerate(zip(y.tolist(), b.tolist(), a.tolist())):
         assert abs(direct[i] - progression_ramanujan_direct(q, yy, bb, a_)) < 1e-12
-        assert abs(closed[i] - progression_ramanujan_closed(q, yy, bb, a_)) < 1e-12
-        assert abs(ups_direct[i] - gauss_upsilon_direct(a_, q, yy, bb)) < 1e-12
-        assert abs(ups_closed[i] - gauss_upsilon_closed(a_, q, yy, bb)) < 1e-12
+        assert abs(closed[i] - progression_ramanujan_closed(q, yy, bb, a_, tables)) < 1e-12
+        assert abs(ups_direct[i] - gauss_upsilon_direct(a_, q, yy, bb, tables)) < 1e-12
+        assert abs(ups_closed[i] - gauss_upsilon_closed(a_, q, yy, bb, tables)) < 1e-12
 
 
 def test_cohen_progression_exhaustive_small(tables):
@@ -169,29 +169,27 @@ def test_upsilon_y1_specialization(tables):
     # no progression: |Upsilon| = 1/phi(q) on squarefree q, zero otherwise
     for q in range(2, 60):
         a = int(reduced_residues(q)[0])
-        mag = abs(gauss_upsilon_closed(a, q, 1, 0))
+        mag = abs(gauss_upsilon_closed(a, q, 1, 0, tables))
         if int(tables.mobius[q]) == 0:
             assert mag == 0.0
         else:
             assert mag == pytest.approx(1.0 / int(tables.totient[q]), abs=1e-12)
 
 
-def test_upsilon_height_decay_bound():
+def test_upsilon_height_decay_bound(tables):
     # sharp bound |Upsilon| <= 1/phi(h) for positive height (equality occurs,
     # e.g. y=9, q=6 where |Upsilon| = 1 at h = 2), which gives the epsilon
     # form h^(-0.7) with implied constant 2; zero height kills the sum
-    from primeavg.expsums import _phi
-
     for q in range(1, 97):
         for y in (1, 2, 3, 5, 12, 36):
             h = height(q, y)
             for b in reduced_residues(y)[:2]:
                 a = int(reduced_residues(q)[0])
-                mag = abs(gauss_upsilon_direct(a, q, y, int(b)))
+                mag = abs(gauss_upsilon_direct(a, q, y, int(b), tables))
                 if h == 0:
                     assert mag < 1e-10
                 else:
-                    assert mag <= 1.0 / _phi(h) + 1e-9
+                    assert mag <= 1.0 / int(tables.totient[h]) + 1e-9
                     assert mag <= 2.0 * h ** (-0.7) + 1e-9
 
 
@@ -210,39 +208,38 @@ def test_nonzero_height_coprime_to_modulus():
                 assert math.gcd(h, y) == 1
 
 
-def test_count_height_class_spec_examples():
-    assert count_height_class(6, 1) == (6, 6)
-    assert count_height_class(4, 3) == (8, 8)
-    assert count_height_class(1, 5) == (4, 4)
+def test_count_height_class_spec_examples(tables):
+    assert count_height_class(6, 1, tables) == (6, 6)
+    assert count_height_class(4, 3, tables) == (8, 8)
+    assert count_height_class(1, 5, tables) == (4, 4)
 
 
-def test_count_height_class_corrected_formula():
+def test_count_height_class_corrected_formula(tables):
     # enumerated count equals phi(r) * y on coprime (y, r) and vanishes
     # otherwise; the uncorrected r-denominator form over-counts off-coprime
-    from primeavg.expsums import _phi
-
     for y in range(1, 61):
         for r in range(1, 61):
-            enum, _ = count_height_class(y, r)
-            expected = _phi(r) * y if math.gcd(y, r) == 1 else 0
+            enum, _ = count_height_class(y, r, tables)
+            expected = int(tables.totient[r]) * y if math.gcd(y, r) == 1 else 0
             assert enum == expected
 
 
 @settings(max_examples=100, deadline=None)
 @given(y=st.integers(1, 60), r=st.integers(1, 60), extra=st.integers(0, 20))
 def test_height_class_counts_match_enumeration(y, r, extra):
-    counts = height_class_counts(y, r + extra, build_tables(60 * 80))
+    tables = build_tables(60 * 80)
+    counts = height_class_counts(y, r + extra, tables)
     assert len(counts) == r + extra
-    assert counts[r - 1] == count_height_class(y, r)[0]
+    assert counts[r - 1] == count_height_class(y, r, tables)[0]
 
 
 def test_farey_point_build(tables):
     prog = Progression(3, 1)
-    p = FareyPoint.build(1, 4, prog)
+    p = FareyPoint.build(1, 4, prog, tables)
     assert p.ell == 12
     assert p.center == pytest.approx(0.25)
     assert p.height == height(4, 3)
-    assert abs(p.upsilon - gauss_upsilon_closed(1, 4, 3, 1)) < 1e-12
+    assert abs(p.upsilon - gauss_upsilon_closed(1, 4, 3, 1, tables)) < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from primeavg.highlow import (
     lo_hat_profile,
     lo_kernel_closed,
     lo_linf_ratio,
-    maximal_ratios,
     multifrequency_max_ratio,
     phi_kernel,
 )
@@ -233,42 +232,6 @@ def test_lo_linf_ratio_progression_order_one(tables):
     F = np.arange(1, N, 3)
     ratio = lo_linf_ratio(lo_hat_profile(cfg), cfg, F, 1.5)
     assert 0.5 < ratio < 2.0
-
-
-def test_maximal_ratios_single_config_reduces(tables):
-    N = 1 << 12
-    cfg = _cfg(N=N, y=1, b=0, Q=4, M=1 << 14)
-    rng = np.random.default_rng(6)
-    f = (rng.random(cfg.M) < 0.1).astype(np.float64)
-    F = np.flatnonzero(f)
-    hi, lo = maximal_ratios([cfg], f, 1.5)
-    assert hi == pytest.approx(
-        hi_l2_ratio(hi_hat_profile(cfg), F) * math.sqrt(len(F)) / np.linalg.norm(f)
-    )
-    assert lo >= 0.0
-
-
-def test_maximal_ratios_validation(tables):
-    with pytest.raises(ValueError):
-        maximal_ratios([], np.zeros(16), 1.5)
-    with pytest.raises(ValueError):
-        maximal_ratios(
-            [_cfg(N=1 << 12, M=1 << 14), _cfg(N=1 << 12, M=1 << 15)],
-            np.zeros(1 << 14),
-            1.5,
-        )
-
-
-def test_maximal_dominates_each_scale(tables):
-    N = 1 << 12
-    cfgs = [_cfg(N=N >> k, y=1, b=0, Q=4, M=1 << 14) for k in range(3)]
-    rng = np.random.default_rng(8)
-    f = rng.standard_normal(1 << 14)
-    hi_all, lo_all = maximal_ratios(cfgs, f, 1.5)
-    for c in cfgs:
-        hi_one, lo_one = maximal_ratios([c], f, 1.5)
-        assert hi_all >= hi_one - 1e-12
-        assert lo_all >= lo_one - 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from primeavg.multiplier import (
     indicator,
     l_hat,
     m_hat,
-    m_prog_hat,
     major_arc_error,
     near_zero_error,
     pow2_at_least,
@@ -113,16 +112,6 @@ def test_m_hat_dirichlet_example():
 def test_m_hat_rejects_short_lengths():
     with pytest.raises(ValueError):
         m_hat(0.1, 0.5)
-
-
-def test_m_prog_hat_bruteforce():
-    prog = Progression(3, 2)
-    N = 100
-    for theta in (0.0, 0.013, 0.4):
-        direct = (3 / N) * sum(
-            np.exp(-2j * np.pi * n * theta) for n in range(2, N + 1, 3)
-        )
-        assert abs(m_prog_hat(theta, N, prog) - direct) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +247,7 @@ def test_farey_denominator_mode_count():
 
 def test_l_hat_support_and_center(tables):
     prog = Progression(3, 1)
-    p = FareyPoint.build(1, 2, prog)
+    p = FareyPoint.build(1, 2, prog, tables)
     ell = p.ell
     expected = p.upsilon * m_hat(0.0, (1 << 12) / ell)
     assert l_hat(0.5, p, 1 << 12, prog) == pytest.approx(expected)
@@ -267,7 +256,7 @@ def test_l_hat_support_and_center(tables):
 
 
 def test_l_hat_progression_mismatch(tables):
-    p = FareyPoint.build(1, 2, Progression(3, 1))
+    p = FareyPoint.build(1, 2, Progression(3, 1), tables)
     with pytest.raises(ValueError):
         l_hat(0.5, p, 1 << 12, Progression(5, 1))
 
@@ -311,7 +300,7 @@ def test_near_zero_error_shrinks(tables):
 
 def test_major_arc_error_small_on_main_arc(tables):
     prog = Progression(3, 1)
-    p = FareyPoint.build(0, 1, prog)
+    p = FareyPoint.build(0, 1, prog, tables)
     err = major_arc_error(1 << 14, prog, p, tables=tables)
     assert err == pytest.approx(near_zero_error(1 << 14, prog, tables=tables), rel=1e-9)
 
@@ -319,7 +308,7 @@ def test_major_arc_error_small_on_main_arc(tables):
 def test_major_arc_error_off_zero_matches_pointwise(tables):
     # the sweep centred on a/q = 1/3 against a_hat and m_hat evaluated point by point
     prog, N = Progression(1, 0), 1 << 10
-    p = FareyPoint.build(1, 3, prog)
+    p = FareyPoint.build(1, 3, prog, tables)
     dtheta = 1.0 / (POINTS_PER_UNIT * N)
     half = int(math.log(N) ** ARC_J / N / dtheta)
     thetas = dtheta * (np.arange(2 * half + 1) - half)

@@ -1,14 +1,11 @@
-import math
-
 import numpy as np
 import pytest
 
 from primeavg.cli import _csv_text
-from primeavg.multiplier import a_kernel
+from primeavg.multiplier import a_hat_profile, a_kernel, indicator, pow2_at_least
 from primeavg.scans import (
-    dual_ratio,
+    _improving_value,
     fit_exponent,
-    improving_ratio,
     improving_scan,
     input_families,
     maximal_scan,
@@ -38,35 +35,9 @@ def test_improving_ratio_single_point_closed_form(tables):
     num = ((2 / N * tables.von_mangoldt[n]) ** rp).sum() ** (1 / rp)
     den = (3 / N) ** (1 / r - 1 / rp)
     expected = num / den
-    assert improving_ratio(N, prog, r, [0], tables) == pytest.approx(expected, rel=1e-10)
-
-
-def test_improving_ratio_validation(tables):
-    with pytest.raises(ValueError):
-        improving_ratio(1 << 12, Progression(1, 0), 1.5, [], tables)
-    with pytest.raises(ValueError):
-        improving_ratio(1 << 12, Progression(1, 0), 2.5, [0], tables)
-
-
-def test_dual_ratio_trivial_flag(tables):
-    N, prog = 1 << 12, Progression(1, 0)
-    # full-measure pair is in the trivial regime
-    big = np.arange(N)
-    _, trivial_big = dual_ratio(N, prog, 1.5, big, big, tables)
-    assert trivial_big
-    # tiny pair is not
-    _, trivial_small = dual_ratio(N, prog, 1.5, [2], [4], tables)
-    assert not trivial_small
-
-
-def test_dual_ratio_matches_inner_product(tables):
-    N, prog, r = 1 << 10, Progression(1, 0), 1.5
-    F, G = [2, 3, 5], [4, 6, 9]
-    kern = a_kernel(N, prog, 1 << 12, tables)
-    inner = sum(kern[(g - f) % (1 << 12)] for f in F for g in G)
-    expected = (1 / N) * inner / ((len(F) / N) ** (1 / r) * (len(G) / N) ** (1 / r))
-    ratio, _ = dual_ratio(N, prog, r, F, G, tables)
-    assert ratio == pytest.approx(expected, rel=1e-10)
+    M = pow2_at_least(4 * N)
+    conv = a_hat_profile(N, prog, M, tables).apply(indicator([0], M))
+    assert _improving_value(conv, r, prog.y, N, 1) == pytest.approx(expected, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -84,9 +55,7 @@ def test_input_families_deterministic(tables):
 
 def test_input_families_contents(tables):
     prog = Progression(3, 1)
-    fams = input_families(
-        1 << 10, prog, np.random.default_rng(0), adversarial=True, tables=tables
-    )
+    fams = input_families(1 << 10, prog, np.random.default_rng(0), tables=tables)
     assert fams["interval"][-1] == (1 << 9) - 1
     assert all(v % 3 == 1 for v in fams["progression_segment"])
     assert "bernoulli_2^-3" in fams and "bernoulli_2^-5" in fams

@@ -50,8 +50,6 @@ def _loop_sieve(n):
         "von_mangoldt": lam,
         "mobius": mobius,
         "totient": totient,
-        "is_prime": is_prime,
-        "psi_cumulative": np.cumsum(lam),
     }
 
 
@@ -103,15 +101,15 @@ def test_totient_divisor_sum_identity(tables):
 
 def test_psi_strict_upper_limit(tables):
     # n < x convention: Psi(8) excludes Lambda(8) = log 2
-    p8 = tables.psi(8)
-    p9 = tables.psi(9)
+    p8 = psi_progression(8, Progression(1, 0), tables)
+    p9 = psi_progression(9, Progression(1, 0), tables)
     assert p9 - p8 == pytest.approx(math.log(2), abs=1e-12)
-    assert tables.psi(3) == pytest.approx(math.log(2), abs=1e-12)
+    assert psi_progression(3, Progression(1, 0), tables) == pytest.approx(math.log(2), abs=1e-12)
 
 
 def test_psi_million_within_asymptotic_band(tables):
     x = 10**6
-    assert abs(tables.psi(x) - x) / x < 0.003
+    assert abs(psi_progression(x, Progression(1, 0), tables) - x) / x < 0.003
 
 
 def test_psi_progression_splits_psi(tables):
@@ -119,7 +117,7 @@ def test_psi_progression_splits_psi(tables):
     total = sum(
         psi_progression(x, Progression(3, b), tables) for b in (1, 2)
     ) + float(tables.von_mangoldt[3:x:3].sum())
-    assert total == pytest.approx(tables.psi(x), rel=1e-12)
+    assert total == pytest.approx(psi_progression(x, Progression(1, 0), tables), rel=1e-12)
 
 
 def test_reduced_residues_basics():
@@ -190,9 +188,10 @@ def test_tables_are_write_protected(tables):
         tables.von_mangoldt[0] = 1.0
 
 
-def test_memory_cap_guard():
+def test_memory_cap_guard(monkeypatch):
+    monkeypatch.setenv("PRIMEAVG_MEMORY_CAP", "1000")
     with pytest.raises(ValueError):
-        build_tables(1 << 22, cap=1000)
+        build_tables(1 << 22)
 
 
 def test_psi_progression_bound_check(tables):
@@ -215,4 +214,5 @@ def test_sw_error_report_warns_on_large_modulus(tables):
 def test_arith_tables_type(tables):
     assert isinstance(tables, ArithTables)
     assert tables.mobius.dtype == np.int8
-    assert tables.is_prime[2] and tables.is_prime[97] and not tables.is_prime[91]
+    # phi(n) = n - 1 exactly when n is prime
+    assert tables.totient[2] == 1 and tables.totient[97] == 96 and tables.totient[91] != 90
