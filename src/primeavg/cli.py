@@ -180,14 +180,18 @@ def cmd_approx(cfg: dict) -> tuple[list[dict], dict, bool]:
     q_cut = int(cfg.get("qcut", 16))
     M = int(cfg["M"]) if "M" in cfg else 4 * N
     max_rows = int(cfg.get("max_rows", 1 << 14))
+    if q_cut < 2:
+        # no Farey point has q < q_cut then, and the residual is a_hat itself
+        raise ConfigError(f"qcut must be >= 2, got {q_cut}")
     if max_rows < 1:
         raise ConfigError(f"max_rows must be >= 1, got {max_rows}")
     tables = build_tables(N)
     sup, residual = approx_error_profile(N, prog, q_cut, M=M, tables=tables)
     near = near_zero_error(N, prog, tables=tables)
     stride = max(1, M // max_rows)
+    # the residual is Hermitian: |value| at k > M/2 is that at M - k
     rows = [
-        {"xi": k / M, "abs_residual": float(abs(residual.values[k]))}
+        {"xi": k / M, "abs_residual": float(abs(residual.values[min(k, M - k)]))}
         for k in range(0, M, stride)
     ]
     summary = {

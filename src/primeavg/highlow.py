@@ -86,18 +86,30 @@ def _wrapped_grid(M: int) -> np.ndarray:
     return np.where(k < 0.5, k, k - 1.0)
 
 
-def phi_kernel(cfg: DecompositionConfig, q: int) -> np.ndarray:
-    """Inverse transform of the spacing-lcm average times the scale-lcm^2 cutoff.
+def _phi_hat(cfg: DecompositionConfig, q: int) -> np.ndarray:
+    """The spectrum m_hat of length N/l at l*xi times cutoff(l^2 xi), l = lcm(y, q).
 
-    The spectral side is m_hat of length N/l at l*xi, times cutoff(l^2 xi),
-    with l = lcm(y, q).  Real-valued on Z_M within 1e-9.
+    The cutoff is exactly 0 for |xi| >= 1/(4 l^2), so the product is
+    evaluated only on |k| <= ceil(M/(4 l^2)), at xi = k/M, and the rest of
+    the spectrum is zero.
     """
     ell = math.lcm(cfg.prog.y, q)
     if ell * ell > cfg.M // 4:
         raise ValueError(f"lcm^2 = {ell * ell} exceeds M/4 = {cfg.M // 4}")
-    xi = _wrapped_grid(cfg.M)
-    profile = m_hat(ell * xi, cfg.N / ell) * cutoff(ell * ell * xi)
-    return SpectralProfile(cfg.M, profile).kernel()
+    width = -(-cfg.M // (4 * ell * ell))
+    k = np.arange(-width, width + 1)
+    xi = k / cfg.M
+    spectrum = np.zeros(cfg.M, dtype=np.complex128)
+    spectrum[k] = m_hat(ell * xi, cfg.N / ell) * cutoff(ell * ell * xi)
+    return spectrum
+
+
+def phi_kernel(cfg: DecompositionConfig, q: int) -> np.ndarray:
+    """Inverse transform of the spacing-lcm average times the scale-lcm^2 cutoff.
+
+    The spectral side is _phi_hat.  Real-valued on Z_M within 1e-9.
+    """
+    return SpectralProfile(cfg.M, _phi_hat(cfg, q)).kernel()
 
 
 def lo_kernel_closed(cfg: DecompositionConfig, tables: ArithTables) -> np.ndarray:

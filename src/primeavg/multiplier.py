@@ -10,9 +10,10 @@ A SpectralProfile holds a multiplier on Z_M in one of two storage forms.
 a_hat is the spectrum of a real kernel, and the scans apply it only to real
 indicators, so a_hat_profile keeps the Hermitian half, M//2 + 1 values, and
 convolves by real transforms (Sorensen, Jones, Heideman and Burrus 1987).
-approx_error_profile is the one full-grid consumer of a_hat: it subtracts
-complex major-arc windows across the whole grid, so it builds all M values,
-as do the High/Low and multifrequency profiles.
+The residual a_hat minus the approximant is Hermitian too, so
+approx_error_profile subtracts the major-arc windows from that half alone,
+each clipped to k <= M/2.  The High/Low and multifrequency profiles hold all
+M values.
 
 The major-arc errors sweep a_hat over a short uniform grid near a rational.
 That sweep is a blocked Bluestein chirp-z transform (Rabiner, Schafer and
@@ -91,9 +92,10 @@ class SpectralProfile:
     profile holds one of two storage forms, told apart by len(values):
 
     * full: all M values, any complex multiplier (the High/Low parts, the
-      multifrequency multiplier, the approximation residual);
+      multifrequency multiplier);
     * half: the M//2 + 1 values at k <= M/2 of a real kernel's Hermitian
-      spectrum, as np.fft.rfft returns them (a_hat_profile).  The values at
+      spectrum, as np.fft.rfft returns them (a_hat_profile and the
+      approximation residual of approx_error_profile).  The values at
       k > M/2 are the conjugates of those at M - k, so apply and kernel run
       real transforms of half the work and return real arrays.
 
@@ -218,19 +220,14 @@ def a_kernel(N: int, prog: Progression, M: int, tables: ArithTables) -> np.ndarr
     return kernel
 
 
-def _padded_a_kernel(N: int, prog: Progression, M: int, tables: ArithTables) -> np.ndarray:
-    """a_kernel on a grid M >= N that passes _guard_grid."""
-    if M < N:
-        raise ValueError(f"grid M={M} smaller than N={N}")
-    _guard_grid(M)
-    return a_kernel(N, prog, M, tables)
-
-
 def a_hat_profile(
     N: int, prog: Progression, M: int, tables: ArithTables
 ) -> SpectralProfile:
-    """a_hat on the grid {k/M}, as the half profile rfft of the padded real kernel."""
-    return SpectralProfile(M, np.fft.rfft(_padded_a_kernel(N, prog, M, tables)))
+    """a_hat on the grid {k/M}, M >= N, as the half profile rfft of the padded real kernel."""
+    if M < N:
+        raise ValueError(f"grid M={M} smaller than N={N}")
+    _guard_grid(M)
+    return SpectralProfile(M, np.fft.rfft(a_kernel(N, prog, M, tables)))
 
 
 def a_hat_uniform_grid(
@@ -316,27 +313,35 @@ def l_hat(
     return complex(point.upsilon * m_hat(ell * d, N / ell) * cutoff(ell * ell * d))
 
 
-def _l_hat_window(point: FareyPoint, N: int, M: int):
-    """Grid indices inside the support of l_hat at this point, and the values there."""
+def _l_hat_window(point: FareyPoint, N: int, M: int, half: bool = False):
+    """Grid indices inside the support of l_hat at this point, and the values there.
+
+    With half, only the indices 0 <= k <= M/2 of a Hermitian half are kept.
+    """
     ell = point.ell
     radius = CUTOFF_OUTER / ell**2
     c = point.center
     k0 = math.floor((c - radius) * M) + 1
     k1 = math.ceil((c + radius) * M) - 1
+    if half:
+        k0, k1 = max(k0, 0), min(k1, M // 2)
     k = np.arange(k0, k1 + 1)
     d = k / M - c
     vals = point.upsilon * m_hat(ell * d, N / ell) * cutoff(ell * ell * d)
     return k % M, vals
 
 
-def _l_hat_windows(N, prog, q_cut, M, height_min=1, height_max=None):
-    """The l_hat windows of the Farey points with q < q_cut in the height band, in order."""
+def _l_hat_windows(N, prog, q_cut, M, height_min=1, height_max=None, half=False):
+    """The l_hat windows of the Farey points with q < q_cut in the height band, in order.
+
+    With half, the windows are clipped to 0 <= k <= M/2.
+    """
     for p in farey_points(max(q_cut - 1, 1), prog):
         if p.q >= q_cut or p.height < max(height_min, 1):
             continue
         if height_max is not None and p.height > height_max:
             continue
-        yield _l_hat_window(p, N, M)
+        yield _l_hat_window(p, N, M, half)
 
 
 def approximant_hat(
@@ -444,12 +449,16 @@ def approx_error_profile(
     M: int,
     tables: ArithTables,
 ) -> tuple[float, SpectralProfile]:
-    """Residual a_hat - approximant on the full grid; returns (sup error, profile)."""
+    """Residual a_hat - approximant as a half profile; returns (sup error, profile).
+
+    Both a_hat and the approximant are spectra of real kernels, so the
+    residual is Hermitian and its M//2 + 1 values at k <= M/2 determine it.
+    """
     _warn_qcut(q_cut, N)
-    # all M values, not the half form: the windows below and cmd_approx touch every k
-    prof = SpectralProfile(M, np.fft.fft(_padded_a_kernel(N, prog, M, tables)))
-    # In place, window by window: at y = 1 the window of 0/1 overlaps those of
-    # a/q for q >= 4, so subtracting a pre-summed approximant changes last bits.
-    for idx, vals in _l_hat_windows(N, prog, q_cut, M):
+    prof = a_hat_profile(N, prog, M, tables)
+    # In place, window by window, each clipped to k <= M/2: at y = 1 the window
+    # of 0/1 overlaps those of a/q for q >= 4, so subtracting a pre-summed
+    # approximant changes last bits.
+    for idx, vals in _l_hat_windows(N, prog, q_cut, M, half=True):
         prof.values[idx] -= vals
     return prof.sup(), prof

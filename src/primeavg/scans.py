@@ -11,6 +11,7 @@ that is echoed into the parameters.
 from __future__ import annotations
 
 import concurrent.futures
+import multiprocessing
 
 import numpy as np
 
@@ -68,9 +69,15 @@ def input_families(
 
 
 def _run_cells(cell_fn, cells: list[tuple], workers: int) -> list[dict]:
-    """Rows of every cell in cell order, on a process pool when workers > 1."""
+    """Rows of every cell in cell order, on a process pool when workers > 1.
+
+    The pool forks where the platform can, so the workers inherit the tables
+    the parent sieved; other start methods re-sieve in each worker.
+    """
     if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        fork = "fork" in multiprocessing.get_all_start_methods()
+        context = multiprocessing.get_context("fork") if fork else None
+        with concurrent.futures.ProcessPoolExecutor(workers, mp_context=context) as pool:
             return [row for rows in pool.map(cell_fn, cells) for row in rows]
     return [row for cell in cells for row in cell_fn(cell)]
 
@@ -132,6 +139,8 @@ def improving_scan(
                 raise ValueError(f"N={N} below desk-scale floor {floor}*y for y={y}")
             cells.append((N, y, default_residue(y), list(r_list), densities, seed))
 
+    if cells:
+        build_tables(max(N_list))  # one sieve, inherited by forked workers as cached views
     rows = _run_cells(_improving_cell, cells, workers)
 
     max_ratio: dict[tuple, dict[int, float]] = {}
@@ -234,6 +243,8 @@ def maximal_scan(
         for b in bs:
             cells.append((list(N_list), y, b, r, lambdas, densities, seed))
 
+    if cells:
+        build_tables(max(N_list))  # one sieve, inherited by forked workers as cached views
     rows = _run_cells(_maximal_cell, cells, workers)
 
     max_by_yb: dict[tuple, float] = {}

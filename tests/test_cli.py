@@ -251,6 +251,15 @@ def test_approx_max_rows_zero_exits_two(tmp_path, capsys):
     assert "max_rows must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("qcut", ["0", "1"])
+def test_approx_qcut_below_two_exits_two(tmp_path, capsys, qcut):
+    # below 2 no Farey point is subtracted: the residual would be a_hat itself
+    rc = main(["approx", "--N", "1024", "--qcut", qcut, "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert "qcut must be >= 2" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def _forbid_verify_suites(monkeypatch, why):
     import primeavg.cli as cli
 

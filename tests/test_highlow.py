@@ -87,6 +87,30 @@ def test_phi_kernel_real_and_round_trips(tables):
     assert np.abs(back - expected).max() < 1e-9
 
 
+@pytest.mark.parametrize(
+    "N, y, b, q, M",
+    [
+        (1 << 12, 1, 0, 1, 1 << 14),
+        (1 << 12, 3, 1, 2, 1 << 14),
+        (1 << 10, 5, 2, 3, 1 << 16),
+        (1 << 12, 6, 5, 5, 1 << 15),
+    ],
+)
+def test_phi_kernel_window_matches_full_grid(N, y, b, q, M):
+    # the spectrum evaluated on its support equals the full-grid product,
+    # whose values outside the window are exactly 0
+    from primeavg.highlow import _phi_hat, _wrapped_grid
+    from primeavg.multiplier import m_hat
+
+    cfg = _cfg(N=N, y=y, b=b, Q=2, M=M)
+    ell = math.lcm(y, q)
+    xi = _wrapped_grid(M)
+    full = m_hat(ell * xi, N / ell) * cutoff(ell * ell * xi)
+    assert np.array_equal(_phi_hat(cfg, q), full)
+    oracle = SpectralProfile(M, full).kernel()
+    assert np.abs(phi_kernel(cfg, q) - oracle).max() <= 1e-15 * np.abs(oracle).max()
+
+
 def test_phi_kernel_decay_envelope(tables):
     # the kernel concentrates on the one-sided window [0, N); the smooth
     # cutoff forces superpolynomial decay outside it

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from primeavg.expsums import FareyPoint
 from primeavg.multiplier import (
+    _l_hat_windows,
     ARC_J,
     CUTOFF_OUTER,
     POINTS_PER_UNIT,
@@ -29,7 +30,7 @@ from primeavg.multiplier import (
     pow2_at_least,
     sup_abs,
 )
-from primeavg.tables import Progression, build_tables, default_residue
+from primeavg.tables import Progression, build_tables, default_residue, reduced_residues
 
 
 # ---------------------------------------------------------------------------
@@ -319,20 +320,65 @@ def test_major_arc_error_off_zero_matches_pointwise(tables):
     assert abs(major_arc_error(N, prog, p, tables=tables) - expected) < 1e-12
 
 
+def _full_residual(N, prog, q_cut, M, tables):
+    """The residual on all M values, every window unclipped: the oracle of the half path."""
+    values = _full_a_hat_profile(N, prog, M, tables).values
+    for idx, vals in _l_hat_windows(N, prog, q_cut, M):
+        values[idx] -= vals
+    return SpectralProfile(M, values)
+
+
 def test_approx_error_profile_residual(tables):
-    prog = Progression(1, 0)
+    # the half residual against the full-grid oracle, at every y of the scans
     N = 1 << 12
-    sup, residual = approx_error_profile(N, prog, 16, M=4 * N, tables=tables)
-    assert sup == pytest.approx(float(np.abs(residual.values).max()))
-    assert residual.grid_size == 4 * N
-    # hermitian symmetry of a real-kernel residual
-    v = residual.values
-    assert np.allclose(v[1:], np.conj(v[1:][::-1]), atol=1e-9)
+    M = 4 * N
+    for y in (1, 3, 5):
+        prog = Progression(y, default_residue(y))
+        sup, residual = approx_error_profile(N, prog, 16, M=M, tables=tables)
+        assert residual.grid_size == M
+        assert residual.half_spectrum and len(residual.values) == M // 2 + 1
+        assert sup == float(np.abs(residual.values).max())
+        full = _full_residual(N, prog, 16, M, tables)
+        # hermitian symmetry of a real-kernel residual
+        v = full.values
+        assert np.allclose(v[1:], np.conj(v[1:][::-1]), atol=1e-9)
+        # rfft and fft round differently, on the scale of a_hat's peak, not the residual's
+        peak = a_hat_profile(N, prog, M, tables).sup()
+        assert np.abs(residual.values - v[: M // 2 + 1]).max() <= 1e-15 * peak
+        assert sup == pytest.approx(full.sup(), rel=1e-14)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    y=st.sampled_from([1, 3, 5]),
+    pick=st.integers(0, 3),
+    q_cut=st.integers(2, 12),
+    log_m=st.integers(10, 13),
+)
+def test_half_windows_cover_full_windows_on_half(y, pick, q_cut, log_m):
+    # clipping to k <= M/2 drops no nonzero value there, and keeps each value
+    # bit for bit
+    residues = reduced_residues(y)
+    prog = Progression(y, int(residues[pick % len(residues)]))
+    M = 1 << log_m
+    N, half = M // 4, M // 2
+    full = np.zeros(half + 1, dtype=np.complex128)
+    for idx, vals in _l_hat_windows(N, prog, q_cut, M):
+        keep = idx <= half
+        full[idx[keep]] += vals[keep]
+    clipped = np.zeros(half + 1, dtype=np.complex128)
+    covered = np.zeros(half + 1, dtype=bool)
+    for idx, vals in _l_hat_windows(N, prog, q_cut, M, half=True):
+        assert len(idx) == 0 or (idx.min() >= 0 and idx.max() <= half)
+        clipped[idx] += vals
+        covered[idx] = True
+    assert covered[full != 0].all()
+    assert np.array_equal(clipped, full)
 
 
 @pytest.mark.parametrize("y, b", [(1, 0), (3, 1)])
 def test_approx_error_profile_matches_pointwise_oracles(tables, y, b):
-    # the residual, built in place on a_hat's grid, against the pointwise
+    # the residual, built in place on a_hat's half grid, against the pointwise
     # oracles at every Farey centre, a point inside each window, and uniform draws
     N, q_cut = 1 << 12, 16
     M = 4 * N
@@ -342,9 +388,12 @@ def test_approx_error_profile_matches_pointwise_oracles(tables, y, b):
     centres = [round(p.center * M) for p in points]
     draws = np.random.default_rng(11).integers(0, M, 32).tolist()
     ks = sorted({k % M for c in centres for k in (c, c + 7)} | set(draws))
+    # the half holds k <= M/2; above, the residual is the conjugate at M - k
+    half = residual.values
+    values = np.concatenate((half, np.conj(half[-2:0:-1])))
     worst = max(
         abs(
-            residual.values[k]
+            values[k]
             - (a_hat(k / M, N, prog, tables) - approximant_hat(k / M, N, prog, q_cut, points=points))
         )
         for k in ks

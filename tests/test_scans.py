@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -161,6 +163,49 @@ def test_maximal_scan_workers_deterministic():
     serial = maximal_scan(**_small_maximal_config())
     parallel = maximal_scan(**_small_maximal_config(), workers=4)
     assert serial == parallel
+
+
+@pytest.mark.parametrize("scan", ["improving", "maximal"])
+def test_scan_sieves_once(monkeypatch, scan):
+    # one sieve up to max(N_list) serves every cell as a cached view
+    from primeavg import tables as tables_mod
+
+    monkeypatch.setattr(tables_mod, "_TABLE_CACHE", {})
+    sieved = []
+    sieve = tables_mod._sieve
+    monkeypatch.setattr(tables_mod, "_sieve", lambda n: sieved.append(n) or sieve(n))
+    if scan == "improving":
+        improving_scan(**_small_improving_config(), workers=1)
+    else:
+        maximal_scan(**_small_maximal_config(), workers=1)
+    assert sieved == [1 << 11]  # max(N_list)
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="workers inherit only by fork"
+)
+@pytest.mark.parametrize("scan", ["improving", "maximal"])
+def test_scan_workers_reuse_parent_sieve(monkeypatch, scan):
+    # the forked workers inherit the parent's table and this patched sieve,
+    # so a worker that sieved again would raise through the pool
+    from primeavg import tables as tables_mod
+
+    monkeypatch.setattr(tables_mod, "_TABLE_CACHE", {})
+    sieved = []
+    sieve = tables_mod._sieve
+
+    def sieve_once(n):
+        if sieved:
+            raise AssertionError(f"second sieve up to {n}")
+        sieved.append(n)
+        return sieve(n)
+
+    monkeypatch.setattr(tables_mod, "_sieve", sieve_once)
+    if scan == "improving":
+        improving_scan(**_small_improving_config(), workers=2)
+    else:
+        maximal_scan(**_small_maximal_config(), workers=2)
+    assert sieved == [1 << 11]
 
 
 # ---------------------------------------------------------------------------
