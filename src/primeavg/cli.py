@@ -129,7 +129,7 @@ def cmd_verify(cfg: dict) -> tuple[list[dict], dict, bool]:
         "cohen_progression": verify_cohen_progression(
             cohen_qmax, int(cfg.get("cohen_ymax", 24)), tables
         ),
-        "divisor_identity": verify_divisor_identity(200, tables),
+        "divisor_identity": verify_divisor_identity(200),
         "height_class_count": (height_bad, height_cases),
     }
     rows = [
@@ -281,11 +281,11 @@ def cmd_ramanujan_avg(cfg: dict) -> tuple[list[dict], dict, bool]:
         raise ConfigError(f"t must be >= 1, got {t}")
     if len(set(Q_list)) < 2:
         raise ConfigError(f"fitting an exponent needs at least two distinct Q values, got {Q_list}")
-    tables = build_tables(max(16 * prog.y * Q**t for Q in Q_list))
+    build_tables(max(Q_list))  # one sieve; every tau_q row reads mu from it as a view
     rows = []
     for Q in Q_list:
         M = 16 * prog.y * Q**t
-        lhs = bourgain_average(Q, M, prog, t, tables)
+        lhs = bourgain_average(Q, M, prog, t)
         rows.append({"Q": Q, "M": M, "t": t, "lhs": lhs, "lhs_over_Q125": lhs / Q**1.25})
     exponent = fit_exponent([r["Q"] for r in rows], [r["lhs"] for r in rows])
     cap = cfg.get("exponent_cap")

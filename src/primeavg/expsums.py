@@ -7,6 +7,7 @@ verification sweeps compare the two and report the worst discrepancy.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -56,23 +57,19 @@ def ramanujan_sum_closed(q: int, x: int, tables: ArithTables) -> int:
     return int(sum(d * int(tables.mobius[q // d]) for d in _divisors(g)))
 
 
-_TAU_TABLE_CACHE: dict[int, np.ndarray] = {}
-
-
-def ramanujan_table(q: int, tables: ArithTables) -> np.ndarray:
+@functools.cache
+def ramanujan_table(q: int) -> np.ndarray:
     """tau_q(x) for x in [0, q) as sum over d | q of d mu(q/d) [d | x]; index by x mod q.
 
-    The same closed form as ramanujan_sum_closed, over the whole x array at once.
+    The same closed form as ramanujan_sum_closed, over the whole x array at
+    once; mu comes from the cached tables, a view of any larger table sieved.
     """
-    cached = _TAU_TABLE_CACHE.get(q)
-    if cached is None:
-        x = np.arange(q)
-        cached = np.zeros(q, dtype=np.int64)
-        for d in _divisors(q):
-            cached += d * int(tables.mobius[q // d]) * (x % d == 0)
-        cached.setflags(write=False)
-        _TAU_TABLE_CACHE[q] = cached
-    return cached
+    mobius, x = build_tables(max(q, 2)).mobius, np.arange(q)
+    table = np.zeros(q, dtype=np.int64)
+    for d in _divisors(q):
+        table += d * int(mobius[q // d]) * (x % d == 0)
+    table.setflags(write=False)
+    return table
 
 
 def divisor_tau_check(r: int, x: int, tables: ArithTables) -> int:
@@ -80,7 +77,7 @@ def divisor_tau_check(r: int, x: int, tables: ArithTables) -> int:
     return sum(ramanujan_sum_closed(d, x, tables) for d in _divisors(r))
 
 
-def verify_divisor_identity(rmax: int, tables: ArithTables) -> tuple[int, int]:
+def verify_divisor_identity(rmax: int) -> tuple[int, int]:
     """(failures, pairs checked) of divisor_tau_check's identity over r <= rmax, x < 2r.
 
     Each r is one array sum of ramanujan_table rows over its divisors;
@@ -89,7 +86,7 @@ def verify_divisor_identity(rmax: int, tables: ArithTables) -> tuple[int, int]:
     bad = count = 0
     for r in range(1, rmax + 1):
         x = np.arange(2 * r)
-        lhs = sum(ramanujan_table(d, tables)[x % d] for d in _divisors(r))
+        lhs = sum(ramanujan_table(d)[x % d] for d in _divisors(r))
         bad += int(np.count_nonzero(lhs != np.where(x % r == 0, r, 0)))
         count += 2 * r
     return bad, count
@@ -153,7 +150,7 @@ def cohen_progression_check(
     g = math.gcd(q, y)
     if math.gcd(b, g) != 1:
         raise ValueError(f"gcd(b, g) must be 1, got b={b}, g={g}")
-    tau_q = ramanujan_table(q, tables)
+    tau_q = ramanujan_table(q)
     t = _progression_residues(q, y, b)
     lhs = complex(tau_q[(x + t) % q].sum())
     if g < q and math.gcd(g, q // g) > 1:
@@ -283,9 +280,7 @@ def verify_height_classes(ymax: int, rmax: int, tables: ArithTables) -> tuple[in
 # Bourgain-type averages
 
 
-def bourgain_average(
-    Q: int, M: int, prog: Progression, t: int, tables: ArithTables
-) -> float:
+def bourgain_average(Q: int, M: int, prog: Progression, t: int) -> float:
     """[(y/M) sum over n <= M in the progression of (sum_{q<=Q, (q,y)=1} |tau_q(n)|)^t]^(1/t)."""
     y = prog.y
     if Q**t * y >= M:
@@ -299,7 +294,7 @@ def bourgain_average(
     for q in range(1, Q + 1):
         if math.gcd(q, y) != 1:
             continue
-        tau = ramanujan_table(q, tables)
+        tau = ramanujan_table(q)
         inner += np.abs(tau[n % q])
     return float(((y / M) * (inner**t).sum()) ** (1.0 / t))
 
@@ -424,14 +419,14 @@ def verify_cohen_progression(
     """
     worst = 0.0
     for q in range(1, qmax + 1):
-        tau_q = ramanujan_table(q, tables)
+        tau_q = ramanujan_table(q)
         x = np.arange(q)
         for g in sorted({math.gcd(q, y) for y in range(1, ymax + 1)}):
             degenerate = g < q and math.gcd(g, q // g) > 1
             if not degenerate:
                 mu_qg = int(tables.mobius[q // g])
-                tau_qg = ramanujan_table(q // g, tables)
-                tau_g = ramanujan_table(g, tables)
+                tau_qg = ramanujan_table(q // g)
+                tau_g = ramanujan_table(g)
             for c in reduced_residues(g).tolist():
                 t = _progression_residues(q, g, c)
                 lhs = tau_q[(x[:, None] + t[None, :]) % q].sum(axis=1)

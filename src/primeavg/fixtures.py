@@ -9,6 +9,7 @@ ceilings, fitted exponents).  Each entry carries a comparison kind:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -64,8 +65,6 @@ def check_fixture(name: str, measured: float, fixtures: dict | None = None) -> b
 # the measurement procedure can never drift apart.  Shared sweeps are cached
 # per process.
 
-_SWEEP_CACHE: dict = {}
-
 
 def _measure_near_zero(y: int, b: int, N: int) -> float:
     return near_zero_error(N, Progression(y, b), tables=build_tables(N))
@@ -87,15 +86,9 @@ def _measure_dual_path_worst() -> float:
     return worst
 
 
+@functools.cache
 def _bourgain_sweep(y: int, b: int) -> list[float]:
-    key = ("bourgain", y, b)
-    if key not in _SWEEP_CACHE:
-        tables = build_tables(1 << 18)
-        _SWEEP_CACHE[key] = [
-            bourgain_average(Q, 16 * y * Q * Q, Progression(y, b), 2, tables)
-            for Q in (4, 8, 16, 32)
-        ]
-    return _SWEEP_CACHE[key]
+    return [bourgain_average(Q, 16 * y * Q * Q, Progression(y, b), 2) for Q in (4, 8, 16, 32)]
 
 
 def _measure_bourgain_exponent(y: int, b: int) -> float:
@@ -136,26 +129,23 @@ def _measure_improving_max(y: int, b: int) -> float:
     return max(row["ratio"] for row in rows)
 
 
+@functools.cache
 def _maximal_summary() -> dict:
-    if "maximal" not in _SWEEP_CACHE:
-        _SWEEP_CACHE["maximal"] = maximal_scan(
-            N_list=[1 << k for k in range(10, 17)],
-            y_list=[1, 5],
-            r=2.0,
-            lambda_grid=[2.0**-k for k in range(1, 7)],
-            seed=0,
-            b_sweep=True,
-            n_floor_factor=128,
-        )[1]["summary"]
-    return _SWEEP_CACHE["maximal"]
+    return maximal_scan(
+        N_list=[1 << k for k in range(10, 17)],
+        y_list=[1, 5],
+        r=2.0,
+        lambda_grid=[2.0**-k for k in range(1, 7)],
+        seed=0,
+        b_sweep=True,
+        n_floor_factor=128,
+    )[1]["summary"]
 
 
+@functools.cache
 def multifrequency_adapted_ratios(D: int = 12, M: int = 1 << 18) -> list[float]:
     """Per point count, the maximal-projection ratio on an input whose
     spectrum fills exactly the bands in play (the operator-norm probe)."""
-    key = ("multifrequency", D, M)
-    if key in _SWEEP_CACHE:
-        return _SWEEP_CACHE[key]
     n0 = 2 * math.ceil(math.log2(D)) + 1
     out = []
     for k in (1, 2, 4, 8, 12):
@@ -163,7 +153,6 @@ def multifrequency_adapted_ratios(D: int = 12, M: int = 1 << 18) -> list[float]:
         # inverse transform is complex; the probe input keeps its real part
         f = np.fft.ifft(multifrequency_profile(D, k, n0, M).values).real
         out.append(multifrequency_max_ratio(D, k, M, f))
-    _SWEEP_CACHE[key] = out
     return out
 
 

@@ -128,7 +128,7 @@ def lo_kernel_closed(cfg: DecompositionConfig, tables: ArithTables) -> np.ndarra
         if mu == 0:
             continue
         phi_vals = phi_kernel(cfg, qp)
-        tau_vals = ramanujan_table(qp, tables)[x % qp]
+        tau_vals = ramanujan_table(qp)[x % qp]
         out += phi_vals * (mu / int(tables.totient[qp])) * tau_vals
     mask = (x - b) % y == 0
     return y * mask * out

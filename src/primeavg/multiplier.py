@@ -24,6 +24,7 @@ besides the prime-power support.  The pointwise a_hat stays as its oracle.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -43,9 +44,7 @@ POINTS_PER_UNIT = 64
 # Smooth cutoff
 
 
-_MOLLIFIER_TABLE: tuple[np.ndarray, np.ndarray] | None = None
-
-
+@functools.cache
 def _mollifier_tail() -> tuple[np.ndarray, np.ndarray]:
     """Upper-tail mass of the normalized bump exp(1 - 1/(1 - v^2)) on [-1, 1].
 
@@ -53,16 +52,13 @@ def _mollifier_tail() -> tuple[np.ndarray, np.ndarray]:
     derivatives vanishing at the endpoints, so the trapezoid sums converge
     faster than any power of the spacing.
     """
-    global _MOLLIFIER_TABLE
-    if _MOLLIFIER_TABLE is None:
-        v = np.linspace(-1.0, 1.0, (1 << 20) + 1)
-        rho = np.zeros_like(v)
-        inner = np.abs(v) < 1.0
-        rho[inner] = np.exp(1.0 - 1.0 / (1.0 - v[inner] ** 2))
-        steps = (rho[1:] + rho[:-1]) * (0.5 * (v[1] - v[0]))
-        mass = np.concatenate(([0.0], np.cumsum(steps)))
-        _MOLLIFIER_TABLE = (v, 1.0 - mass / mass[-1])
-    return _MOLLIFIER_TABLE
+    v = np.linspace(-1.0, 1.0, (1 << 20) + 1)
+    rho = np.zeros_like(v)
+    inner = np.abs(v) < 1.0
+    rho[inner] = np.exp(1.0 - 1.0 / (1.0 - v[inner] ** 2))
+    steps = (rho[1:] + rho[:-1]) * (0.5 * (v[1] - v[0]))
+    mass = np.concatenate(([0.0], np.cumsum(steps)))
+    return v, 1.0 - mass / mass[-1]
 
 
 # The cutoff vanishes for |u| >= CUTOFF_OUTER.
@@ -326,7 +322,7 @@ def _l_hat_window(point: FareyPoint, N: int, M: int, half: bool = False):
     if half:
         k0, k1 = max(k0, 0), min(k1, M // 2)
     k = np.arange(k0, k1 + 1)
-    d = k / M - c
+    d = (k * point.q - point.a * M) / (point.q * M)  # k/M - a/q from one exact numerator
     vals = point.upsilon * m_hat(ell * d, N / ell) * cutoff(ell * ell * d)
     return k % M, vals
 

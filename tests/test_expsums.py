@@ -33,9 +33,9 @@ from primeavg.tables import Progression, build_tables, reduced_residues
 # Plain Ramanujan sums
 
 
-def test_ramanujan_direct_equals_closed_exhaustive(tables):
+def test_ramanujan_direct_equals_closed_exhaustive():
     for q in range(1, 129):
-        tau = ramanujan_table(q, tables)
+        tau = ramanujan_table(q)
         for x in range(2 * q):
             assert abs(ramanujan_sum(q, x) - tau[x % q]) < 1e-8
 
@@ -78,7 +78,7 @@ def test_divisor_identity_examples(tables):
 @given(q=st.integers(1, 400))
 def test_ramanujan_table_matches_closed_form(q):
     tables = build_tables(1 << 12)
-    tau = ramanujan_table(q, tables)
+    tau = ramanujan_table(q)
     assert tau.tolist() == [ramanujan_sum_closed(q, x, tables) for x in range(q)]
 
 
@@ -97,7 +97,7 @@ def test_progression_ramanujan_reduces_to_plain(tables):
     for q in range(1, 40):
         for a in reduced_residues(q):
             v = progression_ramanujan_direct(q, 1, 0, int(a))
-            tau = ramanujan_table(q, tables)
+            tau = ramanujan_table(q)
             # direct sum over all units of e(ax/q) with x = r a... here it is
             # sum_{r in A_q} e(r a / q) = tau_q(a) = mu(q) for (a, q) = 1
             assert abs(v - int(tables.mobius[q])) < 1e-8
@@ -246,32 +246,32 @@ def test_farey_point_build(tables):
 # Moment averages
 
 
-def test_bourgain_average_trivial_Q1(tables):
+def test_bourgain_average_trivial_Q1():
     # exactly 1 when the term count matches M/y; off by O(y/M) otherwise
-    assert bourgain_average(1, 501, Progression(3, 1), 2, tables) == pytest.approx(1.0)
-    assert bourgain_average(1, 500, Progression(3, 1), 2, tables) == pytest.approx(1.0, abs=3 / 500)
+    assert bourgain_average(1, 501, Progression(3, 1), 2) == pytest.approx(1.0)
+    assert bourgain_average(1, 500, Progression(3, 1), 2) == pytest.approx(1.0, abs=3 / 500)
 
 
-def test_bourgain_average_bruteforce_t1(tables):
+def test_bourgain_average_bruteforce_t1():
     # (1/200) sum_{n<=200} (1 + |tau_2| + |tau_3| + |tau_4|)
     n = np.arange(1, 201)
     inner = np.ones(200)
     for q in (2, 3, 4):
-        tau = ramanujan_table(q, tables)
+        tau = ramanujan_table(q)
         inner += np.abs(tau[n % q])
     expected = inner.sum() / 200
-    assert bourgain_average(4, 200, Progression(1, 0), 1, tables) == pytest.approx(expected)
+    assert bourgain_average(4, 200, Progression(1, 0), 1) == pytest.approx(expected)
 
 
-def test_bourgain_average_warns_on_short_average(tables):
+def test_bourgain_average_warns_on_short_average():
     import warnings
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(UserWarning):
-            bourgain_average(8, 50, Progression(1, 0), 2, tables)
+            bourgain_average(8, 50, Progression(1, 0), 2)
 
 
-def test_bourgain_average_overflow_guard(tables):
+def test_bourgain_average_overflow_guard():
     with pytest.raises(OverflowError):
-        bourgain_average(4, 100, Progression(1, 0), 40, tables)
+        bourgain_average(4, 100, Progression(1, 0), 40)

@@ -162,7 +162,7 @@ def _full_a_hat_profile(N, prog, M, tables):
     seed=st.integers(0, 2**32 - 1),
 )
 @example(N=2999, y=3, pad=0, seed=0)  # M = 4096 < 2N: the cyclic wrap is exercised
-@example(N=1024, y=5, pad=2, seed=1)  # N a power of two, M = 4N as in the scans
+@example(N=1024, y=5, pad=1, seed=1)  # N a power of two, M = 2N as in the scans
 def test_a_hat_profile_real_apply_matches_full_spectrum(N, y, pad, seed):
     # the rfft/irfft path against the complex fft/ifft path on random real f
     prog = Progression(y, default_residue(y))
@@ -284,6 +284,16 @@ def test_approximant_profile_matches_pointwise(tables):
     prof = approximant_profile(N, prog, 8, M)
     for k in (0, 3, 341, 1365, 2048, 4095):
         assert abs(prof.values[k] - approximant_hat(k / M, N, prog, 8)) < 1e-9
+
+
+@pytest.mark.parametrize("y, b", [(1, 0), (3, 1), (5, 1)])
+def test_approximant_profile_hermitian_to_rounding(y, b):
+    # the window offsets k/M - a/q come from one exact integer numerator, so
+    # the windows at a/q and (q - a)/q are conjugate up to Upsilon's rounding
+    M = 1 << 18
+    v = approximant_profile(1 << 16, Progression(y, b), 32, M).values
+    asymmetry = np.abs(v[1:] - np.conj(v[:0:-1])).max()  # v[k] against conj v[M - k]
+    assert asymmetry <= 1e-15 * np.abs(v).max()
 
 
 def test_approximant_minor_arc_vanishes():

@@ -2,17 +2,22 @@ import multiprocessing
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from primeavg import scans
 from primeavg.cli import _csv_text
-from primeavg.multiplier import a_hat_profile, a_kernel, indicator, pow2_at_least
+from primeavg.multiplier import a_hat_profile, a_kernel, indicator, pow2_at_least, sup_abs
 from primeavg.scans import (
+    _improving_cell,
     _improving_value,
+    _maximal_cell,
     fit_exponent,
     improving_scan,
     input_families,
     maximal_scan,
 )
-from primeavg.tables import Progression
+from primeavg.tables import Progression, reduced_residues
 
 
 # ---------------------------------------------------------------------------
@@ -37,9 +42,86 @@ def test_improving_ratio_single_point_closed_form(tables):
     num = ((2 / N * tables.von_mangoldt[n]) ** rp).sum() ** (1 / rp)
     den = (3 / N) ** (1 / r - 1 / rp)
     expected = num / den
-    M = pow2_at_least(4 * N)
-    conv = a_hat_profile(N, prog, M, tables).apply(indicator([0], M))
-    assert _improving_value(conv, r, prog.y, N, 1) == pytest.approx(expected, rel=1e-10)
+    for M in (pow2_at_least(2 * N), pow2_at_least(4 * N)):  # the scans' grid, and twice it
+        conv = a_hat_profile(N, prog, M, tables).apply(indicator([0], M))
+        assert _improving_value(conv, r, prog.y, N, 1) == pytest.approx(expected, rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# Scan grids: the cell's cyclic convolution against one on twice the grid
+
+
+def _run_cell_recording_grids(cell, payload):
+    """The cell's rows and the set of grid sizes it built its profiles on."""
+    grids = set()
+
+    def spy(N, prog, M, tables):
+        grids.add(M)
+        return a_hat_profile(N, prog, M, tables)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scans, "a_hat_profile", spy)
+        rows = cell(payload)
+    return rows, grids
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    N=st.integers(64, 3000),
+    y=st.sampled_from([1, 3, 5]),
+    pick=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(N=3000, y=3, pick=1, seed=0)  # N not a power of two
+@example(N=2048, y=5, pick=3, seed=1)  # the conv fills [0, 2N - 1) of M = 2N
+def test_improving_cell_grid_holds_linear_convolution(tables, N, y, pick, seed):
+    residues = reduced_residues(y)
+    b = int(residues[pick % len(residues)])
+    prog = Progression(y, b)
+    rows, grids = _run_cell_recording_grids(_improving_cell, (N, y, b, [1.25, 1.5], (3, 5), seed))
+    (M,) = grids
+    big = pow2_at_least(4 * N)
+    assert M < big
+    fams = input_families(N, prog, np.random.default_rng(seed), (3, 5), tables=tables)
+    small_prof, big_prof = a_hat_profile(N, prog, M, tables), a_hat_profile(N, prog, big, tables)
+    expected = []
+    for F in fams.values():
+        conv, oracle = small_prof.apply(indicator(F, M)), big_prof.apply(indicator(F, big))
+        peak = np.abs(oracle).max()
+        # the cell's grid holds the first M >= 2N entries of the twice-longer conv ...
+        assert np.abs(conv - oracle[:M]).max() <= 1e-14 * peak
+        # ... and past 2N the conv is zero, so there is nothing to wrap
+        assert np.abs(oracle[2 * N :]).max() <= 1e-14 * peak
+        expected += [_improving_value(oracle, r, y, N, len(F)) for r in (1.25, 1.5)]
+    assert [row["ratio"] for row in rows] == pytest.approx(expected, rel=1e-14)
+
+
+@pytest.mark.parametrize("y", [1, 3, 5])
+def test_maximal_cell_grid_keeps_weak_counts(tables, y):
+    N_list, lambdas, r = [1000, 2048, 3000], [2.0**-k for k in range(1, 7)], 2.0
+    for b in reduced_residues(y):
+        prog = Progression(y, int(b))
+        rows, grids = _run_cell_recording_grids(
+            _maximal_cell, (N_list, y, int(b), r, lambdas, (3,), 0)
+        )
+        (M,) = grids
+        big = pow2_at_least(4 * max(N_list))
+        assert M < big
+        fams = input_families(max(N_list), prog, np.random.default_rng(0), (3,))
+        strong, weak = {}, {}
+        for name, F in fams.items():
+            sups = [
+                sup_abs([a_hat_profile(N, prog, m, tables) for N in N_list], indicator(F, m))
+                for m in (M, big)
+            ]
+            for lam in lambdas:
+                exceed = int((sups[1] > lam).sum())
+                assert (sups[0] > lam).sum() == exceed
+                weak[name, lam] = lam * exceed ** (1.0 / r) / len(F) ** (1.0 / r)
+            strong[name] = (sups[1] ** r).sum() ** (1 / r) / len(F) ** (1 / r)
+        for row in rows:
+            assert row["weak_ratio"] == weak[row["family"], row["lambda"]]
+            assert row["strong_ratio"] == pytest.approx(strong[row["family"]], rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
