@@ -17,6 +17,7 @@ import csv
 import inspect
 import io
 import json
+import math
 import os
 import sys
 import warnings
@@ -26,6 +27,7 @@ import numpy as np
 from . import __version__
 from .expsums import (
     bourgain_average,
+    height,
     verify_cohen_progression,
     verify_divisor_identity,
     verify_gauss_upsilon,
@@ -37,11 +39,11 @@ from .highlow import (
     DecompositionConfig,
     dual_path_rel,
     hi_hat_profile,
-    hi_l2_ratio,
+    hi_l2_ratios,
     lo_hat_profile,
     lo_linf_ratio,
 )
-from .multiplier import approx_error_profile, approximant_profile, near_zero_error
+from .multiplier import approx_error_profile, approximant_profile, approximant_windows, near_zero_error
 from .scans import fit_exponent, improving_scan, maximal_scan
 from .tables import Progression, build_tables, default_residue, sw_error_report
 
@@ -98,6 +100,20 @@ def _prog_from(cfg: dict) -> Progression:
     y = int(cfg.get("y", 1))
     b = int(cfg.get("b", default_residue(y)))
     return Progression(y, b)
+
+
+def _check_qcut(N: int, y: int, q_cut: int) -> None:
+    """Reject a q_cut that admits a window averaging over N/lcm(y, q) < 1 terms."""
+    for q in range(1, q_cut):
+        if math.lcm(y, q) > N and height(q, y) > 0:
+            raise ConfigError(f"q_cut={q_cut} admits q={q} with lcm(y, q)={math.lcm(y, q)} > N={N}")
+
+
+def _check_phi(y: int, M: int, Q: int, mobius) -> None:
+    """Reject a Q whose Low kernel needs Phi at lcm(y, q')^2 > M/4 (q' < Q, (q', y) = 1, mu(q') != 0)."""
+    for qp in range(1, Q):
+        if math.gcd(qp, y) == 1 and mobius[qp] and (y * qp) ** 2 > M // 4:
+            raise ConfigError(f"--Q-list {Q} needs Phi at q'={qp}, lcm(y, q')^2 > M/4={M // 4}")
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +201,7 @@ def cmd_approx(cfg: dict) -> tuple[list[dict], dict, bool]:
         raise ConfigError(f"qcut must be >= 2, got {q_cut}")
     if max_rows < 1:
         raise ConfigError(f"max_rows must be >= 1, got {max_rows}")
+    _check_qcut(N, prog.y, q_cut)
     tables = build_tables(N)
     sup, residual = approx_error_profile(N, prog, q_cut, M=M, tables=tables)
     near = near_zero_error(N, prog, tables=tables)
@@ -210,37 +227,40 @@ def cmd_highlow(cfg: dict) -> tuple[list[dict], dict, bool]:
     N = int(cfg.get("N", 4096))
     prog = _prog_from(cfg)
     M = int(cfg["M"]) if "M" in cfg else 16 * N
-    Q_list = cfg.get("Q_list") or [4]
+    Q_list = [int(Q) for Q in cfg.get("Q_list") or [4]]
     r = float(cfg.get("r", 1.5))
-    tables = build_tables(N)
+    if not 1.0 < r < 2.0:
+        raise ConfigError(f"r must lie in (1, 2), got {r}")
+    dcfgs = [DecompositionConfig(N=N, prog=prog, Q=Q, M=M) for Q in Q_list]
+    _check_qcut(N, prog.y, max(d.q_cut for d in dcfgs))
+    tables = build_tables(N)  # after _check_qcut, every q' < Q coprime to y is at most N / y
+    _check_phi(prog.y, M, max(Q_list), tables.mobius)
     F = np.arange(N // 8)
+    # Hi, Lo and the total of every Q share one evaluation of the Farey windows
+    windows = approximant_windows(N, prog, max(d.q_cut for d in dcfgs), M)
+    his = [hi_hat_profile(d, windows) for d in dcfgs]
     rows = []
-    worst_partition = 0.0
-    for Q in Q_list:
-        Q = int(Q)
-        dcfg = DecompositionConfig(N=N, prog=prog, Q=Q, M=M)
-        hi = hi_hat_profile(dcfg)
-        lo = lo_hat_profile(dcfg)
-        total = approximant_profile(N, prog, dcfg.q_cut, M)
-        partition_err = float(np.abs(hi.values + lo.values - total.values).max())
-        worst_partition = max(worst_partition, partition_err)
+    for d, hi, hi_ratio in zip(dcfgs, his, hi_l2_ratios(his, [F])[0]):
+        lo = lo_hat_profile(d, windows)
+        total = approximant_profile(N, prog, d.q_cut, M, windows=windows)
         rows.append(
             {
-                "Q": Q,
-                "q_cut": dcfg.q_cut,
-                "partition_err": partition_err,
-                "dual_path_rel": dual_path_rel(lo, dcfg, tables),
-                "hi_l2_ratio_interval": hi_l2_ratio(hi, F),
-                "lo_linf_ratio_interval": lo_linf_ratio(lo, dcfg, F, r),
+                "Q": d.Q,
+                "q_cut": d.q_cut,
+                "partition_err": float(np.abs(hi.values + lo.values - total.values).max()),
+                "dual_path_rel": dual_path_rel(lo, d, tables),
+                "hi_l2_ratio_interval": float(hi_ratio),
+                "lo_linf_ratio_interval": lo_linf_ratio(lo, d, F, r),
             }
         )
+    worst_partition = max(row["partition_err"] for row in rows)
     ok = worst_partition < 1e-10
     summary = {
         "N": N,
         "y": prog.y,
         "b": prog.b,
         "M": M,
-        "Q_list": [int(q) for q in Q_list],
+        "Q_list": Q_list,
         "r": r,
         "max_partition_err": worst_partition,
         "partition_pass": ok,

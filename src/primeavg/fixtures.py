@@ -28,7 +28,7 @@ from .highlow import (
     multifrequency_max_ratio,
     multifrequency_profile,
 )
-from .multiplier import approx_error_profile, near_zero_error
+from .multiplier import approx_error_profile, approximant_windows, near_zero_error
 from .scans import _improving_cell, fit_exponent, maximal_scan
 from .tables import Progression, build_tables, default_residue, sw_error_report
 
@@ -76,13 +76,14 @@ def _measure_residual_sup(y: int, b: int, N: int) -> float:
 
 
 def _measure_dual_path_worst() -> float:
-    N = 1 << 12
+    N, M = 1 << 12, 1 << 16
     tables = build_tables(N)
     worst = 0.0
     for y in range(1, 7):
-        for Q in (2, 4, 8):
-            cfg = DecompositionConfig(N=N, prog=Progression(y, default_residue(y)), Q=Q, M=1 << 16)
-            worst = max(worst, dual_path_rel(lo_hat_profile(cfg), cfg, tables))
+        prog = Progression(y, default_residue(y))
+        cfgs = [DecompositionConfig(N=N, prog=prog, Q=Q, M=M) for Q in (2, 4, 8)]
+        windows = approximant_windows(N, prog, cfgs[-1].q_cut, M)
+        worst = max(worst, *(dual_path_rel(lo_hat_profile(c, windows), c, tables) for c in cfgs))
     return worst
 
 
@@ -114,13 +115,11 @@ def hi_decay_family(N: int) -> list:
 
 
 def _measure_hi_decay_slope(y: int, b: int) -> float:
-    N, M = 1 << 16, 1 << 18
+    N, M, prog = 1 << 16, 1 << 18, Progression(y, b)
     fams = hi_decay_family(N)
-    cfgs = [
-        DecompositionConfig(N=N, prog=Progression(y, b), Q=Q, M=M, q_cut=32)
-        for Q in (2, 4, 8, 16)
-    ]
-    his = (hi_hat_profile(cfg) for cfg in cfgs)
+    cfgs = [DecompositionConfig(N=N, prog=prog, Q=Q, M=M, q_cut=32) for Q in (2, 4, 8, 16)]
+    windows = approximant_windows(N, prog, 32, M)
+    his = [hi_hat_profile(cfg, windows) for cfg in cfgs]
     return fit_exponent([2.0, 4.0, 8.0, 16.0], hi_l2_ratios(his, fams).max(axis=0))
 
 

@@ -5,6 +5,7 @@ controlled in physical space through a closed-form kernel built from
 Ramanujan sums) and a High part (heights at or above Q, controlled in
 frequency space through Gauss-sum decay).  Everything lives on a cyclic
 embedding Z_M so convolution and inversion are exact finite transforms.
+Both parts are Hermitian half profiles, run through real transforms.
 """
 
 from __future__ import annotations
@@ -58,18 +59,14 @@ class DecompositionConfig:
 # Spectral profiles of the two parts
 
 
-def lo_hat_profile(cfg: DecompositionConfig) -> SpectralProfile:
-    """Sum of l_hat over Farey points with 0 < height < Q."""
-    return approximant_profile(
-        cfg.N, cfg.prog, cfg.q_cut, cfg.M, height_min=1, height_max=cfg.Q - 1
-    )
+def lo_hat_profile(cfg: DecompositionConfig, windows: list | None = None) -> SpectralProfile:
+    """l_hat summed over the Farey points with 0 < height < Q; see approximant_profile."""
+    return approximant_profile(cfg.N, cfg.prog, cfg.q_cut, cfg.M, 1, cfg.Q - 1, windows)
 
 
-def hi_hat_profile(cfg: DecompositionConfig) -> SpectralProfile:
-    """Sum of l_hat over Farey points with height >= Q (same q_cut ceiling as Low)."""
-    return approximant_profile(
-        cfg.N, cfg.prog, cfg.q_cut, cfg.M, height_min=cfg.Q, height_max=None
-    )
+def hi_hat_profile(cfg: DecompositionConfig, windows: list | None = None) -> SpectralProfile:
+    """l_hat summed over the Farey points with height >= Q; see approximant_profile."""
+    return approximant_profile(cfg.N, cfg.prog, cfg.q_cut, cfg.M, cfg.Q, None, windows)
 
 
 # ---------------------------------------------------------------------------
@@ -87,29 +84,25 @@ def _wrapped_grid(M: int) -> np.ndarray:
 
 
 def _phi_hat(cfg: DecompositionConfig, q: int) -> np.ndarray:
-    """The spectrum m_hat of length N/l at l*xi times cutoff(l^2 xi), l = lcm(y, q).
+    """m_hat of length N/l at l*xi times cutoff(l^2 xi), l = lcm(y, q), on k <= M/2.
 
-    The cutoff is exactly 0 for |xi| >= 1/(4 l^2), so the product is
-    evaluated only on |k| <= ceil(M/(4 l^2)), at xi = k/M, and the rest of
-    the spectrum is zero.
+    Both factors are conjugate under xi -> -xi, so this half determines the
+    spectrum.  The cutoff is exactly 0 for |xi| >= 1/(4 l^2), so the product
+    is evaluated only on k <= ceil(M/(4 l^2)), at xi = k/M.
     """
     ell = math.lcm(cfg.prog.y, q)
     if ell * ell > cfg.M // 4:
         raise ValueError(f"lcm^2 = {ell * ell} exceeds M/4 = {cfg.M // 4}")
-    width = -(-cfg.M // (4 * ell * ell))
-    k = np.arange(-width, width + 1)
+    k = np.arange(-(-cfg.M // (4 * ell * ell)) + 1)
     xi = k / cfg.M
-    spectrum = np.zeros(cfg.M, dtype=np.complex128)
+    spectrum = np.zeros(cfg.M // 2 + 1, dtype=np.complex128)
     spectrum[k] = m_hat(ell * xi, cfg.N / ell) * cutoff(ell * ell * xi)
     return spectrum
 
 
 def phi_kernel(cfg: DecompositionConfig, q: int) -> np.ndarray:
-    """Inverse transform of the spacing-lcm average times the scale-lcm^2 cutoff.
-
-    The spectral side is _phi_hat.  Real-valued on Z_M within 1e-9.
-    """
-    return SpectralProfile(cfg.M, _phi_hat(cfg, q)).kernel()
+    """Real kernel on Z_M of the spacing-lcm average times the scale-lcm^2 cutoff: irfft(_phi_hat)."""
+    return np.fft.irfft(_phi_hat(cfg, q), cfg.M)
 
 
 def lo_kernel_closed(cfg: DecompositionConfig, tables: ArithTables) -> np.ndarray:
@@ -145,27 +138,25 @@ def dual_path_rel(lo: SpectralProfile, cfg: DecompositionConfig, tables: ArithTa
 # Ratios
 
 
-def hi_l2_ratio(hi: SpectralProfile, F) -> float:
-    """l2 norm of Hi * 1_F relative to |F|^(1/2), for the High profile hi."""
-    return float(hi_l2_ratios([hi], [F])[0, 0])
-
-
 def hi_l2_ratios(his, families) -> np.ndarray:
-    """hi_l2_ratio of every input set (rows) under every High profile (columns).
+    """l2 norm of Hi * 1_F over |F|^(1/2): input sets F (rows) by High half profiles (columns).
 
-    By Parseval ||Hi * 1_F||_2 = ||hi.values * fft(1_F)||_2 / sqrt(M), so each
-    F is transformed once and no inverse transform is taken.  The sum is
-    accumulated as |hi|^2 . |fft(1_F)|^2, making no complex product array.
-    Only |hi|^2 is kept, so his may be an iterator building each profile.
+    By Parseval ||Hi * 1_F||_2^2 = sum over all k of |hi|^2 |fhat|^2 / M.  Both
+    spectra are Hermitian, so the sum runs over k <= M/2, k = 0 and k = M/2
+    weighted once and every other k twice: one rfft per F, no inverse.
     """
+    if not all(hi.half_spectrum for hi in his):
+        raise ValueError("hi_l2_ratios needs half profiles, spectra of real kernels")
     powers = [hi.values.real**2 + hi.values.imag**2 for hi in his]
-    M = len(powers[0])
+    for p in powers:
+        p[1:-1] *= 2.0
+    M = his[0].grid_size
     out = []
     for F in families:
         F = np.asarray(F)
         if len(F) == 0:
             raise ValueError("empty F")
-        fhat = np.fft.fft(indicator(F, M))
+        fhat = np.fft.rfft(indicator(F, M))
         fpower = fhat.real**2 + fhat.imag**2
         out.append([math.sqrt(float(p @ fpower) / (M * len(F))) for p in powers])
     return np.array(out)
@@ -188,12 +179,19 @@ def lo_linf_ratio(lo: SpectralProfile, cfg: DecompositionConfig, F, r: float) ->
 
 
 def multifrequency_profile(D: int, k: int, n: int, M: int) -> SpectralProfile:
-    """Sum over the first k rationals j/D of the cutoff at spatial scale 2^n around j/D."""
+    """Sum over the first k rationals j/D of the cutoff at spatial scale 2^n around j/D.
+
+    Each cutoff vanishes at offsets of 1/2^(n+2) or more, so it is evaluated
+    only within that of j/D, plus one point each side, at most M points.
+    """
     xi = _wrapped_grid(M)
+    radius = M / (1 << (n + 2))
     mult = np.zeros(M)
     for j in range(k):
-        offset = (xi - j / D + 0.5) % 1.0 - 0.5
-        mult += cutoff((1 << n) * offset)
+        k0 = math.floor(j * M / D - radius) - 1
+        idx = np.arange(k0, min(math.ceil(j * M / D + radius) + 1, k0 + M - 1) + 1) % M
+        offset = (xi[idx] - j / D + 0.5) % 1.0 - 0.5
+        mult[idx] += cutoff((1 << n) * offset)
     return SpectralProfile(M, mult)
 
 

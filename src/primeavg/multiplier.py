@@ -10,10 +10,12 @@ A SpectralProfile holds a multiplier on Z_M in one of two storage forms.
 a_hat is the spectrum of a real kernel, and the scans apply it only to real
 indicators, so a_hat_profile keeps the Hermitian half, M//2 + 1 values, and
 convolves by real transforms (Sorensen, Jones, Heideman and Burrus 1987).
-The residual a_hat minus the approximant is Hermitian too, so
-approx_error_profile subtracts the major-arc windows from that half alone,
-each clipped to k <= M/2.  The High/Low and multifrequency profiles hold all
-M values.
+The approximant is Hermitian too: height depends only on q, and Upsilon at
+(q - a)/q is the conjugate of Upsilon at a/q.  So approximant_profile builds
+each height band on k <= M/2 alone, every window clipped there, and
+approx_error_profile subtracts the same windows from a_hat's half.  Bands
+that share the windows of approximant_windows evaluate each window once.
+Only the multifrequency multiplier, not even in xi, holds all M values.
 
 The major-arc errors sweep a_hat over a short uniform grid near a rational.
 That sweep is a blocked Bluestein chirp-z transform (Rabiner, Schafer and
@@ -87,11 +89,11 @@ class SpectralProfile:
     by the values between a forward and an inverse length-M transform.  A
     profile holds one of two storage forms, told apart by len(values):
 
-    * full: all M values, any complex multiplier (the High/Low parts, the
-      multifrequency multiplier);
+    * full: all M values, any complex multiplier (the multifrequency
+      multiplier);
     * half: the M//2 + 1 values at k <= M/2 of a real kernel's Hermitian
-      spectrum, as np.fft.rfft returns them (a_hat_profile and the
-      approximation residual of approx_error_profile).  The values at
+      spectrum, as np.fft.rfft returns them (a_hat_profile, the
+      approximant's height bands and the approximation residual).  The values at
       k > M/2 are the conjugates of those at M - k, so apply and kernel run
       real transforms of half the work and return real arrays.
 
@@ -127,14 +129,10 @@ class SpectralProfile:
         return np.fft.ifft(self.values * fhat)
 
     def kernel(self) -> np.ndarray:
-        """The real kernel on Z_M; a full profile's imaginary part must stay below 1e-9 * max(peak, 1)."""
-        if self.half_spectrum:
-            return np.fft.irfft(self.values, self.grid_size)
-        kernel = np.fft.ifft(self.values)
-        worst = np.abs(kernel.imag).max()
-        if worst > 1e-9 * max(np.abs(kernel.real).max(), 1.0):
-            raise ArithmeticError(f"kernel: imaginary part {worst:g} exceeds tolerance")
-        return kernel.real
+        """The real kernel on Z_M of a half profile: the inverse real transform of its values."""
+        if not self.half_spectrum:
+            raise ValueError("kernel needs a half profile, the spectrum of a real kernel")
+        return np.fft.irfft(self.values, self.grid_size)
 
 
 def sup_abs(profiles, f: np.ndarray) -> np.ndarray:
@@ -309,35 +307,29 @@ def l_hat(
     return complex(point.upsilon * m_hat(ell * d, N / ell) * cutoff(ell * ell * d))
 
 
-def _l_hat_window(point: FareyPoint, N: int, M: int, half: bool = False):
-    """Grid indices inside the support of l_hat at this point, and the values there.
-
-    With half, only the indices 0 <= k <= M/2 of a Hermitian half are kept.
-    """
+def _l_hat_window(point: FareyPoint, N: int, M: int):
+    """Grid indices 0 <= k <= M/2 inside the support of l_hat at this point, and the values there."""
     ell = point.ell
     radius = CUTOFF_OUTER / ell**2
     c = point.center
-    k0 = math.floor((c - radius) * M) + 1
-    k1 = math.ceil((c + radius) * M) - 1
-    if half:
-        k0, k1 = max(k0, 0), min(k1, M // 2)
+    k0 = max(math.floor((c - radius) * M) + 1, 0)
+    k1 = min(math.ceil((c + radius) * M) - 1, M // 2)
     k = np.arange(k0, k1 + 1)
     d = (k * point.q - point.a * M) / (point.q * M)  # k/M - a/q from one exact numerator
     vals = point.upsilon * m_hat(ell * d, N / ell) * cutoff(ell * ell * d)
-    return k % M, vals
+    return k, vals
 
 
-def _l_hat_windows(N, prog, q_cut, M, height_min=1, height_max=None, half=False):
-    """The l_hat windows of the Farey points with q < q_cut in the height band, in order.
+def _l_hat_windows(N, prog, q_cut, M, held=lambda p: True):
+    """(point, indices, values) of the l_hat windows on k <= M/2, in Farey order.
 
-    With half, the windows are clipped to 0 <= k <= M/2.
+    One per held Farey point with q < q_cut and positive height, except
+    those centred above 1/2: a/q - 1/2 >= 1/(2q) exceeds the radius
+    1/(4 lcm^2), so they lie wholly above M/2.
     """
     for p in farey_points(max(q_cut - 1, 1), prog):
-        if p.q >= q_cut or p.height < max(height_min, 1):
-            continue
-        if height_max is not None and p.height > height_max:
-            continue
-        yield _l_hat_window(p, N, M, half)
+        if p.q < q_cut and p.height > 0 and 2 * p.a <= p.q and held(p):
+            yield (p, *_l_hat_window(p, N, M))
 
 
 def approximant_hat(
@@ -358,19 +350,29 @@ def approximant_hat(
     return total
 
 
-def approximant_profile(
-    N: int,
-    prog: Progression,
-    q_cut: int,
-    M: int,
-    height_min: int = 1,
-    height_max: int | None = None,
-) -> SpectralProfile:
-    """Approximant sampled on the full {k/M} grid, restricted to a height band."""
+def approximant_windows(N: int, prog: Progression, q_cut: int, M: int) -> list:
+    """Every window of _l_hat_windows, evaluated once for the bands that share them."""
     _guard_grid(M)
-    values = np.zeros(M, dtype=np.complex128)
-    for idx, vals in _l_hat_windows(N, prog, q_cut, M, height_min, height_max):
-        values[idx] += vals  # indices within one window are distinct mod M
+    return list(_l_hat_windows(N, prog, q_cut, M))
+
+
+def approximant_profile(
+    N: int, prog: Progression, q_cut: int, M: int, height_min: int = 1, height_max=None, windows=None
+) -> SpectralProfile:
+    """Approximant restricted to a height band, as the half profile on k <= M/2.
+
+    Given windows from approximant_windows, it evaluates none of them again
+    and adds the same windows in the same order, so it is the same bit for bit.
+    """
+    _guard_grid(M)
+    top = math.inf if height_max is None else height_max
+    held = lambda p: p.q < q_cut and height_min <= p.height <= top
+    if windows is None:
+        windows = _l_hat_windows(N, prog, q_cut, M, held)
+    values = np.zeros(M // 2 + 1, dtype=np.complex128)
+    for p, idx, vals in windows:
+        if held(p):
+            values[idx] += vals  # indices within one window are distinct
     return SpectralProfile(M, values)
 
 
@@ -455,6 +457,6 @@ def approx_error_profile(
     # In place, window by window, each clipped to k <= M/2: at y = 1 the window
     # of 0/1 overlaps those of a/q for q >= 4, so subtracting a pre-summed
     # approximant changes last bits.
-    for idx, vals in _l_hat_windows(N, prog, q_cut, M, half=True):
+    for _, idx, vals in _l_hat_windows(N, prog, q_cut, M):
         prof.values[idx] -= vals
     return prof.sup(), prof

@@ -340,3 +340,54 @@ def test_highlow_Q_below_one_exits_two(tmp_path, capsys):
     assert rc == 2
     assert "Q must be >= 1" in capsys.readouterr().err
     assert not (tmp_path / "highlow.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # from q = 1025 on, a window would average N/lcm(y, q) < 1 terms
+        (["approx", "--N", "1024", "--y", "1", "--b", "0", "--qcut", "1500"],
+         "q_cut=1500 admits q=1025 with lcm(y, q)=1025 > N=1024"),
+        # Q = 200 at y = 6 sets q_cut = 1201
+        (["highlow", "--N", "4096", "--y", "6", "--b", "1", "--Q-list", "200"],
+         "q_cut=1201 admits q=683 with lcm(y, q)=4098 > N=4096"),
+        (["highlow", "--N", "1024", "--r", "2.5"], "r must lie in (1, 2), got 2.5"),
+        (["highlow", "--N", "1024", "--Q-list", "4", "0"], "Q must be >= 1"),
+        # the Low kernel's Phi at q' = 129 = 3 * 43 needs 129^2 <= M/4 = 16384
+        (["highlow", "--N", "4096", "--Q-list", "200"],
+         "--Q-list 200 needs Phi at q'=129, lcm(y, q')^2 > M/4=16384"),
+    ],
+    ids=["approx_qcut_above_N", "highlow_qcut_above_N", "highlow_r", "highlow_late_Q", "highlow_phi"],
+)
+def test_bad_input_exits_two_before_any_window(tmp_path, capsys, monkeypatch, argv, message):
+    from primeavg import multiplier
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a window was evaluated before the input was checked")
+
+    monkeypatch.setattr(multiplier, "_l_hat_window", must_not_run)
+    rc = main(argv + ["--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_highlow_evaluates_each_window_once(tmp_path, monkeypatch):
+    # Hi, Lo and the total of both Q share one pass: one window per Farey point
+    # with q < max q_cut = 13, positive height and centre <= 1/2, in Farey order
+    from primeavg import multiplier
+    from primeavg.tables import Progression
+
+    seen = []
+    window = multiplier._l_hat_window
+
+    def spy(point, N, M):
+        seen.append((point.a, point.q))
+        return window(point, N, M)
+
+    monkeypatch.setattr(multiplier, "_l_hat_window", spy)
+    rc = main(["highlow", "--N", "4096", "--y", "3", "--b", "1", "--Q-list", "2", "4",
+               "--out-dir", str(tmp_path)])
+    assert rc == 0
+    points = multiplier.farey_points(12, Progression(3, 1))
+    assert seen == [(p.a, p.q) for p in points if p.height > 0 and 2 * p.a <= p.q]

@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 
 from primeavg.highlow import (
     DecompositionConfig,
+    _wrapped_grid,
     hi_hat_profile,
-    hi_l2_ratio,
     hi_l2_ratios,
     lo_hat_profile,
     lo_kernel_closed,
     lo_linf_ratio,
     multifrequency_max_ratio,
+    multifrequency_profile,
     phi_kernel,
 )
 from primeavg.multiplier import SpectralProfile, approximant_profile, cutoff, indicator
@@ -78,7 +79,6 @@ def test_phi_kernel_real_and_round_trips(tables):
     ker = phi_kernel(cfg, 2)
     assert ker.dtype == np.float64
     ell = math.lcm(3, 2)
-    from primeavg.highlow import _wrapped_grid
     from primeavg.multiplier import m_hat
 
     xi = _wrapped_grid(cfg.M)
@@ -97,17 +97,18 @@ def test_phi_kernel_real_and_round_trips(tables):
     ],
 )
 def test_phi_kernel_window_matches_full_grid(N, y, b, q, M):
-    # the spectrum evaluated on its support equals the full-grid product,
-    # whose values outside the window are exactly 0
-    from primeavg.highlow import _phi_hat, _wrapped_grid
+    # the half spectrum evaluated on its support equals the full-grid product
+    # on k <= M/2, whose values outside the window are exactly 0; the irfft
+    # kernel matches the complex inverse transform of the full product
+    from primeavg.highlow import _phi_hat
     from primeavg.multiplier import m_hat
 
     cfg = _cfg(N=N, y=y, b=b, Q=2, M=M)
     ell = math.lcm(y, q)
     xi = _wrapped_grid(M)
     full = m_hat(ell * xi, N / ell) * cutoff(ell * ell * xi)
-    assert np.array_equal(_phi_hat(cfg, q), full)
-    oracle = SpectralProfile(M, full).kernel()
+    assert np.array_equal(_phi_hat(cfg, q), full[: M // 2 + 1])
+    oracle = np.fft.ifft(full).real
     assert np.abs(phi_kernel(cfg, q) - oracle).max() <= 1e-15 * np.abs(oracle).max()
 
 
@@ -204,7 +205,16 @@ def test_indicator_wraps_modulo():
 
 def test_hi_l2_ratio_rejects_empty(tables):
     with pytest.raises(ValueError):
-        hi_l2_ratio(hi_hat_profile(_cfg()), [])
+        hi_l2_ratios([hi_hat_profile(_cfg())], [[]])
+
+
+def test_full_profiles_rejected_where_a_half_is_read():
+    # a full profile read as a half would be taken for a Hermitian spectrum
+    full = multifrequency_profile(4, 3, 6, 1 << 12)
+    with pytest.raises(ValueError, match="half profile"):
+        full.kernel()
+    with pytest.raises(ValueError, match="half profiles"):
+        hi_l2_ratios([full], [np.arange(10)])
 
 
 @settings(max_examples=40, deadline=None)
@@ -215,15 +225,19 @@ def test_hi_l2_ratio_rejects_empty(tables):
     ),
 )
 def test_hi_l2_ratios_match_inverse_transform(families):
-    # Parseval path against ||hi.apply(1_F)||_2 / |F|^(1/2) through the inverse FFT
+    # the weighted half-spectrum Parseval sum against ||Hi * 1_F||_2 / |F|^(1/2)
+    # through the complex inverse FFT of the full spectrum, k > M/2 read as
+    # the conjugate at M - k
     his = [hi_hat_profile(_cfg(N=1 << 10, y=3, b=1, Q=Q, M=1 << 12, q_cut=12)) for Q in (2, 4)]
     ratios = hi_l2_ratios(his, families)
     assert ratios.shape == (len(families), len(his))
     for i, F in enumerate(families):
         for j, hi in enumerate(his):
-            oracle = np.linalg.norm(hi.apply(indicator(F, hi.grid_size))) / math.sqrt(len(F))
+            full = np.concatenate((hi.values, np.conj(hi.values[-2:0:-1])))
+            g = np.fft.ifft(full * np.fft.fft(indicator(F, hi.grid_size)))
+            oracle = np.linalg.norm(g) / math.sqrt(len(F))
             assert ratios[i, j] == pytest.approx(oracle, rel=1e-12, abs=1e-15)
-        assert hi_l2_ratio(his[0], F) == ratios[i, 0]
+        assert hi_l2_ratios([his[0]], [F])[0, 0] == ratios[i, 0]
 
 
 def test_lo_linf_ratio_r_range(tables):
@@ -243,7 +257,7 @@ def test_hi_ratio_decreases_in_Q(tables):
     N = 1 << 14
     F = np.arange(0, N, 3) + 1
     vals = [
-        hi_l2_ratio(hi_hat_profile(_cfg(N=N, y=3, b=1, Q=Q, M=4 * N, q_cut=25)), F)
+        hi_l2_ratios([hi_hat_profile(_cfg(N=N, y=3, b=1, Q=Q, M=4 * N, q_cut=25))], [F])[0, 0]
         for Q in (2, 8)
     ]
     assert vals[1] < vals[0]
@@ -277,3 +291,16 @@ def test_multifrequency_single_point_bounded():
     f = rng.standard_normal(M)
     ratio = multifrequency_max_ratio(4, 1, M, f)
     assert 0.0 < ratio < 3.0
+
+
+@pytest.mark.parametrize(
+    "D, k, n, M",
+    [(12, 12, 9, 1 << 18), (12, 5, 16, 1 << 18), (4, 3, 5, 1 << 12), (7, 7, 3, 1 << 10), (3, 2, 1, 64)],
+)
+def test_multifrequency_windows_match_full_grid(D, k, n, M):
+    # each cutoff evaluated on its window only, against every grid point
+    xi = _wrapped_grid(M)
+    full = np.zeros(M)
+    for j in range(k):
+        full += cutoff((1 << n) * ((xi - j / D + 0.5) % 1.0 - 0.5))
+    assert np.array_equal(multifrequency_profile(D, k, n, M).values, full)

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from primeavg.expsums import FareyPoint
+from primeavg.highlow import multifrequency_profile
 from primeavg.multiplier import (
     _l_hat_windows,
     ARC_J,
@@ -19,6 +20,7 @@ from primeavg.multiplier import (
     approx_error_profile,
     approximant_hat,
     approximant_profile,
+    approximant_windows,
     cutoff,
     farey_points,
     geometric_sum,
@@ -190,7 +192,7 @@ def test_sup_abs_mixes_real_and_complex_profiles(tables):
     prog, N, M = Progression(3, 1), 2000, 1 << 12
     f = indicator(np.random.default_rng(5).integers(0, N, 300), M)
     real = a_hat_profile(N, prog, M, tables)
-    complex_ = approximant_profile(N, prog, 8, M)
+    complex_ = multifrequency_profile(4, 3, 6, M)
     assert real.half_spectrum and not complex_.half_spectrum
     sup = sup_abs((p for p in (real, complex_)), f)
     expected = np.maximum(np.abs(real.apply(f)), np.abs(complex_.apply(f)))
@@ -282,18 +284,72 @@ def test_approximant_profile_matches_pointwise(tables):
     prog = Progression(3, 1)
     N, M = 1 << 10, 1 << 12
     prof = approximant_profile(N, prog, 8, M)
+    assert prof.half_spectrum and len(prof.values) == M // 2 + 1
     for k in (0, 3, 341, 1365, 2048, 4095):
-        assert abs(prof.values[k] - approximant_hat(k / M, N, prog, 8)) < 1e-9
+        value = prof.values[k] if k <= M // 2 else np.conj(prof.values[M - k])
+        assert abs(value - approximant_hat(k / M, N, prog, 8)) < 1e-9
+
+
+def _full_windows(N, prog, q_cut, M, held=lambda p: True):
+    """The l_hat windows on all of Z_M, unclipped, in Farey order: the oracle of the half windows.
+
+    The offset k/M - a/q is formed as in multiplier._l_hat_window, so on
+    k <= M/2 the values agree bit for bit.
+    """
+    for p in farey_points(max(q_cut - 1, 1), prog):
+        if p.q < q_cut and p.height > 0 and held(p):
+            radius = CUTOFF_OUTER / p.ell**2
+            k = np.arange(math.floor((p.center - radius) * M) + 1, math.ceil((p.center + radius) * M))
+            d = (k * p.q - p.a * M) / (p.q * M)
+            yield k % M, p.upsilon * m_hat(p.ell * d, N / p.ell) * cutoff(p.ell * p.ell * d)
+
+
+def _full_approximant(N, prog, q_cut, M, held=lambda p: True):
+    """The approximant on all M values, every window unclipped: the oracle of the half bands."""
+    values = np.zeros(M, dtype=np.complex128)
+    for idx, vals in _full_windows(N, prog, q_cut, M, held):
+        values[idx] += vals
+    return values
 
 
 @pytest.mark.parametrize("y, b", [(1, 0), (3, 1), (5, 1)])
 def test_approximant_profile_hermitian_to_rounding(y, b):
     # the window offsets k/M - a/q come from one exact integer numerator, so
-    # the windows at a/q and (q - a)/q are conjugate up to Upsilon's rounding
+    # the windows at a/q and (q - a)/q are conjugate up to Upsilon's rounding;
+    # this is what lets approximant_profile keep k <= M/2 alone
     M = 1 << 18
-    v = approximant_profile(1 << 16, Progression(y, b), 32, M).values
+    v = _full_approximant(1 << 16, Progression(y, b), 32, M)
     asymmetry = np.abs(v[1:] - np.conj(v[:0:-1])).max()  # v[k] against conj v[M - k]
     assert asymmetry <= 1e-15 * np.abs(v).max()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    y=st.sampled_from([1, 3, 5, 6]),
+    pick=st.integers(0, 3),
+    log_m=st.integers(10, 13),
+    bands=st.lists(
+        st.tuples(st.integers(1, 14), st.integers(0, 12), st.one_of(st.none(), st.integers(0, 12))),
+        min_size=1, max_size=5,
+    ),
+)
+def test_shared_windows_match_full_grid_builds(y, pick, log_m, bands):
+    # several bands built from one evaluation of the windows, and each built
+    # alone, against a full-grid build of the band, bit for bit on k <= M/2
+    residues = reduced_residues(y)
+    prog = Progression(y, int(residues[pick % len(residues)]))
+    M = 1 << log_m
+    N = M // 4
+    windows = approximant_windows(N, prog, max(q for q, _, _ in bands), M)
+    for q_cut, lo, hi in bands:
+        top = math.inf if hi is None else hi
+        full = _full_approximant(N, prog, q_cut, M, lambda p: lo <= p.height <= top)
+        for prof in (
+            approximant_profile(N, prog, q_cut, M, lo, hi, windows),
+            approximant_profile(N, prog, q_cut, M, lo, hi),
+        ):
+            assert prof.grid_size == M and prof.half_spectrum
+            assert np.array_equal(prof.values, full[: M // 2 + 1])
 
 
 def test_approximant_minor_arc_vanishes():
@@ -333,7 +389,7 @@ def test_major_arc_error_off_zero_matches_pointwise(tables):
 def _full_residual(N, prog, q_cut, M, tables):
     """The residual on all M values, every window unclipped: the oracle of the half path."""
     values = _full_a_hat_profile(N, prog, M, tables).values
-    for idx, vals in _l_hat_windows(N, prog, q_cut, M):
+    for idx, vals in _full_windows(N, prog, q_cut, M):
         values[idx] -= vals
     return SpectralProfile(M, values)
 
@@ -373,12 +429,12 @@ def test_half_windows_cover_full_windows_on_half(y, pick, q_cut, log_m):
     M = 1 << log_m
     N, half = M // 4, M // 2
     full = np.zeros(half + 1, dtype=np.complex128)
-    for idx, vals in _l_hat_windows(N, prog, q_cut, M):
+    for idx, vals in _full_windows(N, prog, q_cut, M):
         keep = idx <= half
         full[idx[keep]] += vals[keep]
     clipped = np.zeros(half + 1, dtype=np.complex128)
     covered = np.zeros(half + 1, dtype=bool)
-    for idx, vals in _l_hat_windows(N, prog, q_cut, M, half=True):
+    for _, idx, vals in _l_hat_windows(N, prog, q_cut, M):
         assert len(idx) == 0 or (idx.min() >= 0 and idx.max() <= half)
         clipped[idx] += vals
         covered[idx] = True
