@@ -34,17 +34,25 @@ from .expsums import (
     verify_height_classes,
     verify_progression_ramanujan,
 )
-from .fixtures import MEASUREMENTS, check_fixture, fixture_hash, load_fixtures, measure_fixture
+from .fixtures import (
+    MEASUREMENTS,
+    check_fixture,
+    fixture_hash,
+    load_fixtures,
+    measure_fixture,
+    recipe_groups,
+)
 from .highlow import (
     DecompositionConfig,
     dual_path_rel,
     hi_hat_profile,
     hi_l2_ratios,
     lo_hat_profile,
+    lo_kernels_closed,
     lo_linf_ratio,
 )
 from .multiplier import approx_error_profile, approximant_profile, approximant_windows, near_zero_error
-from .scans import fit_exponent, improving_scan, maximal_scan
+from .scans import fit_exponent, improving_scan, maximal_scan, run_cells
 from .tables import Progression, build_tables, default_residue, sw_error_report
 
 
@@ -120,21 +128,12 @@ def _check_phi(y: int, M: int, Q: int, mobius) -> None:
 # Subcommands
 
 
-def cmd_verify(cfg: dict) -> tuple[list[dict], dict, bool]:
-    names = cfg.get("fixture_names") or sorted(MEASUREMENTS)
-    for name in names:
-        if name not in MEASUREMENTS:
-            raise ConfigError(f"unknown fixture name: {name}")
-    for key in ("qmax", "ymax", "max_tuples", "cohen_qmax", "cohen_ymax"):
-        if key in cfg and int(cfg[key]) < 1:
-            raise ConfigError(f"{key} must be >= 1, got {cfg[key]}")
-    qmax = int(cfg.get("qmax", 96))
-    ymax = int(cfg.get("ymax", 36))
-    max_tuples = int(cfg.get("max_tuples", 100_000))
-    seed = int(cfg.get("seed", 0))
+def _identity_suites(
+    qmax: int, ymax: int, max_tuples: int, seed: int, cohen_qmax: int, cohen_ymax: int
+) -> list[dict]:
+    """One row per exact identity suite, then the stated height-class formula's row."""
     # the Cohen suite indexes the tables up to cohen_qmax, the height-class
     # suite up to 60 * 60 and the divisor suite up to 200
-    cohen_qmax = int(cfg.get("cohen_qmax", 64))
     tables = build_tables(max(3600, cohen_qmax))
     height_bad, stated_bad, height_cases = verify_height_classes(60, 60, tables)
     suites = {
@@ -142,9 +141,7 @@ def cmd_verify(cfg: dict) -> tuple[list[dict], dict, bool]:
             qmax, ymax, max_tuples=max_tuples, seed=seed
         ),
         "gauss_upsilon": verify_gauss_upsilon(qmax, ymax, max_tuples=max_tuples, seed=seed),
-        "cohen_progression": verify_cohen_progression(
-            cohen_qmax, int(cfg.get("cohen_ymax", 24)), tables
-        ),
+        "cohen_progression": verify_cohen_progression(cohen_qmax, cohen_ymax, tables),
         "divisor_identity": verify_divisor_identity(200),
         "height_class_count": (height_bad, height_cases),
     }
@@ -160,34 +157,65 @@ def cmd_verify(cfg: dict) -> tuple[list[dict], dict, bool]:
             "pass": "",
         }
     )
+    return rows
 
-    fixture_rows: list[dict] = []
+
+def _verify_cell(cell: tuple) -> list[dict]:
+    """The rows of one verify cell: ("suites", sizes) or ("fixture", recipe name)."""
+    kind, arg = cell
+    if kind == "suites":
+        return _identity_suites(**arg)
+    fx = load_fixtures()
+    measured = measure_fixture(arg)
+    return [
+        {
+            "suite": "fixture",
+            "name": arg,
+            "measured": measured,
+            "value": fx[arg]["value"],
+            "tol": fx[arg]["tol"],
+            "kind": fx[arg]["kind"],
+            "pass": check_fixture(arg, measured, fx),
+        }
+    ]
+
+
+def cmd_verify(cfg: dict) -> tuple[list[dict], dict, bool]:
+    names = cfg.get("fixture_names") or sorted(MEASUREMENTS)
+    for name in names:
+        if name not in MEASUREMENTS:
+            raise ConfigError(f"unknown fixture name: {name}")
+    for key in ("qmax", "ymax", "max_tuples", "cohen_qmax", "cohen_ymax"):
+        if key in cfg and int(cfg[key]) < 1:
+            raise ConfigError(f"{key} must be >= 1, got {cfg[key]}")
+    sizes = {
+        "qmax": int(cfg.get("qmax", 96)),
+        "ymax": int(cfg.get("ymax", 36)),
+        "max_tuples": int(cfg.get("max_tuples", 100_000)),
+        "seed": int(cfg.get("seed", 0)),
+        "cohen_qmax": int(cfg.get("cohen_qmax", 64)),
+        "cohen_ymax": int(cfg.get("cohen_ymax", 24)),
+    }
+    cells, groups = [("suites", sizes)], [[0]]
     if cfg.get("fixtures", True):
-        fx = load_fixtures()
-        for name in names:
-            measured = measure_fixture(name)
-            fixture_rows.append(
-                {
-                    "suite": "fixture",
-                    "name": name,
-                    "measured": measured,
-                    "value": fx[name]["value"],
-                    "tol": fx[name]["tol"],
-                    "kind": fx[name]["kind"],
-                    "pass": check_fixture(name, measured, fx),
-                }
-            )
+        cells += [("fixture", name) for name in names]
+        groups += [[1 + i for i in group] for group in recipe_groups(names)]
+    # the suites and the recipes are independent: one pool task for the suites
+    # and one per recipe, or per shared sweep; rows come back in cell order
+    rows = run_cells(_verify_cell, cells, os.cpu_count() or 1, groups)
+    suite_rows = [r for r in rows if r["suite"] != "fixture"]
+    fixture_rows = [r for r in rows if r["suite"] == "fixture"]
 
     columns = ("suite", "name", "cases", "max_scaled_err", "measured", "value", "tol", "kind", "pass")
-    ok = all(r["pass"] for r in rows + fixture_rows if r["pass"] != "")
+    ok = all(r["pass"] for r in rows if r["pass"] != "")
     summary = {
-        "suites": {r["suite"]: bool(r["pass"]) for r in rows if r["pass"] != ""},
-        "height_class_stated_formula_mismatches": stated_bad,
+        "suites": {r["suite"]: bool(r["pass"]) for r in suite_rows if r["pass"] != ""},
+        "height_class_stated_formula_mismatches": int(suite_rows[-1]["max_scaled_err"]),
         "fixtures_checked": len(fixture_rows),
         "fixtures_passed": sum(bool(r["pass"]) for r in fixture_rows),
         "pass": ok,
     }
-    return [{k: r.get(k, "") for k in columns} for r in rows + fixture_rows], summary, ok
+    return [{k: r.get(k, "") for k in columns} for r in rows], summary, ok
 
 
 def cmd_approx(cfg: dict) -> tuple[list[dict], dict, bool]:
@@ -239,8 +267,9 @@ def cmd_highlow(cfg: dict) -> tuple[list[dict], dict, bool]:
     # Hi, Lo and the total of every Q share one evaluation of the Farey windows
     windows = approximant_windows(N, prog, max(d.q_cut for d in dcfgs), M)
     his = [hi_hat_profile(d, windows) for d in dcfgs]
+    closed = lo_kernels_closed(dcfgs, tables)
     rows = []
-    for d, hi, hi_ratio in zip(dcfgs, his, hi_l2_ratios(his, [F])[0]):
+    for d, hi, hi_ratio, kc in zip(dcfgs, his, hi_l2_ratios(his, [F])[0], closed):
         lo = lo_hat_profile(d, windows)
         total = approximant_profile(N, prog, d.q_cut, M, windows=windows)
         rows.append(
@@ -248,7 +277,7 @@ def cmd_highlow(cfg: dict) -> tuple[list[dict], dict, bool]:
                 "Q": d.Q,
                 "q_cut": d.q_cut,
                 "partition_err": float(np.abs(hi.values + lo.values - total.values).max()),
-                "dual_path_rel": dual_path_rel(lo, d, tables),
+                "dual_path_rel": dual_path_rel(lo, kc),
                 "hi_l2_ratio_interval": float(hi_ratio),
                 "lo_linf_ratio_interval": lo_linf_ratio(lo, d, F, r),
             }
@@ -282,6 +311,10 @@ def cmd_improving(cfg: dict) -> tuple[list[dict], dict, bool]:
 
 
 def cmd_maximal(cfg: dict) -> tuple[list[dict], dict, bool]:
+    lambdas = cfg.get("lambda_grid")
+    # the weak ratio scales with lambda and the q_policy column is lambda^(r/2 - 1)
+    if lambdas is not None and not (lambdas and all(0.0 < float(lam) < math.inf for lam in lambdas)):
+        raise ConfigError(f"--lambda-grid needs positive finite values, got {lambdas}")
     rows, report = _run_scan(maximal_scan, cfg)
     ceiling = float(cfg.get("weak_ceiling", 1.0))
     variation_cap = float(cfg.get("variation_cap", 1.5))

@@ -24,6 +24,7 @@ from .highlow import (
     hi_hat_profile,
     hi_l2_ratios,
     lo_hat_profile,
+    lo_kernels_closed,
     lo_linf_ratio,
     multifrequency_max_ratio,
     multifrequency_profile,
@@ -83,7 +84,8 @@ def _measure_dual_path_worst() -> float:
         prog = Progression(y, default_residue(y))
         cfgs = [DecompositionConfig(N=N, prog=prog, Q=Q, M=M) for Q in (2, 4, 8)]
         windows = approximant_windows(N, prog, cfgs[-1].q_cut, M)
-        worst = max(worst, *(dual_path_rel(lo_hat_profile(c, windows), c, tables) for c in cfgs))
+        closed = lo_kernels_closed(cfgs, tables)
+        worst = max(worst, *(dual_path_rel(lo_hat_profile(c, windows), k) for c, k in zip(cfgs, closed)))
     return worst
 
 
@@ -204,5 +206,29 @@ MEASUREMENTS = {
 }
 
 
+# Recipes that read one per-process cached sweep, by sweep: `verify` runs each
+# group as one task, so the sweep runs once.
+SHARED_SWEEPS = {
+    "_bourgain_sweep": (
+        "bourgain_ratio_ceiling_t2",
+        "bourgain_exponent_y1",
+        "bourgain_exponent_y5",
+        "bourgain_exponent_y12",
+    ),
+    "_maximal_summary": ("maximal_weak_ceiling", "maximal_b_variation_y5"),
+    "multifrequency_adapted_ratios": ("multifrequency_d12_constant", "multifrequency_d12_spread"),
+}
+
+
 def measure_fixture(name: str) -> float:
     return float(MEASUREMENTS[name]())
+
+
+def recipe_groups(names: list[str]) -> list[list[int]]:
+    """Indices into names, one list per task: the recipes of one shared sweep
+    together, every other recipe alone; each list in name order."""
+    sweep = {name: key for key, members in SHARED_SWEEPS.items() for name in members}
+    groups: dict[str, list[int]] = {}
+    for i, name in enumerate(names):
+        groups.setdefault(sweep.get(name, name), []).append(i)
+    return list(groups.values())

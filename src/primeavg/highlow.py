@@ -127,11 +127,40 @@ def lo_kernel_closed(cfg: DecompositionConfig, tables: ArithTables) -> np.ndarra
     return y * mask * out
 
 
-def dual_path_rel(lo: SpectralProfile, cfg: DecompositionConfig, tables: ArithTables) -> float:
-    """Largest gap between the spectral and closed-form Low kernels, relative to the peak."""
-    ks, kc = lo.kernel(), lo_kernel_closed(cfg, tables)
+def lo_kernels_closed(cfgs: list[DecompositionConfig], tables: ArithTables) -> list[np.ndarray]:
+    """lo_kernel_closed of every cfg, from one pass over q' < max Q.
+
+    The cfgs differ only in Q; the running sum over q' is taken at each Q as
+    the pass reaches it, so each q' term is built once and every kernel is
+    the sum lo_kernel_closed forms, in the same order.
+    """
+    cfg = cfgs[0]
+    y, b = cfg.prog.y, cfg.prog.b
+    x = _centered_coords(cfg.M)
+    Qs = {c.Q for c in cfgs}
+    sums = {}
+    out = np.zeros(cfg.M, dtype=np.float64)
+    for qp in range(1, max(Qs)):
+        if qp in Qs:
+            sums[qp] = out.copy()
+        if math.gcd(qp, y) != 1:
+            continue
+        mu = int(tables.mobius[qp])
+        if mu == 0:
+            continue
+        phi_vals = phi_kernel(cfg, qp)
+        tau_vals = ramanujan_table(qp)[x % qp]
+        out += phi_vals * (mu / int(tables.totient[qp])) * tau_vals
+    sums[max(Qs)] = out
+    mask = (x - b) % y == 0
+    return [y * mask * sums[c.Q] for c in cfgs]
+
+
+def dual_path_rel(lo: SpectralProfile, closed: np.ndarray) -> float:
+    """Largest gap between the spectral Low kernel of lo and closed, relative to the peak."""
+    ks = lo.kernel()
     peak = float(np.abs(ks).max())
-    return float(np.abs(ks - kc).max()) / peak if peak else 0.0
+    return float(np.abs(ks - closed).max()) / peak if peak else 0.0
 
 
 # ---------------------------------------------------------------------------

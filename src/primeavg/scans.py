@@ -17,7 +17,9 @@ values (Oppenheim and Schafer, Discrete-Time Signal Processing, 8.7).
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import multiprocessing
+import warnings
 
 import numpy as np
 
@@ -74,18 +76,46 @@ def input_families(
 # Improving scan
 
 
-def _run_cells(cell_fn, cells: list[tuple], workers: int) -> list[dict]:
-    """Rows of every cell in cell order, on a process pool when workers > 1.
+def run_cells(cell_fn, cells: list, workers: int, groups: list[list[int]] | None = None) -> list:
+    """Rows of every cell in cell order, on a pool of up to `workers` processes.
 
-    The pool forks where the platform can, so the workers inherit the tables
-    the parent sieved; other start methods re-sieve in each worker.
+    Each group (a list of cell indices; by default every cell alone) runs as
+    one task, its cells in the order listed, so cells that share a
+    per-process cache can share one process; one task runs in this process.  The warnings of each cell are
+    recorded where it runs and raised again here in cell order, as a serial
+    run would raise them.  The pool forks where the platform can, so the
+    workers inherit the tables the parent sieved; other start methods
+    re-sieve in each worker.
     """
+    groups = groups if groups is not None else [[i] for i in range(len(cells))]
+    tasks = [[cells[i] for i in group] for group in groups]
+    run = functools.partial(_run_task, cell_fn)
+    workers = min(workers, len(tasks))
     if workers > 1:
         fork = "fork" in multiprocessing.get_all_start_methods()
         context = multiprocessing.get_context("fork") if fork else None
         with concurrent.futures.ProcessPoolExecutor(workers, mp_context=context) as pool:
-            return [row for rows in pool.map(cell_fn, cells) for row in rows]
-    return [row for cell in cells for row in cell_fn(cell)]
+            done = list(pool.map(run, tasks))
+    else:
+        done = [run(task) for task in tasks]
+    by_cell = {i: out for group, outs in zip(groups, done) for i, out in zip(group, outs)}
+    rows = []
+    for i in range(len(cells)):
+        cell_rows, caught = by_cell[i]
+        for message, category, filename, lineno in caught:
+            warnings.warn_explicit(message, category, filename, lineno)
+        rows += cell_rows
+    return rows
+
+
+def _run_task(cell_fn, cells: list) -> list[tuple[list, list]]:
+    """(rows, warnings as (message, category, filename, lineno)) of each cell."""
+    out = []
+    for cell in cells:
+        with warnings.catch_warnings(record=True) as caught:
+            rows = cell_fn(cell)
+        out.append((rows, [(w.message, w.category, w.filename, w.lineno) for w in caught]))
+    return out
 
 
 def _improving_cell(payload: tuple) -> list[dict]:
@@ -147,7 +177,7 @@ def improving_scan(
 
     if cells:
         build_tables(max(N_list))  # one sieve, inherited by forked workers as cached views
-    rows = _run_cells(_improving_cell, cells, workers)
+    rows = run_cells(_improving_cell, cells, workers)
 
     max_ratio: dict[tuple, dict[int, float]] = {}
     for row in rows:
@@ -251,7 +281,7 @@ def maximal_scan(
 
     if cells:
         build_tables(max(N_list))  # one sieve, inherited by forked workers as cached views
-    rows = _run_cells(_maximal_cell, cells, workers)
+    rows = run_cells(_maximal_cell, cells, workers)
 
     max_by_yb: dict[tuple, float] = {}
     for row in rows:

@@ -1,9 +1,11 @@
 import csv
 import json
+import os
+import warnings
 
 import pytest
 
-from primeavg import __version__
+from primeavg import __version__, fixtures, scans
 from primeavg.cli import main
 from primeavg.fixtures import fixture_hash
 
@@ -319,7 +321,7 @@ def test_improving_r_outside_range_exits_two_before_pool(tmp_path, capsys, monke
     def must_not_run(*args, **kwargs):
         pytest.fail("the scan started before r was checked")
 
-    monkeypatch.setattr(scans, "_run_cells", must_not_run)
+    monkeypatch.setattr(scans, "run_cells", must_not_run)
     rc = main([*argv, "--N-list", "1024", "--y-list", "1",
                "--n-floor-factor", "1", "--out-dir", str(tmp_path)])
     assert rc == 2
@@ -391,3 +393,73 @@ def test_highlow_evaluates_each_window_once(tmp_path, monkeypatch):
     assert rc == 0
     points = multiplier.farey_points(12, Progression(3, 1))
     assert seen == [(p.a, p.q) for p in points if p.height > 0 and 2 * p.a <= p.q]
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["--lambda-grid", "0", "-0.5"], None),
+        (["--r", "1.5", "--lambda-grid", "0"], None),
+        ([], {"lambda_grid": []}),
+    ],
+    ids=["nonpositive", "zero_with_r_below_2", "empty_in_config"],
+)
+def test_bad_lambda_grid_exits_two_before_any_cell(tmp_path, capsys, monkeypatch, argv, config):
+    def must_not_run(*args, **kwargs):
+        pytest.fail("a scan cell ran before the lambda grid was checked")
+
+    monkeypatch.setattr(scans, "run_cells", must_not_run)
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = argv + ["--config", str(tmp_path / "cfg.json")]
+    out = tmp_path / "out"
+    rc = main(["maximal", "--N-list", "1024", "--y-list", "1", *argv, "--out-dir", str(out)])
+    assert rc == 2
+    assert "--lambda-grid" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_IMPROVING_CELL = scans._improving_cell
+
+
+def _warning_improving_cell(payload):
+    # module level, so the pool can pickle it by reference
+    warnings.warn(f"cell N={payload[0]} y={payload[1]}")
+    return _IMPROVING_CELL(payload)
+
+
+def test_pool_worker_warnings_reach_summary(tmp_path, monkeypatch):
+    monkeypatch.setattr(scans, "_improving_cell", _warning_improving_cell)
+    rc = main(["improving", "--N-list", "1024", "2048", "--y-list", "1", "3",
+               "--n-floor-factor", "256", "--workers", "2", "--out-dir", str(tmp_path)])
+    assert rc == 0
+    summary = json.loads((tmp_path / "improving.json").read_text())
+    # raised again in cell order: y outer, N inner
+    assert summary["warnings"] == ["cell N=1024 y=1", "cell N=2048 y=1",
+                                   "cell N=1024 y=3", "cell N=2048 y=3"]
+
+
+def test_verify_artifacts_equal_serial_run(tmp_path, monkeypatch):
+    # the bourgain recipes share a cached sweep and are not adjacent; the
+    # residual and lo_linf recipes raise desk-scale warnings
+    import primeavg.cli as cli
+
+    names = ["residual_sup_y1_N12", "bourgain_exponent_y1", "lo_linf_interval_y1",
+             "bourgain_ratio_ceiling_t2"]
+    groups = []
+    run_cells = cli.run_cells
+    monkeypatch.setattr(cli, "run_cells", lambda *a: groups.append(a[3]) or run_cells(*a))
+    outputs = []
+    for workers in (2, 1):
+        for sweep in fixtures.SHARED_SWEEPS:
+            getattr(fixtures, sweep).cache_clear()
+        monkeypatch.setattr(os, "cpu_count", lambda: workers)
+        out = tmp_path / str(workers)
+        rc = main(["verify", "--qmax", "12", "--ymax", "4", "--cohen-qmax", "8", "--cohen-ymax", "4",
+                   "--max-tuples", "500", "--fixture-names", *names, "--out-dir", str(out)])
+        assert rc == 0
+        outputs.append([(out / f"verify.{ext}").read_bytes() for ext in ("csv", "json")])
+    assert outputs[0] == outputs[1]
+    assert len(json.loads(outputs[1][1])["warnings"]) >= 2
+    # the suites, then the recipes by task: the two bourgain recipes share one
+    assert groups == [[[0], [1], [2, 4], [3]]] * 2

@@ -114,6 +114,28 @@ def test_gauss_upsilon_closed_matches_direct_sampled():
     assert err < 1e-8
 
 
+def test_tuple_suites_one_pass_equals_each_batch_alone():
+    # the shared pass gives each suite exactly the (err, count) of its own batch
+    # function run over the same sample, asked first (a pass) or second (cached)
+    from primeavg.expsums import _sample_tuples, _verify_sampled
+
+    tables = build_tables(48 * 18)
+    expected = {}
+    for batch in (progression_ramanujan_batch, gauss_upsilon_batch):
+        worst, count = 0.0, 0
+        for q, (y, b, a) in _sample_tuples(48, 18, 20_000, np.random.default_rng(1)).items():
+            direct, closed = batch(q, y, b, a, tables)
+            worst = max(worst, float(np.abs(direct - closed).max()) / q)
+            count += len(a)
+        expected[batch] = (worst, count)
+    suites = [(progression_ramanujan_batch, verify_progression_ramanujan),
+              (gauss_upsilon_batch, verify_gauss_upsilon)]
+    for order in (suites, suites[::-1]):
+        _verify_sampled.cache_clear()
+        for batch, suite in order:
+            assert suite(48, 18, max_tuples=20_000, seed=1) == expected[batch]
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     q=st.integers(1, 96),

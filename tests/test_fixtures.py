@@ -1,6 +1,17 @@
+import itertools
+import os
+
 import pytest
 
-from primeavg.fixtures import check_fixture, load_fixtures, measure_fixture
+from primeavg import fixtures
+from primeavg.fixtures import (
+    MEASUREMENTS,
+    check_fixture,
+    load_fixtures,
+    measure_fixture,
+    recipe_groups,
+)
+from primeavg.scans import run_cells
 
 # The recipes that no other test runs; each must reproduce its frozen value, so
 # that `primeavg verify` cannot fail while the suite stays green.
@@ -21,3 +32,29 @@ UNCOVERED_RECIPES = [
 @pytest.mark.parametrize("name", UNCOVERED_RECIPES)
 def test_fixture_recipe_reproduces_frozen_value(name):
     assert check_fixture(name, measure_fixture(name), load_fixtures())
+
+
+def _cached_sweeps() -> dict:
+    return {
+        name: fn for name, fn in vars(fixtures).items()
+        if hasattr(fn, "cache_clear") and fn.__module__ == fixtures.__name__
+    }
+
+
+def _sweeps_missed(name: str) -> list[set[str]]:
+    """The cached sweeps that recipe name computes when it runs alone from cold caches."""
+    sweeps = _cached_sweeps()
+    for fn in sweeps.values():
+        fn.cache_clear()
+    measure_fixture(name)
+    return [{sweep for sweep, fn in sweeps.items() if fn.cache_info().misses}]
+
+
+def test_recipes_missing_on_one_sweep_share_a_task():
+    names = sorted(MEASUREMENTS)
+    missed = dict(zip(names, run_cells(_sweeps_missed, names, os.cpu_count() or 1)))
+    task = {names[i]: k for k, group in enumerate(recipe_groups(names)) for i in group}
+    shared = [(a, b) for a, b in itertools.combinations(names, 2) if missed[a] & missed[b]]
+    assert shared
+    for a, b in shared:
+        assert task[a] == task[b], f"{a} and {b} both compute a cached sweep in separate tasks"

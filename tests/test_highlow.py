@@ -12,6 +12,7 @@ from primeavg.highlow import (
     hi_l2_ratios,
     lo_hat_profile,
     lo_kernel_closed,
+    lo_kernels_closed,
     lo_linf_ratio,
     multifrequency_max_ratio,
     multifrequency_profile,
@@ -136,6 +137,14 @@ def test_dual_path_low_kernels_agree(tables):
     closed = lo_kernel_closed(cfg, tables)
     peak = np.abs(spec).max()
     assert np.abs(spec - closed).max() < 1e-3 * peak
+
+
+@pytest.mark.parametrize("y, b, Qs", [(3, 1, [8, 2, 4, 2]), (1, 0, [1, 6, 3]), (6, 5, [5])])
+def test_low_kernels_one_pass_match_per_Q(tables, y, b, Qs):
+    # unsorted, repeated and empty (Q = 1) sums each equal the per-Q oracle bit for bit
+    cfgs = [_cfg(N=1 << 12, y=y, b=b, Q=Q, M=1 << 16) for Q in Qs]
+    for cfg, kernel in zip(cfgs, lo_kernels_closed(cfgs, tables), strict=True):
+        assert np.array_equal(kernel, lo_kernel_closed(cfg, tables))
 
 
 def test_low_kernel_envelope_invariant(tables):

@@ -1,4 +1,6 @@
 import multiprocessing
+import os
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from primeavg.scans import (
     improving_scan,
     input_families,
     maximal_scan,
+    run_cells,
 )
 from primeavg.tables import Progression, reduced_residues
 
@@ -288,6 +291,32 @@ def test_scan_workers_reuse_parent_sieve(monkeypatch, scan):
     else:
         maximal_scan(**_small_maximal_config(), workers=2)
     assert sieved == [1 << 11]
+
+
+def _warning_cell(cell):
+    warnings.warn(f"cell {cell}")
+    return [cell]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_cells_returns_rows_and_warnings_in_cell_order(workers):
+    # groups interleave, so task order differs from cell order
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rows = run_cells(_warning_cell, list("abcde"), workers, [[0, 3], [1], [2, 4]])
+    assert rows == list("abcde")
+    assert [str(w.message) for w in caught] == [f"cell {c}" for c in "abcde"]
+
+
+def _pid_cell(cell):
+    return [os.getpid()]
+
+
+@pytest.mark.parametrize("workers, cells, in_pool", [(1, 3, False), (2, 1, False), (2, 3, True)])
+def test_run_cells_uses_a_pool_only_for_two_tasks_and_workers(workers, cells, in_pool):
+    pids = run_cells(_pid_cell, list(range(cells)), workers)
+    assert len(pids) == cells
+    assert all((pid != os.getpid()) == in_pool for pid in pids)
 
 
 # ---------------------------------------------------------------------------
