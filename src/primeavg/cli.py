@@ -82,8 +82,8 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, default=_fmt)
 
 
-def _merge_config(args: argparse.Namespace, parser_keys: set[str]) -> dict:
-    """File config overridden by explicit flags; unknown file keys rejected."""
+def _merge_config(args: argparse.Namespace, keys: set[str]) -> dict:
+    """File config overridden by explicit flags; unknown or ill-typed file keys rejected."""
     merged: dict = {}
     if args.config:
         try:
@@ -93,20 +93,43 @@ def _merge_config(args: argparse.Namespace, parser_keys: set[str]) -> dict:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
-        unknown = set(file_cfg) - parser_keys
+        unknown = set(file_cfg) - keys
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        merged.update(file_cfg)
-    for key, value in vars(args).items():
-        if key in ("config", "command", "func") or value is None:
-            continue
-        merged[key] = value
+        merged.update({key: _typed(key, value) for key, value in file_cfg.items()})
+    merged.update({key: value for key, value in vars(args).items() if key in keys and value is not None})
     return merged
 
 
+def _typed(key: str, value):
+    """A config-file value parsed as the flag of key would parse it."""
+    kind = KEYS[key]
+    where = f"config key {key}" + ("" if key in CONFIG_ONLY else f" (flag {_flag(key)})")
+    if kind is bool:
+        if not isinstance(value, bool):
+            raise ConfigError(f"{where} must be true or false, got {value!r}")
+        return value
+    if not isinstance(kind, list):
+        return _parsed(where, kind, value)
+    # a flag taking nargs="+" cannot give an empty list; a config-only key may hold []
+    if not isinstance(value, list) or not (value or key in CONFIG_ONLY):
+        raise ConfigError(f"{where} must be a {'list' if key in CONFIG_ONLY else 'non-empty list'}, got {value!r}")
+    return [_parsed(where, kind[0], v) for v in value]
+
+
+def _parsed(where: str, kind: type, value):
+    """kind applied to the text of a JSON string or number, as argparse applies it to a flag's text."""
+    if isinstance(value, (str, int, float)) and not isinstance(value, bool):
+        try:
+            return kind(str(value))
+        except ValueError:
+            pass
+    raise ConfigError(f"{where} cannot parse {value!r} as {kind.__name__}")
+
+
 def _prog_from(cfg: dict) -> Progression:
-    y = int(cfg.get("y", 1))
-    b = int(cfg.get("b", default_residue(y)))
+    y = cfg.get("y", 1)
+    b = cfg.get("b", default_residue(y))
     return Progression(y, b)
 
 
@@ -181,21 +204,16 @@ def _verify_cell(cell: tuple) -> list[dict]:
 
 
 def cmd_verify(cfg: dict) -> tuple[list[dict], dict, bool]:
-    names = cfg.get("fixture_names") or sorted(MEASUREMENTS)
+    names = cfg.get("fixture_names", sorted(MEASUREMENTS))
     for name in names:
         if name not in MEASUREMENTS:
             raise ConfigError(f"unknown fixture name: {name}")
-    for key in ("qmax", "ymax", "max_tuples", "cohen_qmax", "cohen_ymax"):
-        if key in cfg and int(cfg[key]) < 1:
-            raise ConfigError(f"{key} must be >= 1, got {cfg[key]}")
-    sizes = {
-        "qmax": int(cfg.get("qmax", 96)),
-        "ymax": int(cfg.get("ymax", 36)),
-        "max_tuples": int(cfg.get("max_tuples", 100_000)),
-        "seed": int(cfg.get("seed", 0)),
-        "cohen_qmax": int(cfg.get("cohen_qmax", 64)),
-        "cohen_ymax": int(cfg.get("cohen_ymax", 24)),
-    }
+    defaults = {"qmax": 96, "ymax": 36, "max_tuples": 100_000, "cohen_qmax": 64, "cohen_ymax": 24}
+    sizes = {key: cfg.get(key, default) for key, default in defaults.items()}
+    for key, value in sizes.items():
+        if value < 1:
+            raise ConfigError(f"{key} must be >= 1, got {value}")
+    sizes["seed"] = cfg.get("seed", 0)
     cells, groups = [("suites", sizes)], [[0]]
     if cfg.get("fixtures", True):
         cells += [("fixture", name) for name in names]
@@ -219,11 +237,11 @@ def cmd_verify(cfg: dict) -> tuple[list[dict], dict, bool]:
 
 
 def cmd_approx(cfg: dict) -> tuple[list[dict], dict, bool]:
-    N = int(cfg.get("N", 4096))
+    N = cfg.get("N", 4096)
     prog = _prog_from(cfg)
-    q_cut = int(cfg.get("qcut", 16))
-    M = int(cfg["M"]) if "M" in cfg else 4 * N
-    max_rows = int(cfg.get("max_rows", 1 << 14))
+    q_cut = cfg.get("qcut", 16)
+    M = cfg.get("M", 4 * N)
+    max_rows = cfg.get("max_rows", 1 << 14)
     if q_cut < 2:
         # no Farey point has q < q_cut then, and the residual is a_hat itself
         raise ConfigError(f"qcut must be >= 2, got {q_cut}")
@@ -252,11 +270,11 @@ def cmd_approx(cfg: dict) -> tuple[list[dict], dict, bool]:
 
 
 def cmd_highlow(cfg: dict) -> tuple[list[dict], dict, bool]:
-    N = int(cfg.get("N", 4096))
+    N = cfg.get("N", 4096)
     prog = _prog_from(cfg)
-    M = int(cfg["M"]) if "M" in cfg else 16 * N
-    Q_list = [int(Q) for Q in cfg.get("Q_list") or [4]]
-    r = float(cfg.get("r", 1.5))
+    M = cfg.get("M", 16 * N)
+    Q_list = cfg.get("Q_list", [4])
+    r = cfg.get("r", 1.5)
     if not 1.0 < r < 2.0:
         raise ConfigError(f"r must lie in (1, 2), got {r}")
     dcfgs = [DecompositionConfig(N=N, prog=prog, Q=Q, M=M) for Q in Q_list]
@@ -301,7 +319,7 @@ def _run_scan(scan, cfg: dict):
     """One scan with the keys of cfg it takes; workers default to the cpu count."""
     taken = inspect.signature(scan).parameters
     kwargs = {key: value for key, value in cfg.items() if key in taken}
-    kwargs["workers"] = int(cfg.get("workers", os.cpu_count() or 1))
+    kwargs["workers"] = cfg.get("workers", os.cpu_count() or 1)
     return scan(**kwargs)
 
 
@@ -313,11 +331,11 @@ def cmd_improving(cfg: dict) -> tuple[list[dict], dict, bool]:
 def cmd_maximal(cfg: dict) -> tuple[list[dict], dict, bool]:
     lambdas = cfg.get("lambda_grid")
     # the weak ratio scales with lambda and the q_policy column is lambda^(r/2 - 1)
-    if lambdas is not None and not (lambdas and all(0.0 < float(lam) < math.inf for lam in lambdas)):
+    if lambdas is not None and not all(0.0 < lam < math.inf for lam in lambdas):
         raise ConfigError(f"--lambda-grid needs positive finite values, got {lambdas}")
     rows, report = _run_scan(maximal_scan, cfg)
-    ceiling = float(cfg.get("weak_ceiling", 1.0))
-    variation_cap = float(cfg.get("variation_cap", 1.5))
+    ceiling = cfg.get("weak_ceiling", 1.0)
+    variation_cap = cfg.get("variation_cap", 1.5)
     summary = report["summary"]
     ok = summary["max_weak_ratio"] <= ceiling and all(
         v < variation_cap for v in summary["b_variation"].values()
@@ -328,8 +346,8 @@ def cmd_maximal(cfg: dict) -> tuple[list[dict], dict, bool]:
 
 def cmd_ramanujan_avg(cfg: dict) -> tuple[list[dict], dict, bool]:
     prog = _prog_from(cfg)
-    t = int(cfg.get("t", 2))
-    Q_list = [int(q) for q in cfg.get("Q_list", [4, 8, 16, 32])]
+    t = cfg.get("t", 2)
+    Q_list = cfg.get("Q_list", [4, 8, 16, 32])
     if t < 1:
         raise ConfigError(f"t must be >= 1, got {t}")
     if len(set(Q_list)) < 2:
@@ -342,7 +360,7 @@ def cmd_ramanujan_avg(cfg: dict) -> tuple[list[dict], dict, bool]:
         rows.append({"Q": Q, "M": M, "t": t, "lhs": lhs, "lhs_over_Q125": lhs / Q**1.25})
     exponent = fit_exponent([r["Q"] for r in rows], [r["lhs"] for r in rows])
     cap = cfg.get("exponent_cap")
-    ok = True if cap is None else exponent <= float(cap)
+    ok = True if cap is None else exponent <= cap
     summary = {
         "y": prog.y,
         "b": prog.b,
@@ -357,8 +375,8 @@ def cmd_ramanujan_avg(cfg: dict) -> tuple[list[dict], dict, bool]:
 
 def cmd_sw(cfg: dict) -> tuple[list[dict], dict, bool]:
     prog = _prog_from(cfg)
-    x_grid = [int(x) for x in cfg.get("x_grid", [10**4, 10**5, 10**6])]
-    J = int(cfg.get("J", 2))
+    x_grid = cfg.get("x_grid", [10**4, 10**5, 10**6])
+    J = cfg.get("J", 2)
     tables = build_tables(max(2, *x_grid))  # the sieve starts at 2; psi below 2 reads no entry
     rows = sw_error_report(x_grid, prog, tables, J=J)
     summary = {
@@ -374,11 +392,43 @@ def cmd_sw(cfg: dict) -> tuple[list[dict], dict, bool]:
 # ---------------------------------------------------------------------------
 # Argument parsing
 
+# Every config key once, by the type its flag parses.  A list [type] is a
+# flag taking nargs="+"; a bool is a switch.  The flag of a key is "--" + key
+# with "_" written "-", except those in FLAGS; keys in CONFIG_ONLY have none.
+KEYS = {
+    **dict.fromkeys("seed qmax ymax cohen_qmax cohen_ymax max_tuples N y b qcut M max_rows".split(), int),
+    **dict.fromkeys("workers n_floor_factor t J".split(), int),
+    **dict.fromkeys("r weak_ceiling variation_cap exponent_cap".split(), float),
+    **dict.fromkeys("Q_list N_list y_list x_grid densities".split(), [int]),
+    **dict.fromkeys("r_list lambda_grid".split(), [float]),
+    "out_dir": str, "fixture_names": [str], "fixtures": bool, "b_sweep": bool,
+}
+FLAGS = {"fixtures": "--no-fixtures"}  # a "--no-" switch stores False
+CONFIG_ONLY = {"densities"}
+COMMON = "seed out_dir"
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON config file; flags override its keys")
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--out-dir", dest="out_dir", default=None)
+# subcommand: (help, cmd_*, the keys it takes besides COMMON, in flag order)
+COMMANDS = {
+    "verify": ("exact identity suites and fixture comparisons", cmd_verify,
+               "qmax ymax cohen_qmax cohen_ymax max_tuples fixtures fixture_names"),
+    "approx": ("approximation-error residual profile", cmd_approx, "N y b qcut M max_rows"),
+    "highlow": ("High/Low split diagnostics", cmd_highlow, "N y b Q_list M r"),
+    "improving": ("improving-inequality stability scan", cmd_improving,
+                  "N_list y_list r_list workers n_floor_factor densities"),
+    "maximal": ("weak-type maximal-function scan", cmd_maximal,
+                "N_list y_list r lambda_grid b_sweep weak_ceiling variation_cap workers n_floor_factor densities"),
+    "ramanujan-avg": ("Ramanujan-sum moment sweep", cmd_ramanujan_avg, "y b t Q_list exponent_cap"),
+    "sw": ("prime-counting error along a progression", cmd_sw, "y b x_grid J"),
+}
+
+
+def _keys(command: str) -> list[str]:
+    """The config keys a subcommand takes, in flag order."""
+    return f"{COMMON} {COMMANDS[command][2]}".split()
+
+
+def _flag(key: str) -> str:
+    return FLAGS.get(key, "--" + key.replace("_", "-"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -388,88 +438,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("verify", help="exact identity suites and fixture comparisons")
-    _add_common(p)
-    p.add_argument("--qmax", type=int, default=None)
-    p.add_argument("--ymax", type=int, default=None)
-    p.add_argument("--cohen-qmax", dest="cohen_qmax", type=int, default=None)
-    p.add_argument("--cohen-ymax", dest="cohen_ymax", type=int, default=None)
-    p.add_argument("--max-tuples", dest="max_tuples", type=int, default=None)
-    p.add_argument("--no-fixtures", dest="fixtures", action="store_false", default=None)
-    p.add_argument("--fixture-names", dest="fixture_names", nargs="+", default=None)
-    p.set_defaults(func=cmd_verify)
-
-    p = subs.add_parser("approx", help="approximation-error residual profile")
-    _add_common(p)
-    p.add_argument("--N", type=int, default=None)
-    p.add_argument("--y", type=int, default=None)
-    p.add_argument("--b", type=int, default=None)
-    p.add_argument("--qcut", type=int, default=None)
-    p.add_argument("--M", type=int, default=None)
-    p.add_argument("--max-rows", dest="max_rows", type=int, default=None)
-    p.set_defaults(func=cmd_approx)
-
-    p = subs.add_parser("highlow", help="High/Low split diagnostics")
-    _add_common(p)
-    p.add_argument("--N", type=int, default=None)
-    p.add_argument("--y", type=int, default=None)
-    p.add_argument("--b", type=int, default=None)
-    p.add_argument("--Q-list", dest="Q_list", type=int, nargs="+", default=None)
-    p.add_argument("--M", type=int, default=None)
-    p.add_argument("--r", type=float, default=None)
-    p.set_defaults(func=cmd_highlow)
-
-    p = subs.add_parser("improving", help="improving-inequality stability scan")
-    _add_common(p)
-    p.add_argument("--N-list", dest="N_list", type=int, nargs="+", default=None)
-    p.add_argument("--y-list", dest="y_list", type=int, nargs="+", default=None)
-    p.add_argument("--r-list", dest="r_list", type=float, nargs="+", default=None)
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--n-floor-factor", dest="n_floor_factor", type=int, default=None)
-    p.set_defaults(func=cmd_improving)
-
-    p = subs.add_parser("maximal", help="weak-type maximal-function scan")
-    _add_common(p)
-    p.add_argument("--N-list", dest="N_list", type=int, nargs="+", default=None)
-    p.add_argument("--y-list", dest="y_list", type=int, nargs="+", default=None)
-    p.add_argument("--r", type=float, default=None)
-    p.add_argument("--lambda-grid", dest="lambda_grid", type=float, nargs="+", default=None)
-    p.add_argument("--b-sweep", dest="b_sweep", action="store_true", default=None)
-    p.add_argument("--weak-ceiling", dest="weak_ceiling", type=float, default=None)
-    p.add_argument("--variation-cap", dest="variation_cap", type=float, default=None)
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--n-floor-factor", dest="n_floor_factor", type=int, default=None)
-    p.set_defaults(func=cmd_maximal)
-
-    p = subs.add_parser("ramanujan-avg", help="Ramanujan-sum moment sweep")
-    _add_common(p)
-    p.add_argument("--y", type=int, default=None)
-    p.add_argument("--b", type=int, default=None)
-    p.add_argument("--t", type=int, default=None)
-    p.add_argument("--Q-list", dest="Q_list", type=int, nargs="+", default=None)
-    p.add_argument("--exponent-cap", dest="exponent_cap", type=float, default=None)
-    p.set_defaults(func=cmd_ramanujan_avg)
-
-    p = subs.add_parser("sw", help="prime-counting error along a progression")
-    _add_common(p)
-    p.add_argument("--y", type=int, default=None)
-    p.add_argument("--b", type=int, default=None)
-    p.add_argument("--x-grid", dest="x_grid", type=int, nargs="+", default=None)
-    p.add_argument("--J", type=int, default=None)
-    p.set_defaults(func=cmd_sw)
-
+    for command, (help_text, func, _) in COMMANDS.items():
+        p = subs.add_parser(command, help=help_text)
+        p.add_argument("--config", help="JSON config file; flags override its keys")
+        for key in _keys(command):
+            if key in CONFIG_ONLY:
+                continue
+            kind, flag = KEYS[key], _flag(key)
+            if kind is bool:
+                action = "store_false" if flag.startswith("--no-") else "store_true"
+                p.add_argument(flag, dest=key, action=action, default=None)
+            elif isinstance(kind, list):
+                p.add_argument(flag, dest=key, type=kind[0], nargs="+", default=None)
+            else:
+                p.add_argument(flag, dest=key, type=kind, default=None)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    keys = set(vars(args)) - {"config", "command", "func"}
-    if args.command in ("improving", "maximal"):
-        keys.add("densities")  # config-file only: a list of Bernoulli density exponents
     try:
-        cfg = _merge_config(args, keys)
+        cfg = _merge_config(args, set(_keys(args.command)))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             rows, summary, ok = args.func(cfg)
@@ -477,7 +468,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     summary.update(
-        seed=int(cfg.get("seed", 0)),
+        seed=cfg.get("seed", 0),
         version=__version__,
         fixture_hash=fixture_hash(),
         warnings=list(dict.fromkeys(str(w.message) for w in caught)),

@@ -152,7 +152,7 @@ def multifrequency_adapted_ratios(D: int = 12, M: int = 1 << 18) -> list[float]:
     for k in (1, 2, 4, 8, 12):
         # the bands at j/D, j < k, are not symmetric under xi -> -xi, so the
         # inverse transform is complex; the probe input keeps its real part
-        f = np.fft.ifft(multifrequency_profile(D, k, n0, M).values).real
+        f = np.fft.ifft(multifrequency_profile(D, k, n0, M)).real
         out.append(multifrequency_max_ratio(D, k, M, f))
     return out
 

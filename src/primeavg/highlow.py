@@ -5,7 +5,8 @@ controlled in physical space through a closed-form kernel built from
 Ramanujan sums) and a High part (heights at or above Q, controlled in
 frequency space through Gauss-sum decay).  Everything lives on a cyclic
 embedding Z_M so convolution and inversion are exact finite transforms.
-Both parts are Hermitian half profiles, run through real transforms.
+Both parts are Hermitian half profiles, run through real transforms; the
+multifrequency multiplier, not even in xi, is a plain length-M array.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .multiplier import (
     cutoff,
     indicator,
     m_hat,
-    sup_abs,
 )
 from .tables import ArithTables, Progression
 
@@ -168,14 +168,12 @@ def dual_path_rel(lo: SpectralProfile, closed: np.ndarray) -> float:
 
 
 def hi_l2_ratios(his, families) -> np.ndarray:
-    """l2 norm of Hi * 1_F over |F|^(1/2): input sets F (rows) by High half profiles (columns).
+    """l2 norm of Hi * 1_F over |F|^(1/2): input sets F (rows) by High profiles (columns).
 
     By Parseval ||Hi * 1_F||_2^2 = sum over all k of |hi|^2 |fhat|^2 / M.  Both
     spectra are Hermitian, so the sum runs over k <= M/2, k = 0 and k = M/2
     weighted once and every other k twice: one rfft per F, no inverse.
     """
-    if not all(hi.half_spectrum for hi in his):
-        raise ValueError("hi_l2_ratios needs half profiles, spectra of real kernels")
     powers = [hi.values.real**2 + hi.values.imag**2 for hi in his]
     for p in powers:
         p[1:-1] *= 2.0
@@ -207,7 +205,7 @@ def lo_linf_ratio(lo: SpectralProfile, cfg: DecompositionConfig, F, r: float) ->
 # Common-denominator multifrequency maximal harness
 
 
-def multifrequency_profile(D: int, k: int, n: int, M: int) -> SpectralProfile:
+def multifrequency_profile(D: int, k: int, n: int, M: int) -> np.ndarray:
     """Sum over the first k rationals j/D of the cutoff at spatial scale 2^n around j/D.
 
     Each cutoff vanishes at offsets of 1/2^(n+2) or more, so it is evaluated
@@ -221,7 +219,7 @@ def multifrequency_profile(D: int, k: int, n: int, M: int) -> SpectralProfile:
         idx = np.arange(k0, min(math.ceil(j * M / D + radius) + 1, k0 + M - 1) + 1) % M
         offset = (xi[idx] - j / D + 0.5) % 1.0 - 0.5
         mult[idx] += cutoff((1 << n) * offset)
-    return SpectralProfile(M, mult)
+    return mult
 
 
 def multifrequency_max_ratio(
@@ -230,7 +228,7 @@ def multifrequency_max_ratio(
     M: int,
     f: np.ndarray,
 ) -> float:
-    """l2 ratio of the maximal function over smooth projections at {j/D}.
+    """l2 ratio of the maximal function over smooth projections at {j/D}, by complex transforms.
 
     Takes the first num_points rationals j/D, cutoffs at dyadic spatial
     scales 2^n with n > 2*log2(D), and measures
@@ -240,6 +238,8 @@ def multifrequency_max_ratio(
         raise ValueError("num_points must lie in [1, D]")
     d = math.ceil(math.log2(D))
     scales = range(2 * d + 1, int(math.log2(M)) - 1)
-    profiles = (multifrequency_profile(D, num_points, n, M) for n in scales)
-    sup = sup_abs(profiles, f)
+    fhat = np.fft.fft(f)
+    sup = np.zeros(len(f))
+    for n in scales:
+        sup = np.maximum(sup, np.abs(np.fft.ifft(multifrequency_profile(D, num_points, n, M) * fhat)))
     return float(np.linalg.norm(sup) / np.linalg.norm(f))

@@ -6,16 +6,15 @@ sum, a plain average at the lcm spacing, and a compactly supported cutoff at
 scale lcm^2.  This module evaluates all of them pointwise and on dyadic grids
 of the torus, and measures the approximation error.
 
-A SpectralProfile holds a multiplier on Z_M in one of two storage forms.
-a_hat is the spectrum of a real kernel, and the scans apply it only to real
-indicators, so a_hat_profile keeps the Hermitian half, M//2 + 1 values, and
-convolves by real transforms (Sorensen, Jones, Heideman and Burrus 1987).
-The approximant is Hermitian too: height depends only on q, and Upsilon at
-(q - a)/q is the conjugate of Upsilon at a/q.  So approximant_profile builds
-each height band on k <= M/2 alone, every window clipped there, and
-approx_error_profile subtracts the same windows from a_hat's half.  Bands
-that share the windows of approximant_windows evaluate each window once.
-Only the multifrequency multiplier, not even in xi, holds all M values.
+A SpectralProfile holds a multiplier on Z_M as the Hermitian half of a real
+kernel's spectrum, M//2 + 1 values, and convolves by real transforms
+(Sorensen, Jones, Heideman and Burrus 1987).  a_hat is the spectrum of the
+real kernel phi(y)/N Lambda(n) on the progression.  The approximant is
+Hermitian too: height depends only on q, and Upsilon at (q - a)/q is the
+conjugate of Upsilon at a/q.  So approximant_profile builds each height band
+on k <= M/2 alone, every window clipped there, and approx_error_profile
+subtracts the same windows from a_hat's half.  Bands that share the windows
+of approximant_windows evaluate each window once.
 
 The major-arc errors sweep a_hat over a short uniform grid near a rational.
 That sweep is a blocked Bluestein chirp-z transform (Rabiner, Schafer and
@@ -83,66 +82,43 @@ def cutoff(u) -> np.ndarray:
 
 @dataclass
 class SpectralProfile:
-    """Multiplier values sampled on the grid {k/M : 0 <= k < M}.
+    """A real kernel's multiplier on the grid {k/M : 0 <= k < M}, stored as its Hermitian half.
 
-    The one operator on Z_M: convolution with its kernel is multiplication
-    by the values between a forward and an inverse length-M transform.  A
-    profile holds one of two storage forms, told apart by len(values):
-
-    * full: all M values, any complex multiplier (the multifrequency
-      multiplier);
-    * half: the M//2 + 1 values at k <= M/2 of a real kernel's Hermitian
-      spectrum, as np.fft.rfft returns them (a_hat_profile, the
-      approximant's height bands and the approximation residual).  The values at
-      k > M/2 are the conjugates of those at M - k, so apply and kernel run
-      real transforms of half the work and return real arrays.
-
-    For M <= 2 the forms coincide (rfft and fft agree on a real input) and
-    the profile reads as full.
+    values holds the M//2 + 1 values at k <= M/2, as np.fft.rfft returns
+    them; the value at k > M/2 is the conjugate of that at M - k.
+    Convolution with the kernel is multiplication by the values between a
+    forward and an inverse real transform of length M.
     """
 
     grid_size: int
     values: np.ndarray
 
-    @property
-    def half_spectrum(self) -> bool:
-        """True when values hold only the k <= M/2 half of a real kernel's spectrum."""
-        return len(self.values) != self.grid_size
+    def __post_init__(self):
+        half = self.grid_size // 2 + 1
+        if len(self.values) != half:
+            raise ValueError(f"a profile on Z_{self.grid_size} holds {half} values, got {len(self.values)}")
 
     def sup(self) -> float:
         # a Hermitian spectrum takes its sup over k <= M/2
         return float(np.abs(self.values).max())
 
     def apply(self, f: np.ndarray) -> np.ndarray:
-        """Cyclic convolution of f with the kernel: real for a half profile, else complex."""
+        """Cyclic convolution of the real f with the kernel, a real array."""
         if len(f) != self.grid_size:
             raise ValueError(f"size mismatch: {len(f)} vs {self.grid_size}")
-        return self._apply_hat(self._transform(f))
-
-    def _transform(self, f: np.ndarray) -> np.ndarray:
-        """The spectrum of f in this profile's form; a half profile needs f real."""
-        return np.fft.rfft(f) if self.half_spectrum else np.fft.fft(f)
-
-    def _apply_hat(self, fhat: np.ndarray) -> np.ndarray:
-        if self.half_spectrum:
-            return np.fft.irfft(self.values * fhat, self.grid_size)
-        return np.fft.ifft(self.values * fhat)
+        return np.fft.irfft(self.values * np.fft.rfft(f), self.grid_size)
 
     def kernel(self) -> np.ndarray:
-        """The real kernel on Z_M of a half profile: the inverse real transform of its values."""
-        if not self.half_spectrum:
-            raise ValueError("kernel needs a half profile, the spectrum of a real kernel")
+        """The real kernel on Z_M: the inverse real transform of the values."""
         return np.fft.irfft(self.values, self.grid_size)
 
 
 def sup_abs(profiles, f: np.ndarray) -> np.ndarray:
-    """Pointwise sup of |P f| over an iterable of profiles, transforming f once per storage form."""
-    fhats: dict[bool, np.ndarray] = {}
+    """Pointwise sup of |P f| over an iterable of profiles on one grid, transforming the real f once."""
+    fhat = np.fft.rfft(f)
     sup = np.zeros(len(f))
     for p in profiles:
-        if p.half_spectrum not in fhats:
-            fhats[p.half_spectrum] = p._transform(f)
-        sup = np.maximum(sup, np.abs(p._apply_hat(fhats[p.half_spectrum])))
+        sup = np.maximum(sup, np.abs(np.fft.irfft(p.values * fhat, p.grid_size)))
     return sup
 
 
@@ -217,7 +193,7 @@ def a_kernel(N: int, prog: Progression, M: int, tables: ArithTables) -> np.ndarr
 def a_hat_profile(
     N: int, prog: Progression, M: int, tables: ArithTables
 ) -> SpectralProfile:
-    """a_hat on the grid {k/M}, M >= N, as the half profile rfft of the padded real kernel."""
+    """a_hat on the grid {k/M}, M >= N: the rfft of the padded real kernel."""
     if M < N:
         raise ValueError(f"grid M={M} smaller than N={N}")
     _guard_grid(M)
@@ -359,7 +335,7 @@ def approximant_windows(N: int, prog: Progression, q_cut: int, M: int) -> list:
 def approximant_profile(
     N: int, prog: Progression, q_cut: int, M: int, height_min: int = 1, height_max=None, windows=None
 ) -> SpectralProfile:
-    """Approximant restricted to a height band, as the half profile on k <= M/2.
+    """Approximant restricted to a height band, as the profile of its values on k <= M/2.
 
     Given windows from approximant_windows, it evaluates none of them again
     and adds the same windows in the same order, so it is the same bit for bit.
@@ -447,7 +423,7 @@ def approx_error_profile(
     M: int,
     tables: ArithTables,
 ) -> tuple[float, SpectralProfile]:
-    """Residual a_hat - approximant as a half profile; returns (sup error, profile).
+    """Residual a_hat - approximant as a profile; returns (sup error, profile).
 
     Both a_hat and the approximant are spectra of real kernels, so the
     residual is Hermitian and its M//2 + 1 values at k <= M/2 determine it.

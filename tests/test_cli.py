@@ -463,3 +463,50 @@ def test_verify_artifacts_equal_serial_run(tmp_path, monkeypatch):
     assert len(json.loads(outputs[1][1])["warnings"]) >= 2
     # the suites, then the recipes by task: the two bourgain recipes share one
     assert groups == [[[0], [1], [2, 4], [3]]] * 2
+
+
+@pytest.mark.parametrize(
+    "command, config, flag",
+    [
+        ("highlow", {"Q_list": 4}, "--Q-list"),
+        ("maximal", {"lambda_grid": 0.5}, "--lambda-grid"),
+        ("sw", {"x_grid": []}, "--x-grid"),
+        ("improving", {"N_list": []}, "--N-list"),
+        ("highlow", {"Q_list": []}, "--Q-list"),
+        ("verify", {"fixture_names": []}, "--fixture-names"),
+        ("maximal", {"b_sweep": "yes"}, "--b-sweep"),
+        ("approx", {"N": "4096x"}, "--N"),
+    ],
+    ids=["scalar_for_int_list", "scalar_for_float_list", "empty_x_grid", "empty_N_list",
+         "empty_Q_list", "empty_fixture_names", "string_for_switch", "bad_int_text"],
+)
+def test_config_value_of_wrong_type_exits_two_before_sieving(tmp_path, capsys, monkeypatch, command, config, flag):
+    # a config-file value is parsed as its flag would parse it, before any work
+    import primeavg
+    from primeavg import cli, expsums, multiplier
+
+    def must_not_run(*args, **kwargs):
+        pytest.fail("work started before the config file's values were checked")
+
+    for module in (primeavg, cli, expsums, fixtures, multiplier, scans):
+        monkeypatch.setattr(module, "build_tables", must_not_run)
+    monkeypatch.setattr(cli, "run_cells", must_not_run)
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    out = tmp_path / "out"
+    rc = main([command, "--config", str(tmp_path / "cfg.json"), "--out-dir", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and flag in err
+    assert not out.exists()
+
+
+def test_config_values_parse_as_their_flags(tmp_path):
+    # JSON numbers and strings are read as the text of their flags, and the
+    # config-only densities may be an empty list
+    (tmp_path / "cfg.json").write_text(json.dumps({"N_list": ["1024", 2048], "densities": []}))
+    rc = main(["improving", "--config", str(tmp_path / "cfg.json"), "--y-list", "1", "--workers", "1",
+               "--out-dir", str(tmp_path)])
+    assert rc == 0
+    report = json.loads((tmp_path / "improving.json").read_text())
+    assert report["parameters"]["densities"] == []
+    assert report["parameters"]["N_list"] == [1024, 2048]

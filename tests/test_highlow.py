@@ -165,7 +165,7 @@ def test_convolve_with_delta_is_identity():
     f = rng.standard_normal(M)
     delta = np.zeros(M)
     delta[0] = 1.0
-    out = SpectralProfile(M, np.fft.fft(delta)).apply(f)
+    out = SpectralProfile(M, np.fft.rfft(delta)).apply(f)
     assert np.allclose(out, f, atol=1e-12)
 
 
@@ -177,14 +177,14 @@ def test_convolve_matches_direct_sum():
     direct = np.array(
         [sum(k[(x - u) % M] * f[u] for u in range(M)) for x in range(M)]
     )
-    out = SpectralProfile(M, np.fft.fft(k)).apply(f)
+    out = SpectralProfile(M, np.fft.rfft(k)).apply(f)
     assert np.allclose(out, direct, atol=1e-10)
 
 
 def test_convolve_is_linear():
     M = 128
     rng = np.random.default_rng(5)
-    k = SpectralProfile(M, np.fft.fft(rng.standard_normal(M)))
+    k = SpectralProfile(M, np.fft.rfft(rng.standard_normal(M)))
     f = rng.standard_normal(M)
     g = rng.standard_normal(M)
     lhs = k.apply(2 * f - 3 * g)
@@ -194,7 +194,7 @@ def test_convolve_is_linear():
 
 def test_convolve_size_mismatch():
     with pytest.raises(ValueError):
-        SpectralProfile(64, np.fft.fft(np.zeros(64))).apply(np.zeros(128))
+        SpectralProfile(64, np.fft.rfft(np.zeros(64))).apply(np.zeros(128))
 
 
 def test_apply_profile_size_mismatch(tables):
@@ -215,15 +215,6 @@ def test_indicator_wraps_modulo():
 def test_hi_l2_ratio_rejects_empty(tables):
     with pytest.raises(ValueError):
         hi_l2_ratios([hi_hat_profile(_cfg())], [[]])
-
-
-def test_full_profiles_rejected_where_a_half_is_read():
-    # a full profile read as a half would be taken for a Hermitian spectrum
-    full = multifrequency_profile(4, 3, 6, 1 << 12)
-    with pytest.raises(ValueError, match="half profile"):
-        full.kernel()
-    with pytest.raises(ValueError, match="half profiles"):
-        hi_l2_ratios([full], [np.arange(10)])
 
 
 @settings(max_examples=40, deadline=None)
@@ -302,6 +293,20 @@ def test_multifrequency_single_point_bounded():
     assert 0.0 < ratio < 3.0
 
 
+def test_multifrequency_max_ratio_matches_direct_convolution():
+    # the bands at j/D, j < 3 of 4, are not even in xi: each smooth projection
+    # is a complex kernel, applied here as a direct cyclic sum
+    D, k, M = 4, 3, 1 << 10
+    f = np.random.default_rng(10).standard_normal(M)
+    x = np.arange(M)
+    sup = np.zeros(M)
+    for n in range(5, 9):  # the scales 2^n, 2 log2(D) < n < log2(M) - 1
+        kernel = np.fft.ifft(multifrequency_profile(D, k, n, M))
+        sup = np.maximum(sup, np.abs(kernel[(x[:, None] - x[None, :]) % M] @ f))
+    expected = np.linalg.norm(sup) / np.linalg.norm(f)
+    assert multifrequency_max_ratio(D, k, M, f) == pytest.approx(expected, rel=1e-12)
+
+
 @pytest.mark.parametrize(
     "D, k, n, M",
     [(12, 12, 9, 1 << 18), (12, 5, 16, 1 << 18), (4, 3, 5, 1 << 12), (7, 7, 3, 1 << 10), (3, 2, 1, 64)],
@@ -312,4 +317,4 @@ def test_multifrequency_windows_match_full_grid(D, k, n, M):
     full = np.zeros(M)
     for j in range(k):
         full += cutoff((1 << n) * ((xi - j / D + 0.5) % 1.0 - 0.5))
-    assert np.array_equal(multifrequency_profile(D, k, n, M).values, full)
+    assert np.array_equal(multifrequency_profile(D, k, n, M), full)

@@ -6,7 +6,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from primeavg.expsums import FareyPoint
-from primeavg.highlow import multifrequency_profile
 from primeavg.multiplier import (
     _l_hat_windows,
     ARC_J,
@@ -152,8 +151,8 @@ def test_a_hat_profile_matches_pointwise(tables):
 
 
 def _full_a_hat_profile(N, prog, M, tables):
-    """The complex length-M form of a_hat_profile: the oracle of the real path."""
-    return SpectralProfile(M, np.fft.fft(a_kernel(N, prog, M, tables)))
+    """All M values of a_hat on the grid, by the complex fft: the oracle of the real path."""
+    return np.fft.fft(a_kernel(N, prog, M, tables))
 
 
 @settings(max_examples=40, deadline=None)
@@ -172,7 +171,7 @@ def test_a_hat_profile_real_apply_matches_full_spectrum(N, y, pad, seed):
     M = pow2_at_least(N) << pad
     f = np.random.default_rng(seed).standard_normal(M)
     out = a_hat_profile(N, prog, M, tables).apply(f)
-    oracle = _full_a_hat_profile(N, prog, M, tables).apply(f).real
+    oracle = np.fft.ifft(_full_a_hat_profile(N, prog, M, tables) * np.fft.fft(f)).real
     assert isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == (M,)
     assert np.abs(out - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
@@ -181,21 +180,35 @@ def test_a_hat_profile_real_apply_matches_full_spectrum(N, y, pad, seed):
 def test_a_hat_profile_kernel_and_sup_match_full_spectrum(tables, y):
     prog, N, M = Progression(y, default_residue(y)), 3000, 1 << 13
     prof = a_hat_profile(N, prog, M, tables)
-    assert prof.half_spectrum and len(prof.values) == M // 2 + 1
+    assert len(prof.values) == M // 2 + 1
     kernel = a_kernel(N, prog, M, tables)
     assert np.abs(prof.kernel() - kernel).max() <= 1e-12 * np.abs(kernel).max()
-    assert prof.sup() == pytest.approx(_full_a_hat_profile(N, prog, M, tables).sup(), rel=1e-12)
+    full_sup = float(np.abs(_full_a_hat_profile(N, prog, M, tables)).max())
+    assert prof.sup() == pytest.approx(full_sup, rel=1e-12)
 
 
-def test_sup_abs_mixes_real_and_complex_profiles(tables):
-    # one half profile and one full complex profile through a generator
-    prog, N, M = Progression(3, 1), 2000, 1 << 12
-    f = indicator(np.random.default_rng(5).integers(0, N, 300), M)
-    real = a_hat_profile(N, prog, M, tables)
-    complex_ = multifrequency_profile(4, 3, 6, M)
-    assert real.half_spectrum and not complex_.half_spectrum
-    sup = sup_abs((p for p in (real, complex_)), f)
-    expected = np.maximum(np.abs(real.apply(f)), np.abs(complex_.apply(f)))
+@pytest.mark.parametrize("M", [1, 2, 7, 8, 1 << 10, (1 << 10) + 1])
+def test_profile_holds_exactly_the_hermitian_half(M):
+    SpectralProfile(M, np.zeros(M // 2 + 1))
+    for n in {M // 2, M // 2 + 2, M} - {M // 2 + 1}:
+        with pytest.raises(ValueError, match="holds"):
+            SpectralProfile(M, np.zeros(n))
+
+
+def test_profile_rejects_a_full_spectrum():
+    # the complex fft of a real kernel, all M values, is not a profile's storage
+    kernel = np.random.default_rng(2).standard_normal(64)
+    with pytest.raises(ValueError, match="holds 33 values, got 64"):
+        SpectralProfile(64, np.fft.fft(kernel))
+
+
+def test_sup_abs_over_a_generator_of_profiles(tables):
+    # two profiles of different N on one grid, passed as a generator
+    prog, M = Progression(3, 1), 1 << 12
+    f = indicator(np.random.default_rng(5).integers(0, 2000, 300), M)
+    short, long_ = a_hat_profile(500, prog, M, tables), a_hat_profile(2000, prog, M, tables)
+    sup = sup_abs((p for p in (short, long_)), f)
+    expected = np.maximum(np.abs(short.apply(f)), np.abs(long_.apply(f)))
     assert np.array_equal(sup, expected)
 
 
@@ -284,7 +297,7 @@ def test_approximant_profile_matches_pointwise(tables):
     prog = Progression(3, 1)
     N, M = 1 << 10, 1 << 12
     prof = approximant_profile(N, prog, 8, M)
-    assert prof.half_spectrum and len(prof.values) == M // 2 + 1
+    assert len(prof.values) == M // 2 + 1
     for k in (0, 3, 341, 1365, 2048, 4095):
         value = prof.values[k] if k <= M // 2 else np.conj(prof.values[M - k])
         assert abs(value - approximant_hat(k / M, N, prog, 8)) < 1e-9
@@ -348,7 +361,7 @@ def test_shared_windows_match_full_grid_builds(y, pick, log_m, bands):
             approximant_profile(N, prog, q_cut, M, lo, hi, windows),
             approximant_profile(N, prog, q_cut, M, lo, hi),
         ):
-            assert prof.grid_size == M and prof.half_spectrum
+            assert prof.grid_size == M and len(prof.values) == M // 2 + 1
             assert np.array_equal(prof.values, full[: M // 2 + 1])
 
 
@@ -388,10 +401,10 @@ def test_major_arc_error_off_zero_matches_pointwise(tables):
 
 def _full_residual(N, prog, q_cut, M, tables):
     """The residual on all M values, every window unclipped: the oracle of the half path."""
-    values = _full_a_hat_profile(N, prog, M, tables).values
+    values = _full_a_hat_profile(N, prog, M, tables)
     for idx, vals in _full_windows(N, prog, q_cut, M):
         values[idx] -= vals
-    return SpectralProfile(M, values)
+    return values
 
 
 def test_approx_error_profile_residual(tables):
@@ -402,16 +415,15 @@ def test_approx_error_profile_residual(tables):
         prog = Progression(y, default_residue(y))
         sup, residual = approx_error_profile(N, prog, 16, M=M, tables=tables)
         assert residual.grid_size == M
-        assert residual.half_spectrum and len(residual.values) == M // 2 + 1
+        assert len(residual.values) == M // 2 + 1
         assert sup == float(np.abs(residual.values).max())
-        full = _full_residual(N, prog, 16, M, tables)
+        v = _full_residual(N, prog, 16, M, tables)
         # hermitian symmetry of a real-kernel residual
-        v = full.values
         assert np.allclose(v[1:], np.conj(v[1:][::-1]), atol=1e-9)
         # rfft and fft round differently, on the scale of a_hat's peak, not the residual's
         peak = a_hat_profile(N, prog, M, tables).sup()
         assert np.abs(residual.values - v[: M // 2 + 1]).max() <= 1e-15 * peak
-        assert sup == pytest.approx(full.sup(), rel=1e-14)
+        assert sup == pytest.approx(float(np.abs(v).max()), rel=1e-14)
 
 
 @settings(max_examples=30, deadline=None)
