@@ -53,7 +53,7 @@ from .highlow import (
 )
 from .multiplier import approx_error_profile, approximant_profile, approximant_windows, near_zero_error
 from .scans import fit_exponent, improving_scan, maximal_scan, run_cells
-from .tables import Progression, build_tables, default_residue, sw_error_report
+from .tables import Progression, build_tables, default_residue, memory_cap, sw_error_report
 
 
 class ConfigError(Exception):
@@ -138,6 +138,16 @@ def _check_qcut(N: int, y: int, q_cut: int) -> None:
     for q in range(1, q_cut):
         if math.lcm(y, q) > N and height(q, y) > 0:
             raise ConfigError(f"q_cut={q_cut} admits q={q} with lcm(y, q)={math.lcm(y, q)} > N={N}")
+
+
+def _check_grid(N: int, M: int) -> None:
+    """Reject a grid Z_M above the memory cap, not a power of two, or smaller than N."""
+    if M > memory_cap():
+        raise ConfigError(f"grid size M={M} exceeds memory cap {memory_cap()}")
+    if M < 1 or M & (M - 1):
+        raise ConfigError(f"grid size M={M} must be a power of two")
+    if M < N:
+        raise ConfigError(f"grid size M={M} smaller than N={N}")
 
 
 def _check_phi(y: int, M: int, Q: int, mobius) -> None:
@@ -247,6 +257,7 @@ def cmd_approx(cfg: dict) -> tuple[list[dict], dict, bool]:
         raise ConfigError(f"qcut must be >= 2, got {q_cut}")
     if max_rows < 1:
         raise ConfigError(f"max_rows must be >= 1, got {max_rows}")
+    _check_grid(N, M)
     _check_qcut(N, prog.y, q_cut)
     tables = build_tables(N)
     sup, residual = approx_error_profile(N, prog, q_cut, M=M, tables=tables)
@@ -277,6 +288,7 @@ def cmd_highlow(cfg: dict) -> tuple[list[dict], dict, bool]:
     r = cfg.get("r", 1.5)
     if not 1.0 < r < 2.0:
         raise ConfigError(f"r must lie in (1, 2), got {r}")
+    _check_grid(N, M)
     dcfgs = [DecompositionConfig(N=N, prog=prog, Q=Q, M=M) for Q in Q_list]
     _check_qcut(N, prog.y, max(d.q_cut for d in dcfgs))
     tables = build_tables(N)  # after _check_qcut, every q' < Q coprime to y is at most N / y

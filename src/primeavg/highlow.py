@@ -22,6 +22,7 @@ from .multiplier import (
     SpectralProfile,
     approximant_profile,
     cutoff,
+    fill_window,
     indicator,
     m_hat,
 )
@@ -93,10 +94,13 @@ def _phi_hat(cfg: DecompositionConfig, q: int) -> np.ndarray:
     ell = math.lcm(cfg.prog.y, q)
     if ell * ell > cfg.M // 4:
         raise ValueError(f"lcm^2 = {ell * ell} exceeds M/4 = {cfg.M // 4}")
-    k = np.arange(-(-cfg.M // (4 * ell * ell)) + 1)
-    xi = k / cfg.M
     spectrum = np.zeros(cfg.M // 2 + 1, dtype=np.complex128)
-    spectrum[k] = m_hat(ell * xi, cfg.N / ell) * cutoff(ell * ell * xi)
+
+    def value(k):
+        xi = k / cfg.M
+        return m_hat(ell * xi, cfg.N / ell) * cutoff(ell * ell * xi)
+
+    fill_window(spectrum[: -(-cfg.M // (4 * ell * ell)) + 1], 0, value)
     return spectrum
 
 

@@ -16,6 +16,11 @@ on k <= M/2 alone, every window clipped there, and approx_error_profile
 subtracts the same windows from a_hat's half.  Bands that share the windows
 of approximant_windows evaluate each window once.
 
+Every window is filled into its preallocated output WINDOW_BLOCK points at a
+time (fill_window), so its temporaries are O(WINDOW_BLOCK) however wide it
+is: the y = 1 window of 0/1 covers M/4 points.  The peak memory of approx is
+then a_hat_profile's length-M rfft.
+
 The major-arc errors sweep a_hat over a short uniform grid near a rational.
 That sweep is a blocked Bluestein chirp-z transform (Rabiner, Schafer and
 Rader 1969; Bluestein 1970): two length-P transforms per block of about P/2
@@ -39,6 +44,8 @@ from .tables import ArithTables, Progression, build_tables, memory_cap, reduced_
 # points per 1/N.
 ARC_J = 2
 POINTS_PER_UNIT = 64
+# Compact-support windows are evaluated WINDOW_BLOCK grid points at a time.
+WINDOW_BLOCK = 1 << 15
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +290,19 @@ def l_hat(
     return complex(point.upsilon * m_hat(ell * d, N / ell) * cutoff(ell * ell * d))
 
 
+def fill_window(out: np.ndarray, k0: int, value) -> np.ndarray:
+    """out[i] = value(k0 + i) for every i < len(out), evaluated WINDOW_BLOCK indices at a time.
+
+    value maps an int64 array of grid indices to their values element by
+    element (ufuncs, np.where, np.interp), so out is the same bit for bit
+    wherever the blocks break, and the temporaries are O(WINDOW_BLOCK).
+    """
+    for s in range(0, len(out), WINDOW_BLOCK):
+        e = min(s + WINDOW_BLOCK, len(out))
+        out[s:e] = value(np.arange(k0 + s, k0 + e))
+    return out
+
+
 def _l_hat_window(point: FareyPoint, N: int, M: int):
     """Grid indices 0 <= k <= M/2 inside the support of l_hat at this point, and the values there."""
     ell = point.ell
@@ -290,10 +310,13 @@ def _l_hat_window(point: FareyPoint, N: int, M: int):
     c = point.center
     k0 = max(math.floor((c - radius) * M) + 1, 0)
     k1 = min(math.ceil((c + radius) * M) - 1, M // 2)
-    k = np.arange(k0, k1 + 1)
-    d = (k * point.q - point.a * M) / (point.q * M)  # k/M - a/q from one exact numerator
-    vals = point.upsilon * m_hat(ell * d, N / ell) * cutoff(ell * ell * d)
-    return k, vals
+
+    def value(k):
+        d = (k * point.q - point.a * M) / (point.q * M)  # k/M - a/q from one exact numerator
+        return point.upsilon * m_hat(ell * d, N / ell) * cutoff(ell * ell * d)
+
+    idx = np.arange(k0, k1 + 1)
+    return idx, fill_window(np.empty(len(idx), dtype=np.complex128), k0, value)
 
 
 def _l_hat_windows(N, prog, q_cut, M, held=lambda p: True):

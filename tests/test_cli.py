@@ -374,6 +374,36 @@ def test_bad_input_exits_two_before_any_window(tmp_path, capsys, monkeypatch, ar
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "argv, cap, message",
+    [
+        # M defaults to 4N for approx and 16N for highlow
+        (["approx", "--N", "65536"], "100000", "grid size M=262144 exceeds memory cap 100000"),
+        (["approx", "--N", "4096", "--M", "3000"], None, "grid size M=3000 must be a power of two"),
+        (["approx", "--N", "4096", "--M", "2048"], None, "grid size M=2048 smaller than N=4096"),
+        (["highlow", "--N", "16384"], "100000", "grid size M=262144 exceeds memory cap 100000"),
+        (["highlow", "--N", "1024", "--M", "20000"], None, "grid size M=20000 must be a power of two"),
+    ],
+    ids=["approx_cap", "approx_not_pow2", "approx_below_N", "highlow_cap", "highlow_not_pow2"],
+)
+def test_bad_grid_exits_two_before_sieving(tmp_path, capsys, monkeypatch, argv, cap, message):
+    import primeavg.cli as cli
+    from primeavg import multiplier
+
+    def must_not_run(*args, **kwargs):
+        pytest.fail("tables were sieved before the grid was checked")
+
+    if cap is not None:
+        monkeypatch.setenv("PRIMEAVG_MEMORY_CAP", cap)
+    monkeypatch.setattr(cli, "build_tables", must_not_run)
+    monkeypatch.setattr(multiplier, "build_tables", must_not_run)
+    rc = main(argv + ["--out-dir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and message in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_highlow_evaluates_each_window_once(tmp_path, monkeypatch):
     # Hi, Lo and the total of both Q share one pass: one window per Farey point
     # with q < max q_cut = 13, positive height and centre <= 1/2, in Farey order

@@ -113,6 +113,24 @@ def test_phi_kernel_window_matches_full_grid(N, y, b, q, M):
     assert np.abs(phi_kernel(cfg, q) - oracle).max() <= 1e-15 * np.abs(oracle).max()
 
 
+@pytest.mark.parametrize("block", [None, 1000])
+def test_phi_hat_blocked_matches_one_shot(monkeypatch, block):
+    # at y = 1, q = 1 the support k <= M/4 holds 2^15 + 1 points: one block
+    # of 2^15 and a ragged single point, or 32 blocks of 1000 and a ragged 769
+    from primeavg import multiplier
+    from primeavg.highlow import _phi_hat
+    from primeavg.multiplier import m_hat
+
+    if block is not None:
+        monkeypatch.setattr(multiplier, "WINDOW_BLOCK", block)
+    N, M = 1 << 15, 1 << 17
+    cfg = _cfg(N=N, y=1, b=0, Q=2, M=M)
+    k = np.arange(M // 4 + 1)
+    oracle = np.zeros(M // 2 + 1, dtype=np.complex128)
+    oracle[k] = m_hat(k / M, N) * cutoff(k / M)
+    assert np.array_equal(_phi_hat(cfg, 1), oracle)
+
+
 def test_phi_kernel_decay_envelope(tables):
     # the kernel concentrates on the one-sided window [0, N); the smooth
     # cutoff forces superpolynomial decay outside it

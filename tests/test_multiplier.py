@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,11 +7,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from primeavg.expsums import FareyPoint
+from primeavg import multiplier
 from primeavg.multiplier import (
+    _l_hat_window,
     _l_hat_windows,
     ARC_J,
     CUTOFF_OUTER,
     POINTS_PER_UNIT,
+    WINDOW_BLOCK,
     SpectralProfile,
     a_hat,
     a_kernel,
@@ -452,6 +456,40 @@ def test_half_windows_cover_full_windows_on_half(y, pick, q_cut, log_m):
         covered[idx] = True
     assert covered[full != 0].all()
     assert np.array_equal(clipped, full)
+
+
+def _zero_point():
+    # at y = 1 the window of 0/1 is the widest: M/4 points on k <= M/2
+    return FareyPoint.build(0, 1, Progression(1, 0), build_tables(2))
+
+
+@pytest.mark.parametrize("block", [WINDOW_BLOCK, 1000])
+def test_blocked_window_matches_one_shot(monkeypatch, block):
+    # M/4 = 40960 points: one block of 2^15 and a ragged 8192, or 40 blocks
+    # of 1000 and a ragged 960; the values do not depend on where blocks break
+    monkeypatch.setattr(multiplier, "WINDOW_BLOCK", block)
+    p = _zero_point()
+    N, M = 1 << 15, 5 << 15
+    k, vals = _l_hat_window(p, N, M)
+    assert np.array_equal(k, np.arange(M // 4))
+    d = (k * p.q - p.a * M) / (p.q * M)
+    assert np.array_equal(vals, p.upsilon * m_hat(p.ell * d, N / p.ell) * cutoff(p.ell * p.ell * d))
+
+
+def test_window_temporaries_stay_within_a_few_blocks():
+    # numpy reports its buffers to tracemalloc: the traced peak of the widest
+    # window is its output (k and the values) plus the temporaries of one
+    # block; evaluated at once, its 2^18 points would peak above 20 MB
+    p = _zero_point()
+    cutoff(0.0)  # tabulate the mollifier before tracing
+    tracemalloc.start()
+    try:
+        k, vals = _l_hat_window(p, 1 << 18, 1 << 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(k) == 1 << 18
+    assert peak <= k.nbytes + vals.nbytes + 8 * WINDOW_BLOCK * vals.itemsize
 
 
 @pytest.mark.parametrize("y, b", [(1, 0), (3, 1)])
