@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .tables import ArithTables, Progression, build_tables, psi_progression, reduced_residues
+from .tables import ArithTables, Progression, build_tables, psi_progression, reduced_residues, von_mangoldt
 
 __all__ = [
     "ArithTables",
@@ -10,5 +10,6 @@ __all__ = [
     "build_tables",
     "psi_progression",
     "reduced_residues",
+    "von_mangoldt",
     "__version__",
 ]

@@ -51,7 +51,7 @@ from .highlow import (
     lo_kernels_closed,
     lo_linf_ratio,
 )
-from .multiplier import approx_error_profile, approximant_profile, approximant_windows, near_zero_error
+from .multiplier import approx_error_profile, approximant_profile, approximant_windows, near_zero_error, pow2_at_least
 from .scans import fit_exponent, improving_scan, maximal_scan, run_cells
 from .tables import Progression, build_tables, default_residue, memory_cap, sw_error_report
 
@@ -259,9 +259,8 @@ def cmd_approx(cfg: dict) -> tuple[list[dict], dict, bool]:
         raise ConfigError(f"max_rows must be >= 1, got {max_rows}")
     _check_grid(N, M)
     _check_qcut(N, prog.y, q_cut)
-    tables = build_tables(N)
-    sup, residual = approx_error_profile(N, prog, q_cut, M=M, tables=tables)
-    near = near_zero_error(N, prog, tables=tables)
+    sup, residual = approx_error_profile(N, prog, q_cut, M=M)
+    near = near_zero_error(N, prog)
     stride = max(1, M // max_rows)
     # the residual is Hermitian: |value| at k > M/2 is that at M - k
     rows = [
@@ -328,9 +327,11 @@ def cmd_highlow(cfg: dict) -> tuple[list[dict], dict, bool]:
 
 
 def _run_scan(scan, cfg: dict):
-    """One scan with the keys of cfg it takes; workers default to the cpu count."""
+    """One scan with the keys of cfg it takes, its grid checked first; workers default to the cpu count."""
     taken = inspect.signature(scan).parameters
     kwargs = {key: value for key, value in cfg.items() if key in taken}
+    N_max = max(kwargs.get("N_list", taken["N_list"].default))
+    _check_grid(N_max, pow2_at_least(2 * N_max))  # the grid of every cell
     kwargs["workers"] = cfg.get("workers", os.cpu_count() or 1)
     return scan(**kwargs)
 
@@ -389,8 +390,7 @@ def cmd_sw(cfg: dict) -> tuple[list[dict], dict, bool]:
     prog = _prog_from(cfg)
     x_grid = cfg.get("x_grid", [10**4, 10**5, 10**6])
     J = cfg.get("J", 2)
-    tables = build_tables(max(2, *x_grid))  # the sieve starts at 2; psi below 2 reads no entry
-    rows = sw_error_report(x_grid, prog, tables, J=J)
+    rows = sw_error_report(x_grid, prog, J=J)
     summary = {
         "y": prog.y,
         "b": prog.b,

@@ -68,11 +68,11 @@ def check_fixture(name: str, measured: float, fixtures: dict | None = None) -> b
 
 
 def _measure_near_zero(y: int, b: int, N: int) -> float:
-    return near_zero_error(N, Progression(y, b), tables=build_tables(N))
+    return near_zero_error(N, Progression(y, b))
 
 
 def _measure_residual_sup(y: int, b: int, N: int) -> float:
-    sup, _ = approx_error_profile(N, Progression(y, b), 16, M=4 * N, tables=build_tables(N))
+    sup, _ = approx_error_profile(N, Progression(y, b), 16, M=4 * N)
     return sup
 
 
@@ -168,7 +168,7 @@ def _measure_lo_linf(y: int, b: int) -> float:
 
 
 def _measure_sw_rel_error(y: int, b: int) -> float:
-    rows = sw_error_report([10**6], Progression(y, b), build_tables(10**6))
+    rows = sw_error_report([10**6], Progression(y, b))
     return rows[0]["rel_error"]
 
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expsums import FareyPoint
-from .tables import ArithTables, Progression, build_tables, memory_cap, reduced_residues
+from .tables import Progression, build_tables, memory_cap, phi, reduced_residues, von_mangoldt
 
 # The sup errors sweep |theta| < (log N)^ARC_J / N with POINTS_PER_UNIT grid
 # points per 1/N.
@@ -172,39 +172,35 @@ def m_hat(theta, length: float):
 # The prime multiplier
 
 
-def _weighted_support(N: int, prog: Progression, tables: ArithTables):
+def _weighted_support(N: int, prog: Progression):
     """Indices n < N in the progression with Lambda(n) > 0, and their weights."""
-    if N > tables.bound + 1:
-        raise ValueError(f"N={N} exceeds table bound {tables.bound}")
     n = prog.indices(N)
-    w = tables.von_mangoldt[n]
+    w = von_mangoldt(N)[n]
     nz = w > 0
     return n[nz], w[nz]
 
 
-def a_hat(theta: float, N: int, prog: Progression, tables: ArithTables) -> complex:
+def a_hat(theta: float, N: int, prog: Progression) -> complex:
     """(phi(y)/N) sum over n < N, n = b mod y, of Lambda(n) e(-n theta)."""
-    n, w = _weighted_support(N, prog, tables)
-    phi_y = int(tables.totient[prog.y])
+    n, w = _weighted_support(N, prog)
+    phi_y = phi(prog.y)
     return complex((phi_y / N) * np.sum(w * np.exp(-2j * np.pi * theta * n)))
 
 
-def a_kernel(N: int, prog: Progression, M: int, tables: ArithTables) -> np.ndarray:
+def a_kernel(N: int, prog: Progression, M: int) -> np.ndarray:
     """Kernel of the average on Z_M: phi(y)/N * Lambda(n) on the progression, n < N."""
-    n, w = _weighted_support(N, prog, tables)
+    n, w = _weighted_support(N, prog)
     kernel = np.zeros(M, dtype=np.float64)
-    kernel[n] = (int(tables.totient[prog.y]) / N) * w
+    kernel[n] = (phi(prog.y) / N) * w
     return kernel
 
 
-def a_hat_profile(
-    N: int, prog: Progression, M: int, tables: ArithTables
-) -> SpectralProfile:
+def a_hat_profile(N: int, prog: Progression, M: int) -> SpectralProfile:
     """a_hat on the grid {k/M}, M >= N: the rfft of the padded real kernel."""
     if M < N:
         raise ValueError(f"grid M={M} smaller than N={N}")
     _guard_grid(M)
-    return SpectralProfile(M, np.fft.rfft(a_kernel(N, prog, M, tables)))
+    return SpectralProfile(M, np.fft.rfft(a_kernel(N, prog, M)))
 
 
 def a_hat_uniform_grid(
@@ -213,7 +209,6 @@ def a_hat_uniform_grid(
     theta0: float,
     dtheta: float,
     count: int,
-    tables: ArithTables,
 ) -> np.ndarray:
     """a_hat on the uniform grid theta0 + j*dtheta, j < count.
 
@@ -229,8 +224,8 @@ def a_hat_uniform_grid(
     (N + count)^2 dtheta 2^-53; for the sweeps' dyadic dtheta = 1/(64 N),
     N a power of two, it is exact.
     """
-    n, w = _weighted_support(N, prog, tables)
-    phi_y = int(tables.totient[prog.y])
+    n, w = _weighted_support(N, prog)
+    phi_y = phi(prog.y)
     P = pow2_at_least(2 * count)
     K = P - count + 1
 
@@ -304,7 +299,7 @@ def fill_window(out: np.ndarray, k0: int, value) -> np.ndarray:
 
 
 def _l_hat_window(point: FareyPoint, N: int, M: int):
-    """Grid indices 0 <= k <= M/2 inside the support of l_hat at this point, and the values there."""
+    """(k0, values): l_hat at this point on the grid indices k0, k0 + 1, ... <= M/2 inside its support."""
     ell = point.ell
     radius = CUTOFF_OUTER / ell**2
     c = point.center
@@ -315,12 +310,11 @@ def _l_hat_window(point: FareyPoint, N: int, M: int):
         d = (k * point.q - point.a * M) / (point.q * M)  # k/M - a/q from one exact numerator
         return point.upsilon * m_hat(ell * d, N / ell) * cutoff(ell * ell * d)
 
-    idx = np.arange(k0, k1 + 1)
-    return idx, fill_window(np.empty(len(idx), dtype=np.complex128), k0, value)
+    return k0, fill_window(np.empty(max(k1 + 1 - k0, 0), dtype=np.complex128), k0, value)
 
 
 def _l_hat_windows(N, prog, q_cut, M, held=lambda p: True):
-    """(point, indices, values) of the l_hat windows on k <= M/2, in Farey order.
+    """(point, k0, values) of the l_hat windows on k <= M/2, in Farey order.
 
     One per held Farey point with q < q_cut and positive height, except
     those centred above 1/2: a/q - 1/2 >= 1/(2q) exceeds the radius
@@ -369,9 +363,9 @@ def approximant_profile(
     if windows is None:
         windows = _l_hat_windows(N, prog, q_cut, M, held)
     values = np.zeros(M // 2 + 1, dtype=np.complex128)
-    for p, idx, vals in windows:
+    for p, k0, vals in windows:
         if held(p):
-            values[idx] += vals  # indices within one window are distinct
+            values[k0 : k0 + len(vals)] += vals
     return SpectralProfile(M, values)
 
 
@@ -397,7 +391,6 @@ def _guard_grid(M: int) -> None:
 def near_zero_error(
     N: int,
     prog: Progression,
-    tables: ArithTables,
 ) -> float:
     """sup over |theta| < (log N)^ARC_J / N of |a_hat(theta) - m_hat(N/y, y theta)|.
 
@@ -410,7 +403,7 @@ def near_zero_error(
     T = math.log(N) ** ARC_J / N
     dtheta = 1.0 / (POINTS_PER_UNIT * N)
     count = int(T / dtheta) + 1
-    avals = a_hat_uniform_grid(N, prog, 0.0, dtheta, count, tables)
+    avals = a_hat_uniform_grid(N, prog, 0.0, dtheta, count)
     thetas = dtheta * np.arange(count)
     mvals = m_hat(y * thetas, N / y)
     return float(np.abs(avals - mvals).max())
@@ -420,7 +413,6 @@ def major_arc_error(
     N: int,
     prog: Progression,
     point: FareyPoint,
-    tables: ArithTables,
 ) -> float:
     """sup over |xi - a/q| < (log N)^ARC_J / N of |a_hat(xi) - Upsilon * m_hat(N/l, l(xi - a/q))|."""
     y, q = prog.y, point.q
@@ -433,7 +425,7 @@ def major_arc_error(
     dtheta = 1.0 / (POINTS_PER_UNIT * N)
     half = int(T / dtheta)
     count = 2 * half + 1
-    avals = a_hat_uniform_grid(N, prog, -half * dtheta + point.center, dtheta, count, tables)
+    avals = a_hat_uniform_grid(N, prog, -half * dtheta + point.center, dtheta, count)
     thetas = dtheta * (np.arange(count) - half)
     mvals = point.upsilon * m_hat(ell * thetas, N / ell)
     return float(np.abs(avals - mvals).max())
@@ -444,7 +436,6 @@ def approx_error_profile(
     prog: Progression,
     q_cut: int,
     M: int,
-    tables: ArithTables,
 ) -> tuple[float, SpectralProfile]:
     """Residual a_hat - approximant as a profile; returns (sup error, profile).
 
@@ -452,10 +443,10 @@ def approx_error_profile(
     residual is Hermitian and its M//2 + 1 values at k <= M/2 determine it.
     """
     _warn_qcut(q_cut, N)
-    prof = a_hat_profile(N, prog, M, tables)
+    prof = a_hat_profile(N, prog, M)
     # In place, window by window, each clipped to k <= M/2: at y = 1 the window
     # of 0/1 overlaps those of a/q for q >= 4, so subtracting a pre-summed
     # approximant changes last bits.
-    for _, idx, vals in _l_hat_windows(N, prog, q_cut, M):
-        prof.values[idx] -= vals
+    for _, k0, vals in _l_hat_windows(N, prog, q_cut, M):
+        prof.values[k0 : k0 + len(vals)] -= vals
     return prof.sup(), prof

@@ -24,7 +24,7 @@ import warnings
 import numpy as np
 
 from .multiplier import a_hat_profile, indicator, pow2_at_least, sup_abs
-from .tables import ArithTables, Progression, build_tables, default_residue, reduced_residues
+from .tables import Progression, build_tables, default_residue, reduced_residues, von_mangoldt
 
 # Desk-scale replacement for the ineffective asymptotic onset threshold.
 DEFAULT_N_FLOOR_FACTOR = 1 << 10
@@ -51,10 +51,10 @@ def input_families(
     prog: Progression,
     rng: np.random.Generator,
     densities=(3, 5),
-    tables: ArithTables | None = None,
+    greedy: bool = False,
 ) -> dict[str, np.ndarray]:
     """Fixed a-priori test sets inside [0, N): intervals, progression segments,
-    Bernoulli sets at dyadic densities, and, given tables, a greedy Lambda-weighted set."""
+    Bernoulli sets at dyadic densities, and, if greedy, a greedy Lambda-weighted set."""
     fams: dict[str, np.ndarray] = {}
     fams["interval"] = np.arange(N // 2, dtype=np.int64)
     fams["progression_segment"] = prog.indices(N // 2)
@@ -64,9 +64,9 @@ def input_families(
         if len(idx) == 0:
             idx = np.array([0], dtype=np.int64)
         fams[f"bernoulli_2^-{j}"] = idx
-    if tables is not None:
+    if greedy:
         n = prog.indices(N)
-        w = tables.von_mangoldt[n]
+        w = von_mangoldt(N)[n]
         k = max(len(n) // 8, 1)
         fams["greedy_lambda"] = np.sort(n[np.argsort(w)[::-1][:k]])
     return fams
@@ -81,11 +81,12 @@ def run_cells(cell_fn, cells: list, workers: int, groups: list[list[int]] | None
 
     Each group (a list of cell indices; by default every cell alone) runs as
     one task, its cells in the order listed, so cells that share a
-    per-process cache can share one process; one task runs in this process.  The warnings of each cell are
-    recorded where it runs and raised again here in cell order, as a serial
-    run would raise them.  The pool forks where the platform can, so the
-    workers inherit the tables the parent sieved; other start methods
-    re-sieve in each worker.
+    per-process cache can share one process.  When min(workers, tasks)
+    exceeds one, every task runs in the pool; otherwise all run here, in order.
+    The warnings of each cell are recorded where it runs and raised again
+    here in cell order, as a serial run would raise them.  The pool forks
+    where the platform can, so the workers inherit the tables the parent
+    sieved; other start methods re-sieve in each worker.
     """
     groups = groups if groups is not None else [[i] for i in range(len(cells))]
     tasks = [[cells[i] for i in group] for group in groups]
@@ -120,12 +121,11 @@ def _run_task(cell_fn, cells: list) -> list[tuple[list, list]]:
 
 def _improving_cell(payload: tuple) -> list[dict]:
     N, y, b, r_list, densities, seed = payload
-    tables = build_tables(N)
     prog = Progression(y, b)
     M = pow2_at_least(2 * N)  # kernel and inputs in [0, N): the conv fits below 2N, no wrap
     rng = np.random.default_rng(seed)
-    fams = input_families(N, prog, rng, densities, tables=tables)
-    profile = a_hat_profile(N, prog, M, tables)
+    fams = input_families(N, prog, rng, densities, greedy=True)
+    profile = a_hat_profile(N, prog, M)
     rows = []
     for name, F in fams.items():
         conv = profile.apply(indicator(F, M))
@@ -176,7 +176,9 @@ def improving_scan(
             cells.append((N, y, default_residue(y), list(r_list), densities, seed))
 
     if cells:
-        build_tables(max(N_list))  # one sieve, inherited by forked workers as cached views
+        # one sieve of each table, inherited by forked workers as cached views
+        von_mangoldt(max(N_list))
+        build_tables(max(2, *y_list))
     rows = run_cells(_improving_cell, cells, workers)
 
     max_ratio: dict[tuple, dict[int, float]] = {}
@@ -214,12 +216,11 @@ def improving_scan(
 def _maximal_cell(payload: tuple) -> list[dict]:
     N_list, y, b, r, lambdas, densities, seed = payload
     N_max = max(N_list)
-    tables = build_tables(N_max)
     prog = Progression(y, b)
     M = pow2_at_least(2 * N_max)  # kernels and inputs in [0, N_max): no wrap below 2 N_max
     rng = np.random.default_rng(seed)
     fams = input_families(N_max, prog, rng, densities)
-    profiles = [a_hat_profile(N, prog, M, tables) for N in N_list]
+    profiles = [a_hat_profile(N, prog, M) for N in N_list]
     rows = []
     for name, F in fams.items():
         sup = sup_abs(profiles, indicator(F, M))
@@ -280,7 +281,9 @@ def maximal_scan(
             cells.append((list(N_list), y, b, r, lambdas, densities, seed))
 
     if cells:
-        build_tables(max(N_list))  # one sieve, inherited by forked workers as cached views
+        # one sieve of each table, inherited by forked workers as cached views
+        von_mangoldt(max(N_list))
+        build_tables(max(2, *y_list))
     rows = run_cells(_maximal_cell, cells, workers)
 
     max_by_yb: dict[tuple, float] = {}

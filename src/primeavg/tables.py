@@ -1,9 +1,10 @@
 """Sieved arithmetic functions and Chebyshev-type prime counting in progressions.
 
-Everything downstream consumes the immutable ArithTables built here: von
-Mangoldt Lambda, Mobius mu and Euler totient phi, all up to a configured
-bound.  Sums written "n < N" are implemented strictly
-(1 <= n < N) throughout the package.
+Everything downstream consumes the read-only tables sieved here, each up to
+the bound its readers index: von Mangoldt Lambda alone (von_mangoldt), read
+up to a length N or x, and the ArithTables of Mobius mu and Euler totient
+phi, read at moduli such as q, y and lcm(y, q).  Sums written "n < N" are
+implemented strictly (1 <= n < N) throughout the package.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,6 +20,7 @@ import numpy as np
 DEFAULT_MEMORY_CAP = 200_000_000
 
 _TABLE_CACHE: dict[int, "ArithTables"] = {}
+_LAMBDA_CACHE: dict[int, np.ndarray] = {}
 
 
 def memory_cap() -> int:
@@ -55,54 +57,53 @@ class ArithTables:
     """Arrays indexed 0..bound (inclusive)."""
 
     bound: int
-    von_mangoldt: np.ndarray  # float64, Lambda(n) in natural-log units
     mobius: np.ndarray        # int8, values in {-1, 0, 1}
     totient: np.ndarray       # int64
 
 
 def build_tables(bound: int) -> ArithTables:
-    """Sieve Lambda, mu and phi up to bound (inclusive).
+    """Sieve mu and phi up to bound (inclusive), cached as _cached describes."""
+    return _cached(_TABLE_CACHE, bound, _sieve, lambda t, b: ArithTables(b, t.mobius[: b + 1], t.totient[: b + 1]))
 
-    Deterministic, single allocation per array.  Results are cached by bound,
-    and the cache holds one copy: a bound below the largest table sieved so
-    far gets read-only slices of that table, and sieving a larger bound
-    re-points every smaller entry at slices of the new one.  A slice equals a
-    fresh sieve, since the sieve is exact.
+
+def von_mangoldt(bound: int) -> np.ndarray:
+    """Lambda(n) in natural-log units for 0 <= n <= bound, read-only float64, cached as _cached describes."""
+    return _cached(_LAMBDA_CACHE, bound, _lambda_sieve, lambda lam, b: lam[: b + 1])
+
+
+def phi(y: int) -> int:
+    """Euler's phi(y), from the cached mu/phi sieve."""
+    return int(build_tables(max(2, y)).totient[y])
+
+
+def _cached(cache: dict, bound: int, sieve, prefix):
+    """sieve(bound), deterministic and exact, cached by bound.
+
+    The cache holds one copy: a bound below the largest sieved so far gets
+    prefix(largest, bound), read-only slices of that table, and sieving a
+    larger bound re-points every smaller entry at slices of the new one.  A
+    slice equals a fresh sieve, since the sieve is exact.
     """
     if bound < 2:
         raise ValueError(f"bound must be >= 2, got {bound}")
     if bound + 1 > memory_cap():
         raise ValueError(f"bound {bound} exceeds memory cap")
-    cached = _TABLE_CACHE.get(bound)
+    cached = cache.get(bound)
     if cached is not None:
         return cached
-    top = max(_TABLE_CACHE, default=0)
+    top = max(cache, default=0)
     if top > bound:
-        _TABLE_CACHE[bound] = _prefix(_TABLE_CACHE[top], bound)
-        return _TABLE_CACHE[bound]
-    tables = _sieve(bound)
-    for smaller in _TABLE_CACHE:
-        _TABLE_CACHE[smaller] = _prefix(tables, smaller)
-    _TABLE_CACHE[bound] = tables
-    return tables
+        cache[bound] = prefix(cache[top], bound)
+        return cache[bound]
+    table = sieve(bound)
+    for smaller in cache:
+        cache[smaller] = prefix(table, smaller)
+    cache[bound] = table
+    return table
 
 
-def _prefix(tables: ArithTables, bound: int) -> ArithTables:
-    """The table up to bound, as read-only slices of a larger one."""
-    return ArithTables(
-        bound, **{f.name: getattr(tables, f.name)[: bound + 1] for f in fields(ArithTables)[1:]}
-    )
-
-
-def _sieve(n: int) -> ArithTables:
-    """The tables up to n, sieving in Python only over the primes p <= sqrt(n).
-
-    Each small prime updates mu and phi on its multiples and sets Lambda on
-    its powers.  A k <= n has at most one prime factor P above sqrt(n), so
-    the large primes are applied in one vector step per cofactor m = k / P
-    < sqrt(n), with temporaries no longer than the list of primes.  phi stays
-    exact in int64 whatever the order of the primes.
-    """
+def _primes(n: int) -> tuple[np.ndarray, int]:
+    """The primes up to n by Eratosthenes over p <= sqrt(n), and how many of them are <= sqrt(n)."""
     is_prime = np.ones(n + 1, dtype=bool)
     is_prime[:2] = False
     root = math.isqrt(n)
@@ -110,38 +111,53 @@ def _sieve(n: int) -> ArithTables:
         if is_prime[p]:
             is_prime[p * p :: p] = False
     primes = np.flatnonzero(is_prime)
-    split = np.searchsorted(primes, root, side="right")  # primes[:split] <= sqrt(n)
+    return primes, int(np.searchsorted(primes, root, side="right"))
 
-    mobius = np.ones(n + 1, dtype=np.int8)
-    mobius[0] = 0
-    totient = np.arange(n + 1, dtype=np.int64)
+
+def _lambda_sieve(n: int) -> np.ndarray:
+    """Lambda up to n: log p on every power of a prime p <= sqrt(n), and on each larger prime."""
+    primes, split = _primes(n)
     lam = np.zeros(n + 1, dtype=np.float64)
     for p in primes[:split].tolist():
-        mobius[p::p] *= -1
-        mobius[p * p :: p * p] = 0
-        totient[p::p] -= totient[p::p] // p
         logp = math.log(p)
         pk = p
         while pk <= n:
             lam[pk] = logp
             pk *= p
-    # k = m P with P a prime above sqrt(n) and m < P: one pass per cofactor m
     large = primes[split:]
     lam[large] = np.fromiter(map(math.log, large), np.float64, len(large))  # bit for bit as math.log(p) above
+    lam.setflags(write=False)
+    return lam
+
+
+def _sieve(n: int) -> ArithTables:
+    """mu and phi up to n, sieving in Python only over the primes p <= sqrt(n).
+
+    Each small prime updates mu and phi on its multiples.  A k <= n has at
+    most one prime factor P above sqrt(n), so the large primes are applied
+    in one vector step per cofactor m = k / P < sqrt(n), with temporaries no
+    longer than the list of primes.  phi stays exact in int64 whatever the
+    order of the primes.
+    """
+    primes, split = _primes(n)
+    mobius = np.ones(n + 1, dtype=np.int8)
+    mobius[0] = 0
+    totient = np.arange(n + 1, dtype=np.int64)
+    for p in primes[:split].tolist():
+        mobius[p::p] *= -1
+        mobius[p * p :: p * p] = 0
+        totient[p::p] -= totient[p::p] // p
+    # k = m P with P a prime above sqrt(n) and m < P: one pass per cofactor m
+    large = primes[split:]
     for m in range(1, n // int(large[0]) + 1):
         P = large[: np.searchsorted(large, n // m, side="right")]
         k = m * P
         mobius[k] *= -1
         totient[k] -= totient[k] // P
 
-    for arr in (lam, mobius, totient):
+    for arr in (mobius, totient):
         arr.setflags(write=False)
-    return ArithTables(
-        bound=n,
-        von_mangoldt=lam,
-        mobius=mobius,
-        totient=totient,
-    )
+    return ArithTables(bound=n, mobius=mobius, totient=totient)
 
 
 def reduced_residues(q: int) -> np.ndarray:
@@ -154,18 +170,14 @@ def reduced_residues(q: int) -> np.ndarray:
     return a[np.gcd(a, q) == 1]
 
 
-def psi_progression(x: int, prog: Progression, tables: ArithTables) -> float:
+def psi_progression(x: int, prog: Progression) -> float:
     """Sum of Lambda(n) over n < x with n = b mod y (strict upper limit)."""
-    if x > tables.bound + 1:
-        raise ValueError(f"x={x} exceeds table bound {tables.bound}")
     if x < 2:
         return 0.0
-    return float(tables.von_mangoldt[prog.indices(x)].sum())
+    return float(von_mangoldt(x)[prog.indices(x)].sum())
 
 
-def sw_error_report(
-    x_grid: list[int], prog: Progression, tables: ArithTables, J: int = 2
-) -> list[dict]:
+def sw_error_report(x_grid: list[int], prog: Progression, J: int = 2) -> list[dict]:
     """Relative error of Psi(x, y, b) against the main term x/phi(y).
 
     Rows carry (x, psi, main_term, rel_error) with
@@ -176,7 +188,8 @@ def sw_error_report(
         raise ValueError("empty x grid")
     if min(x_grid) < 1:
         raise ValueError(f"x must be >= 1, got {min(x_grid)}")
-    phi_y = int(tables.totient[prog.y])
+    von_mangoldt(max(2, *x_grid))  # one sieve; every psi reads a view of it
+    phi_y = phi(prog.y)
     rows = []
     for x in x_grid:
         if prog.y > (math.log(max(x, 3))) ** J:
@@ -184,7 +197,7 @@ def sw_error_report(
                 f"y={prog.y} exceeds (log x)^J = {(math.log(x)) ** J:.3g} at x={x}",
                 stacklevel=2,
             )
-        psi = psi_progression(x, prog, tables)
+        psi = psi_progression(x, prog)
         main = x / phi_y
         rows.append(
             {

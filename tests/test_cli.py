@@ -397,11 +397,45 @@ def test_bad_grid_exits_two_before_sieving(tmp_path, capsys, monkeypatch, argv, 
         monkeypatch.setenv("PRIMEAVG_MEMORY_CAP", cap)
     monkeypatch.setattr(cli, "build_tables", must_not_run)
     monkeypatch.setattr(multiplier, "build_tables", must_not_run)
+    monkeypatch.setattr(multiplier, "von_mangoldt", must_not_run)
     rc = main(argv + ["--out-dir", str(tmp_path)])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and message in err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["improving", "maximal"])
+def test_scan_grid_above_memory_cap_exits_two_before_sieving(tmp_path, capsys, monkeypatch, command):
+    # the cells' grid pow2_at_least(2 N_max) = 131072 is checked before any sieve
+    from primeavg import multiplier, scans
+
+    def must_not_run(*args, **kwargs):
+        pytest.fail("tables were sieved before the grid was checked")
+
+    monkeypatch.setenv("PRIMEAVG_MEMORY_CAP", "100000")
+    for module in (scans, multiplier):
+        monkeypatch.setattr(module, "build_tables", must_not_run)
+        monkeypatch.setattr(module, "von_mangoldt", must_not_run)
+    rc = main([command, "--N-list", "65536", "--y-list", "1", "--workers", "1", "--out-dir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "grid size M=131072 exceeds memory cap 100000" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_approx_sieves_mu_and_phi_only_to_its_moduli(tmp_path, monkeypatch):
+    # approx reads mu and phi at y and lcm(y, q) <= y q_cut alone; Lambda is
+    # sieved on its own up to N
+    from primeavg import tables
+
+    bounds = []
+    sieve = tables._sieve
+    monkeypatch.setattr(tables, "_TABLE_CACHE", {})
+    monkeypatch.setattr(tables, "_sieve", lambda n: bounds.append(n) or sieve(n))
+    rc = main(["approx", "--N", "65536", "--y", "3", "--b", "1", "--qcut", "16", "--out-dir", str(tmp_path)])
+    assert rc == 0
+    assert bounds and max(bounds) <= 3 * 16
 
 
 def test_highlow_evaluates_each_window_once(tmp_path, monkeypatch):
@@ -513,13 +547,15 @@ def test_verify_artifacts_equal_serial_run(tmp_path, monkeypatch):
 def test_config_value_of_wrong_type_exits_two_before_sieving(tmp_path, capsys, monkeypatch, command, config, flag):
     # a config-file value is parsed as its flag would parse it, before any work
     import primeavg
-    from primeavg import cli, expsums, multiplier
+    from primeavg import cli, expsums, multiplier, tables
 
     def must_not_run(*args, **kwargs):
         pytest.fail("work started before the config file's values were checked")
 
     for module in (primeavg, cli, expsums, fixtures, multiplier, scans):
         monkeypatch.setattr(module, "build_tables", must_not_run)
+    for module in (primeavg, multiplier, scans, tables):
+        monkeypatch.setattr(module, "von_mangoldt", must_not_run)
     monkeypatch.setattr(cli, "run_cells", must_not_run)
     (tmp_path / "cfg.json").write_text(json.dumps(config))
     out = tmp_path / "out"

@@ -35,7 +35,7 @@ from primeavg.multiplier import (
     pow2_at_least,
     sup_abs,
 )
-from primeavg.tables import Progression, build_tables, default_residue, reduced_residues
+from primeavg.tables import Progression, build_tables, default_residue, reduced_residues, von_mangoldt
 
 
 # ---------------------------------------------------------------------------
@@ -124,39 +124,39 @@ def test_m_hat_rejects_short_lengths():
 # Prime multiplier
 
 
-def test_a_hat_bruteforce(tables):
+def test_a_hat_bruteforce():
     prog = Progression(3, 1)
     N = 64
     for theta in (0.0, 0.07, 0.5):
         direct = (2 / N) * sum(
-            tables.von_mangoldt[n] * np.exp(-2j * np.pi * n * theta)
+            von_mangoldt(N)[n] * np.exp(-2j * np.pi * n * theta)
             for n in range(1, N, 3)
         )
-        assert abs(a_hat(theta, N, prog, tables) - direct) < 1e-10
+        assert abs(a_hat(theta, N, prog) - direct) < 1e-10
 
 
-def test_a_hat_at_zero_is_normalized_psi(tables):
+def test_a_hat_at_zero_is_normalized_psi():
     from primeavg.tables import psi_progression
 
     prog = Progression(5, 2)
     N = 4096
-    expected = 4 * psi_progression(N, prog, tables) / N
-    assert a_hat(0.0, N, prog, tables) == pytest.approx(expected, rel=1e-12)
+    expected = 4 * psi_progression(N, prog) / N
+    assert a_hat(0.0, N, prog) == pytest.approx(expected, rel=1e-12)
 
 
-def test_a_hat_profile_matches_pointwise(tables):
+def test_a_hat_profile_matches_pointwise():
     prog = Progression(3, 1)
     N, M = 512, 2048
-    prof = a_hat_profile(N, prog, M, tables)
+    prof = a_hat_profile(N, prog, M)
     for k in (0, 1, 100, 1024, 2047):
         # the half profile holds k <= M/2; above, a_hat is the conjugate at M - k
         value = prof.values[k] if k <= M // 2 else np.conj(prof.values[M - k])
-        assert abs(value - a_hat(k / M, N, prog, tables)) < 1e-9
+        assert abs(value - a_hat(k / M, N, prog)) < 1e-9
 
 
-def _full_a_hat_profile(N, prog, M, tables):
+def _full_a_hat_profile(N, prog, M):
     """All M values of a_hat on the grid, by the complex fft: the oracle of the real path."""
-    return np.fft.fft(a_kernel(N, prog, M, tables))
+    return np.fft.fft(a_kernel(N, prog, M))
 
 
 @settings(max_examples=40, deadline=None)
@@ -171,23 +171,22 @@ def _full_a_hat_profile(N, prog, M, tables):
 def test_a_hat_profile_real_apply_matches_full_spectrum(N, y, pad, seed):
     # the rfft/irfft path against the complex fft/ifft path on random real f
     prog = Progression(y, default_residue(y))
-    tables = build_tables(4096)
     M = pow2_at_least(N) << pad
     f = np.random.default_rng(seed).standard_normal(M)
-    out = a_hat_profile(N, prog, M, tables).apply(f)
-    oracle = np.fft.ifft(_full_a_hat_profile(N, prog, M, tables) * np.fft.fft(f)).real
+    out = a_hat_profile(N, prog, M).apply(f)
+    oracle = np.fft.ifft(_full_a_hat_profile(N, prog, M) * np.fft.fft(f)).real
     assert isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == (M,)
     assert np.abs(out - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
 
 @pytest.mark.parametrize("y", [1, 3, 5])
-def test_a_hat_profile_kernel_and_sup_match_full_spectrum(tables, y):
+def test_a_hat_profile_kernel_and_sup_match_full_spectrum(y):
     prog, N, M = Progression(y, default_residue(y)), 3000, 1 << 13
-    prof = a_hat_profile(N, prog, M, tables)
+    prof = a_hat_profile(N, prog, M)
     assert len(prof.values) == M // 2 + 1
-    kernel = a_kernel(N, prog, M, tables)
+    kernel = a_kernel(N, prog, M)
     assert np.abs(prof.kernel() - kernel).max() <= 1e-12 * np.abs(kernel).max()
-    full_sup = float(np.abs(_full_a_hat_profile(N, prog, M, tables)).max())
+    full_sup = float(np.abs(_full_a_hat_profile(N, prog, M)).max())
     assert prof.sup() == pytest.approx(full_sup, rel=1e-12)
 
 
@@ -206,22 +205,22 @@ def test_profile_rejects_a_full_spectrum():
         SpectralProfile(64, np.fft.fft(kernel))
 
 
-def test_sup_abs_over_a_generator_of_profiles(tables):
+def test_sup_abs_over_a_generator_of_profiles():
     # two profiles of different N on one grid, passed as a generator
     prog, M = Progression(3, 1), 1 << 12
     f = indicator(np.random.default_rng(5).integers(0, 2000, 300), M)
-    short, long_ = a_hat_profile(500, prog, M, tables), a_hat_profile(2000, prog, M, tables)
+    short, long_ = a_hat_profile(500, prog, M), a_hat_profile(2000, prog, M)
     sup = sup_abs((p for p in (short, long_)), f)
     expected = np.maximum(np.abs(short.apply(f)), np.abs(long_.apply(f)))
     assert np.array_equal(sup, expected)
 
 
-def test_a_hat_uniform_grid_matches_pointwise(tables):
+def test_a_hat_uniform_grid_matches_pointwise():
     prog = Progression(1, 0)
     N = 512
-    grid = a_hat_uniform_grid(N, prog, 0.01, 0.003, 5, tables)
+    grid = a_hat_uniform_grid(N, prog, 0.01, 0.003, 5)
     for j in range(5):
-        assert abs(grid[j] - a_hat(0.01 + 0.003 * j, N, prog, tables)) < 1e-9
+        assert abs(grid[j] - a_hat(0.01 + 0.003 * j, N, prog)) < 1e-9
 
 
 @settings(max_examples=40, deadline=None)
@@ -239,17 +238,16 @@ def test_a_hat_uniform_grid_chirp_matches_pointwise(N, y, theta0, scale, count):
     # the blocked chirp-z sweep against pointwise a_hat at up to 50 grid points,
     # first and last included; dtheta = scale / N, the sweeps' regime of spacing below 1/N
     prog = Progression(y, default_residue(y))
-    tables = build_tables(4096)
     dtheta = scale / N
-    grid = a_hat_uniform_grid(N, prog, theta0, dtheta, count, tables)
+    grid = a_hat_uniform_grid(N, prog, theta0, dtheta, count)
     assert grid.shape == (count,)
     for j in np.unique(np.linspace(0, count - 1, min(count, 50)).astype(int)).tolist():
-        assert abs(grid[j] - a_hat(theta0 + dtheta * j, N, prog, tables)) < 1e-9
+        assert abs(grid[j] - a_hat(theta0 + dtheta * j, N, prog)) < 1e-9
 
 
-def test_a_hat_profile_requires_power_of_two(tables):
+def test_a_hat_profile_requires_power_of_two():
     with pytest.raises(ValueError):
-        a_hat_profile(512, Progression(1, 0), 1500, tables)
+        a_hat_profile(512, Progression(1, 0), 1500)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +295,7 @@ def test_major_arc_supports_disjoint_within_scale():
             assert hi1 <= lo2 or hi2 <= lo1
 
 
-def test_approximant_profile_matches_pointwise(tables):
+def test_approximant_profile_matches_pointwise():
     prog = Progression(3, 1)
     N, M = 1 << 10, 1 << 12
     prof = approximant_profile(N, prog, 8, M)
@@ -375,18 +373,18 @@ def test_approximant_minor_arc_vanishes():
     assert abs(val) < 1e-3
 
 
-def test_near_zero_error_shrinks(tables):
+def test_near_zero_error_shrinks():
     prog = Progression(3, 1)
-    e_small = near_zero_error(1 << 10, prog, tables=tables)
-    e_large = near_zero_error(1 << 14, prog, tables=tables)
+    e_small = near_zero_error(1 << 10, prog)
+    e_large = near_zero_error(1 << 14, prog)
     assert e_large < e_small
 
 
 def test_major_arc_error_small_on_main_arc(tables):
     prog = Progression(3, 1)
     p = FareyPoint.build(0, 1, prog, tables)
-    err = major_arc_error(1 << 14, prog, p, tables=tables)
-    assert err == pytest.approx(near_zero_error(1 << 14, prog, tables=tables), rel=1e-9)
+    err = major_arc_error(1 << 14, prog, p)
+    assert err == pytest.approx(near_zero_error(1 << 14, prog), rel=1e-9)
 
 
 def test_major_arc_error_off_zero_matches_pointwise(tables):
@@ -397,35 +395,35 @@ def test_major_arc_error_off_zero_matches_pointwise(tables):
     half = int(math.log(N) ** ARC_J / N / dtheta)
     thetas = dtheta * (np.arange(2 * half + 1) - half)
     expected = max(
-        abs(a_hat(p.center + t, N, prog, tables) - p.upsilon * m_hat(p.ell * t, N / p.ell))
+        abs(a_hat(p.center + t, N, prog) - p.upsilon * m_hat(p.ell * t, N / p.ell))
         for t in thetas
     )
-    assert abs(major_arc_error(N, prog, p, tables=tables) - expected) < 1e-12
+    assert abs(major_arc_error(N, prog, p) - expected) < 1e-12
 
 
-def _full_residual(N, prog, q_cut, M, tables):
+def _full_residual(N, prog, q_cut, M):
     """The residual on all M values, every window unclipped: the oracle of the half path."""
-    values = _full_a_hat_profile(N, prog, M, tables)
+    values = _full_a_hat_profile(N, prog, M)
     for idx, vals in _full_windows(N, prog, q_cut, M):
         values[idx] -= vals
     return values
 
 
-def test_approx_error_profile_residual(tables):
+def test_approx_error_profile_residual():
     # the half residual against the full-grid oracle, at every y of the scans
     N = 1 << 12
     M = 4 * N
     for y in (1, 3, 5):
         prog = Progression(y, default_residue(y))
-        sup, residual = approx_error_profile(N, prog, 16, M=M, tables=tables)
+        sup, residual = approx_error_profile(N, prog, 16, M=M)
         assert residual.grid_size == M
         assert len(residual.values) == M // 2 + 1
         assert sup == float(np.abs(residual.values).max())
-        v = _full_residual(N, prog, 16, M, tables)
+        v = _full_residual(N, prog, 16, M)
         # hermitian symmetry of a real-kernel residual
         assert np.allclose(v[1:], np.conj(v[1:][::-1]), atol=1e-9)
         # rfft and fft round differently, on the scale of a_hat's peak, not the residual's
-        peak = a_hat_profile(N, prog, M, tables).sup()
+        peak = a_hat_profile(N, prog, M).sup()
         assert np.abs(residual.values - v[: M // 2 + 1]).max() <= 1e-15 * peak
         assert sup == pytest.approx(float(np.abs(v).max()), rel=1e-14)
 
@@ -450,10 +448,10 @@ def test_half_windows_cover_full_windows_on_half(y, pick, q_cut, log_m):
         full[idx[keep]] += vals[keep]
     clipped = np.zeros(half + 1, dtype=np.complex128)
     covered = np.zeros(half + 1, dtype=bool)
-    for _, idx, vals in _l_hat_windows(N, prog, q_cut, M):
-        assert len(idx) == 0 or (idx.min() >= 0 and idx.max() <= half)
-        clipped[idx] += vals
-        covered[idx] = True
+    for _, k0, vals in _l_hat_windows(N, prog, q_cut, M):
+        assert len(vals) == 0 or (k0 >= 0 and k0 + len(vals) - 1 <= half)
+        clipped[k0 : k0 + len(vals)] += vals
+        covered[k0 : k0 + len(vals)] = True
     assert covered[full != 0].all()
     assert np.array_equal(clipped, full)
 
@@ -470,36 +468,37 @@ def test_blocked_window_matches_one_shot(monkeypatch, block):
     monkeypatch.setattr(multiplier, "WINDOW_BLOCK", block)
     p = _zero_point()
     N, M = 1 << 15, 5 << 15
-    k, vals = _l_hat_window(p, N, M)
-    assert np.array_equal(k, np.arange(M // 4))
+    k0, vals = _l_hat_window(p, N, M)
+    assert k0 == 0 and len(vals) == M // 4
+    k = np.arange(M // 4)
     d = (k * p.q - p.a * M) / (p.q * M)
     assert np.array_equal(vals, p.upsilon * m_hat(p.ell * d, N / p.ell) * cutoff(p.ell * p.ell * d))
 
 
 def test_window_temporaries_stay_within_a_few_blocks():
     # numpy reports its buffers to tracemalloc: the traced peak of the widest
-    # window is its output (k and the values) plus the temporaries of one
-    # block; evaluated at once, its 2^18 points would peak above 20 MB
+    # window is its values plus the temporaries of one block; evaluated at
+    # once, its 2^18 points would peak above 20 MB
     p = _zero_point()
     cutoff(0.0)  # tabulate the mollifier before tracing
     tracemalloc.start()
     try:
-        k, vals = _l_hat_window(p, 1 << 18, 1 << 20)
+        k0, vals = _l_hat_window(p, 1 << 18, 1 << 20)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(k) == 1 << 18
-    assert peak <= k.nbytes + vals.nbytes + 8 * WINDOW_BLOCK * vals.itemsize
+    assert k0 == 0 and len(vals) == 1 << 18
+    assert peak <= vals.nbytes + 8 * WINDOW_BLOCK * vals.itemsize
 
 
 @pytest.mark.parametrize("y, b", [(1, 0), (3, 1)])
-def test_approx_error_profile_matches_pointwise_oracles(tables, y, b):
+def test_approx_error_profile_matches_pointwise_oracles(y, b):
     # the residual, built in place on a_hat's half grid, against the pointwise
     # oracles at every Farey centre, a point inside each window, and uniform draws
     N, q_cut = 1 << 12, 16
     M = 4 * N
     prog = Progression(y, b)
-    _, residual = approx_error_profile(N, prog, q_cut, M=M, tables=tables)
+    _, residual = approx_error_profile(N, prog, q_cut, M=M)
     points = farey_points(q_cut - 1, prog)
     centres = [round(p.center * M) for p in points]
     draws = np.random.default_rng(11).integers(0, M, 32).tolist()
@@ -510,8 +509,28 @@ def test_approx_error_profile_matches_pointwise_oracles(tables, y, b):
     worst = max(
         abs(
             values[k]
-            - (a_hat(k / M, N, prog, tables) - approximant_hat(k / M, N, prog, q_cut, points=points))
+            - (a_hat(k / M, N, prog) - approximant_hat(k / M, N, prog, q_cut, points=points))
         )
         for k in ks
     )
     assert worst < 1e-9
+
+
+@pytest.mark.parametrize("y, b", [(1, 0), (3, 1)])
+def test_window_start_index_matches_index_array_build(y, b):
+    # each window carries its start k0, and callers add into the slice
+    # k0 : k0 + len(values); adding at the index array k0 .. k1 instead gives
+    # the same bands and residual bit for bit
+    N, q_cut = 1 << 12, 16
+    M = 4 * N
+    prog = Progression(y, b)
+    windows = approximant_windows(N, prog, q_cut, M)
+    band = np.zeros(M // 2 + 1, dtype=np.complex128)
+    residual = a_hat_profile(N, prog, M).values
+    for _, k0, vals in windows:
+        idx = np.arange(k0, k0 + len(vals))
+        band[idx] += vals
+        residual[idx] -= vals
+    assert np.array_equal(approximant_profile(N, prog, q_cut, M).values, band)
+    assert np.array_equal(approximant_profile(N, prog, q_cut, M, windows=windows).values, band)
+    assert np.array_equal(approx_error_profile(N, prog, q_cut, M)[1].values, residual)

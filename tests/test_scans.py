@@ -20,33 +20,33 @@ from primeavg.scans import (
     maximal_scan,
     run_cells,
 )
-from primeavg.tables import Progression, reduced_residues
+from primeavg.tables import Progression, reduced_residues, von_mangoldt
 
 
 # ---------------------------------------------------------------------------
 # Kernel and single-case ratios
 
 
-def test_a_kernel_mass(tables):
+def test_a_kernel_mass():
     from primeavg.tables import psi_progression
 
     N, prog = 1 << 12, Progression(3, 1)
-    kern = a_kernel(N, prog, 1 << 14, tables)
-    assert kern.sum() == pytest.approx(2 / N * psi_progression(N, prog, tables))
+    kern = a_kernel(N, prog, 1 << 14)
+    assert kern.sum() == pytest.approx(2 / N * psi_progression(N, prog))
     assert kern[0] == 0.0 and kern[N:].sum() == 0.0
 
 
-def test_improving_ratio_single_point_closed_form(tables):
+def test_improving_ratio_single_point_closed_form():
     # F = {0}: A 1_F(x) = phi(y)/N Lambda(x) 1_{x = b mod y}, so the r'-norm
     # is computable directly from the table
     N, prog, r = 1 << 12, Progression(3, 1), 1.5
     rp = r / (r - 1.0)
     n = np.arange(1, N, 3)
-    num = ((2 / N * tables.von_mangoldt[n]) ** rp).sum() ** (1 / rp)
+    num = ((2 / N * von_mangoldt(N)[n]) ** rp).sum() ** (1 / rp)
     den = (3 / N) ** (1 / r - 1 / rp)
     expected = num / den
     for M in (pow2_at_least(2 * N), pow2_at_least(4 * N)):  # the scans' grid, and twice it
-        conv = a_hat_profile(N, prog, M, tables).apply(indicator([0], M))
+        conv = a_hat_profile(N, prog, M).apply(indicator([0], M))
         assert _improving_value(conv, r, prog.y, N, 1) == pytest.approx(expected, rel=1e-10)
 
 
@@ -58,9 +58,9 @@ def _run_cell_recording_grids(cell, payload):
     """The cell's rows and the set of grid sizes it built its profiles on."""
     grids = set()
 
-    def spy(N, prog, M, tables):
+    def spy(N, prog, M):
         grids.add(M)
-        return a_hat_profile(N, prog, M, tables)
+        return a_hat_profile(N, prog, M)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scans, "a_hat_profile", spy)
@@ -77,7 +77,7 @@ def _run_cell_recording_grids(cell, payload):
 )
 @example(N=3000, y=3, pick=1, seed=0)  # N not a power of two
 @example(N=2048, y=5, pick=3, seed=1)  # the conv fills [0, 2N - 1) of M = 2N
-def test_improving_cell_grid_holds_linear_convolution(tables, N, y, pick, seed):
+def test_improving_cell_grid_holds_linear_convolution(N, y, pick, seed):
     residues = reduced_residues(y)
     b = int(residues[pick % len(residues)])
     prog = Progression(y, b)
@@ -85,8 +85,8 @@ def test_improving_cell_grid_holds_linear_convolution(tables, N, y, pick, seed):
     (M,) = grids
     big = pow2_at_least(4 * N)
     assert M < big
-    fams = input_families(N, prog, np.random.default_rng(seed), (3, 5), tables=tables)
-    small_prof, big_prof = a_hat_profile(N, prog, M, tables), a_hat_profile(N, prog, big, tables)
+    fams = input_families(N, prog, np.random.default_rng(seed), (3, 5), greedy=True)
+    small_prof, big_prof = a_hat_profile(N, prog, M), a_hat_profile(N, prog, big)
     expected = []
     for F in fams.values():
         conv, oracle = small_prof.apply(indicator(F, M)), big_prof.apply(indicator(F, big))
@@ -100,7 +100,7 @@ def test_improving_cell_grid_holds_linear_convolution(tables, N, y, pick, seed):
 
 
 @pytest.mark.parametrize("y", [1, 3, 5])
-def test_maximal_cell_grid_keeps_weak_counts(tables, y):
+def test_maximal_cell_grid_keeps_weak_counts(y):
     N_list, lambdas, r = [1000, 2048, 3000], [2.0**-k for k in range(1, 7)], 2.0
     for b in reduced_residues(y):
         prog = Progression(y, int(b))
@@ -114,7 +114,7 @@ def test_maximal_cell_grid_keeps_weak_counts(tables, y):
         strong, weak = {}, {}
         for name, F in fams.items():
             sups = [
-                sup_abs([a_hat_profile(N, prog, m, tables) for N in N_list], indicator(F, m))
+                sup_abs([a_hat_profile(N, prog, m) for N in N_list], indicator(F, m))
                 for m in (M, big)
             ]
             for lam in lambdas:
@@ -131,22 +131,22 @@ def test_maximal_cell_grid_keeps_weak_counts(tables, y):
 # Input families
 
 
-def test_input_families_deterministic(tables):
+def test_input_families_deterministic():
     prog = Progression(3, 1)
-    a = input_families(1 << 10, prog, np.random.default_rng(5), tables=tables)
-    b = input_families(1 << 10, prog, np.random.default_rng(5), tables=tables)
+    a = input_families(1 << 10, prog, np.random.default_rng(5), greedy=True)
+    b = input_families(1 << 10, prog, np.random.default_rng(5), greedy=True)
     assert a.keys() == b.keys()
     for k in a:
         assert np.array_equal(a[k], b[k])
 
 
-def test_input_families_contents(tables):
+def test_input_families_contents():
     prog = Progression(3, 1)
-    fams = input_families(1 << 10, prog, np.random.default_rng(0), tables=tables)
+    fams = input_families(1 << 10, prog, np.random.default_rng(0), greedy=True)
     assert fams["interval"][-1] == (1 << 9) - 1
     assert all(v % 3 == 1 for v in fams["progression_segment"])
     assert "bernoulli_2^-3" in fams and "bernoulli_2^-5" in fams
-    assert all(tables.von_mangoldt[v] > 0 for v in fams["greedy_lambda"])
+    assert all(von_mangoldt(1 << 10)[v] > 0 for v in fams["greedy_lambda"])
 
 
 # ---------------------------------------------------------------------------
@@ -250,20 +250,34 @@ def test_maximal_scan_workers_deterministic():
     assert serial == parallel
 
 
-@pytest.mark.parametrize("scan", ["improving", "maximal"])
-def test_scan_sieves_once(monkeypatch, scan):
-    # one sieve up to max(N_list) serves every cell as a cached view
+def _record_sieves(monkeypatch, once=False):
+    """Empty both table caches and record each sieve's bound, by table; with once, a second sieve of a table raises."""
     from primeavg import tables as tables_mod
 
-    monkeypatch.setattr(tables_mod, "_TABLE_CACHE", {})
-    sieved = []
-    sieve = tables_mod._sieve
-    monkeypatch.setattr(tables_mod, "_sieve", lambda n: sieved.append(n) or sieve(n))
+    sieved = {"lambda": [], "mu_phi": []}
+    for kind, name, cache in (("lambda", "_lambda_sieve", "_LAMBDA_CACHE"), ("mu_phi", "_sieve", "_TABLE_CACHE")):
+        monkeypatch.setattr(tables_mod, cache, {})
+
+        def record(n, kind=kind, sieve=getattr(tables_mod, name)):
+            if once and sieved[kind]:
+                raise AssertionError(f"second {kind} sieve up to {n}")
+            sieved[kind].append(n)
+            return sieve(n)
+
+        monkeypatch.setattr(tables_mod, name, record)
+    return sieved
+
+
+@pytest.mark.parametrize("scan", ["improving", "maximal"])
+def test_scan_sieves_once(monkeypatch, scan):
+    # one sieve of each table, Lambda up to max(N_list) and mu/phi up to
+    # max(y_list), serves every cell as a cached view
+    sieved = _record_sieves(monkeypatch)
     if scan == "improving":
         improving_scan(**_small_improving_config(), workers=1)
     else:
         maximal_scan(**_small_maximal_config(), workers=1)
-    assert sieved == [1 << 11]  # max(N_list)
+    assert sieved == {"lambda": [1 << 11], "mu_phi": [3]}  # max(N_list), max(y_list)
 
 
 @pytest.mark.skipif(
@@ -271,26 +285,14 @@ def test_scan_sieves_once(monkeypatch, scan):
 )
 @pytest.mark.parametrize("scan", ["improving", "maximal"])
 def test_scan_workers_reuse_parent_sieve(monkeypatch, scan):
-    # the forked workers inherit the parent's table and this patched sieve,
+    # the forked workers inherit the parent's tables and these patched sieves,
     # so a worker that sieved again would raise through the pool
-    from primeavg import tables as tables_mod
-
-    monkeypatch.setattr(tables_mod, "_TABLE_CACHE", {})
-    sieved = []
-    sieve = tables_mod._sieve
-
-    def sieve_once(n):
-        if sieved:
-            raise AssertionError(f"second sieve up to {n}")
-        sieved.append(n)
-        return sieve(n)
-
-    monkeypatch.setattr(tables_mod, "_sieve", sieve_once)
+    sieved = _record_sieves(monkeypatch, once=True)
     if scan == "improving":
         improving_scan(**_small_improving_config(), workers=2)
     else:
         maximal_scan(**_small_maximal_config(), workers=2)
-    assert sieved == [1 << 11]
+    assert sieved == {"lambda": [1 << 11], "mu_phi": [3]}
 
 
 def _warning_cell(cell):

@@ -14,6 +14,7 @@ from primeavg.tables import (
     psi_progression,
     reduced_residues,
     sw_error_report,
+    von_mangoldt,
 )
 
 
@@ -27,7 +28,7 @@ def _primes_below(n):
 
 
 def _loop_sieve(n):
-    """The sieve as a Python loop over every prime up to n: the oracle of tables._sieve."""
+    """The sieve as a Python loop over every prime up to n: the oracle of tables._lambda_sieve and _sieve."""
     is_prime = np.ones(n + 1, dtype=bool)
     is_prime[:2] = False
     for p in range(2, math.isqrt(n) + 1):
@@ -54,10 +55,11 @@ def _loop_sieve(n):
 
 
 def _assert_sieve_matches_loop(n):
+    # each sieve fresh at bound n, not a cached slice of a larger one
     fast, oracle = tables_module._sieve(n), _loop_sieve(n)
     assert fast.bound == n
     for name, expected in oracle.items():
-        got = getattr(fast, name)
+        got = tables_module._lambda_sieve(n) if name == "von_mangoldt" else getattr(fast, name)
         assert got.dtype == expected.dtype, (n, name)
         assert np.array_equal(got, expected), (n, name)
 
@@ -74,7 +76,7 @@ def test_sieve_bitwise_equals_loop_oracle_random_bounds(n):
     _assert_sieve_matches_loop(n)
 
 
-def test_von_mangoldt_against_prime_power_oracle(tables):
+def test_von_mangoldt_against_prime_power_oracle():
     # Lambda(n) = log p on prime powers p^k, else 0, checked up to 10^4
     lam = np.zeros(10_000)
     for p in _primes_below(10_000):
@@ -82,7 +84,7 @@ def test_von_mangoldt_against_prime_power_oracle(tables):
         while pk < 10_000:
             lam[pk] = math.log(p)
             pk *= p
-    assert np.allclose(tables.von_mangoldt[:10_000], lam, atol=1e-12)
+    assert np.allclose(von_mangoldt(10_000)[:10_000], lam, atol=1e-12)
 
 
 def test_mobius_divisor_sum_identity(tables):
@@ -99,25 +101,25 @@ def test_totient_divisor_sum_identity(tables):
         assert s == n
 
 
-def test_psi_strict_upper_limit(tables):
+def test_psi_strict_upper_limit():
     # n < x convention: Psi(8) excludes Lambda(8) = log 2
-    p8 = psi_progression(8, Progression(1, 0), tables)
-    p9 = psi_progression(9, Progression(1, 0), tables)
+    p8 = psi_progression(8, Progression(1, 0))
+    p9 = psi_progression(9, Progression(1, 0))
     assert p9 - p8 == pytest.approx(math.log(2), abs=1e-12)
-    assert psi_progression(3, Progression(1, 0), tables) == pytest.approx(math.log(2), abs=1e-12)
+    assert psi_progression(3, Progression(1, 0)) == pytest.approx(math.log(2), abs=1e-12)
 
 
-def test_psi_million_within_asymptotic_band(tables):
+def test_psi_million_within_asymptotic_band():
     x = 10**6
-    assert abs(psi_progression(x, Progression(1, 0), tables) - x) / x < 0.003
+    assert abs(psi_progression(x, Progression(1, 0)) - x) / x < 0.003
 
 
-def test_psi_progression_splits_psi(tables):
+def test_psi_progression_splits_psi():
     x = 50_000
     total = sum(
-        psi_progression(x, Progression(3, b), tables) for b in (1, 2)
-    ) + float(tables.von_mangoldt[3:x:3].sum())
-    assert total == pytest.approx(psi_progression(x, Progression(1, 0), tables), rel=1e-12)
+        psi_progression(x, Progression(3, b)) for b in (1, 2)
+    ) + float(von_mangoldt(x)[3:x:3].sum())
+    assert total == pytest.approx(psi_progression(x, Progression(1, 0)), rel=1e-12)
 
 
 def test_reduced_residues_basics():
@@ -140,6 +142,12 @@ def test_build_tables_cached():
     a = build_tables(1 << 14)
     b = build_tables(1 << 14)
     assert a is b
+    assert von_mangoldt(1 << 14) is von_mangoldt(1 << 14)
+
+
+def test_arith_tables_hold_mu_and_phi_alone():
+    # Lambda is sieved by von_mangoldt alone, to the bound its readers index
+    assert [f.name for f in fields(ArithTables)] == ["bound", "mobius", "totient"]
 
 
 def test_smaller_bound_is_read_only_view_of_largest_table():
@@ -183,32 +191,62 @@ def test_larger_sieve_repoints_smaller_cached_table():
         assert np.array_equal(view, getattr(fresh, f.name)), f.name
 
 
+def test_smaller_lambda_bound_is_read_only_view_of_largest(monkeypatch):
+    monkeypatch.setattr(tables_module, "_LAMBDA_CACHE", {})
+    large = von_mangoldt(1 << 16)
+    small = von_mangoldt(1 << 12)
+    assert np.shares_memory(small, large)
+    assert not small.flags.writeable
+    assert small.dtype == np.float64
+    assert np.array_equal(small, tables_module._lambda_sieve(1 << 12))
+
+
+def test_larger_lambda_sieve_repoints_smaller_cached_table(monkeypatch):
+    # the cache holds one copy: sieving 2^16 after 2^12 turns the 2^12 entry into a view
+    monkeypatch.setattr(tables_module, "_LAMBDA_CACHE", {})
+    von_mangoldt(1 << 12)
+    large = von_mangoldt(1 << 16)
+    small = tables_module._LAMBDA_CACHE[1 << 12]
+    assert von_mangoldt(1 << 12) is small
+    assert np.shares_memory(small, large)
+    assert not small.flags.writeable
+    assert np.array_equal(small, tables_module._lambda_sieve(1 << 12))
+
+
 def test_tables_are_write_protected(tables):
     with pytest.raises(ValueError):
-        tables.von_mangoldt[0] = 1.0
+        tables.totient[0] = 1
+    with pytest.raises(ValueError):
+        von_mangoldt(100)[0] = 1.0
 
 
 def test_memory_cap_guard(monkeypatch):
     monkeypatch.setenv("PRIMEAVG_MEMORY_CAP", "1000")
     with pytest.raises(ValueError):
         build_tables(1 << 22)
+    with pytest.raises(ValueError, match="memory cap"):
+        von_mangoldt(1 << 22)
 
 
-def test_psi_progression_bound_check(tables):
-    with pytest.raises(ValueError):
-        psi_progression(tables.bound + 10, Progression(1, 0), tables)
+def test_psi_progression_sizes_its_own_table(monkeypatch):
+    # no caller passes a table: psi at x above every cached bound sieves Lambda to x
+    monkeypatch.setattr(tables_module, "_LAMBDA_CACHE", {1000: tables_module._lambda_sieve(1000)})
+    x = 5000
+    expected = _loop_sieve(x)["von_mangoldt"][np.arange(1, x, 3)].sum()
+    assert psi_progression(x, Progression(3, 1)) == float(expected)
+    assert max(tables_module._LAMBDA_CACHE) == x
 
 
-def test_sw_error_report_trend(tables):
-    rows = sw_error_report([10**4, 10**5, 10**6], Progression(3, 1), tables)
+def test_sw_error_report_trend():
+    rows = sw_error_report([10**4, 10**5, 10**6], Progression(3, 1))
     errs = [r["rel_error"] for r in rows]
     assert errs[0] > errs[1] > errs[2]
     assert all(r["main_term"] == r["x"] / 2 for r in rows)
 
 
-def test_sw_error_report_warns_on_large_modulus(tables):
+def test_sw_error_report_warns_on_large_modulus():
     with pytest.warns(UserWarning):
-        sw_error_report([1000], Progression(97, 1), tables)
+        sw_error_report([1000], Progression(97, 1))
 
 
 def test_arith_tables_type(tables):
