@@ -51,7 +51,7 @@ from .highlow import (
     lo_kernels_closed,
     lo_linf_ratio,
 )
-from .multiplier import approx_error_profile, approximant_profile, approximant_windows, near_zero_error, pow2_at_least
+from .multiplier import approx_residual, approximant_profile, approximant_windows, near_zero_error, pow2_at_least
 from .scans import fit_exponent, improving_scan, maximal_scan, run_cells
 from .tables import Progression, build_tables, default_residue, memory_cap, sw_error_report
 
@@ -259,14 +259,10 @@ def cmd_approx(cfg: dict) -> tuple[list[dict], dict, bool]:
         raise ConfigError(f"max_rows must be >= 1, got {max_rows}")
     _check_grid(N, M)
     _check_qcut(N, prog.y, q_cut)
-    sup, residual = approx_error_profile(N, prog, q_cut, M=M)
-    near = near_zero_error(N, prog)
     stride = max(1, M // max_rows)
-    # the residual is Hermitian: |value| at k > M/2 is that at M - k
-    rows = [
-        {"xi": k / M, "abs_residual": float(abs(residual.values[min(k, M - k)]))}
-        for k in range(0, M, stride)
-    ]
+    sup, residuals = approx_residual(N, prog, q_cut, M, stride)
+    near = near_zero_error(N, prog)
+    rows = [{"xi": k / M, "abs_residual": float(v)} for k, v in zip(range(0, M, stride), residuals)]
     summary = {
         "N": N,
         "y": prog.y,

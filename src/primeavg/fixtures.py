@@ -29,7 +29,7 @@ from .highlow import (
     multifrequency_max_ratio,
     multifrequency_profile,
 )
-from .multiplier import approx_error_profile, approximant_windows, near_zero_error
+from .multiplier import approx_residual, approximant_windows, near_zero_error
 from .scans import _improving_cell, fit_exponent, maximal_scan
 from .tables import Progression, build_tables, default_residue, sw_error_report
 
@@ -72,8 +72,8 @@ def _measure_near_zero(y: int, b: int, N: int) -> float:
 
 
 def _measure_residual_sup(y: int, b: int, N: int) -> float:
-    sup, _ = approx_error_profile(N, Progression(y, b), 16, M=4 * N)
-    return sup
+    M = 4 * N
+    return approx_residual(N, Progression(y, b), 16, M, M)[0]
 
 
 def _measure_dual_path_worst() -> float:

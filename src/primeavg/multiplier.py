@@ -12,20 +12,26 @@ kernel's spectrum, M//2 + 1 values, and convolves by real transforms
 real kernel phi(y)/N Lambda(n) on the progression.  The approximant is
 Hermitian too: height depends only on q, and Upsilon at (q - a)/q is the
 conjugate of Upsilon at a/q.  So approximant_profile builds each height band
-on k <= M/2 alone, every window clipped there, and approx_error_profile
-subtracts the same windows from a_hat's half.  Bands that share the windows
-of approximant_windows evaluate each window once.
+on k <= M/2 alone, every window clipped there.  Bands that share the
+windows of approximant_windows evaluate each window once.  Every window is
+filled into its preallocated output WINDOW_BLOCK points at a time
+(fill_window), so its temporaries are O(WINDOW_BLOCK) however wide it is.
 
-Every window is filled into its preallocated output WINDOW_BLOCK points at a
-time (fill_window), so its temporaries are O(WINDOW_BLOCK) however wide it
-is: the y = 1 window of 0/1 covers M/4 points.  The peak memory of approx is
-then a_hat_profile's length-M rfft.
+approx_residual streams the residual a_hat - approximant one residue class
+of k at a time, never holding a length-M array.  With L = min(M,
+CLASS_LENGTH) and D = M/L, class r holds k = D m + r: a_hat there is the
+length-L DFT at m of the support weights twiddled by e(-n r/M), evaluated at
+the prime powers alone, and folded to n mod L.  Only r <= D/2 is
+transformed, since the conjugated reversal of class r is class D - r on
+k <= M/2.  Each class has the windows at its own k subtracted in Farey order,
+strided by D, then updates the sup and the rows and is dropped.
 
 The major-arc errors sweep a_hat over a short uniform grid near a rational.
 That sweep is a blocked Bluestein chirp-z transform (Rabiner, Schafer and
 Rader 1969; Bluestein 1970): two length-P transforms per block of about P/2
 consecutive n, P the power of two at least twice the grid, and O(P) memory
-besides the prime-power support.  The pointwise a_hat stays as its oracle.
+besides the prime-power support.  The pointwise a_hat, l_hat and
+approximant, straight from their sums, are the tests' oracles.
 """
 
 from __future__ import annotations
@@ -46,27 +52,43 @@ ARC_J = 2
 POINTS_PER_UNIT = 64
 # Compact-support windows are evaluated WINDOW_BLOCK grid points at a time.
 WINDOW_BLOCK = 1 << 15
+# approx's residual is transformed in residue classes of k, of CLASS_LENGTH points at most.
+CLASS_LENGTH = 1 << 18
 
 
 # ---------------------------------------------------------------------------
 # Smooth cutoff
 
 
-@functools.cache
-def _mollifier_tail() -> tuple[np.ndarray, np.ndarray]:
-    """Upper-tail mass of the normalized bump exp(1 - 1/(1 - v^2)) on [-1, 1].
+# The mollifier's tail is tabulated at the nodes -1 + j / NODES_PER_UNIT, j <= 2 NODES_PER_UNIT.
+NODES_PER_UNIT = 1 << 19
 
-    Tabulated once on a dense grid; the integrand is smooth with all
-    derivatives vanishing at the endpoints, so the trapezoid sums converge
-    faster than any power of the spacing.
+
+@functools.cache
+def _mollifier_tail() -> np.ndarray:
+    """Upper-tail mass of the normalized bump exp(1 - 1/(1 - v^2)) on [-1, 1], at the nodes.
+
+    Tabulated once; the integrand is smooth with all derivatives vanishing
+    at the endpoints, so the trapezoid sums converge faster than any power
+    of the spacing.  The bump and its running sum are built WINDOW_BLOCK
+    nodes at a time, each block's cumsum started from the last sum before
+    it: the same sequential sum, with O(WINDOW_BLOCK) temporaries.
     """
-    v = np.linspace(-1.0, 1.0, (1 << 20) + 1)
-    rho = np.zeros_like(v)
-    inner = np.abs(v) < 1.0
-    rho[inner] = np.exp(1.0 - 1.0 / (1.0 - v[inner] ** 2))
-    steps = (rho[1:] + rho[:-1]) * (0.5 * (v[1] - v[0]))
-    mass = np.concatenate(([0.0], np.cumsum(steps)))
-    return v, 1.0 - mass / mass[-1]
+    count = 2 * NODES_PER_UNIT + 1
+    mass = np.zeros(count)
+    for s in range(1, count, WINDOW_BLOCK):
+        e = min(s + WINDOW_BLOCK, count)
+        v = np.arange(s - 1, e) / NODES_PER_UNIT - 1.0  # dyadic, so exact
+        rho = np.zeros_like(v)
+        inner = np.abs(v) < 1.0
+        rho[inner] = np.exp(1.0 - 1.0 / (1.0 - v[inner] ** 2))
+        steps = (rho[1:] + rho[:-1]) * (0.5 / NODES_PER_UNIT)
+        mass[s:e] = np.cumsum(np.concatenate((mass[s - 1 : s], steps)))[1:]
+    mass /= mass[-1]
+    # a fresh table, so that the running sum is freed: freeing an 8 MB array
+    # lifts glibc's dynamic mmap threshold, and later multi-MB temporaries then
+    # reuse heap pages (built in place, the Hi/Lo recipes ran about a third slower)
+    return 1.0 - mass
 
 
 # The cutoff vanishes for |u| >= CUTOFF_OUTER.
@@ -77,10 +99,34 @@ def cutoff(u) -> np.ndarray:
     """Smooth even cutoff: 1 on [-1/16, 1/16], 0 outside (-1/4, 1/4)."""
     # indicator of [-5/32, 5/32] mollified by the bump at half-width 3/32:
     # identically 1 for |u| <= 1/16, identically 0 for |u| >= 1/4, C-infinity
-    a = np.abs(np.asarray(u, dtype=np.float64))
-    s = np.clip((a - 5.0 / 32.0) / (3.0 / 32.0), -1.0, 1.0)
-    grid, tail = _mollifier_tail()
-    return np.interp(s, grid, tail)
+    u = np.asarray(u, dtype=np.float64)
+    s = np.abs(u.ravel())
+    s -= 5.0 / 32.0
+    s /= 3.0 / 32.0
+    np.clip(s, -1.0, 1.0, out=s)
+    # np.interp on the nodes, read by direct index, in place: rounding s + 1
+    # up can carry j one node past s, never short of it.  np.interp's segment
+    # formula gives a node's own value at that node, and 0.0 at s = 1, the
+    # right end of the last segment, so no separate node case is needed
+    tail = _mollifier_tail()
+    x = s + 1.0
+    x *= NODES_PER_UNIT
+    j = x.astype(np.intp)
+    np.divide(j, NODES_PER_UNIT, out=x)
+    x -= 1.0
+    j -= x > s
+    np.minimum(j, len(tail) - 2, out=j)
+    np.divide(j, NODES_PER_UNIT, out=x)
+    x -= 1.0
+    np.subtract(s, x, out=x)  # s - node j
+    t = tail[j]
+    j += 1
+    out = tail[j]
+    out -= t
+    out /= 1.0 / NODES_PER_UNIT
+    out *= x
+    out += t
+    return out.reshape(u.shape) if u.ndim else out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -180,13 +226,6 @@ def _weighted_support(N: int, prog: Progression):
     return n[nz], w[nz]
 
 
-def a_hat(theta: float, N: int, prog: Progression) -> complex:
-    """(phi(y)/N) sum over n < N, n = b mod y, of Lambda(n) e(-n theta)."""
-    n, w = _weighted_support(N, prog)
-    phi_y = phi(prog.y)
-    return complex((phi_y / N) * np.sum(w * np.exp(-2j * np.pi * theta * n)))
-
-
 def a_kernel(N: int, prog: Progression, M: int) -> np.ndarray:
     """Kernel of the average on Z_M: phi(y)/N * Lambda(n) on the progression, n < N."""
     n, w = _weighted_support(N, prog)
@@ -263,84 +302,48 @@ def farey_points(Qmax: int, prog: Progression) -> list[FareyPoint]:
     return points
 
 
-def _torus_offset(xi: float, center: float) -> float:
-    return (xi - center + 0.5) % 1.0 - 0.5
-
-
-def l_hat(
-    xi: float,
-    point: FareyPoint,
-    N: int,
-    prog: Progression,
-) -> complex:
-    """One major-arc term: Upsilon * average at lcm spacing * cutoff at scale lcm^2."""
-    if point.y != prog.y or point.b != prog.b:
-        raise ValueError("FareyPoint built for a different progression context")
-    if point.height == 0:
-        return 0j
-    ell = point.ell
-    d = _torus_offset(xi, point.center)
-    if abs(d) >= CUTOFF_OUTER / ell**2:
-        return 0j
-    return complex(point.upsilon * m_hat(ell * d, N / ell) * cutoff(ell * ell * d))
-
-
-def fill_window(out: np.ndarray, k0: int, value) -> np.ndarray:
-    """out[i] = value(k0 + i) for every i < len(out), evaluated WINDOW_BLOCK indices at a time.
+def fill_window(out: np.ndarray, k0: int, value, stride: int = 1) -> np.ndarray:
+    """out[i] = value(k0 + i stride) for every i < len(out), evaluated WINDOW_BLOCK indices at a time.
 
     value maps an int64 array of grid indices to their values element by
-    element (ufuncs, np.where, np.interp), so out is the same bit for bit
-    wherever the blocks break, and the temporaries are O(WINDOW_BLOCK).
+    element (ufuncs, np.where, table lookups), so out is the same bit for
+    bit wherever the blocks break, and the temporaries are O(WINDOW_BLOCK).
     """
     for s in range(0, len(out), WINDOW_BLOCK):
         e = min(s + WINDOW_BLOCK, len(out))
-        out[s:e] = value(np.arange(k0 + s, k0 + e))
+        out[s:e] = value(np.arange(k0 + s * stride, k0 + e * stride, stride))
     return out
 
 
-def _l_hat_window(point: FareyPoint, N: int, M: int):
-    """(k0, values): l_hat at this point on the grid indices k0, k0 + 1, ... <= M/2 inside its support."""
+def _l_hat_window(point: FareyPoint, N: int, M: int, stride: int = 1, residue: int = 0):
+    """(j0, values): l_hat at this point on k = residue + j stride <= M/2 in its support, j = j0, j0 + 1, ..."""
     ell = point.ell
     radius = CUTOFF_OUTER / ell**2
     c = point.center
     k0 = max(math.floor((c - radius) * M) + 1, 0)
     k1 = min(math.ceil((c + radius) * M) - 1, M // 2)
+    j0 = -((residue - k0) // stride)  # the least j with residue + j stride >= k0
+    j1 = (k1 - residue) // stride
 
     def value(k):
         d = (k * point.q - point.a * M) / (point.q * M)  # k/M - a/q from one exact numerator
         return point.upsilon * m_hat(ell * d, N / ell) * cutoff(ell * ell * d)
 
-    return k0, fill_window(np.empty(max(k1 + 1 - k0, 0), dtype=np.complex128), k0, value)
+    return j0, fill_window(np.empty(max(j1 + 1 - j0, 0), dtype=np.complex128), residue + j0 * stride, value, stride)
+
+
+def _window_points(prog: Progression, q_cut: int, held=lambda p: True) -> list[FareyPoint]:
+    """The held Farey points with q < q_cut and positive height, in Farey order, but those centred above 1/2.
+
+    a/q - 1/2 >= 1/(2q) exceeds the radius 1/(4 lcm^2), so their windows lie wholly above M/2.
+    """
+    points = farey_points(max(q_cut - 1, 1), prog)
+    return [p for p in points if p.q < q_cut and p.height > 0 and 2 * p.a <= p.q and held(p)]
 
 
 def _l_hat_windows(N, prog, q_cut, M, held=lambda p: True):
-    """(point, k0, values) of the l_hat windows on k <= M/2, in Farey order.
-
-    One per held Farey point with q < q_cut and positive height, except
-    those centred above 1/2: a/q - 1/2 >= 1/(2q) exceeds the radius
-    1/(4 lcm^2), so they lie wholly above M/2.
-    """
-    for p in farey_points(max(q_cut - 1, 1), prog):
-        if p.q < q_cut and p.height > 0 and 2 * p.a <= p.q and held(p):
-            yield (p, *_l_hat_window(p, N, M))
-
-
-def approximant_hat(
-    xi: float,
-    N: int,
-    prog: Progression,
-    q_cut: int,
-    points: list[FareyPoint] | None = None,
-) -> complex:
-    """Sum of l_hat over Farey points with q < q_cut (warn when q_cut > N^{1/10})."""
-    _warn_qcut(q_cut, N)
-    if points is None:
-        points = farey_points(q_cut - 1, prog) if q_cut > 1 else []
-    total = 0j
-    for p in points:
-        if p.q < q_cut and p.height > 0:
-            total += l_hat(xi, p, N, prog)
-    return total
+    """(point, k0, values) of the l_hat windows on k <= M/2 at _window_points."""
+    return ((p, *_l_hat_window(p, N, M)) for p in _window_points(prog, q_cut, held))
 
 
 def approximant_windows(N: int, prog: Progression, q_cut: int, M: int) -> list:
@@ -409,44 +412,45 @@ def near_zero_error(
     return float(np.abs(avals - mvals).max())
 
 
-def major_arc_error(
-    N: int,
-    prog: Progression,
-    point: FareyPoint,
-) -> float:
-    """sup over |xi - a/q| < (log N)^ARC_J / N of |a_hat(xi) - Upsilon * m_hat(N/l, l(xi - a/q))|."""
-    y, q = prog.y, point.q
-    if max(y, q) >= math.log(N) ** ARC_J:
-        warnings.warn(
-            f"y={y}, q={q} not below (log N)^J = {math.log(N) ** ARC_J:.3g}", stacklevel=2
-        )
-    ell = point.ell
-    T = math.log(N) ** ARC_J / N
-    dtheta = 1.0 / (POINTS_PER_UNIT * N)
-    half = int(T / dtheta)
-    count = 2 * half + 1
-    avals = a_hat_uniform_grid(N, prog, -half * dtheta + point.center, dtheta, count)
-    thetas = dtheta * (np.arange(count) - half)
-    mvals = point.upsilon * m_hat(ell * thetas, N / ell)
-    return float(np.abs(avals - mvals).max())
+def _residual_classes(N: int, prog: Progression, q_cut: int, M: int):
+    """(r, values): a_hat - approximant at k = r, r + D, ... <= M/2, for each class r < D; see the module notes."""
+    L = min(M, CLASS_LENGTH)
+    D = M // L
+    n, w = _weighted_support(N, prog)
+    w = (phi(prog.y) / N) * w
+    folded = n % L
+    points = _window_points(prog, q_cut)
+    for r in range(D // 2 + 1):
+        twiddled = w * np.exp(-2j * np.pi * ((n * r) % M / M))
+        spectrum = np.fft.fft(np.bincount(folded, twiddled.real, L) + 1j * np.bincount(folded, twiddled.imag, L))
+        # the conjugated reversal of class r is class D - r on k <= M/2
+        classes = [(r, spectrum), (D - r, np.conj(spectrum[::-1]))] if 0 < r < D - r else [(r, spectrum)]
+        for c, values in classes:
+            values = values[: (M // 2 - c) // D + 1]
+            # window by window, in place: at y = 1 the window of 0/1 overlaps
+            # those of a/q for q >= 4, so a pre-summed approximant changes last bits
+            for p in points:
+                j0, vals = _l_hat_window(p, N, M, D, c)
+                values[j0 : j0 + len(vals)] -= vals
+            yield c, values
 
 
-def approx_error_profile(
-    N: int,
-    prog: Progression,
-    q_cut: int,
-    M: int,
-) -> tuple[float, SpectralProfile]:
-    """Residual a_hat - approximant as a profile; returns (sup error, profile).
+def approx_residual(N: int, prog: Progression, q_cut: int, M: int, stride: int) -> tuple[float, np.ndarray]:
+    """(sup over k of |a_hat - approximant| at k/M, that modulus at k = 0, stride, ... < M), class by class.
 
-    Both a_hat and the approximant are spectra of real kernels, so the
-    residual is Hermitian and its M//2 + 1 values at k <= M/2 determine it.
+    The residual is Hermitian: its sup is taken on k <= M/2, and its modulus
+    at k > M/2 is that at M - k.
     """
     _warn_qcut(q_cut, N)
-    prof = a_hat_profile(N, prog, M)
-    # In place, window by window, each clipped to k <= M/2: at y = 1 the window
-    # of 0/1 overlaps those of a/q for q >= 4, so subtracting a pre-summed
-    # approximant changes last bits.
-    for _, k0, vals in _l_hat_windows(N, prog, q_cut, M):
-        prof.values[k0 : k0 + len(vals)] -= vals
-    return prof.sup(), prof
+    _guard_grid(M)
+    D = M // min(M, CLASS_LENGTH)
+    k = np.arange(0, M, stride)
+    half = np.minimum(k, M - k)
+    rows = np.empty(len(k))
+    sup = 0.0
+    for r, values in _residual_classes(N, prog, q_cut, M):
+        mags = np.abs(values)
+        sup = max(sup, float(mags.max()))
+        at = np.flatnonzero(half % D == r)
+        rows[at] = mags[half[at] // D]
+    return sup, rows

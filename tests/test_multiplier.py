@@ -11,31 +11,30 @@ from primeavg import multiplier
 from primeavg.multiplier import (
     _l_hat_window,
     _l_hat_windows,
-    ARC_J,
+    _mollifier_tail,
+    _residual_classes,
+    CLASS_LENGTH,
     CUTOFF_OUTER,
-    POINTS_PER_UNIT,
     WINDOW_BLOCK,
     SpectralProfile,
-    a_hat,
     a_kernel,
     a_hat_profile,
     a_hat_uniform_grid,
-    approx_error_profile,
-    approximant_hat,
+    approx_residual,
     approximant_profile,
     approximant_windows,
     cutoff,
     farey_points,
     geometric_sum,
     indicator,
-    l_hat,
     m_hat,
-    major_arc_error,
     near_zero_error,
     pow2_at_least,
     sup_abs,
 )
 from primeavg.tables import Progression, build_tables, default_residue, reduced_residues, von_mangoldt
+
+from oracles import a_hat, approximant_hat, l_hat
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +75,64 @@ def test_cutoff_finite_difference_smoothness():
 
 def test_cutoff_spec_defaults():
     assert CUTOFF_OUTER == 1 / 4
+
+
+_NODES = np.linspace(-1.0, 1.0, (1 << 20) + 1)
+
+
+def _interp_cutoff(u):
+    # the cutoff as np.interp reads its table: the oracle of the direct index
+    a = np.abs(np.asarray(u, dtype=np.float64))
+    s = np.clip((a - 5.0 / 32.0) / (3.0 / 32.0), -1.0, 1.0)
+    return np.interp(s, _NODES, _mollifier_tail())
+
+
+def test_cutoff_direct_index_equals_interp():
+    # bit for bit on random points, on every node of the table and on both
+    # float neighbours of every node, including s = -1 and s = 1
+    grid = _NODES
+    assert np.array_equal(grid, np.arange(len(grid)) / multiplier.NODES_PER_UNIT - 1.0)
+    u = np.random.default_rng(5).uniform(-0.3, 0.3, 1 << 20)
+    assert np.array_equal(cutoff(u), _interp_cutoff(u))
+    s = np.concatenate((grid, np.nextafter(grid, 2.0), np.nextafter(grid, -2.0)))
+    u = 5.0 / 32.0 + (3.0 / 32.0) * s
+    assert np.array_equal(cutoff(u), _interp_cutoff(u))
+    ends = np.array([1.0 / 16.0, 0.25, -0.25, 0.0, 1.0])  # s = -1, 1, 1, -1, 1
+    assert np.array_equal(cutoff(ends), [1.0, 0.0, 0.0, 1.0, 0.0])
+    assert np.array_equal(cutoff(ends), _interp_cutoff(ends))
+    for x in (0.0, 1.0 / 16.0, 0.1, 5.0 / 32.0, 0.25, 0.3):
+        value = cutoff(x)
+        assert np.ndim(value) == 0 and value == _interp_cutoff(x)
+
+
+def _one_shot_mollifier_tail():
+    """The mollifier table built in one pass over the grid: the oracle of the blocked build."""
+    v = _NODES
+    rho = np.zeros_like(v)
+    inner = np.abs(v) < 1.0
+    rho[inner] = np.exp(1.0 - 1.0 / (1.0 - v[inner] ** 2))
+    steps = (rho[1:] + rho[:-1]) * (0.5 * (v[1] - v[0]))
+    mass = np.concatenate(([0.0], np.cumsum(steps)))
+    return 1.0 - mass / mass[-1]
+
+
+def test_mollifier_tail_blocked_build_matches_one_shot():
+    tail = _mollifier_tail()
+    assert np.array_equal(tail, _one_shot_mollifier_tail())
+    assert tail[0] == 1.0 and tail[-1] == 0.0
+
+
+def test_mollifier_tail_temporaries_stay_within_a_few_blocks():
+    # the running sum and the table plus one block's temporaries; the
+    # one-shot build holds about six table-length arrays at once
+    _mollifier_tail.cache_clear()
+    tracemalloc.start()
+    try:
+        tail = _mollifier_tail()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * tail.nbytes + 8 * WINDOW_BLOCK * tail.itemsize
 
 
 # ---------------------------------------------------------------------------
@@ -380,27 +437,6 @@ def test_near_zero_error_shrinks():
     assert e_large < e_small
 
 
-def test_major_arc_error_small_on_main_arc(tables):
-    prog = Progression(3, 1)
-    p = FareyPoint.build(0, 1, prog, tables)
-    err = major_arc_error(1 << 14, prog, p)
-    assert err == pytest.approx(near_zero_error(1 << 14, prog), rel=1e-9)
-
-
-def test_major_arc_error_off_zero_matches_pointwise(tables):
-    # the sweep centred on a/q = 1/3 against a_hat and m_hat evaluated point by point
-    prog, N = Progression(1, 0), 1 << 10
-    p = FareyPoint.build(1, 3, prog, tables)
-    dtheta = 1.0 / (POINTS_PER_UNIT * N)
-    half = int(math.log(N) ** ARC_J / N / dtheta)
-    thetas = dtheta * (np.arange(2 * half + 1) - half)
-    expected = max(
-        abs(a_hat(p.center + t, N, prog) - p.upsilon * m_hat(p.ell * t, N / p.ell))
-        for t in thetas
-    )
-    assert abs(major_arc_error(N, prog, p) - expected) < 1e-12
-
-
 def _full_residual(N, prog, q_cut, M):
     """The residual on all M values, every window unclipped: the oracle of the half path."""
     values = _full_a_hat_profile(N, prog, M)
@@ -409,23 +445,78 @@ def _full_residual(N, prog, q_cut, M):
     return values
 
 
+def _streamed_half(N, prog, q_cut, M):
+    """The residual on k <= M/2, reassembled from the classes of _residual_classes."""
+    D = M // min(M, multiplier.CLASS_LENGTH)
+    half = np.full(M // 2 + 1, np.nan, dtype=np.complex128)
+    seen = []
+    for r, values in _residual_classes(N, prog, q_cut, M):
+        assert len(values) == len(half[r::D])
+        half[r::D] = values
+        seen.append(r)
+    assert sorted(seen) == list(range(D))
+    return half
+
+
 def test_approx_error_profile_residual():
-    # the half residual against the full-grid oracle, at every y of the scans
+    # the streamed half residual against the full-grid oracle, at every y of the scans
     N = 1 << 12
     M = 4 * N
     for y in (1, 3, 5):
         prog = Progression(y, default_residue(y))
-        sup, residual = approx_error_profile(N, prog, 16, M=M)
-        assert residual.grid_size == M
-        assert len(residual.values) == M // 2 + 1
-        assert sup == float(np.abs(residual.values).max())
+        sup, rows = approx_residual(N, prog, 16, M, 1)
+        half = _streamed_half(N, prog, 16, M)
+        assert sup == float(np.abs(half).max())
+        assert np.array_equal(rows[: M // 2 + 1], np.abs(half))
         v = _full_residual(N, prog, 16, M)
         # hermitian symmetry of a real-kernel residual
         assert np.allclose(v[1:], np.conj(v[1:][::-1]), atol=1e-9)
-        # rfft and fft round differently, on the scale of a_hat's peak, not the residual's
+        # the class transforms and fft round differently, on the scale of
+        # a_hat's peak, not the residual's
         peak = a_hat_profile(N, prog, M).sup()
-        assert np.abs(residual.values - v[: M // 2 + 1]).max() <= 1e-15 * peak
+        assert np.abs(half - v[: M // 2 + 1]).max() <= 1e-15 * peak
         assert sup == pytest.approx(float(np.abs(v).max()), rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "class_length, N, M",
+    [(CLASS_LENGTH, 1 << 15, (1 << 15) * f) for f in (1, 2, 4, 16)]
+    + [(1 << 10, 1 << 12, (1 << 12) * f) for f in (1, 2, 4, 16)]
+    + [(CLASS_LENGTH, 3000, 1 << 14), (1 << 10, 3000, 1 << 14)],
+)
+def test_residual_classes_match_full_residual(monkeypatch, class_length, N, M):
+    # M = N, 2N, 4N and 16N: D = M / min(M, L) is 1, 1, 1, 2 at the module's
+    # L = 2^18, and 4, 8, 16, 64 at L = 2^10; N = 3000 is no power of two.
+    # Rows at strides 1, 3 and M/16 read |residual| at min(k, M - k) from every class.
+    monkeypatch.setattr(multiplier, "CLASS_LENGTH", class_length)
+    for y in (1, 3, 5):
+        prog = Progression(y, default_residue(y))
+        half = _streamed_half(N, prog, 16, M)
+        v = _full_residual(N, prog, 16, M)
+        peak = a_hat_profile(N, prog, M).sup()
+        assert np.abs(half - v[: M // 2 + 1]).max() <= 1e-15 * peak
+        for stride in (1, 3, M // 16):
+            sup, rows = approx_residual(N, prog, 16, M, stride)
+            k = np.arange(0, M, stride)
+            assert sup == float(np.abs(half).max())
+            assert np.array_equal(rows, np.abs(half[np.minimum(k, M - k)]))
+
+
+def test_streamed_residual_holds_no_grid_array(monkeypatch):
+    # the traced peak of the streamed residual follows the class length, not M:
+    # at N = 2^16, M = 2^18 and L = 2^14 it stays below the M float64 values
+    # that the length-M kernel of a full-grid residual holds by itself
+    N, M = 1 << 16, 1 << 18
+    prog = Progression(1, 0)
+    monkeypatch.setattr(multiplier, "CLASS_LENGTH", 1 << 14)
+    approx_residual(N, prog, 16, M, M)  # sieve and tabulate before tracing
+    tracemalloc.start()
+    try:
+        approx_residual(N, prog, 16, M, M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * M
 
 
 @settings(max_examples=30, deadline=None)
@@ -475,6 +566,24 @@ def test_blocked_window_matches_one_shot(monkeypatch, block):
     assert np.array_equal(vals, p.upsilon * m_hat(p.ell * d, N / p.ell) * cutoff(p.ell * p.ell * d))
 
 
+@pytest.mark.parametrize("stride", [1, 3, 16])
+def test_strided_window_is_every_stride_th_value(stride):
+    # the class windows of approx_residual are the stride-1 windows of
+    # approximant_profile and highlow read at k = r mod stride, bit for bit
+    prog = Progression(1, 0)
+    N, M = 1 << 12, 1 << 14
+    for p in farey_points(5, prog):
+        if 2 * p.a > p.q:
+            continue
+        k0, full = _l_hat_window(p, N, M)
+        for r in range(stride):
+            j0, vals = _l_hat_window(p, N, M, stride, r)
+            k = r + stride * (j0 + np.arange(len(vals)))
+            kept = np.arange(k0, k0 + len(full))
+            assert np.array_equal(k, kept[kept % stride == r])
+            assert np.array_equal(vals, full[k - k0])
+
+
 def test_window_temporaries_stay_within_a_few_blocks():
     # numpy reports its buffers to tracemalloc: the traced peak of the widest
     # window is its values plus the temporaries of one block; evaluated at
@@ -493,18 +602,17 @@ def test_window_temporaries_stay_within_a_few_blocks():
 
 @pytest.mark.parametrize("y, b", [(1, 0), (3, 1)])
 def test_approx_error_profile_matches_pointwise_oracles(y, b):
-    # the residual, built in place on a_hat's half grid, against the pointwise
+    # the residual, streamed class by class, against the pointwise
     # oracles at every Farey centre, a point inside each window, and uniform draws
     N, q_cut = 1 << 12, 16
     M = 4 * N
     prog = Progression(y, b)
-    _, residual = approx_error_profile(N, prog, q_cut, M=M)
+    half = _streamed_half(N, prog, q_cut, M)
     points = farey_points(q_cut - 1, prog)
     centres = [round(p.center * M) for p in points]
     draws = np.random.default_rng(11).integers(0, M, 32).tolist()
     ks = sorted({k % M for c in centres for k in (c, c + 7)} | set(draws))
     # the half holds k <= M/2; above, the residual is the conjugate at M - k
-    half = residual.values
     values = np.concatenate((half, np.conj(half[-2:0:-1])))
     worst = max(
         abs(
@@ -520,7 +628,8 @@ def test_approx_error_profile_matches_pointwise_oracles(y, b):
 def test_window_start_index_matches_index_array_build(y, b):
     # each window carries its start k0, and callers add into the slice
     # k0 : k0 + len(values); adding at the index array k0 .. k1 instead gives
-    # the same bands and residual bit for bit
+    # the same bands bit for bit, and the streamed residual to the rounding
+    # of its class transforms
     N, q_cut = 1 << 12, 16
     M = 4 * N
     prog = Progression(y, b)
@@ -533,4 +642,5 @@ def test_window_start_index_matches_index_array_build(y, b):
         residual[idx] -= vals
     assert np.array_equal(approximant_profile(N, prog, q_cut, M).values, band)
     assert np.array_equal(approximant_profile(N, prog, q_cut, M, windows=windows).values, band)
-    assert np.array_equal(approx_error_profile(N, prog, q_cut, M)[1].values, residual)
+    peak = a_hat_profile(N, prog, M).sup()
+    assert np.abs(_streamed_half(N, prog, q_cut, M) - residual).max() <= 1e-15 * peak
