@@ -104,16 +104,16 @@ def _merge_config(args: argparse.Namespace, keys: set[str]) -> dict:
 def _typed(key: str, value):
     """A config-file value parsed as the flag of key would parse it."""
     kind = KEYS[key]
-    where = f"config key {key}" + ("" if key in CONFIG_ONLY else f" (flag {_flag(key)})")
+    where = f"config key {key} (flag {_flag(key)})"
     if kind is bool:
         if not isinstance(value, bool):
             raise ConfigError(f"{where} must be true or false, got {value!r}")
         return value
     if not isinstance(kind, list):
         return _parsed(where, kind, value)
-    # a flag taking nargs="+" cannot give an empty list; a config-only key may hold []
-    if not isinstance(value, list) or not (value or key in CONFIG_ONLY):
-        raise ConfigError(f"{where} must be a {'list' if key in CONFIG_ONLY else 'non-empty list'}, got {value!r}")
+    # a flag taking nargs="+" cannot give an empty list
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{where} must be a non-empty list, got {value!r}")
     return [_parsed(where, kind[0], v) for v in value]
 
 
@@ -402,17 +402,16 @@ def cmd_sw(cfg: dict) -> tuple[list[dict], dict, bool]:
 
 # Every config key once, by the type its flag parses.  A list [type] is a
 # flag taking nargs="+"; a bool is a switch.  The flag of a key is "--" + key
-# with "_" written "-", except those in FLAGS; keys in CONFIG_ONLY have none.
+# with "_" written "-", except those in FLAGS.
 KEYS = {
     **dict.fromkeys("seed qmax ymax cohen_qmax cohen_ymax max_tuples N y b qcut M max_rows".split(), int),
     **dict.fromkeys("workers n_floor_factor t J".split(), int),
     **dict.fromkeys("r weak_ceiling variation_cap exponent_cap".split(), float),
-    **dict.fromkeys("Q_list N_list y_list x_grid densities".split(), [int]),
+    **dict.fromkeys("Q_list N_list y_list x_grid".split(), [int]),
     **dict.fromkeys("r_list lambda_grid".split(), [float]),
     "out_dir": str, "fixture_names": [str], "fixtures": bool, "b_sweep": bool,
 }
 FLAGS = {"fixtures": "--no-fixtures"}  # a "--no-" switch stores False
-CONFIG_ONLY = {"densities"}
 COMMON = "seed out_dir"
 
 # subcommand: (help, cmd_*, the keys it takes besides COMMON, in flag order)
@@ -422,9 +421,9 @@ COMMANDS = {
     "approx": ("approximation-error residual profile", cmd_approx, "N y b qcut M max_rows"),
     "highlow": ("High/Low split diagnostics", cmd_highlow, "N y b Q_list M r"),
     "improving": ("improving-inequality stability scan", cmd_improving,
-                  "N_list y_list r_list workers n_floor_factor densities"),
+                  "N_list y_list r_list workers n_floor_factor"),
     "maximal": ("weak-type maximal-function scan", cmd_maximal,
-                "N_list y_list r lambda_grid b_sweep weak_ceiling variation_cap workers n_floor_factor densities"),
+                "N_list y_list r lambda_grid b_sweep weak_ceiling variation_cap workers n_floor_factor"),
     "ramanujan-avg": ("Ramanujan-sum moment sweep", cmd_ramanujan_avg, "y b t Q_list exponent_cap"),
     "sw": ("prime-counting error along a progression", cmd_sw, "y b x_grid J"),
 }
@@ -450,8 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = subs.add_parser(command, help=help_text)
         p.add_argument("--config", help="JSON config file; flags override its keys")
         for key in _keys(command):
-            if key in CONFIG_ONLY:
-                continue
             kind, flag = KEYS[key], _flag(key)
             if kind is bool:
                 action = "store_false" if flag.startswith("--no-") else "store_true"

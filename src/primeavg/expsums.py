@@ -2,7 +2,9 @@
 
 Two routes exist for every identity: a direct complex summation over reduced
 residues, and a closed form.  The direct sums are treated as ground truth;
-verification sweeps compare the two and report the worst discrepancy.
+verification sweeps compare the two, vectorised, and report the worst
+discrepancy.  The pointwise direct sums and the identity checks that only
+tests call are the sweeps' oracles, in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -28,19 +30,6 @@ def _e(x):
 # Ramanujan sums
 
 
-def ramanujan_sum(q: int, x: int) -> float:
-    """tau_q(x) by direct summation over the reduced residues mod q.
-
-    The imaginary part must vanish (tau is a rational integer); it is checked
-    at tolerance 1e-9 * q before being dropped.
-    """
-    a = reduced_residues(q)
-    val = _e(a * (x % q) / q).sum()
-    if abs(val.imag) > 1e-9 * q:
-        raise ArithmeticError(f"tau_{q}({x}) has imaginary part {val.imag:g}")
-    return float(val.real)
-
-
 def _divisors(n: int) -> list[int]:
     small, large = [], []
     for d in range(1, math.isqrt(n) + 1):
@@ -51,18 +40,13 @@ def _divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-def ramanujan_sum_closed(q: int, x: int, tables: ArithTables) -> int:
-    """tau_q(x) = sum over d | gcd(q, x) of d * mu(q/d), with gcd(q, 0) = q."""
-    g = math.gcd(q, x)
-    return int(sum(d * int(tables.mobius[q // d]) for d in _divisors(g)))
-
-
 @functools.cache
 def ramanujan_table(q: int) -> np.ndarray:
     """tau_q(x) for x in [0, q) as sum over d | q of d mu(q/d) [d | x]; index by x mod q.
 
-    The same closed form as ramanujan_sum_closed, over the whole x array at
-    once; mu comes from the cached tables, a view of any larger table sieved.
+    The closed form of ramanujan_sum_closed (tests/oracles.py), over the
+    whole x array at once; mu comes from the cached tables, a view of any
+    larger table sieved.
     """
     mobius, x = build_tables(max(q, 2)).mobius, np.arange(q)
     table = np.zeros(q, dtype=np.int64)
@@ -72,16 +56,11 @@ def ramanujan_table(q: int) -> np.ndarray:
     return table
 
 
-def divisor_tau_check(r: int, x: int, tables: ArithTables) -> int:
-    """sum over d | r of tau_d(x); equals r when r | x and 0 otherwise."""
-    return sum(ramanujan_sum_closed(d, x, tables) for d in _divisors(r))
-
-
 def verify_divisor_identity(rmax: int) -> tuple[int, int]:
-    """(failures, pairs checked) of divisor_tau_check's identity over r <= rmax, x < 2r.
+    """(failures, pairs checked) of sum over d | r of tau_d(x) = r [r | x], over r <= rmax, x < 2r.
 
     Each r is one array sum of ramanujan_table rows over its divisors;
-    divisor_tau_check is the pointwise oracle.
+    divisor_tau_check in tests/oracles.py is the pointwise oracle.
     """
     bad = count = 0
     for r in range(1, rmax + 1):
@@ -101,17 +80,6 @@ def _progression_residues(q: int, y: int, b: int) -> np.ndarray:
     g = math.gcd(q, y)
     r = reduced_residues(q)
     return r[r % g == b % g]
-
-
-def progression_ramanujan_direct(q: int, y: int, b: int, a: int) -> complex:
-    """sum of e(ra/q) over r in A_q with r = b mod gcd(q, y)."""
-    g = math.gcd(q, y)
-    if math.gcd(a, q) != 1:
-        raise ValueError(f"gcd(a, q) must be 1, got a={a}, q={q}")
-    if math.gcd(b, g) != 1:
-        raise ValueError(f"gcd(b, g) must be 1, got b={b}, g={g}")
-    r = _progression_residues(q, y, b)
-    return complex(_e(r * (a % q) / q).sum())
 
 
 def _cofactor_shift(g: int, q: int) -> int:
@@ -139,58 +107,12 @@ def progression_ramanujan_closed(q: int, y: int, b: int, a: int, tables: ArithTa
     return complex(mu * _e((a * b * t % g) / g))
 
 
-def cohen_progression_check(
-    q: int, y: int, b: int, x: int, tables: ArithTables
-) -> tuple[complex, complex]:
-    """Both sides of the progression version of Cohen's identity.
-
-    lhs = sum over t in A_q, t = b mod g, of tau_q(x + t);
-    rhs = 0 if gcd(g, q/g) > 1, else mu(q/g) tau_{q/g}(x) tau_g(x + b).
-    """
-    g = math.gcd(q, y)
-    if math.gcd(b, g) != 1:
-        raise ValueError(f"gcd(b, g) must be 1, got b={b}, g={g}")
-    tau_q = ramanujan_table(q)
-    t = _progression_residues(q, y, b)
-    lhs = complex(tau_q[(x + t) % q].sum())
-    if g < q and math.gcd(g, q // g) > 1:
-        rhs = 0j
-    else:
-        rhs = complex(
-            int(tables.mobius[q // g])
-            * ramanujan_sum_closed(q // g, x, tables)
-            * ramanujan_sum_closed(g, x + b, tables)
-        )
-    return lhs, rhs
-
-
-def gauss_upsilon_direct(a: int, q: int, y: int, b: int, tables: ArithTables) -> complex:
-    """Upsilon(a, q) = (phi(y)/phi(l)) sum of e(-ra/q) over r in A_q, r = b mod g."""
-    if math.gcd(a, q) != 1:
-        raise ValueError(f"gcd(a, q) must be 1, got a={a}, q={q}")
-    if math.gcd(b, y) != 1:
-        raise ValueError(f"gcd(b, y) must be 1, got b={b}, y={y}")
-    ell = math.lcm(y, q)
-    r = _progression_residues(q, y, b)
-    phi_ratio = tables.totient[y] / tables.totient[ell]
-    return complex(phi_ratio * _e(-(r * (a % q)) / q).sum())
-
-
 def gauss_upsilon_closed(a: int, q: int, y: int, b: int, tables: ArithTables) -> complex:
-    """Closed form of Upsilon via the three-case evaluation (conjugate phase)."""
-    if math.gcd(a, q) != 1:
-        raise ValueError(f"gcd(a, q) must be 1, got a={a}, q={q}")
+    """Upsilon(a, q) = (phi(y)/phi(l)) times the conjugate of progression_ramanujan_closed."""
     if math.gcd(b, y) != 1:
         raise ValueError(f"gcd(b, y) must be 1, got b={b}, y={y}")
-    g = math.gcd(q, y)
-    ell = math.lcm(y, q)
-    if g == q:
-        return complex(_e(-((a * b) % q) / q))
-    if math.gcd(g, q // g) > 1:
-        return 0j
-    t = _cofactor_shift(g, q)
-    mu = int(tables.mobius[q // g])
-    return complex(tables.totient[y] / tables.totient[ell] * mu * _e(-((a * b * t) % g) / g))
+    ratio = tables.totient[y] / tables.totient[math.lcm(y, q)]
+    return complex(ratio * progression_ramanujan_closed(q, y, b, a, tables).conjugate())
 
 
 # ---------------------------------------------------------------------------
@@ -231,25 +153,12 @@ class FareyPoint:
         return self.a / self.q
 
 
-def count_height_class(y: int, r: int, tables: ArithTables) -> tuple[int, int]:
-    """(enumerated, formula) count of rationals a/q with h_y(q) = r.
-
-    Enumeration scans all q <= y*r and filters on the height; the formula is
-    phi(r) * y / gcd(y, r).
-    """
-    if y < 1 or r < 1:
-        raise ValueError("y, r must be >= 1")
-    enumerated = sum(int(tables.totient[q]) for q in range(1, y * r + 1) if height(q, y) == r)
-    formula = int(tables.totient[r]) * y // math.gcd(y, r)
-    return enumerated, formula
-
-
 def height_class_counts(y: int, rmax: int, tables: ArithTables) -> np.ndarray:
     """Enumerated counts of a/q with h_y(q) = r for r = 1..rmax (entry r - 1).
 
     h_y(q) = r forces q <= y*r, so the heights of every q <= y*rmax are taken
-    at once and phi(q) is summed per height.  count_height_class is the
-    pointwise oracle.
+    at once and phi(q) is summed per height.  count_height_class in
+    tests/oracles.py is the pointwise oracle.
     """
     q = np.arange(1, y * rmax + 1)
     g = np.gcd(q, y)
@@ -330,7 +239,8 @@ def progression_ramanujan_batch(
     direct sums are one product of the e(ra/q) matrix over A_q with the
     masks of the distinct classes b mod g, g = gcd(q, y); the closed form is
     one array expression per distinct g.  The pointwise
-    progression_ramanujan_direct and _closed are the oracles.
+    progression_ramanujan_direct (tests/oracles.py) and
+    progression_ramanujan_closed are the oracles.
     """
     g = np.gcd(q, y)
     r = reduced_residues(q)
@@ -350,22 +260,9 @@ def progression_ramanujan_batch(
     return direct, closed
 
 
-def gauss_upsilon_batch(
-    q: int, y: np.ndarray, b: np.ndarray, a: np.ndarray, tables: ArithTables
-) -> tuple[np.ndarray, np.ndarray]:
-    """Direct and closed Upsilon(a[i], q) for the progressions b[i] mod y[i].
-
-    Upsilon is phi(y)/phi(l) times the conjugate progression Ramanujan sum.
-    The tuples share q and are valid: a in A_q, gcd(b, y) = 1.  The pointwise
-    gauss_upsilon_direct and _closed are the oracles.
-    """
-    direct, closed = progression_ramanujan_batch(q, y, b, a, tables)
-    return _upsilon_from_progression(q, y, direct, closed, tables)
-
-
 def _upsilon_from_progression(q: int, y: np.ndarray, direct, closed, tables: ArithTables):
     """Upsilon's direct and closed sums from the progression Ramanujan sums of the same tuples."""
-    # phi(y) / phi(l) is exactly 1 when q | y, where the closed form has no factor
+    # phi(y) / phi(l) is exactly 1 when q | y, so those sums keep their values
     ratio = tables.totient[y] / tables.totient[np.lcm(y, q)]
     return ratio * direct.conj(), ratio * closed.conj()
 
@@ -431,8 +328,8 @@ def verify_cohen_progression(
     sides evaluated over the full x range at once.  Both sides depend on (y, b)
     only through g = gcd(q, y) and the class b mod g, which runs over all of
     A_g as b runs over A_y; so each (q, g, class) is evaluated once, and each
-    (q, y, b) still counts its q cases.  cohen_progression_check is the
-    pointwise oracle.
+    (q, y, b) still counts its q cases.  cohen_progression_check in
+    tests/oracles.py is the pointwise oracle.
     """
     worst = 0.0
     for q in range(1, qmax + 1):

@@ -4,7 +4,6 @@ Fixtures freeze quantities measured at bring-up (decay errors, ratio
 ceilings, fitted exponents).  Each entry carries a comparison kind:
 "upper"  -> measured <= value * (1 + tol)
 "close"  -> |measured - value| <= tol * |value|
-"lower"  -> measured >= value * (1 - tol)
 """
 
 from __future__ import annotations
@@ -51,8 +50,6 @@ def check_fixture(name: str, measured: float, fixtures: dict | None = None) -> b
     value, tol, kind = fx["value"], fx["tol"], fx["kind"]
     if kind == "upper":
         return measured <= value * (1.0 + tol)
-    if kind == "lower":
-        return measured >= value * (1.0 - tol)
     if kind == "close":
         return abs(measured - value) <= tol * abs(value)
     raise ValueError(f"unknown fixture kind {kind!r} for {name}")

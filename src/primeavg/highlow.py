@@ -79,11 +79,6 @@ def _centered_coords(M: int) -> np.ndarray:
     return np.where(x < M // 2, x, x - M)
 
 
-def _wrapped_grid(M: int) -> np.ndarray:
-    k = np.arange(M, dtype=np.float64) / M
-    return np.where(k < 0.5, k, k - 1.0)
-
-
 def _phi_hat(cfg: DecompositionConfig, q: int) -> np.ndarray:
     """m_hat of length N/l at l*xi times cutoff(l^2 xi), l = lcm(y, q), on k <= M/2.
 
@@ -109,34 +104,14 @@ def phi_kernel(cfg: DecompositionConfig, q: int) -> np.ndarray:
     return np.fft.irfft(_phi_hat(cfg, q), cfg.M)
 
 
-def lo_kernel_closed(cfg: DecompositionConfig, tables: ArithTables) -> np.ndarray:
-    """Low kernel via the closed-form resummation.
+def lo_kernels_closed(cfgs: list[DecompositionConfig], tables: ArithTables) -> list[np.ndarray]:
+    """Low kernel of every cfg via the closed-form resummation, from one pass over q' < max Q.
 
     Lo(x) = y 1_{y | x-b} sum over q' < Q coprime to y of
     Phi_{N,q'}(x) mu(q')/phi(q') tau_{q'}(x), with x in a centered window.
-    """
-    y, b = cfg.prog.y, cfg.prog.b
-    x = _centered_coords(cfg.M)
-    out = np.zeros(cfg.M, dtype=np.float64)
-    for qp in range(1, cfg.Q):
-        if math.gcd(qp, y) != 1:
-            continue
-        mu = int(tables.mobius[qp])
-        if mu == 0:
-            continue
-        phi_vals = phi_kernel(cfg, qp)
-        tau_vals = ramanujan_table(qp)[x % qp]
-        out += phi_vals * (mu / int(tables.totient[qp])) * tau_vals
-    mask = (x - b) % y == 0
-    return y * mask * out
-
-
-def lo_kernels_closed(cfgs: list[DecompositionConfig], tables: ArithTables) -> list[np.ndarray]:
-    """lo_kernel_closed of every cfg, from one pass over q' < max Q.
-
     The cfgs differ only in Q; the running sum over q' is taken at each Q as
-    the pass reaches it, so each q' term is built once and every kernel is
-    the sum lo_kernel_closed forms, in the same order.
+    the pass reaches it, so each q' term is built once.  The per-Q
+    lo_kernel_closed of tests/oracles.py forms each sum in the same order.
     """
     cfg = cfgs[0]
     y, b = cfg.prog.y, cfg.prog.b
@@ -215,13 +190,14 @@ def multifrequency_profile(D: int, k: int, n: int, M: int) -> np.ndarray:
     Each cutoff vanishes at offsets of 1/2^(n+2) or more, so it is evaluated
     only within that of j/D, plus one point each side, at most M points.
     """
-    xi = _wrapped_grid(M)
     radius = M / (1 << (n + 2))
     mult = np.zeros(M)
     for j in range(k):
         k0 = math.floor(j * M / D - radius) - 1
         idx = np.arange(k0, min(math.ceil(j * M / D + radius) + 1, k0 + M - 1) + 1) % M
-        offset = (xi[idx] - j / D + 0.5) % 1.0 - 0.5
+        xi = idx / M
+        xi[xi >= 0.5] -= 1.0  # the frequency in [-1/2, 1/2)
+        offset = (xi - j / D + 0.5) % 1.0 - 0.5
         mult[idx] += cutoff((1 << n) * offset)
     return mult
 

@@ -151,10 +151,6 @@ class SpectralProfile:
         if len(self.values) != half:
             raise ValueError(f"a profile on Z_{self.grid_size} holds {half} values, got {len(self.values)}")
 
-    def sup(self) -> float:
-        # a Hermitian spectrum takes its sup over k <= M/2
-        return float(np.abs(self.values).max())
-
     def apply(self, f: np.ndarray) -> np.ndarray:
         """Cyclic convolution of the real f with the kernel, a real array."""
         if len(f) != self.grid_size:
@@ -332,24 +328,19 @@ def _l_hat_window(point: FareyPoint, N: int, M: int, stride: int = 1, residue: i
     return j0, fill_window(np.empty(max(j1 + 1 - j0, 0), dtype=np.complex128), residue + j0 * stride, value, stride)
 
 
-def _window_points(prog: Progression, q_cut: int, held=lambda p: True) -> list[FareyPoint]:
-    """The held Farey points with q < q_cut and positive height, in Farey order, but those centred above 1/2.
+def _window_points(prog: Progression, q_cut: int) -> list[FareyPoint]:
+    """The Farey points with q < q_cut and positive height, in Farey order, but those centred above 1/2.
 
     a/q - 1/2 >= 1/(2q) exceeds the radius 1/(4 lcm^2), so their windows lie wholly above M/2.
     """
     points = farey_points(max(q_cut - 1, 1), prog)
-    return [p for p in points if p.q < q_cut and p.height > 0 and 2 * p.a <= p.q and held(p)]
-
-
-def _l_hat_windows(N, prog, q_cut, M, held=lambda p: True):
-    """(point, k0, values) of the l_hat windows on k <= M/2 at _window_points."""
-    return ((p, *_l_hat_window(p, N, M)) for p in _window_points(prog, q_cut, held))
+    return [p for p in points if p.q < q_cut and p.height > 0 and 2 * p.a <= p.q]
 
 
 def approximant_windows(N: int, prog: Progression, q_cut: int, M: int) -> list:
-    """Every window of _l_hat_windows, evaluated once for the bands that share them."""
+    """(point, k0, values) of the l_hat windows on k <= M/2 at _window_points, each evaluated once."""
     _guard_grid(M)
-    return list(_l_hat_windows(N, prog, q_cut, M))
+    return [(p, *_l_hat_window(p, N, M)) for p in _window_points(prog, q_cut)]
 
 
 def approximant_profile(
@@ -357,14 +348,15 @@ def approximant_profile(
 ) -> SpectralProfile:
     """Approximant restricted to a height band, as the profile of its values on k <= M/2.
 
-    Given windows from approximant_windows, it evaluates none of them again
-    and adds the same windows in the same order, so it is the same bit for bit.
+    The band adds, in Farey order, the windows of approximant_windows whose
+    point lies in it.  Bands given one shared list evaluate no window again,
+    and each equals the band built alone bit for bit.
     """
     _guard_grid(M)
+    if windows is None:
+        windows = approximant_windows(N, prog, q_cut, M)
     top = math.inf if height_max is None else height_max
     held = lambda p: p.q < q_cut and height_min <= p.height <= top
-    if windows is None:
-        windows = _l_hat_windows(N, prog, q_cut, M, held)
     values = np.zeros(M // 2 + 1, dtype=np.complex128)
     for p, k0, vals in windows:
         if held(p):

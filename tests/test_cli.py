@@ -196,6 +196,13 @@ def test_memory_cap_env_exits_two(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("config error")
 
 
+def test_memory_cap_env_not_an_integer_exits_two(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("PRIMEAVG_MEMORY_CAP", "abc")
+    rc = main(["sw", "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == "config error: PRIMEAVG_MEMORY_CAP must be an integer, got 'abc'\n"
+
+
 def _readme_commands():
     """The command lines of the sh block under README's "Command line"."""
     import pathlib
@@ -227,16 +234,6 @@ def test_config_key_not_taken_by_command_exits_two(tmp_path, capsys):
     rc = main(["verify", "--config", str(cfg), "--no-fixtures", "--out-dir", str(tmp_path)])
     assert rc == 2
     assert "workers" in capsys.readouterr().err
-
-
-def test_improving_accepts_densities_from_config(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"densities": [3]}))
-    rc = main(["improving", "--config", str(cfg), "--N-list", "1024", "2048",
-               "--y-list", "1", "--workers", "1", "--out-dir", str(tmp_path)])
-    assert rc == 0
-    report = json.loads((tmp_path / "improving.json").read_text())
-    assert report["parameters"]["densities"] == [3]
 
 
 @pytest.mark.parametrize("x", ["0", "-5"])
@@ -567,12 +564,10 @@ def test_config_value_of_wrong_type_exits_two_before_sieving(tmp_path, capsys, m
 
 
 def test_config_values_parse_as_their_flags(tmp_path):
-    # JSON numbers and strings are read as the text of their flags, and the
-    # config-only densities may be an empty list
-    (tmp_path / "cfg.json").write_text(json.dumps({"N_list": ["1024", 2048], "densities": []}))
+    # JSON numbers and strings are read as the text of their flags
+    (tmp_path / "cfg.json").write_text(json.dumps({"N_list": ["1024", 2048]}))
     rc = main(["improving", "--config", str(tmp_path / "cfg.json"), "--y-list", "1", "--workers", "1",
                "--out-dir", str(tmp_path)])
     assert rc == 0
     report = json.loads((tmp_path / "improving.json").read_text())
-    assert report["parameters"]["densities"] == []
     assert report["parameters"]["N_list"] == [1024, 2048]

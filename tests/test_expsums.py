@@ -7,26 +7,34 @@ from hypothesis import strategies as st
 
 from primeavg.expsums import (
     FareyPoint,
+    _upsilon_from_progression,
     bourgain_average,
-    cohen_progression_check,
-    count_height_class,
-    divisor_tau_check,
-    gauss_upsilon_batch,
     gauss_upsilon_closed,
-    gauss_upsilon_direct,
     height,
     height_class_counts,
     progression_ramanujan_batch,
     progression_ramanujan_closed,
-    progression_ramanujan_direct,
-    ramanujan_sum,
-    ramanujan_sum_closed,
     ramanujan_table,
     verify_cohen_progression,
     verify_gauss_upsilon,
     verify_progression_ramanujan,
 )
 from primeavg.tables import Progression, build_tables, reduced_residues
+
+from oracles import (
+    cohen_progression_check,
+    count_height_class,
+    divisor_tau_check,
+    gauss_upsilon_direct,
+    progression_ramanujan_direct,
+    ramanujan_sum,
+    ramanujan_sum_closed,
+)
+
+
+def gauss_upsilon_batch(q, y, b, a, tables):
+    """Direct and closed Upsilon of the tuples (q, y[i], b[i], a[i]), as the tuple suites form them."""
+    return _upsilon_from_progression(q, y, *progression_ramanujan_batch(q, y, b, a, tables), tables)
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,9 @@ from hypothesis import strategies as st
 
 from primeavg.highlow import (
     DecompositionConfig,
-    _wrapped_grid,
     hi_hat_profile,
     hi_l2_ratios,
     lo_hat_profile,
-    lo_kernel_closed,
     lo_kernels_closed,
     lo_linf_ratio,
     multifrequency_max_ratio,
@@ -20,6 +18,14 @@ from primeavg.highlow import (
 )
 from primeavg.multiplier import SpectralProfile, approximant_profile, cutoff, indicator
 from primeavg.tables import Progression
+
+from oracles import lo_kernel_closed
+
+
+def _wrapped_grid(M: int) -> np.ndarray:
+    """Every frequency k/M of Z_M, wrapped into [-1/2, 1/2)."""
+    k = np.arange(M, dtype=np.float64) / M
+    return np.where(k < 0.5, k, k - 1.0)
 
 
 def _cfg(N=1 << 12, y=3, b=1, Q=4, M=None, **kw):
@@ -327,7 +333,8 @@ def test_multifrequency_max_ratio_matches_direct_convolution():
 
 @pytest.mark.parametrize(
     "D, k, n, M",
-    [(12, 12, 9, 1 << 18), (12, 5, 16, 1 << 18), (4, 3, 5, 1 << 12), (7, 7, 3, 1 << 10), (3, 2, 1, 64)],
+    [(12, 12, 9, 1 << 18), (12, 5, 16, 1 << 18), (4, 3, 5, 1 << 12), (7, 7, 3, 1 << 10), (3, 2, 1, 64),
+     (12, 12, 7, 1 << 18), (12, 1, 7, 1 << 18)],
 )
 def test_multifrequency_windows_match_full_grid(D, k, n, M):
     # each cutoff evaluated on its window only, against every grid point

@@ -1,0 +1,91 @@
+"""Guards on the package source itself, not on what it computes."""
+
+import ast
+import importlib
+import importlib.util
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "primeavg"
+
+
+class _References(ast.NodeVisitor):
+    """Functions defined by def, and the names read outside their own def.
+
+    A method is referenced by an Attribute, a function by a Name or an
+    Attribute (a call through its module).
+    """
+
+    def __init__(self):
+        self.methods: dict[str, str] = {}  # name -> file:line of a def
+        self.functions: dict[str, str] = {}
+        self.names: set[str] = set()
+        self.attributes: set[str] = set()
+        self.scopes: list[ast.AST] = []
+        self.file = ""
+
+    def visit_ClassDef(self, node):
+        self.scopes.append(node)
+        self.generic_visit(node)
+        self.scopes.pop()
+
+    def visit_FunctionDef(self, node):
+        in_class = bool(self.scopes) and isinstance(self.scopes[-1], ast.ClassDef)
+        (self.methods if in_class else self.functions).setdefault(node.name, f"{self.file}:{node.lineno}")
+        self.scopes.append(node)
+        self.generic_visit(node)
+        self.scopes.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def _outside_own_def(self, name: str) -> bool:
+        return all(getattr(scope, "name", None) != name for scope in self.scopes)
+
+    def visit_Name(self, node):
+        if self._outside_own_def(node.id):
+            self.names.add(node.id)
+
+    def visit_Attribute(self, node):
+        if self._outside_own_def(node.attr):
+            self.attributes.add(node.attr)
+        self.generic_visit(node)
+
+
+def test_every_function_in_src_is_used_in_src():
+    # src/ holds what the commands run: a function that only tests call
+    # belongs in tests/ (the oracles in tests/oracles.py).  Dunders and the
+    # console-script entry point main are called from outside.
+    refs = _References()
+    for path in sorted(PACKAGE.glob("*.py")):
+        refs.file = path.name
+        refs.visit(ast.parse(path.read_text(), str(path)))
+    unused = {
+        name: where for name, where in refs.methods.items() if name not in refs.attributes
+    } | {
+        name: where for name, where in refs.functions.items() if name not in refs.names | refs.attributes
+    }
+    unused = {name: where for name, where in unused.items() if not name.startswith("__") and name != "main"}
+    assert not unused, f"defined in src/ but referenced nowhere else there: {unused}"
+
+
+def _tracer():
+    """perfbench/tracer.py, loaded by path without installing it."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracer_names_resolve_in_their_layers():
+    # a renamed or removed function would silently zero the tracer's
+    # per-layer counters, so every name it binds must exist where it looks
+    tracer = _tracer()
+    names = [f"{layer}.{name}" for layer, funcs in tracer.COUNTED.items() for name in funcs]
+    names += list(tracer.NOTES)
+    for group in ("PROFILE_FUNCS", "HIGHLOW_PROFILES", "CELLS", "SCANS", "VERIFY_SUITES"):
+        names += list(getattr(tracer, group))
+    assert len(names) > 20
+    for qualified in names:
+        layer, name = qualified.split(".")
+        assert layer in tracer.LAYERS, qualified
+        assert callable(getattr(importlib.import_module(f"primeavg.{layer}"), name, None)), qualified
