@@ -7,24 +7,41 @@ dyadic maximal function.  Each scan returns its rows and a
 {"parameters", "summary"} dict; every random choice flows from a single seed
 that is echoed into the parameters.
 
-Each cell evaluates the average, a linear convolution, as a cyclic one on
-Z_M with M = pow2_at_least(2 N_max).  Every kernel lies in [0, N) with
-N <= N_max and every input set in [0, N_max), so the linear convolution is
-supported on [0, 2 N_max - 1): nothing wraps, and Z_M holds exactly its
-values (Oppenheim and Schafer, Discrete-Time Signal Processing, 8.7).
+Two input families, the interval [0, N/2) and the progression segment
+{n < N/2 : n = b mod y}, are arithmetic runs {s + t i : i < K} with t = 1 or
+y.  Their average needs no transform: the kernel phi(y)/N Lambda(n) lives on
+the one class c = b mod t, so
+    A_N 1_F(s + c + t m) = phi(y)/N (P(min(m, J - 1)) - P(m - K)),
+with P the running sum of Lambda along that class (0 at m < 0) and J its
+number of points below N (the prefix-sum identity; Blelloch, Prefix sums and
+their applications, CMU-CS-90-190, 1990).  The sums are over the integers, not
+Z_M, so nothing wraps.  One P, summed below N_max, serves every N of a maximal
+cell.  P is held as two float64 parts: hi, each term rounded to a multiple of
+2^(e-52) with 2^e above the total, whose running sums are exact, and the
+remainder lo, whose running sums err far below a unit in the last place.  So
+each difference is rounded once and the scale once, an error at most the
+FFT path's (a test pins both against an exact sum).
+
+The other families (Bernoulli sets, the greedy set) go through the FFT: each
+cell evaluates their average, a linear convolution, as a cyclic one on Z_M
+with M = pow2_at_least(2 N_max).  Every kernel lies in [0, N) with N <= N_max
+and every input set in [0, N_max), so the linear convolution is supported on
+[0, 2 N_max - 1): nothing wraps, and Z_M holds exactly its values (Oppenheim
+and Schafer, Discrete-Time Signal Processing, 8.7).
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import functools
+import math
 import multiprocessing
 import warnings
 
 import numpy as np
 
 from .multiplier import a_hat_profile, indicator, pow2_at_least, sup_abs
-from .tables import Progression, build_tables, default_residue, reduced_residues, von_mangoldt
+from .tables import Progression, build_tables, default_residue, phi, reduced_residues, von_mangoldt
 
 # Desk-scale replacement for the ineffective asymptotic onset threshold.
 DEFAULT_N_FLOOR_FACTOR = 1 << 10
@@ -35,9 +52,9 @@ DEFAULT_N_FLOOR_FACTOR = 1 << 10
 
 
 def _improving_value(conv: np.ndarray, r: float, y: int, N: int, size: int) -> float:
-    """||A 1_F||_{r'} / ((y/N)^{1/r - 1/r'} |F|^{1/r}) from the convolution A 1_F."""
+    """||A 1_F||_{r'} / ((y/N)^{1/r - 1/r'} |F|^{1/r}) from the convolution A 1_F, which becomes |A 1_F| in place."""
     rp = r / (r - 1.0)
-    num = float((np.abs(conv) ** rp).sum() ** (1.0 / rp))
+    num = float((np.abs(conv, out=conv) ** rp).sum() ** (1.0 / rp))
     den = (y / N) ** (1.0 / r - 1.0 / rp) * size ** (1.0 / r)
     return num / den
 
@@ -70,6 +87,50 @@ def input_families(
         k = max(len(n) // 8, 1)
         fams["greedy_lambda"] = np.sort(n[np.argsort(w)[::-1][:k]])
     return fams
+
+
+def _run_steps(y: int) -> dict[str, int]:
+    """The step of each input family that is an arithmetic run, by name."""
+    return {"interval": 1, "progression_segment": y}
+
+
+def _class_sums(N: int, prog: Progression, step: int) -> tuple[np.ndarray, np.ndarray]:
+    """Running sums of Lambda(c + step j) on the progression, c = b mod step, c + step j < N, as parts hi + lo.
+
+    step divides y.  hi rounds each term to a multiple of q = 2^(e-52), with
+    2^e above the total, so each running sum of hi is a multiple of q below
+    2^53 q: exact.  lo, the term minus hi, is exact and at most q/2.
+    """
+    c = prog.b % step
+    terms = np.zeros(len(range(c, N, step)))
+    terms[(prog.b - c) // step :: prog.y // step] = von_mangoldt(N)[prog.b : N : prog.y]
+    q = math.ldexp(1.0, math.frexp(terms.sum())[1] - 52)
+    hi = terms / q
+    np.round(hi, out=hi)
+    hi *= q
+    terms -= hi
+    return np.cumsum(hi, out=hi), np.cumsum(terms, out=terms)
+
+
+def run_averages(N_list, prog: Progression, F: np.ndarray, step: int):
+    """A_N 1_F for each N of N_list in turn, F the run F[0] + step i (i < len(F)), step dividing y, by running sums.
+
+    Yields D with D[m] = A_N 1_F(F[0] + c + step m), c = b mod step, for m
+    below J + len(F) - 1, J the number of class points below N; A_N 1_F
+    vanishes everywhere else (module docstring).
+    """
+    hi, lo = _class_sums(max(N_list), prog, step)
+    c, K = prog.b % step, len(F)
+    for N in N_list:
+        J = len(range(c, N, step))
+        avg, lo_part = np.empty(J + K - 1), np.empty(J + K - 1)
+        for sums, out in ((hi, avg), (lo, lo_part)):
+            out[:J] = sums[:J]
+            out[J:] = sums[J - 1]
+            out[K:] -= sums[: J - 1]  # exact for hi
+        avg += lo_part
+        avg *= phi(prog.y) / N
+        yield avg
 
 
 # ---------------------------------------------------------------------------
@@ -125,10 +186,14 @@ def _improving_cell(payload: tuple) -> list[dict]:
     M = pow2_at_least(2 * N)  # kernel and inputs in [0, N): the conv fits below 2N, no wrap
     rng = np.random.default_rng(seed)
     fams = input_families(N, prog, rng, densities, greedy=True)
-    profile = a_hat_profile(N, prog, M)
+    runs = _run_steps(y)
+    profile = functools.cache(lambda: a_hat_profile(N, prog, M))  # built only for a family that is no run
     rows = []
     for name, F in fams.items():
-        conv = profile.apply(indicator(F, M))
+        if name in runs:
+            (conv,) = run_averages([N], prog, F, runs[name])
+        else:
+            conv = profile().apply(indicator(F, M))
         for r in r_list:
             rows.append(
                 {
@@ -141,6 +206,7 @@ def _improving_cell(payload: tuple) -> list[dict]:
                     "ratio": _improving_value(conv, r, y, N, len(F)),
                 }
             )
+        del conv  # freed before the next family's transforms, so they do not stack on it
     return rows
 
 
@@ -220,10 +286,17 @@ def _maximal_cell(payload: tuple) -> list[dict]:
     M = pow2_at_least(2 * N_max)  # kernels and inputs in [0, N_max): no wrap below 2 N_max
     rng = np.random.default_rng(seed)
     fams = input_families(N_max, prog, rng, densities)
-    profiles = [a_hat_profile(N, prog, M) for N in N_list]
+    runs = _run_steps(y)
+    profiles = functools.cache(lambda: [a_hat_profile(N, prog, M) for N in N_list])
     rows = []
     for name, F in fams.items():
-        sup = sup_abs(profiles, indicator(F, M))
+        if name in runs:
+            sup = np.zeros(0)
+            for avg in run_averages(sorted(N_list), prog, F, runs[name]):  # each longer than the last
+                np.maximum(avg[: len(sup)], sup, out=avg[: len(sup)])
+                sup = avg
+        else:
+            sup = sup_abs(profiles(), indicator(F, M))
         strong = float((sup**r).sum() ** (1.0 / r) / len(F) ** (1.0 / r))
         for lam in lambdas:
             exceed = int((sup > lam).sum())

@@ -51,7 +51,7 @@ def test_ramanujan_direct_equals_closed_exhaustive():
 def test_ramanujan_spot_values(tables):
     # tau_q(0) = phi(q); tau_q(1) = mu(q)
     for q in (1, 2, 6, 9, 12, 30):
-        assert ramanujan_sum_closed(q, 0, tables) == int(tables.totient[max(q, 1)]) if q > 1 else 1
+        assert ramanujan_sum_closed(q, 0, tables) == (int(tables.totient[max(q, 1)]) if q > 1 else 1)
         assert ramanujan_sum_closed(q, 1, tables) == int(tables.mobius[q])
 
 

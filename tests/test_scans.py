@@ -1,5 +1,7 @@
+import math
 import multiprocessing
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,13 +13,16 @@ from primeavg import scans
 from primeavg.cli import _csv_text
 from primeavg.multiplier import a_hat_profile, a_kernel, indicator, pow2_at_least, sup_abs
 from primeavg.scans import (
+    _class_sums,
     _improving_cell,
     _improving_value,
     _maximal_cell,
+    _run_steps,
     fit_exponent,
     improving_scan,
     input_families,
     maximal_scan,
+    run_averages,
     run_cells,
 )
 from primeavg.tables import Progression, reduced_residues, von_mangoldt
@@ -125,6 +130,95 @@ def test_maximal_cell_grid_keeps_weak_counts(y):
         for row in rows:
             assert row["weak_ratio"] == weak[row["family"], row["lambda"]]
             assert row["strong_ratio"] == pytest.approx(strong[row["family"]], rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# Running sums for the two arithmetic-run families, against the transform
+
+
+def _exact_average(N, prog, F, step, M):
+    """A_N 1_F on Z_M for the run F, summed exactly and rounded once.
+
+    The float64 kernel is taken in integer units of its least exponent; the
+    run's window is a difference of exact running sums along classes mod step.
+    """
+    kernel = a_kernel(N, prog, M)
+    E = int(np.frexp(kernel[kernel > 0])[1].min()) - 53
+    sums = np.zeros(-(-M // step) * step, dtype=object)
+    support = np.flatnonzero(kernel)
+    sums[support] = [int(v) for v in np.ldexp(kernel[support], -E)]
+    sums = sums.reshape(-1, step).cumsum(axis=0).ravel()[:M]
+    s, span = int(F[0]), step * len(F)
+    exact = np.zeros(M, dtype=object)
+    exact[s:] = sums[: M - s]
+    exact[s + span :] -= sums[: M - s - span]
+    return exact.astype(np.float64) * 2.0**E  # float(int) rounds once
+
+
+@pytest.mark.parametrize("N", [3000, 1 << 12, 1 << 16])
+@pytest.mark.parametrize("y", [1, 3, 5])
+def test_run_averages_match_transform_and_exact_sum(N, y):
+    # both run families at every b, and the maximal cell's shorter kernels
+    # (N/4 has fewer class points than the run): the running sums err at most
+    # the transform's error plus one unit in the last place of the peak
+    M = pow2_at_least(2 * N)
+    Ns = [N // 4, N // 2, N]
+    for b in reduced_residues(y):
+        prog = Progression(y, int(b))
+        fams = input_families(N, prog, np.random.default_rng(0), ())
+        for name, step in _run_steps(y).items():
+            F = fams[name]
+            for n, avg in zip(Ns, run_averages(Ns, prog, F, step)):
+                runs = np.zeros(M)
+                runs[F[0] + int(b) % step :: step][: len(avg)] = avg
+                exact = _exact_average(n, prog, F, step, M)
+                fft = a_hat_profile(n, prog, M).apply(indicator(F, M))
+                peak = exact.max()
+                assert np.abs(runs - fft).max() <= 1e-14 * peak
+                assert np.abs(runs - exact).max() <= np.abs(fft - exact).max() + np.spacing(peak)
+                # the exact sum is the direct one, correctly rounded
+                kernel = a_kernel(n, prog, M)
+                for x in (int(exact.argmax()), int(F[0]) + n - 1, n + len(F) // 2):
+                    f = x - F
+                    assert exact[x] == math.fsum(kernel[f[f >= 0]])
+
+
+def _count_transforms(monkeypatch) -> list:
+    calls = []
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        transform = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name, lambda *a, t=transform, **k: calls.append(t) or t(*a, **k))
+    return calls
+
+
+def test_run_families_take_no_transform(monkeypatch):
+    calls = _count_transforms(monkeypatch)
+    # a_hat's rfft, then an rfft/irfft pair for each Bernoulli set and the greedy set
+    _improving_cell((1 << 12, 3, 1, [1.5], (3, 5), 0))
+    assert len(calls) == 7
+    calls.clear()
+    # a_hat's rfft per N, then the Bernoulli set's rfft and an irfft per N
+    _maximal_cell(([1024, 2048, 4096], 5, 1, 2.0, [0.5, 0.25], (3,), 0))
+    assert len(calls) == 7
+    calls.clear()
+    # no family needs a_hat: no profile is built
+    _maximal_cell(([1024, 2048, 4096], 5, 1, 2.0, [0.5, 0.25], (), 0))
+    assert calls == []
+
+
+def test_run_average_holds_less_than_transform():
+    N, prog = 1 << 16, Progression(1, 0)
+    M, F = pow2_at_least(2 * N), np.arange(N // 2)
+    hi, lo = _class_sums(N, prog, 1)
+    assert hi.nbytes + lo.nbytes <= 8 * M  # one float64 array of length M
+    profile = a_hat_profile(N, prog, M)  # shared by a cell's families, built before either trace
+    peaks = []
+    for average in (lambda: list(run_averages([N], prog, F, 1)), lambda: profile.apply(indicator(F, M))):
+        tracemalloc.start()
+        average()
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[0] <= peaks[1]
 
 
 # ---------------------------------------------------------------------------
