@@ -51,7 +51,7 @@ from .highlow import (
     lo_kernels_closed,
     lo_linf_ratio,
 )
-from .multiplier import approx_residual, approximant_profile, approximant_windows, near_zero_error, pow2_at_least
+from .multiplier import approx_residual, approximant_profile, approximant_windows, near_zero_error
 from .scans import fit_exponent, improving_scan, maximal_scan, run_cells
 from .tables import Progression, build_tables, default_residue, memory_cap, sw_error_report
 
@@ -138,16 +138,6 @@ def _check_qcut(N: int, y: int, q_cut: int) -> None:
     for q in range(1, q_cut):
         if math.lcm(y, q) > N and height(q, y) > 0:
             raise ConfigError(f"q_cut={q_cut} admits q={q} with lcm(y, q)={math.lcm(y, q)} > N={N}")
-
-
-def _check_grid(N: int, M: int) -> None:
-    """Reject a grid Z_M above the memory cap, not a power of two, or smaller than N."""
-    if M > memory_cap():
-        raise ConfigError(f"grid size M={M} exceeds memory cap {memory_cap()}")
-    if M < 1 or M & (M - 1):
-        raise ConfigError(f"grid size M={M} must be a power of two")
-    if M < N:
-        raise ConfigError(f"grid size M={M} smaller than N={N}")
 
 
 def _check_phi(y: int, M: int, Q: int, mobius) -> None:
@@ -257,7 +247,6 @@ def cmd_approx(cfg: dict) -> tuple[list[dict], dict, bool]:
         raise ConfigError(f"qcut must be >= 2, got {q_cut}")
     if max_rows < 1:
         raise ConfigError(f"max_rows must be >= 1, got {max_rows}")
-    _check_grid(N, M)
     _check_qcut(N, prog.y, q_cut)
     stride = max(1, M // max_rows)
     sup, residuals = approx_residual(N, prog, q_cut, M, stride)
@@ -283,7 +272,6 @@ def cmd_highlow(cfg: dict) -> tuple[list[dict], dict, bool]:
     r = cfg.get("r", 1.5)
     if not 1.0 < r < 2.0:
         raise ConfigError(f"r must lie in (1, 2), got {r}")
-    _check_grid(N, M)
     dcfgs = [DecompositionConfig(N=N, prog=prog, Q=Q, M=M) for Q in Q_list]
     _check_qcut(N, prog.y, max(d.q_cut for d in dcfgs))
     tables = build_tables(N)  # after _check_qcut, every q' < Q coprime to y is at most N / y
@@ -323,11 +311,9 @@ def cmd_highlow(cfg: dict) -> tuple[list[dict], dict, bool]:
 
 
 def _run_scan(scan, cfg: dict):
-    """One scan with the keys of cfg it takes, its grid checked first; workers default to the cpu count."""
+    """One scan with the keys of cfg it takes; workers default to the cpu count."""
     taken = inspect.signature(scan).parameters
     kwargs = {key: value for key, value in cfg.items() if key in taken}
-    N_max = max(kwargs.get("N_list", taken["N_list"].default))
-    _check_grid(N_max, pow2_at_least(2 * N_max))  # the grid of every cell
     kwargs["workers"] = cfg.get("workers", os.cpu_count() or 1)
     return scan(**kwargs)
 
@@ -361,10 +347,14 @@ def cmd_ramanujan_avg(cfg: dict) -> tuple[list[dict], dict, bool]:
         raise ConfigError(f"t must be >= 1, got {t}")
     if len(set(Q_list)) < 2:
         raise ConfigError(f"fitting an exponent needs at least two distinct Q values, got {Q_list}")
+    grids = [(Q, 16 * prog.y * Q**t) for Q in Q_list]
+    for Q, M in grids:
+        # bourgain_average holds up to M // y + 1 points n <= M of the progression
+        if M // prog.y + 1 > memory_cap():
+            raise ConfigError(f"--Q-list {Q} averages to M={M}, {M // prog.y + 1} entries above memory cap {memory_cap()}")
     build_tables(max(Q_list))  # one sieve; every tau_q row reads mu from it as a view
     rows = []
-    for Q in Q_list:
-        M = 16 * prog.y * Q**t
+    for Q, M in grids:
         lhs = bourgain_average(Q, M, prog, t)
         rows.append({"Q": Q, "M": M, "t": t, "lhs": lhs, "lhs_over_Q125": lhs / Q**1.25})
     exponent = fit_exponent([r["Q"] for r in rows], [r["lhs"] for r in rows])

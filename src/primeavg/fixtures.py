@@ -29,7 +29,7 @@ from .highlow import (
     multifrequency_profile,
 )
 from .multiplier import approx_residual, approximant_windows, near_zero_error
-from .scans import _improving_cell, fit_exponent, maximal_scan
+from .scans import IMPROVING_DENSITIES, _improving_cell, fit_exponent, maximal_scan
 from .tables import Progression, build_tables, default_residue, sw_error_report
 
 
@@ -123,7 +123,7 @@ def _measure_hi_decay_slope(y: int, b: int) -> float:
 
 
 def _measure_improving_max(y: int, b: int) -> float:
-    rows = _improving_cell((1 << 16, y, b, [1.5], (3, 5), 0))
+    rows = _improving_cell((1 << 16, y, b, [1.5], IMPROVING_DENSITIES, 0))
     return max(row["ratio"] for row in rows)
 
 

@@ -21,6 +21,7 @@ from .expsums import ramanujan_table
 from .multiplier import (
     SpectralProfile,
     approximant_profile,
+    check_grid,
     cutoff,
     fill_window,
     indicator,
@@ -44,10 +45,9 @@ class DecompositionConfig:
             raise ValueError(f"Q must be >= 1, got {self.Q}")
         if self.q_cut is None:
             object.__setattr__(self, "q_cut", self.prog.y * self.Q + 1)
+        check_grid(self.N, self.M)
         if self.M < 4 * self.N:
             raise ValueError(f"M={self.M} must be at least 4N={4 * self.N}")
-        if self.M & (self.M - 1):
-            raise ValueError("M must be a power of two")
         if not (self.Q <= self.q_cut and self.q_cut <= self.N ** 0.1):
             warnings.warn(
                 f"Q={self.Q} <= q_cut={self.q_cut} <= N^(1/10)={self.N ** 0.1:.2f} "

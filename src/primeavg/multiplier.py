@@ -182,6 +182,16 @@ def pow2_at_least(n: int) -> int:
     return 1 << (n - 1).bit_length()
 
 
+def check_grid(N: int, M: int) -> None:
+    """Reject a grid Z_M above the memory cap, not a power of two, or smaller than N."""
+    if M > memory_cap():
+        raise ValueError(f"grid size M={M} exceeds memory cap {memory_cap()}")
+    if M < 1 or M & (M - 1):
+        raise ValueError(f"grid size M={M} must be a power of two")
+    if M < N:
+        raise ValueError(f"grid size M={M} smaller than N={N}")
+
+
 # ---------------------------------------------------------------------------
 # Plain averages
 
@@ -232,9 +242,7 @@ def a_kernel(N: int, prog: Progression, M: int) -> np.ndarray:
 
 def a_hat_profile(N: int, prog: Progression, M: int) -> SpectralProfile:
     """a_hat on the grid {k/M}, M >= N: the rfft of the padded real kernel."""
-    if M < N:
-        raise ValueError(f"grid M={M} smaller than N={N}")
-    _guard_grid(M)
+    check_grid(N, M)
     return SpectralProfile(M, np.fft.rfft(a_kernel(N, prog, M)))
 
 
@@ -339,7 +347,7 @@ def _window_points(prog: Progression, q_cut: int) -> list[FareyPoint]:
 
 def approximant_windows(N: int, prog: Progression, q_cut: int, M: int) -> list:
     """(point, k0, values) of the l_hat windows on k <= M/2 at _window_points, each evaluated once."""
-    _guard_grid(M)
+    check_grid(N, M)
     return [(p, *_l_hat_window(p, N, M)) for p in _window_points(prog, q_cut)]
 
 
@@ -352,7 +360,7 @@ def approximant_profile(
     point lies in it.  Bands given one shared list evaluate no window again,
     and each equals the band built alone bit for bit.
     """
-    _guard_grid(M)
+    check_grid(N, M)
     if windows is None:
         windows = approximant_windows(N, prog, q_cut, M)
     top = math.inf if height_max is None else height_max
@@ -370,13 +378,6 @@ def _warn_qcut(q_cut: int, N: int) -> None:
             f"q_cut={q_cut} exceeds N^(1/10)={N ** 0.1:.2f}; desk-scale override",
             stacklevel=3,
         )
-
-
-def _guard_grid(M: int) -> None:
-    if M > memory_cap():
-        raise MemoryError(f"grid size {M} exceeds memory cap")
-    if M & (M - 1):
-        raise ValueError(f"grid size {M} must be a power of two")
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +435,7 @@ def approx_residual(N: int, prog: Progression, q_cut: int, M: int, stride: int) 
     at k > M/2 is that at M - k.
     """
     _warn_qcut(q_cut, N)
-    _guard_grid(M)
+    check_grid(N, M)
     D = M // min(M, CLASS_LENGTH)
     k = np.arange(0, M, stride)
     half = np.minimum(k, M - k)

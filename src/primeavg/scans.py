@@ -40,11 +40,14 @@ import warnings
 
 import numpy as np
 
-from .multiplier import a_hat_profile, indicator, pow2_at_least, sup_abs
+from .multiplier import a_hat_profile, check_grid, indicator, pow2_at_least, sup_abs
 from .tables import Progression, build_tables, default_residue, phi, reduced_residues, von_mangoldt
 
 # Desk-scale replacement for the ineffective asymptotic onset threshold.
 DEFAULT_N_FLOOR_FACTOR = 1 << 10
+# Exponents j of the Bernoulli input families at density 2^-j, by scan.
+IMPROVING_DENSITIES = (3, 5)
+MAXIMAL_DENSITIES = (3,)
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +173,19 @@ def run_cells(cell_fn, cells: list, workers: int, groups: list[list[int]] | None
     return rows
 
 
+def _run_scan_cells(cell_fn, cells: list, N_max: int, y_list, workers: int) -> list:
+    """run_cells on a scan's cells, after checking their grid Z_M, M = pow2_at_least(2 N_max).
+
+    Lambda up to N_max and mu/phi up to max(y_list) are sieved here once,
+    before the pool forks, so the workers inherit them as cached views.
+    """
+    if cells:
+        check_grid(N_max, pow2_at_least(2 * N_max))
+        von_mangoldt(N_max)
+        build_tables(max(2, *y_list))
+    return run_cells(cell_fn, cells, workers)
+
+
 def _run_task(cell_fn, cells: list) -> list[tuple[list, list]]:
     """(rows, warnings as (message, category, filename, lineno)) of each cell."""
     out = []
@@ -215,7 +231,6 @@ def improving_scan(
     N_list=(1 << 14, 1 << 16),
     y_list=(1, 3, 5),
     r_list=(1.5,),
-    densities=(3, 5),
     seed=0,
     n_floor_factor=DEFAULT_N_FLOOR_FACTOR,
     workers: int = 1,
@@ -227,7 +242,6 @@ def improving_scan(
     by less than a factor of 2 between consecutive scales.
     """
     N_list = sorted(N_list)
-    densities = tuple(densities)
     seed = int(seed)
     floor = int(n_floor_factor)
     for r in r_list:
@@ -239,13 +253,8 @@ def improving_scan(
         for N in N_list:
             if N < floor * y:
                 raise ValueError(f"N={N} below desk-scale floor {floor}*y for y={y}")
-            cells.append((N, y, default_residue(y), list(r_list), densities, seed))
-
-    if cells:
-        # one sieve of each table, inherited by forked workers as cached views
-        von_mangoldt(max(N_list))
-        build_tables(max(2, *y_list))
-    rows = run_cells(_improving_cell, cells, workers)
+            cells.append((N, y, default_residue(y), list(r_list), IMPROVING_DENSITIES, seed))
+    rows = _run_scan_cells(_improving_cell, cells, max(N_list, default=0), y_list, workers)
 
     max_ratio: dict[tuple, dict[int, float]] = {}
     for row in rows:
@@ -268,7 +277,7 @@ def improving_scan(
         "N_list": N_list,
         "y_list": list(y_list),
         "r_list": list(r_list),
-        "densities": list(densities),
+        "densities": list(IMPROVING_DENSITIES),
         "adversarial": True,
         "seed": seed,
     }
@@ -323,7 +332,6 @@ def maximal_scan(
     y_list=(1, 5),
     r=2.0,
     lambda_grid=tuple(2.0**-k for k in range(1, 7)),
-    densities=(3,),
     seed=0,
     b_sweep=False,
     n_floor_factor=DEFAULT_N_FLOOR_FACTOR,
@@ -338,7 +346,6 @@ def maximal_scan(
     N_list = sorted(N_list)
     r = float(r)
     lambdas = list(lambda_grid)
-    densities = tuple(densities)
     seed = int(seed)
     b_sweep = bool(b_sweep)
     floor = int(n_floor_factor)
@@ -351,13 +358,8 @@ def maximal_scan(
             raise ValueError(f"min N below desk-scale floor {floor}*y for y={y}")
         bs = [int(v) for v in reduced_residues(y)] if b_sweep else [default_residue(y)]
         for b in bs:
-            cells.append((list(N_list), y, b, r, lambdas, densities, seed))
-
-    if cells:
-        # one sieve of each table, inherited by forked workers as cached views
-        von_mangoldt(max(N_list))
-        build_tables(max(2, *y_list))
-    rows = run_cells(_maximal_cell, cells, workers)
+            cells.append((list(N_list), y, b, r, lambdas, MAXIMAL_DENSITIES, seed))
+    rows = _run_scan_cells(_maximal_cell, cells, max(N_list, default=0), y_list, workers)
 
     max_by_yb: dict[tuple, float] = {}
     for row in rows:
@@ -378,7 +380,7 @@ def maximal_scan(
         "y_list": list(y_list),
         "r": r,
         "lambda_grid": lambdas,
-        "densities": list(densities),
+        "densities": list(MAXIMAL_DENSITIES),
         "seed": seed,
         "b_sweep": b_sweep,
     }

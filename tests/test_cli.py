@@ -289,13 +289,26 @@ def test_verify_divisor_identity_reports_pairs_checked(tmp_path):
     assert int(rows["height_class_count"]["cases"]) == 60 * 60
 
 
-@pytest.mark.parametrize("bad", [["--t", "0", "--Q-list", "4", "8"], ["--Q-list", "4"]], ids=["t_zero", "one_Q"])
-def test_ramanujan_avg_bad_input_exits_two_before_sieving(tmp_path, capsys, monkeypatch, bad):
+@pytest.mark.parametrize(
+    "bad, cap",
+    [
+        (["--t", "0", "--Q-list", "4", "8"], None),
+        (["--Q-list", "4"], None),
+        # M = 16 y Q^t: 16 * 4^40 points would overflow the average's int64 indices
+        (["--t", "40", "--Q-list", "4", "8"], None),
+        # M = 256 at Q = 4, so the average would hold 257 entries
+        (["--Q-list", "4", "8"], "100"),
+    ],
+    ids=["t_zero", "one_Q", "t_forty", "above_cap"],
+)
+def test_ramanujan_avg_bad_input_exits_two_before_sieving(tmp_path, capsys, monkeypatch, bad, cap):
     import primeavg.cli as cli
 
     def must_not_run(*args, **kwargs):
         pytest.fail("tables were sieved before the input was checked")
 
+    if cap is not None:
+        monkeypatch.setenv("PRIMEAVG_MEMORY_CAP", cap)
     monkeypatch.setattr(cli, "build_tables", must_not_run)
     rc = main(["ramanujan-avg", *bad, "--out-dir", str(tmp_path)])
     assert rc == 2
@@ -418,6 +431,17 @@ def test_scan_grid_above_memory_cap_exits_two_before_sieving(tmp_path, capsys, m
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and "grid size M=131072 exceeds memory cap 100000" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_verify_recipe_grid_above_memory_cap_exits_two(tmp_path, capsys, monkeypatch):
+    # the recipe's approx grid is M = 4N = 2^22; the library's check surfaces
+    # from the pool as a config error, not as a failed property
+    monkeypatch.setenv("PRIMEAVG_MEMORY_CAP", "2000000")
+    rc = main(["verify", "--qmax", "8", "--ymax", "4", "--cohen-qmax", "8", "--cohen-ymax", "4",
+               "--max-tuples", "200", "--fixture-names", "residual_sup_y1_N20", "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == "config error: grid size M=4194304 exceeds memory cap 2000000\n"
     assert not list(tmp_path.iterdir())
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from primeavg.expsums import FareyPoint
 from primeavg import multiplier
+from primeavg.highlow import DecompositionConfig
 from primeavg.multiplier import (
     _l_hat_window,
     _mollifier_tail,
@@ -31,6 +32,7 @@ from primeavg.multiplier import (
     pow2_at_least,
     sup_abs,
 )
+from primeavg.scans import improving_scan, maximal_scan
 from primeavg.tables import Progression, build_tables, default_residue, reduced_residues, von_mangoldt
 
 from oracles import a_hat, approximant_hat, l_hat
@@ -304,6 +306,37 @@ def test_a_hat_uniform_grid_chirp_matches_pointwise(N, y, theta0, scale, count):
 def test_a_hat_profile_requires_power_of_two():
     with pytest.raises(ValueError):
         a_hat_profile(512, Progression(1, 0), 1500)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: a_hat_profile(1024, Progression(1, 0), 4096),
+        lambda: approximant_windows(1024, Progression(1, 0), 16, 4096),
+        lambda: approx_residual(1024, Progression(1, 0), 16, 4096, 1),
+        lambda: DecompositionConfig(N=1024, prog=Progression(1, 0), Q=4, M=4096),
+        # the scans' cells share the grid pow2_at_least(2 N_max) = 2048
+        lambda: improving_scan(N_list=[1024], y_list=[1]),
+        lambda: maximal_scan(N_list=[1024], y_list=[1]),
+    ],
+    ids=["a_hat_profile", "approximant_windows", "approx_residual", "DecompositionConfig",
+         "improving_scan", "maximal_scan"],
+)
+def test_grid_above_memory_cap_raises_value_error_before_sieving(monkeypatch, build):
+    # the cap sits above every table bound here, so only the grid can exceed it
+    from primeavg import scans, tables
+
+    def must_not_run(*args, **kwargs):
+        pytest.fail("tables were sieved before the grid was checked")
+
+    monkeypatch.setenv("PRIMEAVG_MEMORY_CAP", "2000")
+    for module in (multiplier, scans):
+        monkeypatch.setattr(module, "build_tables", must_not_run)
+        monkeypatch.setattr(module, "von_mangoldt", must_not_run)
+    monkeypatch.setattr(tables, "_sieve", must_not_run)
+    monkeypatch.setattr(tables, "_lambda_sieve", must_not_run)
+    with pytest.raises(ValueError, match=r"grid size M=\d+ exceeds memory cap 2000"):
+        build()
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import ast
 import importlib
 import importlib.util
 import pathlib
+import re
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "primeavg"
@@ -66,6 +67,14 @@ def test_every_function_in_src_is_used_in_src():
     }
     unused = {name: where for name, where in unused.items() if not name.startswith("__") and name != "main"}
     assert not unused, f"defined in src/ but referenced nowhere else there: {unused}"
+
+
+def test_grid_rule_is_written_once():
+    # multiplier.check_grid alone decides whether a grid Z_M is usable, and
+    # no grid check passes itself off as an out-of-memory error
+    source = "".join(path.read_text() for path in sorted(PACKAGE.glob("*.py")))
+    assert len(re.findall(r"([\w.]+) & \(\1 - 1\)", source)) == 1
+    assert "MemoryError" not in source
 
 
 def _tracer():
