@@ -53,7 +53,9 @@ from .highlow import (
 )
 from .multiplier import approx_residual, approximant_profile, approximant_windows, near_zero_error
 from .scans import fit_exponent, improving_scan, maximal_scan, run_cells
-from .tables import Progression, build_tables, default_residue, memory_cap, sw_error_report
+from .tables import ARC_J, Progression, build_tables, default_residue, memory_cap, sw_error_report
+
+VARIATION_CAP = 1.5  # maximal fails when the largest weak ratio over b reaches this times the smallest
 
 
 class ConfigError(Exception):
@@ -330,11 +332,8 @@ def cmd_maximal(cfg: dict) -> tuple[list[dict], dict, bool]:
         raise ConfigError(f"--lambda-grid needs positive finite values, got {lambdas}")
     rows, report = _run_scan(maximal_scan, cfg)
     ceiling = cfg.get("weak_ceiling", 1.0)
-    variation_cap = cfg.get("variation_cap", 1.5)
     summary = report["summary"]
-    ok = summary["max_weak_ratio"] <= ceiling and all(
-        v < variation_cap for v in summary["b_variation"].values()
-    )
+    ok = summary["max_weak_ratio"] <= ceiling and all(v < VARIATION_CAP for v in summary["b_variation"].values())
     summary["pass"] = ok
     return rows, report, ok
 
@@ -345,6 +344,8 @@ def cmd_ramanujan_avg(cfg: dict) -> tuple[list[dict], dict, bool]:
     Q_list = cfg.get("Q_list", [4, 8, 16, 32])
     if t < 1:
         raise ConfigError(f"t must be >= 1, got {t}")
+    if min(Q_list) < 1:
+        raise ConfigError(f"Q must be >= 1, got {min(Q_list)}")
     if len(set(Q_list)) < 2:
         raise ConfigError(f"fitting an exponent needs at least two distinct Q values, got {Q_list}")
     grids = [(Q, 16 * prog.y * Q**t) for Q in Q_list]
@@ -375,12 +376,11 @@ def cmd_ramanujan_avg(cfg: dict) -> tuple[list[dict], dict, bool]:
 def cmd_sw(cfg: dict) -> tuple[list[dict], dict, bool]:
     prog = _prog_from(cfg)
     x_grid = cfg.get("x_grid", [10**4, 10**5, 10**6])
-    J = cfg.get("J", 2)
-    rows = sw_error_report(x_grid, prog, J=J)
+    rows = sw_error_report(x_grid, prog)
     summary = {
         "y": prog.y,
         "b": prog.b,
-        "J": J,
+        "J": ARC_J,
         "x_grid": x_grid,
         "final_rel_error": rows[-1]["rel_error"],
     }
@@ -395,8 +395,8 @@ def cmd_sw(cfg: dict) -> tuple[list[dict], dict, bool]:
 # with "_" written "-", except those in FLAGS.
 KEYS = {
     **dict.fromkeys("seed qmax ymax cohen_qmax cohen_ymax max_tuples N y b qcut M max_rows".split(), int),
-    **dict.fromkeys("workers n_floor_factor t J".split(), int),
-    **dict.fromkeys("r weak_ceiling variation_cap exponent_cap".split(), float),
+    **dict.fromkeys("workers n_floor_factor t".split(), int),
+    **dict.fromkeys("r weak_ceiling exponent_cap".split(), float),
     **dict.fromkeys("Q_list N_list y_list x_grid".split(), [int]),
     **dict.fromkeys("r_list lambda_grid".split(), [float]),
     "out_dir": str, "fixture_names": [str], "fixtures": bool, "b_sweep": bool,
@@ -413,9 +413,9 @@ COMMANDS = {
     "improving": ("improving-inequality stability scan", cmd_improving,
                   "N_list y_list r_list workers n_floor_factor"),
     "maximal": ("weak-type maximal-function scan", cmd_maximal,
-                "N_list y_list r lambda_grid b_sweep weak_ceiling variation_cap workers n_floor_factor"),
+                "N_list y_list r lambda_grid b_sweep weak_ceiling workers n_floor_factor"),
     "ramanujan-avg": ("Ramanujan-sum moment sweep", cmd_ramanujan_avg, "y b t Q_list exponent_cap"),
-    "sw": ("prime-counting error along a progression", cmd_sw, "y b x_grid J"),
+    "sw": ("prime-counting error along a progression", cmd_sw, "y b x_grid"),
 }
 
 

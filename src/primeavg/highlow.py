@@ -23,9 +23,8 @@ from .multiplier import (
     approximant_profile,
     check_grid,
     cutoff,
-    fill_window,
     indicator,
-    m_hat,
+    major_arc_window,
 )
 from .tables import ArithTables, Progression
 
@@ -38,7 +37,7 @@ class DecompositionConfig:
     prog: Progression
     Q: int
     M: int
-    q_cut: int | None = None  # denominator ceiling; defaults to y * Q
+    q_cut: int | None = None  # denominator ceiling; defaults to y * Q + 1
 
     def __post_init__(self):
         if self.Q < 1:
@@ -80,22 +79,16 @@ def _centered_coords(M: int) -> np.ndarray:
 
 
 def _phi_hat(cfg: DecompositionConfig, q: int) -> np.ndarray:
-    """m_hat of length N/l at l*xi times cutoff(l^2 xi), l = lcm(y, q), on k <= M/2.
+    """m_hat(l xi, N/l) cutoff(l^2 xi), l = lcm(y, q), on k <= M/2: the major-arc window at 0/1 of weight 1.
 
-    Both factors are conjugate under xi -> -xi, so this half determines the
-    spectrum.  The cutoff is exactly 0 for |xi| >= 1/(4 l^2), so the product
-    is evaluated only on k <= ceil(M/(4 l^2)), at xi = k/M.
+    Both factors are conjugate under xi -> -xi, so this half determines the spectrum.
     """
     ell = math.lcm(cfg.prog.y, q)
     if ell * ell > cfg.M // 4:
         raise ValueError(f"lcm^2 = {ell * ell} exceeds M/4 = {cfg.M // 4}")
     spectrum = np.zeros(cfg.M // 2 + 1, dtype=np.complex128)
-
-    def value(k):
-        xi = k / cfg.M
-        return m_hat(ell * xi, cfg.N / ell) * cutoff(ell * ell * xi)
-
-    fill_window(spectrum[: -(-cfg.M // (4 * ell * ell)) + 1], 0, value)
+    k0, values = major_arc_window(0, 1, ell, 1.0, cfg.N, cfg.M)
+    spectrum[k0 : k0 + len(values)] = values
     return spectrum
 
 

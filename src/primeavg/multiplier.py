@@ -44,11 +44,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expsums import FareyPoint
-from .tables import Progression, build_tables, memory_cap, phi, reduced_residues, von_mangoldt
+from .tables import ARC_J, Progression, build_tables, memory_cap, phi, reduced_residues, von_mangoldt
 
-# The sup errors sweep |theta| < (log N)^ARC_J / N with POINTS_PER_UNIT grid
-# points per 1/N.
-ARC_J = 2
+# The sup errors sweep |theta| < (log N)^ARC_J / N, POINTS_PER_UNIT grid points per 1/N.
 POINTS_PER_UNIT = 64
 # Compact-support windows are evaluated WINDOW_BLOCK grid points at a time.
 WINDOW_BLOCK = 1 << 15
@@ -319,21 +317,25 @@ def fill_window(out: np.ndarray, k0: int, value, stride: int = 1) -> np.ndarray:
     return out
 
 
-def _l_hat_window(point: FareyPoint, N: int, M: int, stride: int = 1, residue: int = 0):
-    """(j0, values): l_hat at this point on k = residue + j stride <= M/2 in its support, j = j0, j0 + 1, ..."""
-    ell = point.ell
+def major_arc_window(a: int, q: int, ell: int, weight: complex, N: int, M: int, stride: int = 1, residue: int = 0):
+    """(j0, values): the major-arc term at a/q, value(k) below, on k = residue + j stride <= M/2 in its support."""
     radius = CUTOFF_OUTER / ell**2
-    c = point.center
+    c = a / q
     k0 = max(math.floor((c - radius) * M) + 1, 0)
     k1 = min(math.ceil((c + radius) * M) - 1, M // 2)
     j0 = -((residue - k0) // stride)  # the least j with residue + j stride >= k0
     j1 = (k1 - residue) // stride
 
     def value(k):
-        d = (k * point.q - point.a * M) / (point.q * M)  # k/M - a/q from one exact numerator
-        return point.upsilon * m_hat(ell * d, N / ell) * cutoff(ell * ell * d)
+        d = (k * q - a * M) / (q * M)  # k/M - a/q from one exact numerator
+        return weight * m_hat(ell * d, N / ell) * cutoff(ell * ell * d)
 
     return j0, fill_window(np.empty(max(j1 + 1 - j0, 0), dtype=np.complex128), residue + j0 * stride, value, stride)
+
+
+def _l_hat_window(point: FareyPoint, N: int, M: int, stride: int = 1, residue: int = 0):
+    """(j0, values): l_hat at this point, the major-arc window at a/q of weight Upsilon and spacing lcm(q, y)."""
+    return major_arc_window(point.a, point.q, point.ell, point.upsilon, N, M, stride, residue)
 
 
 def _window_points(prog: Progression, q_cut: int) -> list[FareyPoint]:
@@ -342,7 +344,7 @@ def _window_points(prog: Progression, q_cut: int) -> list[FareyPoint]:
     a/q - 1/2 >= 1/(2q) exceeds the radius 1/(4 lcm^2), so their windows lie wholly above M/2.
     """
     points = farey_points(max(q_cut - 1, 1), prog)
-    return [p for p in points if p.q < q_cut and p.height > 0 and 2 * p.a <= p.q]
+    return [p for p in points if p.q < q_cut and p.height > 0 and p.center <= 0.5]
 
 
 def approximant_windows(N: int, prog: Progression, q_cut: int, M: int) -> list:

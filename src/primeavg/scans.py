@@ -70,7 +70,7 @@ def input_families(
     N: int,
     prog: Progression,
     rng: np.random.Generator,
-    densities=(3, 5),
+    densities,
     greedy: bool = False,
 ) -> dict[str, np.ndarray]:
     """Fixed a-priori test sets inside [0, N): intervals, progression segments,

@@ -18,6 +18,8 @@ import numpy as np
 
 # Hard ceiling on table entries unless PRIMEAVG_MEMORY_CAP overrides it.
 DEFAULT_MEMORY_CAP = 200_000_000
+# The paper's exponent J: the arc near 0 reaches (log N)^J / N, the Siegel-Walfisz range y <= (log x)^J.
+ARC_J = 2
 
 _TABLE_CACHE: dict[int, "ArithTables"] = {}
 _LAMBDA_CACHE: dict[int, np.ndarray] = {}
@@ -181,7 +183,7 @@ def psi_progression(x: int, prog: Progression) -> float:
     return float(von_mangoldt(x)[prog.indices(x)].sum())
 
 
-def sw_error_report(x_grid: list[int], prog: Progression, J: int = 2) -> list[dict]:
+def sw_error_report(x_grid: list[int], prog: Progression) -> list[dict]:
     """Relative error of Psi(x, y, b) against the main term x/phi(y).
 
     Rows carry (x, psi, main_term, rel_error) with
@@ -196,9 +198,9 @@ def sw_error_report(x_grid: list[int], prog: Progression, J: int = 2) -> list[di
     phi_y = phi(prog.y)
     rows = []
     for x in x_grid:
-        if prog.y > (math.log(max(x, 3))) ** J:
+        if prog.y > (math.log(max(x, 3))) ** ARC_J:
             warnings.warn(
-                f"y={prog.y} exceeds (log x)^J = {(math.log(x)) ** J:.3g} at x={x}",
+                f"y={prog.y} exceeds (log x)^J = {(math.log(x)) ** ARC_J:.3g} at x={x}",
                 stacklevel=2,
             )
         psi = psi_progression(x, prog)

@@ -298,8 +298,11 @@ def test_verify_divisor_identity_reports_pairs_checked(tmp_path):
         (["--t", "40", "--Q-list", "4", "8"], None),
         # M = 256 at Q = 4, so the average would hold 257 entries
         (["--Q-list", "4", "8"], "100"),
+        # Q = 0 divides by zero in the average, and a negative Q breaks the fit
+        (["--Q-list", "0", "4"], None),
+        (["--Q-list", "-4", "4"], None),
     ],
-    ids=["t_zero", "one_Q", "t_forty", "above_cap"],
+    ids=["t_zero", "one_Q", "t_forty", "above_cap", "Q_zero", "Q_negative"],
 )
 def test_ramanujan_avg_bad_input_exits_two_before_sieving(tmp_path, capsys, monkeypatch, bad, cap):
     import primeavg.cli as cli

@@ -227,8 +227,8 @@ def test_run_average_holds_less_than_transform():
 
 def test_input_families_deterministic():
     prog = Progression(3, 1)
-    a = input_families(1 << 10, prog, np.random.default_rng(5), greedy=True)
-    b = input_families(1 << 10, prog, np.random.default_rng(5), greedy=True)
+    a = input_families(1 << 10, prog, np.random.default_rng(5), (3, 5), greedy=True)
+    b = input_families(1 << 10, prog, np.random.default_rng(5), (3, 5), greedy=True)
     assert a.keys() == b.keys()
     for k in a:
         assert np.array_equal(a[k], b[k])
@@ -236,7 +236,7 @@ def test_input_families_deterministic():
 
 def test_input_families_contents():
     prog = Progression(3, 1)
-    fams = input_families(1 << 10, prog, np.random.default_rng(0), greedy=True)
+    fams = input_families(1 << 10, prog, np.random.default_rng(0), (3, 5), greedy=True)
     assert fams["interval"][-1] == (1 << 9) - 1
     assert all(v % 3 == 1 for v in fams["progression_segment"])
     assert "bernoulli_2^-3" in fams and "bernoulli_2^-5" in fams

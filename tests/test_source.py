@@ -69,12 +69,32 @@ def test_every_function_in_src_is_used_in_src():
     assert not unused, f"defined in src/ but referenced nowhere else there: {unused}"
 
 
+def _sources() -> dict[str, str]:
+    """The text of each module of the package, by file name."""
+    return {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+
+
 def test_grid_rule_is_written_once():
     # multiplier.check_grid alone decides whether a grid Z_M is usable, and
     # no grid check passes itself off as an out-of-memory error
-    source = "".join(path.read_text() for path in sorted(PACKAGE.glob("*.py")))
+    source = "".join(_sources().values())
     assert len(re.findall(r"([\w.]+) & \(\1 - 1\)", source)) == 1
     assert "MemoryError" not in source
+
+
+def test_major_arc_window_is_written_once():
+    # multiplier.major_arc_window alone evaluates a major-arc term: the l_hat
+    # windows and highlow's Phi spectrum (the window at 0/1) both call it
+    source = "".join(_sources().values())
+    assert len(re.findall(r"m_hat\([^()]*\) \* cutoff\(", source)) == 1
+
+
+def test_arc_exponent_is_written_once():
+    # the paper's exponent J, of the arc near 0 and of the Siegel-Walfisz
+    # range, is tables.ARC_J alone: no other module sets it or takes it
+    sources = _sources()
+    assert [name for name, text in sources.items() for _ in re.findall(r"\bARC_J = ", text)] == ["tables.py"]
+    assert not re.search(r"\bJ: int\b|[\"']J[\"'], \d", "".join(sources.values()))
 
 
 def _tracer():
