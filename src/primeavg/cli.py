@@ -34,14 +34,7 @@ from .expsums import (
     verify_height_classes,
     verify_progression_ramanujan,
 )
-from .fixtures import (
-    MEASUREMENTS,
-    check_fixture,
-    fixture_hash,
-    load_fixtures,
-    measure_fixture,
-    recipe_groups,
-)
+from .fixtures import RECIPES, check_fixture, fixture_hash, load_fixtures, measure_fixture, recipe_groups
 from .highlow import (
     DecompositionConfig,
     dual_path_rel,
@@ -186,29 +179,24 @@ def _identity_suites(
 
 
 def _verify_cell(cell: tuple) -> list[dict]:
-    """The rows of one verify cell: ("suites", sizes) or ("fixture", recipe name)."""
+    """The rows of one verify cell: ("suites", sizes), or ("fixtures", names of recipes sharing a sweep)."""
     kind, arg = cell
     if kind == "suites":
         return _identity_suites(**arg)
     fx = load_fixtures()
-    measured = measure_fixture(arg)
-    return [
-        {
-            "suite": "fixture",
-            "name": arg,
-            "measured": measured,
-            "value": fx[arg]["value"],
-            "tol": fx[arg]["tol"],
-            "kind": fx[arg]["kind"],
-            "pass": check_fixture(arg, measured, fx),
-        }
-    ]
+    rows = []
+    for name in arg:
+        measured = measure_fixture(name)
+        frozen = {key: fx[name][key] for key in ("value", "tol", "kind")}
+        rows.append({"suite": "fixture", "name": name, "measured": measured, **frozen,
+                     "pass": check_fixture(name, measured, fx)})
+    return rows
 
 
 def cmd_verify(cfg: dict) -> tuple[list[dict], dict, bool]:
-    names = cfg.get("fixture_names", sorted(MEASUREMENTS))
+    names = cfg.get("fixture_names", sorted(RECIPES))
     for name in names:
-        if name not in MEASUREMENTS:
+        if name not in RECIPES:
             raise ConfigError(f"unknown fixture name: {name}")
     defaults = {"qmax": 96, "ymax": 36, "max_tuples": 100_000, "cohen_qmax": 64, "cohen_ymax": 24}
     sizes = {key: cfg.get(key, default) for key, default in defaults.items()}
@@ -216,15 +204,17 @@ def cmd_verify(cfg: dict) -> tuple[list[dict], dict, bool]:
         if value < 1:
             raise ConfigError(f"{key} must be >= 1, got {value}")
     sizes["seed"] = cfg.get("seed", 0)
-    cells, groups = [("suites", sizes)], [[0]]
+    cells = [("suites", sizes)]
     if cfg.get("fixtures", True):
-        cells += [("fixture", name) for name in names]
-        groups += [[1 + i for i in group] for group in recipe_groups(names)]
+        cells += [("fixtures", group) for group in recipe_groups(names)]
     # the suites and the recipes are independent: one pool task for the suites
-    # and one per recipe, or per shared sweep; rows come back in cell order
-    rows = run_cells(_verify_cell, cells, os.cpu_count() or 1, groups)
+    # and one per group of recipes sharing a sweep; the fixture rows go back
+    # in the order of names
+    rows = run_cells(_verify_cell, cells, os.cpu_count() or 1)
     suite_rows = [r for r in rows if r["suite"] != "fixture"]
-    fixture_rows = [r for r in rows if r["suite"] == "fixture"]
+    by_name = {r["name"]: r for r in rows if r["suite"] == "fixture"}
+    fixture_rows = [by_name[name] for name in names if name in by_name]
+    rows = suite_rows + fixture_rows
 
     columns = ("suite", "name", "cases", "max_scaled_err", "measured", "value", "tol", "kind", "pass")
     ok = all(r["pass"] for r in rows if r["pass"] != "")
@@ -328,8 +318,8 @@ def cmd_improving(cfg: dict) -> tuple[list[dict], dict, bool]:
 def cmd_maximal(cfg: dict) -> tuple[list[dict], dict, bool]:
     lambdas = cfg.get("lambda_grid")
     # the weak ratio scales with lambda and the q_policy column is lambda^(r/2 - 1)
-    if lambdas is not None and not all(0.0 < lam < math.inf for lam in lambdas):
-        raise ConfigError(f"--lambda-grid needs positive finite values, got {lambdas}")
+    if lambdas is not None and not all(lam > 0.0 for lam in lambdas):
+        raise ConfigError(f"--lambda-grid needs positive values, got {lambdas}")
     rows, report = _run_scan(maximal_scan, cfg)
     ceiling = cfg.get("weak_ceiling", 1.0)
     summary = report["summary"]
@@ -390,15 +380,24 @@ def cmd_sw(cfg: dict) -> tuple[list[dict], dict, bool]:
 # ---------------------------------------------------------------------------
 # Argument parsing
 
+
+def finite_float(text: str) -> float:
+    """A float flag's value; nan and inf are rejected, as no float key has a use for them."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not finite")
+    return value
+
+
 # Every config key once, by the type its flag parses.  A list [type] is a
 # flag taking nargs="+"; a bool is a switch.  The flag of a key is "--" + key
 # with "_" written "-", except those in FLAGS.
 KEYS = {
     **dict.fromkeys("seed qmax ymax cohen_qmax cohen_ymax max_tuples N y b qcut M max_rows".split(), int),
     **dict.fromkeys("workers n_floor_factor t".split(), int),
-    **dict.fromkeys("r weak_ceiling exponent_cap".split(), float),
+    **dict.fromkeys("r weak_ceiling exponent_cap".split(), finite_float),
     **dict.fromkeys("Q_list N_list y_list x_grid".split(), [int]),
-    **dict.fromkeys("r_list lambda_grid".split(), [float]),
+    **dict.fromkeys("r_list lambda_grid".split(), [finite_float]),
     "out_dir": str, "fixture_names": [str], "fixtures": bool, "b_sweep": bool,
 }
 FLAGS = {"fixtures": "--no-fixtures"}  # a "--no-" switch stores False

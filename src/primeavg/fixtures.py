@@ -1,9 +1,10 @@
-"""Versioned measured constants and their comparison rules.
+"""Versioned measured constants, their comparison rules, and their recipes.
 
 Fixtures freeze quantities measured at bring-up (decay errors, ratio
 ceilings, fitted exponents).  Each entry carries a comparison kind:
 "upper"  -> measured <= value * (1 + tol)
 "close"  -> |measured - value| <= tol * |value|
+RECIPES re-measures each one: by a sweep, its arguments, and a read of its result.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import functools
 import hashlib
 import json
 import math
+import operator
 from importlib import resources
 
 import numpy as np
@@ -58,19 +60,20 @@ def check_fixture(name: str, measured: float, fixtures: dict | None = None) -> b
 # ---------------------------------------------------------------------------
 # Re-measurement recipes
 #
-# Each fixture can be reproduced from scratch; `verify --fixtures` and the
-# acceptance suite both go through this registry so the frozen constants and
-# the measurement procedure can never drift apart.  Shared sweeps are cached
-# per process.
+# `verify --fixtures` and the acceptance suite both measure through RECIPES,
+# so the frozen constants and their procedure cannot drift apart.  A row
+# name: (sweep, args, read) measures read(sweep(*args)); rows with one sweep
+# and args share a `verify` task (recipe_groups), so a sweep cached per
+# process runs once.  Each sweep is a function of this module calling the
+# library by its module-global name, where a tracer can rebind it.
 
 
-def _measure_near_zero(y: int, b: int, N: int) -> float:
-    return near_zero_error(N, Progression(y, b))
+def _measure_near_zero(N: int, prog: Progression) -> float:
+    return near_zero_error(N, prog)
 
 
-def _measure_residual_sup(y: int, b: int, N: int) -> float:
-    M = 4 * N
-    return approx_residual(N, Progression(y, b), 16, M, M)[0]
+def _measure_residual_sup(N: int, prog: Progression) -> float:
+    return approx_residual(N, prog, 16, 4 * N, 4 * N)[0]
 
 
 def _measure_dual_path_worst() -> float:
@@ -86,44 +89,42 @@ def _measure_dual_path_worst() -> float:
     return worst
 
 
+BOURGAIN_Q = (4, 8, 16, 32)
+
+
 @functools.cache
-def _bourgain_sweep(y: int, b: int) -> list[float]:
-    return [bourgain_average(Q, 16 * y * Q * Q, Progression(y, b), 2) for Q in (4, 8, 16, 32)]
+def _bourgain_sweeps() -> dict[int, list[float]]:
+    """The t = 2 averages over M = 16 y Q^2 at each Q of BOURGAIN_Q, by y, at b = default_residue(y)."""
+    return {
+        y: [bourgain_average(Q, 16 * y * Q * Q, Progression(y, default_residue(y)), 2) for Q in BOURGAIN_Q]
+        for y in (1, 5, 12)
+    }
 
 
-def _measure_bourgain_exponent(y: int, b: int) -> float:
-    return fit_exponent([4.0, 8.0, 16.0, 32.0], _bourgain_sweep(y, b))
+def _bourgain_exponent(y: int, sweeps: dict) -> float:
+    return fit_exponent(BOURGAIN_Q, sweeps[y])
 
 
-def _measure_bourgain_ceiling() -> float:
-    return max(
-        v / Q**1.25
-        for y, b in ((1, 0), (5, 1), (12, 1))
-        for v, Q in zip(_bourgain_sweep(y, b), (4, 8, 16, 32))
-    )
+def _bourgain_ceiling(sweeps: dict) -> float:
+    return max(v / Q**1.25 for values in sweeps.values() for v, Q in zip(values, BOURGAIN_Q))
 
 
-def hi_decay_family(N: int) -> list:
-    """Inputs probing the High operator norm: interval, Bernoulli set, and
-    progressions of every modulus below the denominator ceiling (the sharp
-    class: their spectra spike exactly on the Farey points)."""
+def _measure_hi_decay_slope(prog: Progression) -> float:
+    N, M = 1 << 16, 1 << 18
+    # inputs probing the High operator norm: interval, Bernoulli set, and
+    # progressions of every modulus below the denominator ceiling (the sharp
+    # class: their spectra spike exactly on the Farey points)
     rng = np.random.default_rng(7)
     fams = [np.arange(N // 8), np.flatnonzero(rng.random(N) < 0.125)]
     fams += [np.arange(0, N, qp) for qp in range(2, 32)]
-    return fams
-
-
-def _measure_hi_decay_slope(y: int, b: int) -> float:
-    N, M, prog = 1 << 16, 1 << 18, Progression(y, b)
-    fams = hi_decay_family(N)
     cfgs = [DecompositionConfig(N=N, prog=prog, Q=Q, M=M, q_cut=32) for Q in (2, 4, 8, 16)]
     windows = approximant_windows(N, prog, 32, M)
     his = [hi_hat_profile(cfg, windows) for cfg in cfgs]
     return fit_exponent([2.0, 4.0, 8.0, 16.0], hi_l2_ratios(his, fams).max(axis=0))
 
 
-def _measure_improving_max(y: int, b: int) -> float:
-    rows = _improving_cell((1 << 16, y, b, [1.5], IMPROVING_DENSITIES, 0))
+def _measure_improving_max(prog: Progression) -> float:
+    rows = _improving_cell((1 << 16, prog.y, prog.b, [1.5], IMPROVING_DENSITIES, 0))
     return max(row["ratio"] for row in rows)
 
 
@@ -154,78 +155,60 @@ def multifrequency_adapted_ratios(D: int = 12, M: int = 1 << 18) -> list[float]:
     return out
 
 
-def _measure_lo_linf(y: int, b: int) -> float:
+def _measure_lo_linf(prog: Progression) -> float:
     N = 1 << 14
-    cfg = DecompositionConfig(N=N, prog=Progression(y, b), Q=4, M=1 << 16)
-    if y == 1:
-        F = np.arange(N // 8)
-    else:
-        F = np.arange(b, N, y)
+    cfg = DecompositionConfig(N=N, prog=prog, Q=4, M=1 << 16)
+    F = np.arange(N // 8) if prog.y == 1 else np.arange(prog.b, N, prog.y)
     return lo_linf_ratio(lo_hat_profile(cfg), cfg, F, 1.5)
 
 
-def _measure_sw_rel_error(y: int, b: int) -> float:
-    rows = sw_error_report([10**6], Progression(y, b))
-    return rows[0]["rel_error"]
+def _measure_sw_rel_error(prog: Progression) -> float:
+    return sw_error_report([10**6], prog)[0]["rel_error"]
 
 
-MEASUREMENTS = {
-    "near_zero_y1_N12": lambda: _measure_near_zero(1, 0, 1 << 12),
-    "near_zero_y1_N16": lambda: _measure_near_zero(1, 0, 1 << 16),
-    "near_zero_y1_N20": lambda: _measure_near_zero(1, 0, 1 << 20),
-    "near_zero_y3_N12": lambda: _measure_near_zero(3, 1, 1 << 12),
-    "near_zero_y3_N16": lambda: _measure_near_zero(3, 1, 1 << 16),
-    "near_zero_y3_N20": lambda: _measure_near_zero(3, 1, 1 << 20),
-    "residual_sup_y1_N12": lambda: _measure_residual_sup(1, 0, 1 << 12),
-    "residual_sup_y1_N20": lambda: _measure_residual_sup(1, 0, 1 << 20),
-    "residual_sup_y3_N12": lambda: _measure_residual_sup(3, 1, 1 << 12),
-    "residual_sup_y3_N20": lambda: _measure_residual_sup(3, 1, 1 << 20),
-    "dual_path_worst_rel": _measure_dual_path_worst,
-    "bourgain_ratio_ceiling_t2": _measure_bourgain_ceiling,
-    "bourgain_exponent_y1": lambda: _measure_bourgain_exponent(1, 0),
-    "bourgain_exponent_y5": lambda: _measure_bourgain_exponent(5, 1),
-    "bourgain_exponent_y12": lambda: _measure_bourgain_exponent(12, 1),
-    "hi_decay_slope_y1": lambda: _measure_hi_decay_slope(1, 0),
-    "hi_decay_slope_y3": lambda: _measure_hi_decay_slope(3, 1),
-    "improving_max_y1_r15": lambda: _measure_improving_max(1, 0),
-    "improving_max_y3_r15": lambda: _measure_improving_max(3, 1),
-    "improving_max_y5_r15": lambda: _measure_improving_max(5, 1),
-    "maximal_weak_ceiling": lambda: _maximal_summary()["max_weak_ratio"],
-    "maximal_b_variation_y5": lambda: _maximal_summary()["b_variation"]["5"],
-    "multifrequency_d12_constant": lambda: max(multifrequency_adapted_ratios()),
-    "multifrequency_d12_spread": lambda: (
-        lambda r: max(r) / min(r)
-    )(multifrequency_adapted_ratios()),
-    "lo_linf_interval_y1": lambda: _measure_lo_linf(1, 0),
-    "lo_linf_progression_y3": lambda: _measure_lo_linf(3, 1),
-    "sw_rel_error_1e6_y1": lambda: _measure_sw_rel_error(1, 0),
-    "sw_rel_error_1e6_y3": lambda: _measure_sw_rel_error(3, 1),
-}
+_Y1, _Y3, _Y5 = Progression(1, 0), Progression(3, 1), Progression(5, 1)
 
-
-# Recipes that read one per-process cached sweep, by sweep: `verify` runs each
-# group as one task, so the sweep runs once.
-SHARED_SWEEPS = {
-    "_bourgain_sweep": (
-        "bourgain_ratio_ceiling_t2",
-        "bourgain_exponent_y1",
-        "bourgain_exponent_y5",
-        "bourgain_exponent_y12",
-    ),
-    "_maximal_summary": ("maximal_weak_ceiling", "maximal_b_variation_y5"),
-    "multifrequency_adapted_ratios": ("multifrequency_d12_constant", "multifrequency_d12_spread"),
+RECIPES = {
+    "near_zero_y1_N12": (_measure_near_zero, (1 << 12, _Y1), float),
+    "near_zero_y1_N16": (_measure_near_zero, (1 << 16, _Y1), float),
+    "near_zero_y1_N20": (_measure_near_zero, (1 << 20, _Y1), float),
+    "near_zero_y3_N12": (_measure_near_zero, (1 << 12, _Y3), float),
+    "near_zero_y3_N16": (_measure_near_zero, (1 << 16, _Y3), float),
+    "near_zero_y3_N20": (_measure_near_zero, (1 << 20, _Y3), float),
+    "residual_sup_y1_N12": (_measure_residual_sup, (1 << 12, _Y1), float),
+    "residual_sup_y1_N20": (_measure_residual_sup, (1 << 20, _Y1), float),
+    "residual_sup_y3_N12": (_measure_residual_sup, (1 << 12, _Y3), float),
+    "residual_sup_y3_N20": (_measure_residual_sup, (1 << 20, _Y3), float),
+    "dual_path_worst_rel": (_measure_dual_path_worst, (), float),
+    "bourgain_ratio_ceiling_t2": (_bourgain_sweeps, (), _bourgain_ceiling),
+    "bourgain_exponent_y1": (_bourgain_sweeps, (), functools.partial(_bourgain_exponent, 1)),
+    "bourgain_exponent_y5": (_bourgain_sweeps, (), functools.partial(_bourgain_exponent, 5)),
+    "bourgain_exponent_y12": (_bourgain_sweeps, (), functools.partial(_bourgain_exponent, 12)),
+    "hi_decay_slope_y1": (_measure_hi_decay_slope, (_Y1,), float),
+    "hi_decay_slope_y3": (_measure_hi_decay_slope, (_Y3,), float),
+    "improving_max_y1_r15": (_measure_improving_max, (_Y1,), float),
+    "improving_max_y3_r15": (_measure_improving_max, (_Y3,), float),
+    "improving_max_y5_r15": (_measure_improving_max, (_Y5,), float),
+    "maximal_weak_ceiling": (_maximal_summary, (), operator.itemgetter("max_weak_ratio")),
+    "maximal_b_variation_y5": (_maximal_summary, (), lambda summary: summary["b_variation"]["5"]),
+    "multifrequency_d12_constant": (multifrequency_adapted_ratios, (), max),
+    "multifrequency_d12_spread": (multifrequency_adapted_ratios, (), lambda r: max(r) / min(r)),
+    "lo_linf_interval_y1": (_measure_lo_linf, (_Y1,), float),
+    "lo_linf_progression_y3": (_measure_lo_linf, (_Y3,), float),
+    "sw_rel_error_1e6_y1": (_measure_sw_rel_error, (_Y1,), float),
+    "sw_rel_error_1e6_y3": (_measure_sw_rel_error, (_Y3,), float),
 }
 
 
 def measure_fixture(name: str) -> float:
-    return float(MEASUREMENTS[name]())
+    sweep, args, read = RECIPES[name]
+    return float(read(sweep(*args)))
 
 
-def recipe_groups(names: list[str]) -> list[list[int]]:
-    """Indices into names, one list per task: the recipes of one shared sweep
-    together, every other recipe alone; each list in name order."""
-    sweep = {name: key for key, members in SHARED_SWEEPS.items() for name in members}
-    groups: dict[str, list[int]] = {}
-    for i, name in enumerate(names):
-        groups.setdefault(sweep.get(name, name), []).append(i)
+def recipe_groups(names: list[str]) -> list[list[str]]:
+    """names grouped by their recipe's (sweep, args), one list per `verify` task, each in name order."""
+    groups: dict[tuple, list[str]] = {}
+    for name in names:
+        sweep, args, _ = RECIPES[name]
+        groups.setdefault((sweep, args), []).append(name)
     return list(groups.values())

@@ -92,6 +92,12 @@ def input_families(
     return fams
 
 
+def _check_segment(N: int, y: int, b: int) -> None:
+    """Reject an N whose segment {1 <= n < N/2 : n = b mod y} is empty: its first member is b, or y at b = 0."""
+    if N // 2 <= (b or y):
+        raise ValueError(f"N={N} leaves the progression segment of y={y}, b={b} below N/2 empty")
+
+
 def _run_steps(y: int) -> dict[str, int]:
     """The step of each input family that is an arithmetic run, by name."""
     return {"interval": 1, "progression_segment": y}
@@ -140,33 +146,27 @@ def run_averages(N_list, prog: Progression, F: np.ndarray, step: int):
 # Improving scan
 
 
-def run_cells(cell_fn, cells: list, workers: int, groups: list[list[int]] | None = None) -> list:
+def run_cells(cell_fn, cells: list, workers: int) -> list:
     """Rows of every cell in cell order, on a pool of up to `workers` processes.
 
-    Each group (a list of cell indices; by default every cell alone) runs as
-    one task, its cells in the order listed, so cells that share a
-    per-process cache can share one process.  When min(workers, tasks)
-    exceeds one, every task runs in the pool; otherwise all run here, in order.
-    The warnings of each cell are recorded where it runs and raised again
-    here in cell order, as a serial run would raise them.  The pool forks
-    where the platform can, so the workers inherit the tables the parent
-    sieved; other start methods re-sieve in each worker.
+    Each cell runs as one task.  When min(workers, cells) exceeds one, every
+    cell runs in the pool; otherwise all run here, in order.  The warnings of
+    each cell are recorded where it runs and raised again here in cell
+    order, as a serial run would raise them.  The pool forks where the
+    platform can, so the workers inherit the tables the parent sieved; other
+    start methods re-sieve in each worker.
     """
-    groups = groups if groups is not None else [[i] for i in range(len(cells))]
-    tasks = [[cells[i] for i in group] for group in groups]
     run = functools.partial(_run_task, cell_fn)
-    workers = min(workers, len(tasks))
+    workers = min(workers, len(cells))
     if workers > 1:
         fork = "fork" in multiprocessing.get_all_start_methods()
         context = multiprocessing.get_context("fork") if fork else None
         with concurrent.futures.ProcessPoolExecutor(workers, mp_context=context) as pool:
-            done = list(pool.map(run, tasks))
+            done = list(pool.map(run, cells))
     else:
-        done = [run(task) for task in tasks]
-    by_cell = {i: out for group, outs in zip(groups, done) for i, out in zip(group, outs)}
+        done = [run(cell) for cell in cells]
     rows = []
-    for i in range(len(cells)):
-        cell_rows, caught = by_cell[i]
+    for cell_rows, caught in done:
         for message, category, filename, lineno in caught:
             warnings.warn_explicit(message, category, filename, lineno)
         rows += cell_rows
@@ -186,14 +186,11 @@ def _run_scan_cells(cell_fn, cells: list, N_max: int, y_list, workers: int) -> l
     return run_cells(cell_fn, cells, workers)
 
 
-def _run_task(cell_fn, cells: list) -> list[tuple[list, list]]:
-    """(rows, warnings as (message, category, filename, lineno)) of each cell."""
-    out = []
-    for cell in cells:
-        with warnings.catch_warnings(record=True) as caught:
-            rows = cell_fn(cell)
-        out.append((rows, [(w.message, w.category, w.filename, w.lineno) for w in caught]))
-    return out
+def _run_task(cell_fn, cell) -> tuple[list, list]:
+    """(rows, warnings as (message, category, filename, lineno)) of one cell."""
+    with warnings.catch_warnings(record=True) as caught:
+        rows = cell_fn(cell)
+    return rows, [(w.message, w.category, w.filename, w.lineno) for w in caught]
 
 
 def _improving_cell(payload: tuple) -> list[dict]:
@@ -253,6 +250,7 @@ def improving_scan(
         for N in N_list:
             if N < floor * y:
                 raise ValueError(f"N={N} below desk-scale floor {floor}*y for y={y}")
+            _check_segment(N, y, default_residue(y))
             cells.append((N, y, default_residue(y), list(r_list), IMPROVING_DENSITIES, seed))
     rows = _run_scan_cells(_improving_cell, cells, max(N_list, default=0), y_list, workers)
 
@@ -349,8 +347,8 @@ def maximal_scan(
     seed = int(seed)
     b_sweep = bool(b_sweep)
     floor = int(n_floor_factor)
-    if r < 1.0:
-        raise ValueError(f"r must be >= 1, got {r}")
+    if not 1.0 <= r < math.inf:
+        raise ValueError(f"r must be >= 1 and finite, got {r}")
 
     cells = []
     for y in y_list:
@@ -358,6 +356,7 @@ def maximal_scan(
             raise ValueError(f"min N below desk-scale floor {floor}*y for y={y}")
         bs = [int(v) for v in reduced_residues(y)] if b_sweep else [default_residue(y)]
         for b in bs:
+            _check_segment(min(N_list), y, b)
             cells.append((list(N_list), y, b, r, lambdas, MAXIMAL_DENSITIES, seed))
     rows = _run_scan_cells(_maximal_cell, cells, max(N_list, default=0), y_list, workers)
 

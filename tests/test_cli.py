@@ -536,11 +536,16 @@ def test_verify_artifacts_equal_serial_run(tmp_path, monkeypatch):
              "bourgain_ratio_ceiling_t2"]
     groups = []
     run_cells = cli.run_cells
-    monkeypatch.setattr(cli, "run_cells", lambda *a: groups.append(a[3]) or run_cells(*a))
+
+    def spy(cell_fn, cells, workers):
+        groups.append([group for _, group in cells[1:]])
+        return run_cells(cell_fn, cells, workers)
+
+    monkeypatch.setattr(cli, "run_cells", spy)
     outputs = []
     for workers in (2, 1):
-        for sweep in fixtures.SHARED_SWEEPS:
-            getattr(fixtures, sweep).cache_clear()
+        for sweep in (fixtures._bourgain_sweeps, fixtures._maximal_summary, fixtures.multifrequency_adapted_ratios):
+            sweep.cache_clear()
         monkeypatch.setattr(os, "cpu_count", lambda: workers)
         out = tmp_path / str(workers)
         rc = main(["verify", "--qmax", "12", "--ymax", "4", "--cohen-qmax", "8", "--cohen-ymax", "4",
@@ -549,8 +554,39 @@ def test_verify_artifacts_equal_serial_run(tmp_path, monkeypatch):
         outputs.append([(out / f"verify.{ext}").read_bytes() for ext in ("csv", "json")])
     assert outputs[0] == outputs[1]
     assert len(json.loads(outputs[1][1])["warnings"]) >= 2
-    # the suites, then the recipes by task: the two bourgain recipes share one
-    assert groups == [[[0], [1], [2, 4], [3]]] * 2
+    # one fixture cell per task: the two bourgain recipes share one; the rows
+    # go back in the order the names were given
+    assert groups == [[["residual_sup_y1_N12"], ["bourgain_exponent_y1", "bourgain_ratio_ceiling_t2"],
+                       ["lo_linf_interval_y1"]]] * 2
+    rows = _read_csv(tmp_path / "1" / "verify.csv")
+    assert [row["name"] for row in rows if row["suite"] == "fixture"] == names
+
+
+def test_verify_lists_repeated_fixture_names_in_given_order(tmp_path):
+    # a repeated name shares its group's task with its first occurrence, but
+    # its row stays where it was given
+    names = ["sw_rel_error_1e6_y1", "sw_rel_error_1e6_y3", "sw_rel_error_1e6_y1"]
+    rc = main(["verify", "--qmax", "4", "--ymax", "2", "--cohen-qmax", "4", "--cohen-ymax", "2",
+               "--max-tuples", "10", "--fixture-names", *names, "--out-dir", str(tmp_path)])
+    assert rc == 0
+    rows = _read_csv(tmp_path / "verify.csv")
+    assert [row["name"] for row in rows if row["suite"] == "fixture"] == names
+    assert json.loads((tmp_path / "verify.json").read_text())["fixtures_checked"] == 3
+
+
+def _forbid_work(monkeypatch, why):
+    """Make every sieve, and verify's pool, fail the test with why."""
+    import primeavg
+    from primeavg import cli, expsums, multiplier, tables
+
+    def must_not_run(*args, **kwargs):
+        pytest.fail(why)
+
+    for module in (primeavg, cli, expsums, fixtures, multiplier, scans):
+        monkeypatch.setattr(module, "build_tables", must_not_run)
+    for module in (primeavg, multiplier, scans, tables):
+        monkeypatch.setattr(module, "von_mangoldt", must_not_run)
+    monkeypatch.setattr(cli, "run_cells", must_not_run)
 
 
 @pytest.mark.parametrize(
@@ -570,17 +606,7 @@ def test_verify_artifacts_equal_serial_run(tmp_path, monkeypatch):
 )
 def test_config_value_of_wrong_type_exits_two_before_sieving(tmp_path, capsys, monkeypatch, command, config, flag):
     # a config-file value is parsed as its flag would parse it, before any work
-    import primeavg
-    from primeavg import cli, expsums, multiplier, tables
-
-    def must_not_run(*args, **kwargs):
-        pytest.fail("work started before the config file's values were checked")
-
-    for module in (primeavg, cli, expsums, fixtures, multiplier, scans):
-        monkeypatch.setattr(module, "build_tables", must_not_run)
-    for module in (primeavg, multiplier, scans, tables):
-        monkeypatch.setattr(module, "von_mangoldt", must_not_run)
-    monkeypatch.setattr(cli, "run_cells", must_not_run)
+    _forbid_work(monkeypatch, "work started before the config file's values were checked")
     (tmp_path / "cfg.json").write_text(json.dumps(config))
     out = tmp_path / "out"
     rc = main([command, "--config", str(tmp_path / "cfg.json"), "--out-dir", str(out)])
@@ -598,3 +624,60 @@ def test_config_values_parse_as_their_flags(tmp_path):
     assert rc == 0
     report = json.loads((tmp_path / "improving.json").read_text())
     assert report["parameters"]["N_list"] == [1024, 2048]
+
+
+def _exit_code(argv):
+    """main's exit code, also when argparse rejects a flag by raising SystemExit."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize(
+    "command, key",
+    [("maximal", "r"), ("improving", "r_list"), ("maximal", "lambda_grid"), ("maximal", "weak_ceiling"),
+     ("ramanujan-avg", "exponent_cap")],
+)
+def test_non_finite_float_exits_two_before_sieving(tmp_path, capsys, monkeypatch, command, key, source, value):
+    # nan passed every comparison of the checks as false, so maximal --r nan
+    # passed with NaN in its JSON; every float key now takes finite values only
+    _forbid_work(monkeypatch, "work started before the float values were checked")
+    flag = "--" + key.replace("_", "-")
+    if source == "flag":
+        argv = [flag, value]
+    else:
+        # json writes the floats nan and inf as NaN and Infinity, which json.load reads back
+        number = float(value)
+        config = {key: [number] if key.endswith(("list", "grid")) else number}
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = ["--config", str(tmp_path / "cfg.json")]
+    scan = ["--N-list", "8192", "--y-list", "1", "--workers", "1"] if command != "ramanujan-avg" else []
+    out = tmp_path / "out"
+    assert _exit_code([command, *scan, *argv, "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert flag in err and "finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["improving", "--N-list", "2", "--y-list", "1"],
+         "N=2 leaves the progression segment of y=1, b=0 below N/2 empty"),
+        (["maximal", "--N-list", "2", "8192", "--y-list", "5", "--b-sweep"],
+         "N=2 leaves the progression segment of y=5, b=1 below N/2 empty"),
+    ],
+    ids=["improving", "maximal"],
+)
+def test_empty_progression_segment_exits_two_before_sieving(tmp_path, capsys, monkeypatch, argv, message):
+    # the segment {1 <= n < N/2 : n = b mod y} is an input family of both
+    # scans; empty, it broke their running sums with a numpy message
+    _forbid_work(monkeypatch, "tables were sieved before the segment was checked")
+    rc = main([*argv, "--n-floor-factor", "0", "--workers", "1", "--out-dir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and message in err
+    assert not list(tmp_path.iterdir())

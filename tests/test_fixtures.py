@@ -4,13 +4,7 @@ import os
 import pytest
 
 from primeavg import fixtures
-from primeavg.fixtures import (
-    MEASUREMENTS,
-    check_fixture,
-    load_fixtures,
-    measure_fixture,
-    recipe_groups,
-)
+from primeavg.fixtures import RECIPES, check_fixture, load_fixtures, measure_fixture, recipe_groups
 from primeavg.scans import run_cells
 
 # The recipes that no other test runs; each must reproduce its frozen value, so
@@ -51,9 +45,9 @@ def _sweeps_missed(name: str) -> list[set[str]]:
 
 
 def test_recipes_missing_on_one_sweep_share_a_task():
-    names = sorted(MEASUREMENTS)
+    names = sorted(RECIPES)
     missed = dict(zip(names, run_cells(_sweeps_missed, names, os.cpu_count() or 1)))
-    task = {names[i]: k for k, group in enumerate(recipe_groups(names)) for i in group}
+    task = {name: k for k, group in enumerate(recipe_groups(names)) for name in group}
     shared = [(a, b) for a, b in itertools.combinations(names, 2) if missed[a] & missed[b]]
     assert shared
     for a, b in shared:

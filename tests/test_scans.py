@@ -396,10 +396,9 @@ def _warning_cell(cell):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_run_cells_returns_rows_and_warnings_in_cell_order(workers):
-    # groups interleave, so task order differs from cell order
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        rows = run_cells(_warning_cell, list("abcde"), workers, [[0, 3], [1], [2, 4]])
+        rows = run_cells(_warning_cell, list("abcde"), workers)
     assert rows == list("abcde")
     assert [str(w.message) for w in caught] == [f"cell {c}" for c in "abcde"]
 

@@ -97,6 +97,17 @@ def test_arc_exponent_is_written_once():
     assert not re.search(r"\bJ: int\b|[\"']J[\"'], \d", "".join(sources.values()))
 
 
+def test_recipe_sweeps_are_fixtures_functions_with_hashable_keys():
+    # the benchmark tracer rebinds library names in the fixtures module's
+    # globals, so a sweep defined elsewhere would run untraced; recipe_groups
+    # keys its tasks on (sweep, args)
+    from primeavg.fixtures import RECIPES
+
+    for name, (sweep, args, _) in RECIPES.items():
+        assert sweep.__module__ == "primeavg.fixtures", name
+        hash((sweep, args))
+
+
 def _tracer():
     """perfbench/tracer.py, loaded by path without installing it."""
     spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
