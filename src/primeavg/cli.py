@@ -206,10 +206,10 @@ def cmd_verify(cfg: dict) -> tuple[list[dict], dict, bool]:
     sizes["seed"] = cfg.get("seed", 0)
     cells = [("suites", sizes)]
     if cfg.get("fixtures", True):
-        cells += [("fixtures", group) for group in recipe_groups(names)]
+        cells += [("fixtures", group) for group in recipe_groups(list(dict.fromkeys(names)))]
     # the suites and the recipes are independent: one pool task for the suites
-    # and one per group of recipes sharing a sweep; the fixture rows go back
-    # in the order of names
+    # and one per group of recipes sharing a sweep, each name measured once;
+    # the fixture rows go back in the order of names, a repeated name at each place
     rows = run_cells(_verify_cell, cells, os.cpu_count() or 1)
     suite_rows = [r for r in rows if r["suite"] != "fixture"]
     by_name = {r["name"]: r for r in rows if r["suite"] == "fixture"}

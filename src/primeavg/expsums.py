@@ -3,8 +3,10 @@
 Two routes exist for every identity: a direct complex summation over reduced
 residues, and a closed form.  The direct sums are treated as ground truth;
 verification sweeps compare the two, vectorised, and report the worst
-discrepancy.  The pointwise direct sums and the identity checks that only
-tests call are the sweeps' oracles, in tests/oracles.py.
+discrepancy.  The one, vectorised closed form of the progression Ramanujan
+sum that the sweeps check also gives every Farey point its Upsilon.  The
+pointwise sums and the identity checks that only tests call are the sweeps'
+oracles, in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -83,36 +85,57 @@ def _progression_residues(q: int, y: int, b: int) -> np.ndarray:
 
 
 def _cofactor_shift(g: int, q: int) -> int:
-    """t with 1 - g*gbar = (q/g) t, gbar the inverse of g mod q/g; t=1 if g=q."""
-    if g == q:
-        return 1
+    """t with 1 - g*gbar = (q/g) t, gbar the inverse of g mod q/g (t = 1 at g = q)."""
     m = q // g
     gbar = pow(g, -1, m)
     return (1 - g * gbar) // m
 
 
-def progression_ramanujan_closed(q: int, y: int, b: int, a: int, tables: ArithTables) -> complex:
-    """Three-case closed form of the progression-restricted Ramanujan sum."""
-    g = math.gcd(q, y)
-    if math.gcd(a, q) != 1:
-        raise ValueError(f"gcd(a, q) must be 1, got a={a}, q={q}")
-    if math.gcd(b, g) != 1:
-        raise ValueError(f"gcd(b, g) must be 1, got b={b}, g={g}")
-    if g == q:
-        return complex(_e((a * b % q) / q))
-    if math.gcd(g, q // g) > 1:
-        return 0j
-    t = _cofactor_shift(g, q)
-    mu = int(tables.mobius[q // g])
-    return complex(mu * _e((a * b * t % g) / g))
+def _degenerate(q, g):
+    """Whether g = gcd(q, y) < q shares a factor with q/g, which zeroes the progression sums; ints or arrays."""
+    gcd = np.gcd if isinstance(g, np.ndarray) else math.gcd  # a scalar np.gcd costs about 30 math.gcd calls
+    return (g < q) & (gcd(g, q // g) > 1)
 
 
-def gauss_upsilon_closed(a: int, q: int, y: int, b: int, tables: ArithTables) -> complex:
-    """Upsilon(a, q) = (phi(y)/phi(l)) times the conjugate of progression_ramanujan_closed."""
-    if math.gcd(b, y) != 1:
-        raise ValueError(f"gcd(b, y) must be 1, got b={b}, y={y}")
-    ratio = tables.totient[y] / tables.totient[math.lcm(y, q)]
-    return complex(ratio * progression_ramanujan_closed(q, y, b, a, tables).conjugate())
+def progression_ramanujan_direct_batch(q: int, y: np.ndarray, b: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Sums of e(ra/q) over r in A_q with r = b mod gcd(q, y), for valid tuples (q, y[i], b[i], a[i]) sharing q.
+
+    One product of the e(ra/q) matrix over A_q with the masks of the distinct classes b mod gcd(q, y);
+    progression_ramanujan_direct (tests/oracles.py) is the pointwise oracle.
+    """
+    g = np.gcd(q, y)
+    r = reduced_residues(q)
+    # one integer g*q + (b mod g) per class; b mod g < g <= q, so both parts decode
+    classes, which = np.unique(g * q + b % g, return_inverse=True)
+    in_class = r % (classes // q)[:, None] == (classes % q)[:, None]
+    return (_e(np.outer(np.arange(q), r) / q) @ in_class.T)[a, which]
+
+
+def progression_ramanujan_closed(q: int, y: np.ndarray, b: np.ndarray, a: np.ndarray, tables: ArithTables):
+    """Three-case closed form of the sums of progression_ramanujan_direct_batch, one array expression per g.
+
+    With g = gcd(q, y): e(ab/q) when g = q; 0 when g and q/g share a factor;
+    otherwise mu(q/g) e(abt/g), t the cofactor shift.
+    progression_ramanujan_closed_pointwise (tests/oracles.py) is the oracle.
+    """
+    g = np.gcd(q, y)
+    closed = np.zeros(len(a), dtype=np.complex128)
+    for gv in set(g.tolist()):  # np.unique would import numpy.ma, 2.5 MB of approx's peak RSS
+        sel = g == gv
+        ab = a[sel] * b[sel]
+        if gv == q:
+            closed[sel] = _e((ab % q) / q)
+        elif not _degenerate(q, gv):
+            mu = int(tables.mobius[q // gv])
+            closed[sel] = mu * _e((ab * _cofactor_shift(gv, q) % gv) / gv)
+    return closed
+
+
+def _upsilon(q: int, y: np.ndarray, sums: np.ndarray, tables: ArithTables) -> np.ndarray:
+    """Upsilon(a, q) of tuples from their progression sums: phi(y)/phi(lcm(y, q)) times the conjugate."""
+    # phi(y) / phi(l) is exactly 1 when q | y, so those sums keep their values
+    ratio = tables.totient[y] / tables.totient[np.lcm(y, q)]
+    return ratio * sums.conj()
 
 
 # ---------------------------------------------------------------------------
@@ -123,10 +146,7 @@ def height(q: int, y: int) -> int:
     """Ramanujan height h_y(q): lcm(y,q)/y, or 0 in the degenerate gcd case."""
     if q < 1 or y < 1:
         raise ValueError("q, y must be >= 1")
-    g = math.gcd(q, y)
-    if 1 < g < q and math.gcd(g, q // g) > 1:
-        return 0
-    return math.lcm(y, q) // y
+    return 0 if _degenerate(q, math.gcd(q, y)) else math.lcm(y, q) // y
 
 
 @dataclass(frozen=True)
@@ -141,16 +161,25 @@ class FareyPoint:
     height: int
     upsilon: complex
 
-    @classmethod
-    def build(cls, a: int, q: int, prog: Progression, tables: ArithTables) -> "FareyPoint":
-        ell = math.lcm(q, prog.y)
-        h = height(q, prog.y)
-        ups = gauss_upsilon_closed(a, q, prog.y, prog.b, tables) if h > 0 else 0j
-        return cls(a=a, q=q, y=prog.y, b=prog.b, ell=ell, height=h, upsilon=ups)
-
     @property
     def center(self) -> float:
         return self.a / self.q
+
+
+def farey_points(Qmax: int, prog: Progression) -> list[FareyPoint]:
+    """All reduced a/q in [0, 1) with q <= Qmax, each q's Upsilon one closed-form call over A_q."""
+    if Qmax < 1:
+        raise ValueError("Qmax must be >= 1")
+    y, b = prog.y, prog.b
+    tables = build_tables(max(2, y * Qmax))  # lcm(y, q) <= y * Qmax
+    points = []
+    for q in range(1, Qmax + 1):
+        a = reduced_residues(q)
+        ys, bs = np.full_like(a, y), np.full_like(a, b)
+        ups = _upsilon(q, ys, progression_ramanujan_closed(q, ys, bs, a, tables), tables)
+        ell, h = math.lcm(q, y), height(q, y)
+        points += [FareyPoint(ai, q, y, b, ell, h, u) for ai, u in zip(a.tolist(), ups.tolist())]
+    return points
 
 
 def height_class_counts(y: int, rmax: int, tables: ArithTables) -> np.ndarray:
@@ -162,7 +191,7 @@ def height_class_counts(y: int, rmax: int, tables: ArithTables) -> np.ndarray:
     """
     q = np.arange(1, y * rmax + 1)
     g = np.gcd(q, y)
-    h = np.where((g > 1) & (g < q) & (np.gcd(g, q // g) > 1), 0, q // g)
+    h = np.where(_degenerate(q, g), 0, q // g)
     counts = np.bincount(h, weights=tables.totient[q], minlength=rmax + 1)
     return counts[1 : rmax + 1].astype(np.int64)
 
@@ -230,43 +259,6 @@ def verify_gauss_upsilon(
     return _verify_sampled(qmax, ymax, max_tuples, seed)[1]
 
 
-def progression_ramanujan_batch(
-    q: int, y: np.ndarray, b: np.ndarray, a: np.ndarray, tables: ArithTables
-) -> tuple[np.ndarray, np.ndarray]:
-    """Direct and closed progression Ramanujan sums of the tuples (q, y[i], b[i], a[i]).
-
-    The tuples share q and are valid: a in A_q, gcd(b, gcd(q, y)) = 1.  The
-    direct sums are one product of the e(ra/q) matrix over A_q with the
-    masks of the distinct classes b mod g, g = gcd(q, y); the closed form is
-    one array expression per distinct g.  The pointwise
-    progression_ramanujan_direct (tests/oracles.py) and
-    progression_ramanujan_closed are the oracles.
-    """
-    g = np.gcd(q, y)
-    r = reduced_residues(q)
-    # one integer g*q + (b mod g) per class; b mod g < g <= q, so both parts decode
-    classes, which = np.unique(g * q + b % g, return_inverse=True)
-    in_class = r % (classes // q)[:, None] == (classes % q)[:, None]
-    direct = (_e(np.outer(np.arange(q), r) / q) @ in_class.T)[a, which]
-    closed = np.zeros(len(a), dtype=np.complex128)
-    for gv in np.unique(g).tolist():
-        sel = g == gv
-        ab = a[sel] * b[sel]
-        if gv == q:
-            closed[sel] = _e((ab % q) / q)
-        elif math.gcd(gv, q // gv) == 1:
-            mu = int(tables.mobius[q // gv])
-            closed[sel] = mu * _e((ab * _cofactor_shift(gv, q) % gv) / gv)
-    return direct, closed
-
-
-def _upsilon_from_progression(q: int, y: np.ndarray, direct, closed, tables: ArithTables):
-    """Upsilon's direct and closed sums from the progression Ramanujan sums of the same tuples."""
-    # phi(y) / phi(l) is exactly 1 when q | y, so those sums keep their values
-    ratio = tables.totient[y] / tables.totient[np.lcm(y, q)]
-    return ratio * direct.conj(), ratio * closed.conj()
-
-
 @functools.lru_cache(maxsize=1)
 def _verify_sampled(
     qmax: int, ymax: int, max_tuples: int, seed: int
@@ -282,10 +274,11 @@ def _verify_sampled(
     worst_r = worst_u = 0.0
     count = 0
     for q, (y, b, a) in _sample_tuples(qmax, ymax, max_tuples, rng).items():
-        direct, closed = progression_ramanujan_batch(q, y, b, a, tables)
+        direct = progression_ramanujan_direct_batch(q, y, b, a)
+        closed = progression_ramanujan_closed(q, y, b, a, tables)
         worst_r = max(worst_r, float(np.abs(direct - closed).max()) / q)
-        direct, closed = _upsilon_from_progression(q, y, direct, closed, tables)
-        worst_u = max(worst_u, float(np.abs(direct - closed).max()) / q)
+        ups_gap = _upsilon(q, y, direct, tables) - _upsilon(q, y, closed, tables)
+        worst_u = max(worst_u, float(np.abs(ups_gap).max()) / q)
         count += len(a)
     return (worst_r, count), (worst_u, count)
 
@@ -336,7 +329,7 @@ def verify_cohen_progression(
         tau_q = ramanujan_table(q)
         x = np.arange(q)
         for g in sorted({math.gcd(q, y) for y in range(1, ymax + 1)}):
-            degenerate = g < q and math.gcd(g, q // g) > 1
+            degenerate = _degenerate(q, g)
             if not degenerate:
                 mu_qg = int(tables.mobius[q // g])
                 tau_qg = ramanujan_table(q // g)

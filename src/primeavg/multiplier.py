@@ -43,8 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expsums import FareyPoint
-from .tables import ARC_J, Progression, build_tables, memory_cap, phi, reduced_residues, von_mangoldt
+from .expsums import FareyPoint, farey_points
+from .tables import ARC_J, Progression, memory_cap, phi, von_mangoldt
 
 # The sup errors sweep |theta| < (log N)^ARC_J / N, POINTS_PER_UNIT grid points per 1/N.
 POINTS_PER_UNIT = 64
@@ -290,18 +290,6 @@ def a_hat_uniform_grid(
 
 # ---------------------------------------------------------------------------
 # Farey points and the approximant
-
-
-def farey_points(Qmax: int, prog: Progression) -> list[FareyPoint]:
-    """All reduced a/q in [0, 1) with q <= Qmax."""
-    if Qmax < 1:
-        raise ValueError("Qmax must be >= 1")
-    tables = build_tables(max(2, prog.y * Qmax))  # lcm(y, q) <= y * Qmax
-    points = []
-    for q in range(1, Qmax + 1):
-        for a in reduced_residues(q):
-            points.append(FareyPoint.build(int(a), q, prog, tables))
-    return points
 
 
 def fill_window(out: np.ndarray, k0: int, value, stride: int = 1) -> np.ndarray:

@@ -349,6 +349,9 @@ def maximal_scan(
     floor = int(n_floor_factor)
     if not 1.0 <= r < math.inf:
         raise ValueError(f"r must be >= 1 and finite, got {r}")
+    with np.errstate(all="ignore"):  # the cells' float power lam ** (-1 + r/2) raises on overflow
+        if not np.isfinite(np.power(np.asarray(lambdas, dtype=float), -1.0 + r / 2.0)).all():
+            raise ValueError(f"--lambda-grid {lambdas} with --r {r} makes the q_policy lambda^(r/2 - 1) non-finite")
 
     cells = []
     for y in y_list:

@@ -13,9 +13,18 @@ import math
 
 import numpy as np
 
-from primeavg.expsums import FareyPoint, _divisors, _e, _progression_residues, height, ramanujan_table
+from primeavg.expsums import (
+    FareyPoint,
+    _cofactor_shift,
+    _divisors,
+    _e,
+    _progression_residues,
+    farey_points,
+    height,
+    ramanujan_table,
+)
 from primeavg.highlow import DecompositionConfig, _centered_coords, phi_kernel
-from primeavg.multiplier import CUTOFF_OUTER, _warn_qcut, _weighted_support, cutoff, farey_points, m_hat
+from primeavg.multiplier import CUTOFF_OUTER, _warn_qcut, _weighted_support, cutoff, m_hat
 from primeavg.tables import ArithTables, Progression, phi, reduced_residues
 
 # ---------------------------------------------------------------------------
@@ -57,6 +66,22 @@ def progression_ramanujan_direct(q: int, y: int, b: int, a: int) -> complex:
     return complex(_e(r * (a % q) / q).sum())
 
 
+def progression_ramanujan_closed_pointwise(q: int, y: int, b: int, a: int, tables: ArithTables) -> complex:
+    """Three-case closed form of the progression-restricted Ramanujan sum at one tuple."""
+    g = math.gcd(q, y)
+    if math.gcd(a, q) != 1:
+        raise ValueError(f"gcd(a, q) must be 1, got a={a}, q={q}")
+    if math.gcd(b, g) != 1:
+        raise ValueError(f"gcd(b, g) must be 1, got b={b}, g={g}")
+    if g == q:
+        return complex(_e((a * b % q) / q))
+    if math.gcd(g, q // g) > 1:
+        return 0j
+    t = _cofactor_shift(g, q)
+    mu = int(tables.mobius[q // g])
+    return complex(mu * _e((a * b * t % g) / g))
+
+
 def cohen_progression_check(
     q: int, y: int, b: int, x: int, tables: ArithTables
 ) -> tuple[complex, complex]:
@@ -92,6 +117,14 @@ def gauss_upsilon_direct(a: int, q: int, y: int, b: int, tables: ArithTables) ->
     r = _progression_residues(q, y, b)
     phi_ratio = tables.totient[y] / tables.totient[ell]
     return complex(phi_ratio * _e(-(r * (a % q)) / q).sum())
+
+
+def gauss_upsilon_closed_pointwise(a: int, q: int, y: int, b: int, tables: ArithTables) -> complex:
+    """Upsilon(a, q) = (phi(y)/phi(l)) times the conjugate of progression_ramanujan_closed_pointwise."""
+    if math.gcd(b, y) != 1:
+        raise ValueError(f"gcd(b, y) must be 1, got b={b}, y={y}")
+    ratio = tables.totient[y] / tables.totient[math.lcm(y, q)]
+    return complex(ratio * progression_ramanujan_closed_pointwise(q, y, b, a, tables).conjugate())
 
 
 def count_height_class(y: int, r: int, tables: ArithTables) -> tuple[int, int]:

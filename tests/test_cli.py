@@ -401,7 +401,7 @@ def test_bad_input_exits_two_before_any_window(tmp_path, capsys, monkeypatch, ar
 )
 def test_bad_grid_exits_two_before_sieving(tmp_path, capsys, monkeypatch, argv, cap, message):
     import primeavg.cli as cli
-    from primeavg import multiplier
+    from primeavg import expsums, multiplier
 
     def must_not_run(*args, **kwargs):
         pytest.fail("tables were sieved before the grid was checked")
@@ -409,7 +409,7 @@ def test_bad_grid_exits_two_before_sieving(tmp_path, capsys, monkeypatch, argv, 
     if cap is not None:
         monkeypatch.setenv("PRIMEAVG_MEMORY_CAP", cap)
     monkeypatch.setattr(cli, "build_tables", must_not_run)
-    monkeypatch.setattr(multiplier, "build_tables", must_not_run)
+    monkeypatch.setattr(expsums, "build_tables", must_not_run)
     monkeypatch.setattr(multiplier, "von_mangoldt", must_not_run)
     rc = main(argv + ["--out-dir", str(tmp_path)])
     assert rc == 2
@@ -421,14 +421,15 @@ def test_bad_grid_exits_two_before_sieving(tmp_path, capsys, monkeypatch, argv, 
 @pytest.mark.parametrize("command", ["improving", "maximal"])
 def test_scan_grid_above_memory_cap_exits_two_before_sieving(tmp_path, capsys, monkeypatch, command):
     # the cells' grid pow2_at_least(2 N_max) = 131072 is checked before any sieve
-    from primeavg import multiplier, scans
+    from primeavg import expsums, multiplier, scans
 
     def must_not_run(*args, **kwargs):
         pytest.fail("tables were sieved before the grid was checked")
 
     monkeypatch.setenv("PRIMEAVG_MEMORY_CAP", "100000")
-    for module in (scans, multiplier):
+    for module in (scans, expsums):
         monkeypatch.setattr(module, "build_tables", must_not_run)
+    for module in (scans, multiplier):
         monkeypatch.setattr(module, "von_mangoldt", must_not_run)
     rc = main([command, "--N-list", "65536", "--y-list", "1", "--workers", "1", "--out-dir", str(tmp_path)])
     assert rc == 2
@@ -574,6 +575,30 @@ def test_verify_lists_repeated_fixture_names_in_given_order(tmp_path):
     assert json.loads((tmp_path / "verify.json").read_text())["fixtures_checked"] == 3
 
 
+def test_verify_measures_a_repeated_fixture_name_once(tmp_path, monkeypatch):
+    # a name given twice is measured once, and its row is written at both
+    # places: the csv is the one of the distinct names with that row repeated
+    import primeavg.cli as cli
+
+    measured = []
+    measure = cli.measure_fixture
+    monkeypatch.setattr(cli, "measure_fixture", lambda name: measured.append(name) or measure(name))
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    lines = {}
+    for names in (["sw_rel_error_1e6_y1", "sw_rel_error_1e6_y3"],
+                  ["sw_rel_error_1e6_y1", "sw_rel_error_1e6_y3", "sw_rel_error_1e6_y1"]):
+        measured.clear()
+        out = tmp_path / str(len(names))
+        rc = main(["verify", "--qmax", "4", "--ymax", "2", "--cohen-qmax", "4", "--cohen-ymax", "2",
+                   "--max-tuples", "10", "--fixture-names", *names, "--out-dir", str(out)])
+        assert rc == 0
+        assert measured == names[:2]
+        lines[len(names)] = (out / "verify.csv").read_text().splitlines()
+    once = lines[2]
+    y1_row = next(line for line in once if ",sw_rel_error_1e6_y1," in line)
+    assert lines[3] == once + [y1_row]
+
+
 def _forbid_work(monkeypatch, why):
     """Make every sieve, and verify's pool, fail the test with why."""
     import primeavg
@@ -582,7 +607,7 @@ def _forbid_work(monkeypatch, why):
     def must_not_run(*args, **kwargs):
         pytest.fail(why)
 
-    for module in (primeavg, cli, expsums, fixtures, multiplier, scans):
+    for module in (primeavg, cli, expsums, fixtures, scans):
         monkeypatch.setattr(module, "build_tables", must_not_run)
     for module in (primeavg, multiplier, scans, tables):
         monkeypatch.setattr(module, "von_mangoldt", must_not_run)
@@ -681,3 +706,16 @@ def test_empty_progression_segment_exits_two_before_sieving(tmp_path, capsys, mo
     err = capsys.readouterr().err
     assert err.startswith("config error") and message in err
     assert not list(tmp_path.iterdir())
+
+
+def test_maximal_overflowing_q_policy_exits_two_before_sieving(tmp_path, capsys, monkeypatch):
+    # q_policy = lambda^(r/2 - 1) = (1e10)^49 overflows a float, and the cell's
+    # float power raised OverflowError: exit 1 with a traceback
+    _forbid_work(monkeypatch, "work started before the q_policy was checked")
+    out = tmp_path / "out"
+    rc = main(["maximal", "--N-list", "1024", "--y-list", "1", "--r", "100", "--lambda-grid", "1e10",
+               "--n-floor-factor", "1", "--workers", "1", "--out-dir", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "--lambda-grid" in err and "--r" in err
+    assert not out.exists()

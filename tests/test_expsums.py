@@ -6,14 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primeavg.expsums import (
-    FareyPoint,
-    _upsilon_from_progression,
+    _upsilon,
     bourgain_average,
-    gauss_upsilon_closed,
+    farey_points,
     height,
     height_class_counts,
-    progression_ramanujan_batch,
     progression_ramanujan_closed,
+    progression_ramanujan_direct_batch,
     ramanujan_table,
     verify_cohen_progression,
     verify_gauss_upsilon,
@@ -25,16 +24,23 @@ from oracles import (
     cohen_progression_check,
     count_height_class,
     divisor_tau_check,
+    gauss_upsilon_closed_pointwise,
     gauss_upsilon_direct,
+    progression_ramanujan_closed_pointwise,
     progression_ramanujan_direct,
     ramanujan_sum,
     ramanujan_sum_closed,
 )
 
 
+def progression_batch(q, y, b, a, tables):
+    """Direct and closed progression Ramanujan sums of the tuples (q, y[i], b[i], a[i])."""
+    return progression_ramanujan_direct_batch(q, y, b, a), progression_ramanujan_closed(q, y, b, a, tables)
+
+
 def gauss_upsilon_batch(q, y, b, a, tables):
     """Direct and closed Upsilon of the tuples (q, y[i], b[i], a[i]), as the tuple suites form them."""
-    return _upsilon_from_progression(q, y, *progression_ramanujan_batch(q, y, b, a, tables), tables)
+    return tuple(_upsilon(q, y, sums, tables) for sums in progression_batch(q, y, b, a, tables))
 
 
 # ---------------------------------------------------------------------------
@@ -129,14 +135,14 @@ def test_tuple_suites_one_pass_equals_each_batch_alone():
 
     tables = build_tables(48 * 18)
     expected = {}
-    for batch in (progression_ramanujan_batch, gauss_upsilon_batch):
+    for batch in (progression_batch, gauss_upsilon_batch):
         worst, count = 0.0, 0
         for q, (y, b, a) in _sample_tuples(48, 18, 20_000, np.random.default_rng(1)).items():
             direct, closed = batch(q, y, b, a, tables)
             worst = max(worst, float(np.abs(direct - closed).max()) / q)
             count += len(a)
         expected[batch] = (worst, count)
-    suites = [(progression_ramanujan_batch, verify_progression_ramanujan),
+    suites = [(progression_batch, verify_progression_ramanujan),
               (gauss_upsilon_batch, verify_gauss_upsilon)]
     for order in (suites, suites[::-1]):
         _verify_sampled.cache_clear()
@@ -157,13 +163,13 @@ def test_batch_sums_match_pointwise(q, picks):
     y = np.array([yy for yy, _, _ in picks])
     b = np.array([reduced_residues(yy)[i % len(reduced_residues(yy))] for yy, i, _ in picks])
     a = np.array([aa[j % len(aa)] for _, _, j in picks])
-    direct, closed = progression_ramanujan_batch(q, y, b, a, tables)
+    direct, closed = progression_batch(q, y, b, a, tables)
     ups_direct, ups_closed = gauss_upsilon_batch(q, y, b, a, tables)
     for i, (yy, bb, a_) in enumerate(zip(y.tolist(), b.tolist(), a.tolist())):
         assert abs(direct[i] - progression_ramanujan_direct(q, yy, bb, a_)) < 1e-12
-        assert abs(closed[i] - progression_ramanujan_closed(q, yy, bb, a_, tables)) < 1e-12
+        assert abs(closed[i] - progression_ramanujan_closed_pointwise(q, yy, bb, a_, tables)) < 1e-12
         assert abs(ups_direct[i] - gauss_upsilon_direct(a_, q, yy, bb, tables)) < 1e-12
-        assert abs(ups_closed[i] - gauss_upsilon_closed(a_, q, yy, bb, tables)) < 1e-12
+        assert abs(ups_closed[i] - gauss_upsilon_closed_pointwise(a_, q, yy, bb, tables)) < 1e-12
 
 
 def test_cohen_progression_exhaustive_small(tables):
@@ -197,13 +203,12 @@ def test_cohen_progression_single_case(tables):
 
 def test_upsilon_y1_specialization(tables):
     # no progression: |Upsilon| = 1/phi(q) on squarefree q, zero otherwise
-    for q in range(2, 60):
-        a = int(reduced_residues(q)[0])
-        mag = abs(gauss_upsilon_closed(a, q, 1, 0, tables))
-        if int(tables.mobius[q]) == 0:
+    for p in farey_points(59, Progression(1, 0)):
+        mag = abs(p.upsilon)
+        if int(tables.mobius[p.q]) == 0:
             assert mag == 0.0
         else:
-            assert mag == pytest.approx(1.0 / int(tables.totient[q]), abs=1e-12)
+            assert mag == pytest.approx(1.0 / int(tables.totient[p.q]), abs=1e-12)
 
 
 def test_upsilon_height_decay_bound(tables):
@@ -265,11 +270,25 @@ def test_height_class_counts_match_enumeration(y, r, extra):
 
 def test_farey_point_build(tables):
     prog = Progression(3, 1)
-    p = FareyPoint.build(1, 4, prog, tables)
+    p = next(p for p in farey_points(4, prog) if (p.a, p.q) == (1, 4))
     assert p.ell == 12
     assert p.center == pytest.approx(0.25)
     assert p.height == height(4, 3)
-    assert abs(p.upsilon - gauss_upsilon_closed(1, 4, 3, 1, tables)) < 1e-12
+    assert abs(p.upsilon - gauss_upsilon_closed_pointwise(1, 4, 3, 1, tables)) < 1e-12
+
+
+@pytest.mark.parametrize("y", [1, 3, 12, 36])
+def test_farey_points_match_direct_oracle(tables, y):
+    # every point, in Farey order: Upsilon against its direct sum, zero
+    # height included, and the height and spacing of its q
+    Qmax = 30
+    for b in reduced_residues(y)[:2].tolist():
+        points = farey_points(Qmax, Progression(y, b))
+        expected = [(q, a) for q in range(1, Qmax + 1) for a in reduced_residues(q).tolist()]
+        assert [(p.q, p.a) for p in points] == expected
+        for p in points:
+            assert (p.y, p.b, p.ell, p.height) == (y, b, math.lcm(p.q, y), height(p.q, y))
+            assert abs(p.upsilon - gauss_upsilon_direct(p.a, p.q, y, b, tables)) < 1e-12
 
 
 # ---------------------------------------------------------------------------

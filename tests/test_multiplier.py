@@ -6,8 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from primeavg.expsums import FareyPoint
-from primeavg import multiplier
+from primeavg import expsums, multiplier
 from primeavg.highlow import DecompositionConfig
 from primeavg.multiplier import (
     _l_hat_window,
@@ -33,7 +32,7 @@ from primeavg.multiplier import (
     sup_abs,
 )
 from primeavg.scans import improving_scan, maximal_scan
-from primeavg.tables import Progression, build_tables, default_residue, reduced_residues, von_mangoldt
+from primeavg.tables import Progression, default_residue, reduced_residues, von_mangoldt
 
 from oracles import a_hat, approximant_hat, l_hat
 
@@ -330,8 +329,9 @@ def test_grid_above_memory_cap_raises_value_error_before_sieving(monkeypatch, bu
         pytest.fail("tables were sieved before the grid was checked")
 
     monkeypatch.setenv("PRIMEAVG_MEMORY_CAP", "2000")
-    for module in (multiplier, scans):
+    for module in (expsums, scans):
         monkeypatch.setattr(module, "build_tables", must_not_run)
+    for module in (multiplier, scans):
         monkeypatch.setattr(module, "von_mangoldt", must_not_run)
     monkeypatch.setattr(tables, "_sieve", must_not_run)
     monkeypatch.setattr(tables, "_lambda_sieve", must_not_run)
@@ -352,9 +352,9 @@ def test_farey_denominator_mode_count():
     }
 
 
-def test_l_hat_support_and_center(tables):
+def test_l_hat_support_and_center():
     prog = Progression(3, 1)
-    p = FareyPoint.build(1, 2, prog, tables)
+    p = farey_points(2, prog)[-1]  # 1/2
     ell = p.ell
     expected = p.upsilon * m_hat(0.0, (1 << 12) / ell)
     assert l_hat(0.5, p, 1 << 12, prog) == pytest.approx(expected)
@@ -362,8 +362,8 @@ def test_l_hat_support_and_center(tables):
     assert l_hat(0.5 + 0.3, p, 1 << 12, prog) == 0j
 
 
-def test_l_hat_progression_mismatch(tables):
-    p = FareyPoint.build(1, 2, Progression(3, 1), tables)
+def test_l_hat_progression_mismatch():
+    p = farey_points(2, Progression(3, 1))[-1]  # 1/2
     with pytest.raises(ValueError):
         l_hat(0.5, p, 1 << 12, Progression(5, 1))
 
@@ -581,7 +581,7 @@ def test_half_windows_cover_full_windows_on_half(y, pick, q_cut, log_m):
 
 def _zero_point():
     # at y = 1 the window of 0/1 is the widest: M/4 points on k <= M/2
-    return FareyPoint.build(0, 1, Progression(1, 0), build_tables(2))
+    return farey_points(1, Progression(1, 0))[0]
 
 
 @pytest.mark.parametrize("block", [WINDOW_BLOCK, 1000])

@@ -97,6 +97,17 @@ def test_arc_exponent_is_written_once():
     assert not re.search(r"\bJ: int\b|[\"']J[\"'], \d", "".join(sources.values()))
 
 
+def test_progression_closed_form_is_written_once():
+    # expsums.progression_ramanujan_closed alone evaluates the three-case
+    # closed form: the tuple suites check it and farey_points builds every
+    # Upsilon from it, through one degenerate-gcd rule and one Upsilon helper
+    source = "".join(_sources().values())
+    assert source.count("gcd(g, q // g)") == 1
+    assert len(re.findall(r"(?<!def )\b_cofactor_shift\(", source)) == 1
+    assert source.count("totient[y] / tables.totient[") == 1
+    assert not re.search(r"\bgauss_upsilon_closed\b|FareyPoint\.build\b|\b_upsilon_from_progression\b", source)
+
+
 def test_recipe_sweeps_are_fixtures_functions_with_hashable_keys():
     # the benchmark tracer rebinds library names in the fixtures module's
     # globals, so a sweep defined elsewhere would run untraced; recipe_groups
