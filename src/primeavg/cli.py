@@ -49,6 +49,7 @@ from .scans import fit_exponent, improving_scan, maximal_scan, run_cells
 from .tables import ARC_J, Progression, build_tables, default_residue, memory_cap, sw_error_report
 
 VARIATION_CAP = 1.5  # maximal fails when the largest weak ratio over b reaches this times the smallest
+APPROX_ROWS = 1 << 14  # approx writes the residual at every max(1, M // APPROX_ROWS)-th k
 
 
 class ConfigError(Exception):
@@ -233,14 +234,11 @@ def cmd_approx(cfg: dict) -> tuple[list[dict], dict, bool]:
     prog = _prog_from(cfg)
     q_cut = cfg.get("qcut", 16)
     M = cfg.get("M", 4 * N)
-    max_rows = cfg.get("max_rows", 1 << 14)
     if q_cut < 2:
         # no Farey point has q < q_cut then, and the residual is a_hat itself
         raise ConfigError(f"qcut must be >= 2, got {q_cut}")
-    if max_rows < 1:
-        raise ConfigError(f"max_rows must be >= 1, got {max_rows}")
     _check_qcut(N, prog.y, q_cut)
-    stride = max(1, M // max_rows)
+    stride = max(1, M // APPROX_ROWS)
     sup, residuals = approx_residual(N, prog, q_cut, M, stride)
     near = near_zero_error(N, prog)
     rows = [{"xi": k / M, "abs_residual": float(v)} for k, v in zip(range(0, M, stride), residuals)]
@@ -393,7 +391,7 @@ def finite_float(text: str) -> float:
 # flag taking nargs="+"; a bool is a switch.  The flag of a key is "--" + key
 # with "_" written "-", except those in FLAGS.
 KEYS = {
-    **dict.fromkeys("seed qmax ymax cohen_qmax cohen_ymax max_tuples N y b qcut M max_rows".split(), int),
+    **dict.fromkeys("seed qmax ymax cohen_qmax cohen_ymax max_tuples N y b qcut M".split(), int),
     **dict.fromkeys("workers n_floor_factor t".split(), int),
     **dict.fromkeys("r weak_ceiling exponent_cap".split(), finite_float),
     **dict.fromkeys("Q_list N_list y_list x_grid".split(), [int]),
@@ -407,7 +405,7 @@ COMMON = "seed out_dir"
 COMMANDS = {
     "verify": ("exact identity suites and fixture comparisons", cmd_verify,
                "qmax ymax cohen_qmax cohen_ymax max_tuples fixtures fixture_names"),
-    "approx": ("approximation-error residual profile", cmd_approx, "N y b qcut M max_rows"),
+    "approx": ("approximation-error residual profile", cmd_approx, "N y b qcut M"),
     "highlow": ("High/Low split diagnostics", cmd_highlow, "N y b Q_list M r"),
     "improving": ("improving-inequality stability scan", cmd_improving,
                   "N_list y_list r_list workers n_floor_factor"),

@@ -120,7 +120,7 @@ def progression_ramanujan_closed(q: int, y: np.ndarray, b: np.ndarray, a: np.nda
     """
     g = np.gcd(q, y)
     closed = np.zeros(len(a), dtype=np.complex128)
-    for gv in set(g.tolist()):  # np.unique would import numpy.ma, 2.5 MB of approx's peak RSS
+    for gv in set(g.tolist()):  # each distinct gcd once, as a Python int, so _degenerate takes math.gcd
         sel = g == gv
         ab = a[sel] * b[sel]
         if gv == q:

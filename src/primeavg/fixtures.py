@@ -31,7 +31,7 @@ from .highlow import (
     multifrequency_profile,
 )
 from .multiplier import approx_residual, approximant_windows, near_zero_error
-from .scans import IMPROVING_DENSITIES, _improving_cell, fit_exponent, maximal_scan
+from .scans import fit_exponent, improving_scan, maximal_scan
 from .tables import Progression, build_tables, default_residue, sw_error_report
 
 
@@ -123,8 +123,8 @@ def _measure_hi_decay_slope(prog: Progression) -> float:
     return fit_exponent([2.0, 4.0, 8.0, 16.0], hi_l2_ratios(his, fams).max(axis=0))
 
 
-def _measure_improving_max(prog: Progression) -> float:
-    rows = _improving_cell((1 << 16, prog.y, prog.b, [1.5], IMPROVING_DENSITIES, 0))
+def _measure_improving_max(y: int) -> float:
+    rows, _ = improving_scan(N_list=[1 << 16], y_list=[y], r_list=[1.5], seed=0)
     return max(row["ratio"] for row in rows)
 
 
@@ -186,9 +186,9 @@ RECIPES = {
     "bourgain_exponent_y12": (_bourgain_sweeps, (), functools.partial(_bourgain_exponent, 12)),
     "hi_decay_slope_y1": (_measure_hi_decay_slope, (_Y1,), float),
     "hi_decay_slope_y3": (_measure_hi_decay_slope, (_Y3,), float),
-    "improving_max_y1_r15": (_measure_improving_max, (_Y1,), float),
-    "improving_max_y3_r15": (_measure_improving_max, (_Y3,), float),
-    "improving_max_y5_r15": (_measure_improving_max, (_Y5,), float),
+    "improving_max_y1_r15": (_measure_improving_max, (1,), float),
+    "improving_max_y3_r15": (_measure_improving_max, (3,), float),
+    "improving_max_y5_r15": (_measure_improving_max, (5,), float),
     "maximal_weak_ceiling": (_maximal_summary, (), operator.itemgetter("max_weak_ratio")),
     "maximal_b_variation_y5": (_maximal_summary, (), lambda summary: summary["b_variation"]["5"]),
     "multifrequency_d12_constant": (multifrequency_adapted_ratios, (), max),

@@ -160,12 +160,14 @@ class SpectralProfile:
         return np.fft.irfft(self.values, self.grid_size)
 
 
-def sup_abs(profiles, f: np.ndarray) -> np.ndarray:
-    """Pointwise sup of |P f| over an iterable of profiles on one grid, transforming the real f once."""
-    fhat = np.fft.rfft(f)
-    sup = np.zeros(len(f))
+def sup_abs(profiles, fhat: np.ndarray) -> np.ndarray:
+    """Pointwise sup of |P f| over a nonempty iterable of profiles on one grid, from fhat = np.fft.rfft(f), in place."""
+    sup = None
     for p in profiles:
-        sup = np.maximum(sup, np.abs(np.fft.irfft(p.values * fhat, p.grid_size)))
+        conv = np.fft.irfft(p.values * fhat, p.grid_size)
+        np.abs(conv, out=conv)
+        sup = conv if sup is None else np.maximum(sup, conv, out=sup)
+        del conv  # freed before the next profile transforms
     return sup
 
 

@@ -7,6 +7,10 @@ dyadic maximal function.  Each scan returns its rows and a
 {"parameters", "summary"} dict; every random choice flows from a single seed
 that is echoed into the parameters.
 
+The improving inequality is the one-N case of the maximal function, so both
+scans admit their progressions by one rule (_run_scan_cells) and their cells
+read sup over N of |A_N 1_F| from one generator (_family_sups).
+
 Two input families, the interval [0, N/2) and the progression segment
 {n < N/2 : n = b mod y}, are arithmetic runs {s + t i : i < K} with t = 1 or
 y.  Their average needs no transform: the kernel phi(y)/N Lambda(n) lives on
@@ -24,10 +28,11 @@ FFT path's (a test pins both against an exact sum).
 
 The other families (Bernoulli sets, the greedy set) go through the FFT: each
 cell evaluates their average, a linear convolution, as a cyclic one on Z_M
-with M = pow2_at_least(2 N_max).  Every kernel lies in [0, N) with N <= N_max
-and every input set in [0, N_max), so the linear convolution is supported on
-[0, 2 N_max - 1): nothing wraps, and Z_M holds exactly its values (Oppenheim
-and Schafer, Discrete-Time Signal Processing, 8.7).
+with M = pow2_at_least(2 N_max), and sup_abs folds it into the sup over N.
+Every kernel lies in [0, N) with N <= N_max and every input set in
+[0, N_max), so the linear convolution is supported on [0, 2 N_max - 1):
+nothing wraps, and Z_M holds exactly its values (Oppenheim and Schafer,
+Discrete-Time Signal Processing, 8.7).
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ MAXIMAL_DENSITIES = (3,)
 
 
 def _improving_value(conv: np.ndarray, r: float, y: int, N: int, size: int) -> float:
-    """||A 1_F||_{r'} / ((y/N)^{1/r - 1/r'} |F|^{1/r}) from the convolution A 1_F, which becomes |A 1_F| in place."""
+    """||A 1_F||_{r'} / ((y/N)^{1/r - 1/r'} |F|^{1/r}) from A 1_F or |A 1_F|, which becomes |A 1_F| in place."""
     rp = r / (r - 1.0)
     num = float((np.abs(conv, out=conv) ** rp).sum() ** (1.0 / rp))
     den = (y / N) ** (1.0 / r - 1.0 / rp) * size ** (1.0 / r)
@@ -90,17 +95,6 @@ def input_families(
         k = max(len(n) // 8, 1)
         fams["greedy_lambda"] = np.sort(n[np.argsort(w)[::-1][:k]])
     return fams
-
-
-def _check_segment(N: int, y: int, b: int) -> None:
-    """Reject an N whose segment {1 <= n < N/2 : n = b mod y} is empty: its first member is b, or y at b = 0."""
-    if N // 2 <= (b or y):
-        raise ValueError(f"N={N} leaves the progression segment of y={y}, b={b} below N/2 empty")
-
-
-def _run_steps(y: int) -> dict[str, int]:
-    """The step of each input family that is an arithmetic run, by name."""
-    return {"interval": 1, "progression_segment": y}
 
 
 def _class_sums(N: int, prog: Progression, step: int) -> tuple[np.ndarray, np.ndarray]:
@@ -142,6 +136,31 @@ def run_averages(N_list, prog: Progression, F: np.ndarray, step: int):
         yield avg
 
 
+def _family_sups(N_list, prog: Progression, densities, seed: int, greedy: bool = False):
+    """(name, F, sup over N in N_list of |A_N 1_F|) for each input family F of [0, max(N_list)), seeded by seed.
+
+    The runs go through run_averages, the rest through sup_abs on one grid,
+    its profiles built once.  Each sup is dropped on resuming, so a caller
+    that drops its own holds one at a time.
+    """
+    N_list = sorted(N_list)
+    M = pow2_at_least(2 * N_list[-1])  # kernels and inputs in [0, N_max): no wrap below 2 N_max
+    fams = input_families(N_list[-1], prog, np.random.default_rng(seed), densities, greedy)
+    steps = {"interval": 1, "progression_segment": prog.y}
+    profiles = functools.cache(lambda: [a_hat_profile(N, prog, M) for N in N_list])
+    for name, F in fams.items():
+        if name in steps:
+            sup = np.zeros(0)
+            for avg in run_averages(N_list, prog, F, steps[name]):  # each longer than the last
+                np.maximum(avg[: len(sup)], sup, out=avg[: len(sup)])
+                sup = avg
+            del avg
+        else:
+            sup = sup_abs(profiles(), np.fft.rfft(indicator(F, M)))  # the indicator is freed before the profiles run
+        yield name, F, sup
+        del sup
+
+
 # ---------------------------------------------------------------------------
 # Improving scan
 
@@ -173,12 +192,24 @@ def run_cells(cell_fn, cells: list, workers: int) -> list:
     return rows
 
 
-def _run_scan_cells(cell_fn, cells: list, N_max: int, y_list, workers: int) -> list:
-    """run_cells on a scan's cells, after checking their grid Z_M, M = pow2_at_least(2 N_max).
+def _run_scan_cells(cell_fn, cells_of, N_list, y_list, floor: int, workers: int, b_sweep: bool = False) -> list:
+    """run_cells on the cells cells_of(y, b) of each admitted (y, b), b = default_residue(y) or, with b_sweep, all of A_y.
 
-    Lambda up to N_max and mu/phi up to max(y_list) are sieved here once,
-    before the pool forks, so the workers inherit them as cached views.
+    min(N_list) must reach floor*y and leave {1 <= n < N/2 : n = b mod y}
+    nonempty (its least member is b, or y at b = 0): both rules are monotone
+    in N.  Then Z_M, M = pow2_at_least(2 N_max), is checked, and Lambda up to
+    N_max and mu/phi up to max(y_list) are sieved once, before the pool
+    forks, so the workers inherit them as cached views.
     """
+    N, N_max = min(N_list), max(N_list)
+    cells = []
+    for y in y_list:
+        if N < floor * y:
+            raise ValueError(f"N={N} below desk-scale floor {floor}*y for y={y}")
+        for b in [int(v) for v in reduced_residues(y)] if b_sweep else [default_residue(y)]:
+            if N // 2 <= (b or y):
+                raise ValueError(f"N={N} leaves the progression segment of y={y}, b={b} below N/2 empty")
+            cells += cells_of(y, b)
     if cells:
         check_grid(N_max, pow2_at_least(2 * N_max))
         von_mangoldt(N_max)
@@ -195,18 +226,8 @@ def _run_task(cell_fn, cell) -> tuple[list, list]:
 
 def _improving_cell(payload: tuple) -> list[dict]:
     N, y, b, r_list, densities, seed = payload
-    prog = Progression(y, b)
-    M = pow2_at_least(2 * N)  # kernel and inputs in [0, N): the conv fits below 2N, no wrap
-    rng = np.random.default_rng(seed)
-    fams = input_families(N, prog, rng, densities, greedy=True)
-    runs = _run_steps(y)
-    profile = functools.cache(lambda: a_hat_profile(N, prog, M))  # built only for a family that is no run
     rows = []
-    for name, F in fams.items():
-        if name in runs:
-            (conv,) = run_averages([N], prog, F, runs[name])
-        else:
-            conv = profile().apply(indicator(F, M))
+    for name, F, sup in _family_sups([N], Progression(y, b), densities, seed, greedy=True):
         for r in r_list:
             rows.append(
                 {
@@ -216,10 +237,10 @@ def _improving_cell(payload: tuple) -> list[dict]:
                     "r": r,
                     "family": name,
                     "set_size": int(len(F)),
-                    "ratio": _improving_value(conv, r, y, N, len(F)),
+                    "ratio": _improving_value(sup, r, y, N, len(F)),
                 }
             )
-        del conv  # freed before the next family's transforms, so they do not stack on it
+        del sup  # freed before the next family's transforms, so they do not stack on it
     return rows
 
 
@@ -240,19 +261,12 @@ def improving_scan(
     """
     N_list = sorted(N_list)
     seed = int(seed)
-    floor = int(n_floor_factor)
     for r in r_list:
         if not 1.0 < r < 2.0:
             raise ValueError(f"r must lie in (1, 2), got {r}")
 
-    cells = []
-    for y in y_list:
-        for N in N_list:
-            if N < floor * y:
-                raise ValueError(f"N={N} below desk-scale floor {floor}*y for y={y}")
-            _check_segment(N, y, default_residue(y))
-            cells.append((N, y, default_residue(y), list(r_list), IMPROVING_DENSITIES, seed))
-    rows = _run_scan_cells(_improving_cell, cells, max(N_list, default=0), y_list, workers)
+    cells_of = lambda y, b: [(N, y, b, list(r_list), IMPROVING_DENSITIES, seed) for N in N_list]
+    rows = _run_scan_cells(_improving_cell, cells_of, N_list, y_list, int(n_floor_factor), workers)
 
     max_ratio: dict[tuple, dict[int, float]] = {}
     for row in rows:
@@ -288,22 +302,8 @@ def improving_scan(
 
 def _maximal_cell(payload: tuple) -> list[dict]:
     N_list, y, b, r, lambdas, densities, seed = payload
-    N_max = max(N_list)
-    prog = Progression(y, b)
-    M = pow2_at_least(2 * N_max)  # kernels and inputs in [0, N_max): no wrap below 2 N_max
-    rng = np.random.default_rng(seed)
-    fams = input_families(N_max, prog, rng, densities)
-    runs = _run_steps(y)
-    profiles = functools.cache(lambda: [a_hat_profile(N, prog, M) for N in N_list])
     rows = []
-    for name, F in fams.items():
-        if name in runs:
-            sup = np.zeros(0)
-            for avg in run_averages(sorted(N_list), prog, F, runs[name]):  # each longer than the last
-                np.maximum(avg[: len(sup)], sup, out=avg[: len(sup)])
-                sup = avg
-        else:
-            sup = sup_abs(profiles(), indicator(F, M))
+    for name, F, sup in _family_sups(N_list, Progression(y, b), densities, seed):
         strong = float((sup**r).sum() ** (1.0 / r) / len(F) ** (1.0 / r))
         for lam in lambdas:
             exceed = int((sup > lam).sum())
@@ -321,6 +321,7 @@ def _maximal_cell(payload: tuple) -> list[dict]:
                     "strong_ratio": strong,
                 }
             )
+        del sup  # freed before the next family's transforms, so they do not stack on it
     return rows
 
 
@@ -346,22 +347,14 @@ def maximal_scan(
     lambdas = list(lambda_grid)
     seed = int(seed)
     b_sweep = bool(b_sweep)
-    floor = int(n_floor_factor)
     if not 1.0 <= r < math.inf:
         raise ValueError(f"r must be >= 1 and finite, got {r}")
     with np.errstate(all="ignore"):  # the cells' float power lam ** (-1 + r/2) raises on overflow
         if not np.isfinite(np.power(np.asarray(lambdas, dtype=float), -1.0 + r / 2.0)).all():
             raise ValueError(f"--lambda-grid {lambdas} with --r {r} makes the q_policy lambda^(r/2 - 1) non-finite")
 
-    cells = []
-    for y in y_list:
-        if min(N_list) < floor * y:
-            raise ValueError(f"min N below desk-scale floor {floor}*y for y={y}")
-        bs = [int(v) for v in reduced_residues(y)] if b_sweep else [default_residue(y)]
-        for b in bs:
-            _check_segment(min(N_list), y, b)
-            cells.append((list(N_list), y, b, r, lambdas, MAXIMAL_DENSITIES, seed))
-    rows = _run_scan_cells(_maximal_cell, cells, max(N_list, default=0), y_list, workers)
+    cells_of = lambda y, b: [(list(N_list), y, b, r, lambdas, MAXIMAL_DENSITIES, seed)]
+    rows = _run_scan_cells(_maximal_cell, cells_of, N_list, y_list, int(n_floor_factor), workers, b_sweep)
 
     max_by_yb: dict[tuple, float] = {}
     for row in rows:

@@ -244,12 +244,6 @@ def test_sw_x_below_one_exits_two(tmp_path, capsys, x):
     assert not (tmp_path / "sw.json").exists()
 
 
-def test_approx_max_rows_zero_exits_two(tmp_path, capsys):
-    rc = main(["approx", "--N", "1024", "--max-rows", "0", "--out-dir", str(tmp_path)])
-    assert rc == 2
-    assert "max_rows must be >= 1" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("qcut", ["0", "1"])
 def test_approx_qcut_below_two_exits_two(tmp_path, capsys, qcut):
     # below 2 no Farey point is subtracted: the residual would be a_hat itself

@@ -17,7 +17,6 @@ from primeavg.scans import (
     _improving_cell,
     _improving_value,
     _maximal_cell,
-    _run_steps,
     fit_exponent,
     improving_scan,
     input_families,
@@ -119,7 +118,7 @@ def test_maximal_cell_grid_keeps_weak_counts(y):
         strong, weak = {}, {}
         for name, F in fams.items():
             sups = [
-                sup_abs([a_hat_profile(N, prog, m) for N in N_list], indicator(F, m))
+                sup_abs([a_hat_profile(N, prog, m) for N in N_list], np.fft.rfft(indicator(F, m)))
                 for m in (M, big)
             ]
             for lam in lambdas:
@@ -166,7 +165,7 @@ def test_run_averages_match_transform_and_exact_sum(N, y):
     for b in reduced_residues(y):
         prog = Progression(y, int(b))
         fams = input_families(N, prog, np.random.default_rng(0), ())
-        for name, step in _run_steps(y).items():
+        for name, step in (("interval", 1), ("progression_segment", y)):
             F = fams[name]
             for n, avg in zip(Ns, run_averages(Ns, prog, F, step)):
                 runs = np.zeros(M)
@@ -219,6 +218,22 @@ def test_run_average_holds_less_than_transform():
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
     assert peaks[0] <= peaks[1]
+
+
+def test_sup_abs_of_one_profile_holds_no_more_than_apply():
+    # sup_abs takes the input's transform, so the indicator is freed before
+    # the profile runs, and takes |.| in place
+    N, prog = 1 << 16, Progression(3, 1)
+    M, F = pow2_at_least(2 * N), np.flatnonzero(np.random.default_rng(0).random(N) < 0.125)
+    profiles = [a_hat_profile(N, prog, M)]
+    peaks = []
+    for transform in (lambda: sup_abs(profiles, np.fft.rfft(indicator(F, M))), lambda: profiles[0].apply(indicator(F, M))):
+        tracemalloc.start()
+        transform()
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    # each holds three arrays of 8 M bytes; sup_abs adds its loop's iterator, well under 1 kB
+    assert peaks[0] <= peaks[1] + 1024
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +330,14 @@ def test_maximal_scan_unknown_key():
 def test_maximal_scan_floor_violation():
     with pytest.raises(ValueError):
         maximal_scan(**_small_maximal_config(y_list=[7]))
+
+
+@pytest.mark.parametrize("scan", ["improving", "maximal"])
+def test_scan_floor_violation_names_the_least_N(scan):
+    # one admission rule, one message: the least N is checked against floor*y
+    run, config = (improving_scan, _small_improving_config) if scan == "improving" else (maximal_scan, _small_maximal_config)
+    with pytest.raises(ValueError, match=r"^N=1024 below desk-scale floor 256\*y for y=5$"):
+        run(**config(y_list=[1, 5]))
 
 
 def test_maximal_scan_b_sweep_covers_residues():

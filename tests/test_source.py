@@ -108,6 +108,25 @@ def test_progression_closed_form_is_written_once():
     assert not re.search(r"\bgauss_upsilon_closed\b|FareyPoint\.build\b|\b_upsilon_from_progression\b", source)
 
 
+def test_no_module_imports_another_modules_private_name():
+    # a _private name is its module's own: another module that needs it
+    # calls the public function built on it instead
+    imported = [
+        f"{name}: {alias.name}"
+        for name, text in _sources().items()
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("primeavg"))
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    ]
+    assert not imported
+
+
+def test_scan_floor_rule_is_written_once():
+    # both scans admit their progressions through one rule with one message
+    assert "".join(_sources().values()).count("desk-scale floor") == 1
+
+
 def test_recipe_sweeps_are_fixtures_functions_with_hashable_keys():
     # the benchmark tracer rebinds library names in the fixtures module's
     # globals, so a sweep defined elsewhere would run untraced; recipe_groups
