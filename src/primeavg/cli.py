@@ -94,6 +94,9 @@ def _merge_config(args: argparse.Namespace, keys: set[str]) -> dict:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         merged.update({key: _typed(key, value) for key, value in file_cfg.items()})
     merged.update({key: value for key, value in vars(args).items() if key in keys and value is not None})
+    for key, least in LEAST.items():
+        if merged.get(key, least) < least:
+            raise ConfigError(f"{_flag(key)} must be >= {least}, got {merged[key]}")
     return merged
 
 
@@ -201,9 +204,6 @@ def cmd_verify(cfg: dict) -> tuple[list[dict], dict, bool]:
             raise ConfigError(f"unknown fixture name: {name}")
     defaults = {"qmax": 96, "ymax": 36, "max_tuples": 100_000, "cohen_qmax": 64, "cohen_ymax": 24}
     sizes = {key: cfg.get(key, default) for key, default in defaults.items()}
-    for key, value in sizes.items():
-        if value < 1:
-            raise ConfigError(f"{key} must be >= 1, got {value}")
     sizes["seed"] = cfg.get("seed", 0)
     cells = [("suites", sizes)]
     if cfg.get("fixtures", True):
@@ -234,9 +234,6 @@ def cmd_approx(cfg: dict) -> tuple[list[dict], dict, bool]:
     prog = _prog_from(cfg)
     q_cut = cfg.get("qcut", 16)
     M = cfg.get("M", 4 * N)
-    if q_cut < 2:
-        # no Farey point has q < q_cut then, and the residual is a_hat itself
-        raise ConfigError(f"qcut must be >= 2, got {q_cut}")
     _check_qcut(N, prog.y, q_cut)
     stride = max(1, M // APPROX_ROWS)
     sup, residuals = approx_residual(N, prog, q_cut, M, stride)
@@ -330,8 +327,6 @@ def cmd_ramanujan_avg(cfg: dict) -> tuple[list[dict], dict, bool]:
     prog = _prog_from(cfg)
     t = cfg.get("t", 2)
     Q_list = cfg.get("Q_list", [4, 8, 16, 32])
-    if t < 1:
-        raise ConfigError(f"t must be >= 1, got {t}")
     if min(Q_list) < 1:
         raise ConfigError(f"Q must be >= 1, got {min(Q_list)}")
     if len(set(Q_list)) < 2:
@@ -399,6 +394,10 @@ KEYS = {
     "out_dir": str, "fixture_names": [str], "fixtures": bool, "b_sweep": bool,
 }
 FLAGS = {"fixtures": "--no-fixtures"}  # a "--no-" switch stores False
+# The least value of the int keys that have one.  Below 2, qcut subtracts no
+# Farey point and leaves a_hat itself as the residual; n_floor_factor 0 is no floor
+LEAST = {"seed": 0, "n_floor_factor": 0, "workers": 1, "t": 1, "N": 2, "qcut": 2,
+         **dict.fromkeys("qmax ymax cohen_qmax cohen_ymax max_tuples".split(), 1)}
 COMMON = "seed out_dir"
 
 # subcommand: (help, cmd_*, the keys it takes besides COMMON, in flag order)

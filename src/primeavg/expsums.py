@@ -100,15 +100,16 @@ def _degenerate(q, g):
 def progression_ramanujan_direct_batch(q: int, y: np.ndarray, b: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Sums of e(ra/q) over r in A_q with r = b mod gcd(q, y), for valid tuples (q, y[i], b[i], a[i]) sharing q.
 
-    One product of the e(ra/q) matrix over A_q with the masks of the distinct classes b mod gcd(q, y);
+    The e(ra/q) matrix over A_q summed over the columns of each distinct class b mod gcd(q, y);
     progression_ramanujan_direct (tests/oracles.py) is the pointwise oracle.
     """
     g = np.gcd(q, y)
     r = reduced_residues(q)
     # one integer g*q + (b mod g) per class; b mod g < g <= q, so both parts decode
     classes, which = np.unique(g * q + b % g, return_inverse=True)
+    terms = _e(np.outer(np.arange(q), r) / q)
     in_class = r % (classes // q)[:, None] == (classes % q)[:, None]
-    return (_e(np.outer(np.arange(q), r) / q) @ in_class.T)[a, which]
+    return np.stack([terms[:, mask].sum(axis=1) for mask in in_class], axis=1)[a, which]
 
 
 def progression_ramanujan_closed(q: int, y: np.ndarray, b: np.ndarray, a: np.ndarray, tables: ArithTables):

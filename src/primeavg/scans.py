@@ -383,8 +383,7 @@ def maximal_scan(
 
 
 def fit_exponent(x: np.ndarray, yvals: np.ndarray) -> float:
-    """Least-squares slope of log(yvals) against log(x)."""
+    """Least-squares slope of log(yvals) against log(x): sum lx ly / sum lx^2, lx centred."""
     lx = np.log(np.asarray(x, dtype=float))
-    ly = np.log(np.asarray(yvals, dtype=float))
-    slope, _ = np.polyfit(lx, ly, 1)
-    return float(slope)
+    lx -= lx.mean()
+    return float(np.sum(lx * np.log(np.asarray(yvals, dtype=float))) / np.sum(lx * lx))

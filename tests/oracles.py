@@ -9,6 +9,7 @@ command runs them; the tests pin every fast path to them.
 
 from __future__ import annotations
 
+import collections
 import math
 
 import numpy as np
@@ -127,17 +128,26 @@ def gauss_upsilon_closed_pointwise(a: int, q: int, y: int, b: int, tables: Arith
     return complex(ratio * progression_ramanujan_closed_pointwise(q, y, b, a, tables).conjugate())
 
 
+# y -> (bound, height -> sum of phi(q) over q <= bound of that height)
+_HEIGHT_SCANS: dict[int, tuple[int, collections.Counter]] = {}
+
+
 def count_height_class(y: int, r: int, tables: ArithTables) -> tuple[int, int]:
     """(enumerated, formula) count of rationals a/q with h_y(q) = r.
 
-    Enumeration scans all q <= y*r and filters on the height; the formula is
+    Enumeration takes the height of every q <= y*r (h_y(q) = r needs
+    q <= y*r) and sums phi(q) by height, once per y: a later call only
+    extends the scan past the q already counted.  The formula is
     phi(r) * y / gcd(y, r).
     """
     if y < 1 or r < 1:
         raise ValueError("y, r must be >= 1")
-    enumerated = sum(int(tables.totient[q]) for q in range(1, y * r + 1) if height(q, y) == r)
+    bound, phi_sums = _HEIGHT_SCANS.get(y, (0, collections.Counter()))
+    for q in range(bound + 1, y * r + 1):
+        phi_sums[height(q, y)] += int(tables.totient[q])
+    _HEIGHT_SCANS[y] = (max(bound, y * r), phi_sums)
     formula = int(tables.totient[r]) * y // math.gcd(y, r)
-    return enumerated, formula
+    return phi_sums[r], formula
 
 
 # ---------------------------------------------------------------------------

@@ -681,6 +681,36 @@ def test_non_finite_float_exits_two_before_sieving(tmp_path, capsys, monkeypatch
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("improving", "seed", -1), ("maximal", "seed", -1), ("verify", "seed", -1), ("approx", "seed", -1),
+        ("improving", "workers", 0), ("improving", "workers", -1),
+        ("maximal", "workers", 0), ("maximal", "workers", -1),
+        ("improving", "n_floor_factor", -3), ("maximal", "n_floor_factor", -1),
+        ("approx", "N", 0), ("approx", "N", 1), ("highlow", "N", 0), ("highlow", "N", 1),
+    ],
+)
+def test_out_of_range_int_exits_two_naming_its_flag(tmp_path, capsys, monkeypatch, command, key, value, source):
+    # a negative seed failed inside numpy's generator with a message naming no
+    # flag (approx, which only echoes it, passed); workers below 1 ran serially,
+    # a negative floor factor reported "stable", and an N below 2 was blamed
+    # on q_cut or the grid.  The floor factor 0, no floor, stays legal
+    _forbid_work(monkeypatch, "work started before the int values were checked")
+    flag = "--" + key.replace("_", "-")
+    if source == "flag":
+        argv = [flag, str(value)]
+    else:
+        (tmp_path / "cfg.json").write_text(json.dumps({key: value}))
+        argv = ["--config", str(tmp_path / "cfg.json")]
+    scan = ["--N-list", "8192", "--y-list", "1"] if command in ("improving", "maximal") else []
+    out = tmp_path / "out"
+    assert _exit_code([command, *scan, *argv, "--out-dir", str(out)]) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

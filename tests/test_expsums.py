@@ -172,6 +172,23 @@ def test_batch_sums_match_pointwise(q, picks):
         assert abs(ups_closed[i] - gauss_upsilon_closed_pointwise(a_, q, yy, bb, tables)) < 1e-12
 
 
+def test_batch_class_sums_match_blas_product():
+    # progression_ramanujan_direct_batch sums each class's columns of the
+    # e(ra/q) matrix, which calls no BLAS; it was the product of that matrix
+    # with the class masks.  Both add the same unit terms, so over verify's
+    # default sample they agree to a few ulp of the largest sum, phi(q)
+    from primeavg.expsums import _e, _sample_tuples
+
+    eps = np.finfo(float).eps
+    for q, (y, b, a) in _sample_tuples(96, 36, 100_000, np.random.default_rng(0)).items():
+        r = reduced_residues(q)
+        g = np.gcd(q, y)
+        classes, which = np.unique(g * q + b % g, return_inverse=True)
+        in_class = r % (classes // q)[:, None] == (classes % q)[:, None]
+        product = (_e(np.outer(np.arange(q), r) / q) @ in_class.T)[a, which]
+        assert np.abs(progression_ramanujan_direct_batch(q, y, b, a) - product).max() <= 2 * eps * len(r)
+
+
 def test_cohen_progression_exhaustive_small(tables):
     err, count = verify_cohen_progression(32, 12, tables)
     assert err == 0.0

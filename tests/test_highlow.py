@@ -264,6 +264,25 @@ def test_hi_l2_ratios_match_inverse_transform(families):
         assert hi_l2_ratios([his[0]], [F])[0, 0] == ratios[i, 0]
 
 
+def test_hi_l2_ratios_einsum_matches_blas_dot():
+    # the Parseval sum is an einsum without optimize, which calls no BLAS; it
+    # was the BLAS dot p @ fpower.  Both add the same positive terms, so the
+    # ratios agree to a few ulp
+    N, M = 1 << 13, 1 << 16
+    his = [hi_hat_profile(_cfg(N=N, y=3, b=1, Q=Q, M=M, q_cut=25)) for Q in (2, 4, 8)]
+    rng = np.random.default_rng(11)
+    families = [np.arange(N // 8), np.arange(1, N, 3), rng.choice(N, N // 4, replace=False)]
+    ratios = hi_l2_ratios(his, families)
+    for i, F in enumerate(families):
+        fhat = np.fft.rfft(indicator(F, M))
+        fpower = fhat.real**2 + fhat.imag**2
+        for j, hi in enumerate(his):
+            p = hi.values.real**2 + hi.values.imag**2
+            p[1:-1] *= 2.0
+            dot = math.sqrt(float(p @ fpower) / (M * len(F)))
+            assert abs(ratios[i, j] - dot) <= 4 * np.finfo(float).eps * dot
+
+
 def test_lo_linf_ratio_r_range(tables):
     cfg = _cfg()
     lo = lo_hat_profile(cfg)
@@ -329,6 +348,21 @@ def test_multifrequency_max_ratio_matches_direct_convolution():
         sup = np.maximum(sup, np.abs(kernel[(x[:, None] - x[None, :]) % M] @ f))
     expected = np.linalg.norm(sup) / np.linalg.norm(f)
     assert multifrequency_max_ratio(D, k, M, f) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("D, k", [(4, 3), (12, 1), (12, 12)])
+def test_multifrequency_pairwise_norms_match_blas_norms(D, k):
+    # the two l2 norms are square roots of numpy's pairwise sums of squares,
+    # which call no BLAS; they were np.linalg.norm.  The ratios agree to a few
+    # ulp, on white noise too, where an einsum self-dot strays by 25 at k = 1
+    M = 1 << 14
+    f = np.random.default_rng(12).standard_normal(M)
+    fhat = np.fft.fft(f)
+    sup = np.zeros(M)
+    for n in range(2 * math.ceil(math.log2(D)) + 1, int(math.log2(M)) - 1):
+        sup = np.maximum(sup, np.abs(np.fft.ifft(multifrequency_profile(D, k, n, M) * fhat)))
+    norms = np.linalg.norm(sup) / np.linalg.norm(f)
+    assert abs(multifrequency_max_ratio(D, k, M, f) - norms) <= 4 * np.finfo(float).eps * norms
 
 
 @pytest.mark.parametrize(

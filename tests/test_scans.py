@@ -464,6 +464,31 @@ def test_report_json_carries_provenance(tmp_path):
     assert payload["parameters"]["r"] == 2.0
 
 
+def test_fit_exponent_closed_form_matches_polyfit_and_exact_slope():
+    # fit_exponent is the closed-form slope sum lx ly / sum lx^2 over centred
+    # log x, which calls no LAPACK; it was np.polyfit.  The scale of the slope's
+    # rounding is sum |lx ly| / sum lx^2.  Against the exact slope of the same
+    # float logs (rational arithmetic) the closed form is within 4 ulp of that
+    # scale; polyfit, through lstsq, is within 16
+    from fractions import Fraction
+
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(13)
+    for _ in range(500):
+        k = int(rng.integers(2, 6))
+        x = 2.0 ** np.sort(rng.choice(np.arange(1, 8), k, replace=False))
+        yvals = rng.uniform(0.1, 3.0) * x ** rng.uniform(-2.0, 2.0) * np.exp(rng.normal(0.0, 0.3, k))
+        lx, ly = np.log(x), np.log(yvals)
+        centred = lx - lx.mean()
+        scale = float(np.abs(centred * ly).sum() / (centred**2).sum())
+        X, Y = [Fraction(v) for v in lx], [Fraction(v) for v in ly]
+        mx, my = sum(X) / k, sum(Y) / k
+        exact = float(sum((u - mx) * (v - my) for u, v in zip(X, Y)) / sum((u - mx) ** 2 for u in X))
+        slope = fit_exponent(x, yvals)
+        assert abs(slope - exact) <= 4 * eps * scale
+        assert abs(slope - np.polyfit(lx, ly, 1)[0]) <= 16 * eps * scale
+
+
 def test_fit_exponent_exact_power_law():
     x = np.array([2.0, 4.0, 8.0, 16.0])
     assert fit_exponent(x, 3.0 * x**-1.25) == pytest.approx(-1.25, abs=1e-12)

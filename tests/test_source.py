@@ -6,6 +6,8 @@ import importlib.util
 import pathlib
 import re
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "primeavg"
 
@@ -120,6 +122,75 @@ def test_no_module_imports_another_modules_private_name():
         if alias.name.startswith("_") and not alias.name.startswith("__")
     ]
     assert not imported
+
+
+# numpy names whose calls reach BLAS or LAPACK: the products and the statistics
+# built on them through BLAS; np.linalg and np.polyfit through LAPACK, as do the
+# fits and root finders of np.polynomial
+BLAS_NAMES = {"dot", "vdot", "inner", "matmul", "tensordot", "cov", "corrcoef", "polyfit", "linalg", "polynomial"}
+
+
+def _dotted(node) -> str:
+    """a.b.c of an attribute chain over a name, else ''."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else ""
+
+
+def _numpy_blas(name: str) -> bool:
+    """Whether the dotted name is np.<one of BLAS_NAMES>..., or the same under numpy."""
+    parts = name.split(".")
+    return parts[0] in ("np", "numpy") and len(parts) > 1 and parts[1] in BLAS_NAMES
+
+
+def blas_calls(tree: ast.AST) -> set[int]:
+    """Lines of tree that call BLAS or LAPACK, or import a numpy name that does."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            bad = True  # @ and @=
+        elif isinstance(node, ast.Attribute):
+            # any .dot( or polynomial .fit(, whatever it is called on
+            bad = node.attr in ("dot", "fit") or _numpy_blas(_dotted(node))
+        elif isinstance(node, ast.Call) and _dotted(node.func).endswith("einsum"):
+            # einsum calls BLAS only when asked to optimize its contraction path
+            bad = any(kw.arg == "optimize" for kw in node.keywords)
+        elif isinstance(node, ast.ImportFrom):
+            bad = any(_numpy_blas(f"{node.module}.{alias.name}") for alias in node.names)
+        elif isinstance(node, ast.Import):
+            bad = any(_numpy_blas(alias.name) for alias in node.names)
+        else:
+            bad = False
+        if bad:
+            lines.add(node.lineno)
+    return lines
+
+
+def test_src_makes_no_blas_or_lapack_call():
+    # OpenBLAS sums in an order set by its thread count, so a BLAS call made a
+    # result depend on OPENBLAS_NUM_THREADS, and the threads each call woke
+    # competed with the pool workers; src/ reduces with numpy's own loops
+    # (the tests may call BLAS)
+    found = [f"{name}:{line}" for name, text in _sources().items() for line in sorted(blas_calls(ast.parse(text)))]
+    assert not found, f"BLAS or LAPACK calls in src/: {found}"
+
+
+@pytest.mark.parametrize(
+    "code",
+    ["a @ b", "a @= b", "a.dot(b)", "np.dot(a, b)", "numpy.vdot(a, b)", "np.inner(a, b)", "np.matmul(a, b)",
+     "np.tensordot(a, b)", "np.cov(a)", "np.corrcoef(a)", "np.linalg.norm(a)", "np.polyfit(x, y, 1)",
+     "np.polynomial.Polynomial.fit(x, y, 1)", "Polynomial.fit(x, y, 1)", "np.einsum('i,i->', a, b, optimize=True)",
+     "from numpy.linalg import norm", "from numpy import dot", "import numpy.linalg"],
+)
+def test_blas_guard_catches(code):
+    assert blas_calls(ast.parse(code)) == {1}
+
+
+@pytest.mark.parametrize("code", ["np.einsum('i,i->', a, b)", "np.sum(a * b)", "a * b", "from numpy import fft"])
+def test_blas_guard_passes(code):
+    assert blas_calls(ast.parse(code)) == set()
 
 
 def test_scan_floor_rule_is_written_once():
