@@ -448,6 +448,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # freeing an untouched, mmapped 8 MiB block lifts glibc malloc's dynamic mmap
+    # threshold to its size: numpy's per-call FFT scratch of a few MB then reuses
+    # heap pages, not a fresh mapping faulted in on every call; forked workers inherit it
+    np.empty(1 << 20)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -292,6 +292,7 @@ def improving_scan(
         "densities": list(IMPROVING_DENSITIES),
         "adversarial": True,
         "seed": seed,
+        "n_floor_factor": int(n_floor_factor),
     }
     return rows, {"parameters": params, "summary": {"stability": stability, "stable": verdict}}
 
@@ -378,6 +379,7 @@ def maximal_scan(
         "densities": list(MAXIMAL_DENSITIES),
         "seed": seed,
         "b_sweep": b_sweep,
+        "n_floor_factor": int(n_floor_factor),
     }
     return rows, {"parameters": params, "summary": summary}
 

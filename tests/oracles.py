@@ -10,6 +10,7 @@ command runs them; the tests pin every fast path to them.
 from __future__ import annotations
 
 import collections
+import functools
 import math
 
 import numpy as np
@@ -152,6 +153,54 @@ def count_height_class(y: int, r: int, tables: ArithTables) -> tuple[int, int]:
 
 # ---------------------------------------------------------------------------
 # primeavg.multiplier
+
+
+def _cutoff_offset(u, dtype):
+    """s = (|u| - 5/32) / (3/32) clipped to [-1, 1]: where the cutoff reads the mollifier's tail."""
+    return np.clip((np.abs(np.asarray(u, dtype=dtype)) - dtype(5) / 32) / (dtype(3) / 32), -1, 1)
+
+
+@functools.cache
+def _linear_mollifier_tail() -> np.ndarray:
+    """The tail on the 2^20 + 1 nodes -1 + j/2^19, by the trapezoid rule: the cutoff's former table."""
+    v = np.linspace(-1.0, 1.0, (1 << 20) + 1)
+    rho = np.zeros_like(v)
+    inner = np.abs(v) < 1.0
+    rho[inner] = np.exp(1.0 - 1.0 / (1.0 - v[inner] ** 2))
+    steps = (rho[1:] + rho[:-1]) * (0.5 * (v[1] - v[0]))
+    mass = np.concatenate(([0.0], np.cumsum(steps)))
+    return 1.0 - mass / mass[-1]
+
+
+def cutoff_linear(u) -> np.ndarray:
+    """The cutoff as it was read before its cubic-Hermite table: linearly, at node spacing 2^-19."""
+    tail = _linear_mollifier_tail()
+    return np.interp(_cutoff_offset(u, np.float64), np.linspace(-1.0, 1.0, len(tail)), tail)
+
+
+def cutoff_reference(u) -> np.ndarray:
+    """The cutoff in long double: the bump's mass on (s, 1) over its mass on (-1, 1).
+
+    Each mass is a tanh-sinh sum (Takahasi and Mori 1974): v = 1 - (1 - s)(1 - x)/2
+    maps x = tanh(pi/2 sinh t) in (-1, 1) onto (s, 1), and t runs over [-4, 4] at
+    step 1/32.  The bump is exp(1 - 1/((1 - v)(1 + v))), with 1 - v taken without
+    cancellation.
+    """
+    L = np.longdouble
+    s = _cutoff_offset(u, L)
+    t = np.arange(-128, 129, dtype=L) / 32
+    x = np.tanh(np.pi / 2 * np.sinh(t))
+    w = (np.pi / 2 / 32) * np.cosh(t) / np.cosh(np.pi / 2 * np.sinh(t)) ** 2
+
+    def mass(half):  # half = (1 - s)/2
+        total = np.zeros_like(half)
+        with np.errstate(divide="ignore"):
+            for xi, wi in zip(x, w):
+                gap = half * (1 - xi)  # 1 - v
+                total += wi * np.exp(1 - 1 / (gap * (2 - gap)))
+        return total * half
+
+    return mass((1 - s) / 2) / mass(np.ones(1, dtype=L))
 
 
 def a_hat(theta: float, N: int, prog: Progression) -> complex:

@@ -1,10 +1,14 @@
 import csv
 import json
 import os
+import platform
+import subprocess
+import sys
 import warnings
 
 import pytest
 
+import primeavg
 from primeavg import __version__, fixtures, scans
 from primeavg.cli import main
 from primeavg.fixtures import fixture_hash
@@ -743,3 +747,38 @@ def test_maximal_overflowing_q_policy_exits_two_before_sieving(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("config error") and "--lambda-grid" in err and "--r" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["improving", "maximal"])
+def test_scan_parameters_echo_the_floor_factor(tmp_path, command):
+    rc = main([command, "--N-list", "1024", "--y-list", "1", "--n-floor-factor", "3", "--workers", "1",
+               "--out-dir", str(tmp_path)])
+    assert rc in (0, 1)
+    assert json.loads((tmp_path / f"{command}.json").read_text())["parameters"]["n_floor_factor"] == 3
+
+
+@pytest.mark.skipif(
+    platform.system() != "Linux" or platform.libc_ver()[0] != "glibc",
+    reason="the warm-up lifts glibc malloc's dynamic mmap threshold",
+)
+def test_main_warm_up_keeps_fft_scratch_off_fresh_mappings():
+    # main lifts the threshold before it reads its input, here a bad --N;
+    # without that each transform's scratch of a few MB is a fresh mapping,
+    # faulted in page by page: about 48k minor faults under glibc 2.36
+    code = (
+        "import resource\n"
+        "import numpy as np\n"
+        "from primeavg.cli import main\n"
+        "assert main(['approx', '--N', '0']) == 2\n"
+        "x = np.random.default_rng(0).standard_normal(1 << 18)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "for _ in range(16):\n"
+        "    np.fft.irfft(np.fft.rfft(x), len(x))\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    # malloc tunables in the caller's environment would fix the threshold
+    env = {k: v for k, v in os.environ.items() if k != "GLIBC_TUNABLES" and not k.startswith("MALLOC_")}
+    src = os.path.dirname(os.path.dirname(primeavg.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert int(done.stdout) < 10_000

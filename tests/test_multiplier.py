@@ -34,7 +34,7 @@ from primeavg.multiplier import (
 from primeavg.scans import improving_scan, maximal_scan
 from primeavg.tables import Progression, default_residue, reduced_residues, von_mangoldt
 
-from oracles import a_hat, approximant_hat, l_hat
+from oracles import a_hat, approximant_hat, cutoff_linear, cutoff_reference, l_hat
 
 
 # ---------------------------------------------------------------------------
@@ -77,62 +77,65 @@ def test_cutoff_spec_defaults():
     assert CUTOFF_OUTER == 1 / 4
 
 
-_NODES = np.linspace(-1.0, 1.0, (1 << 20) + 1)
-
-
-def _interp_cutoff(u):
-    # the cutoff as np.interp reads its table: the oracle of the direct index
-    a = np.abs(np.asarray(u, dtype=np.float64))
-    s = np.clip((a - 5.0 / 32.0) / (3.0 / 32.0), -1.0, 1.0)
-    return np.interp(s, _NODES, _mollifier_tail())
-
-
-def test_cutoff_direct_index_equals_interp():
-    # bit for bit on random points, on every node of the table and on both
-    # float neighbours of every node, including s = -1 and s = 1
-    grid = _NODES
-    assert np.array_equal(grid, np.arange(len(grid)) / multiplier.NODES_PER_UNIT - 1.0)
-    u = np.random.default_rng(5).uniform(-0.3, 0.3, 1 << 20)
-    assert np.array_equal(cutoff(u), _interp_cutoff(u))
-    s = np.concatenate((grid, np.nextafter(grid, 2.0), np.nextafter(grid, -2.0)))
+def test_cutoff_matches_long_double_reference():
+    # within 1e-14 of the long-double quadrature at random points, and at
+    # every 16th node of the table and both float neighbours of each
+    u = np.random.default_rng(5).uniform(-0.3, 0.3, 1 << 11)
+    assert np.abs(cutoff(u) - cutoff_reference(u)).max() < 1e-14
+    nodes = np.arange(0, 2 * multiplier.NODES_PER_UNIT + 1, 16) / multiplier.NODES_PER_UNIT - 1.0
+    s = np.concatenate((nodes, np.nextafter(nodes, 2.0), np.nextafter(nodes, -2.0)))
     u = 5.0 / 32.0 + (3.0 / 32.0) * s
-    assert np.array_equal(cutoff(u), _interp_cutoff(u))
+    assert np.abs(cutoff(u) - cutoff_reference(u)).max() < 1e-14
     ends = np.array([1.0 / 16.0, 0.25, -0.25, 0.0, 1.0])  # s = -1, 1, 1, -1, 1
     assert np.array_equal(cutoff(ends), [1.0, 0.0, 0.0, 1.0, 0.0])
-    assert np.array_equal(cutoff(ends), _interp_cutoff(ends))
     for x in (0.0, 1.0 / 16.0, 0.1, 5.0 / 32.0, 0.25, 0.3):
         value = cutoff(x)
-        assert np.ndim(value) == 0 and value == _interp_cutoff(x)
+        assert np.ndim(value) == 0 and abs(value - cutoff_reference([x])[0]) < 1e-14
 
 
-def _one_shot_mollifier_tail():
-    """The mollifier table built in one pass over the grid: the oracle of the blocked build."""
-    v = _NODES
-    rho = np.zeros_like(v)
-    inner = np.abs(v) < 1.0
-    rho[inner] = np.exp(1.0 - 1.0 / (1.0 - v[inner] ** 2))
-    steps = (rho[1:] + rho[:-1]) * (0.5 * (v[1] - v[0]))
-    mass = np.concatenate(([0.0], np.cumsum(steps)))
-    return 1.0 - mass / mass[-1]
+def test_cutoff_reference_matches_mpmath():
+    # the long-double reference against mpmath's quadrature at 30 digits
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    bump = lambda v: mpmath.exp(1 - 1 / (1 - v * v)) if abs(v) < 1 else mpmath.mpf(0)
+    total = mpmath.quad(bump, [-1, 0, 1])
+    u = np.array([0.07, 0.1, 0.13, 5.0 / 32.0, 0.2, 0.24])
+    reference = cutoff_reference(u)
+    for x, r in zip(u, reference):
+        s = (mpmath.mpf(float(x)) - mpmath.mpf(5) / 32) / (mpmath.mpf(3) / 32)
+        exact = mpmath.quad(bump, [s, 1]) / total
+        assert abs(mpmath.mpf(np.format_float_scientific(r, unique=True)) - exact) < 1e-18
 
 
-def test_mollifier_tail_blocked_build_matches_one_shot():
-    tail = _mollifier_tail()
-    assert np.array_equal(tail, _one_shot_mollifier_tail())
-    assert tail[0] == 1.0 and tail[-1] == 0.0
+def test_cutoff_within_2e12_of_the_linear_read():
+    # the former read, linear on 2^20 + 1 nodes, erred by up to 1.4e-12
+    u = np.random.default_rng(5).uniform(-0.3, 0.3, 1 << 16)
+    assert np.abs(cutoff(u) - cutoff_linear(u)).max() < 2e-12
+
+
+def test_mollifier_tail_nodes_match_reference():
+    # 2^12 nodes per unit, each value within one float64 rounding of the
+    # reference, the slopes -bump/Z, and the ends exactly 1 and 0
+    value, slope = _mollifier_tail()
+    assert len(value) == len(slope) == 2 * multiplier.NODES_PER_UNIT + 1 == 8193
+    s = np.arange(len(value)) / multiplier.NODES_PER_UNIT - 1.0
+    reference = cutoff_reference(5.0 / 32.0 + (3.0 / 32.0) * s)
+    assert np.abs(value - reference).max() <= 2.0**-53
+    assert value[0] == 1.0 and value[-1] == 0.0 and slope[0] == slope[-1] == 0.0
+    bump = np.exp(1.0 - 1.0 / ((1.0 - s[1:-1]) * (1.0 + s[1:-1])))
+    assert np.allclose(slope[1:-1], -bump / 1.2069003224378761753, rtol=1e-12, atol=0.0)  # Z by mpmath
 
 
 def test_mollifier_tail_temporaries_stay_within_a_few_blocks():
-    # the running sum and the table plus one block's temporaries; the
-    # one-shot build holds about six table-length arrays at once
+    # the two tables plus their long-double build, within a few window blocks
     _mollifier_tail.cache_clear()
     tracemalloc.start()
     try:
-        tail = _mollifier_tail()
+        value, slope = _mollifier_tail()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * tail.nbytes + 8 * WINDOW_BLOCK * tail.itemsize
+    assert peak <= value.nbytes + slope.nbytes + 8 * WINDOW_BLOCK * value.itemsize
 
 
 # ---------------------------------------------------------------------------
