@@ -57,9 +57,7 @@ class ConfigError(Exception):
 
 
 def _fmt(v) -> str:
-    if isinstance(v, float):
-        return format(v, ".12g")
-    return str(v)
+    return format(v, ".12g") if isinstance(v, float) else str(v)
 
 
 def _csv_text(rows: list[dict]) -> str:
@@ -159,9 +157,7 @@ def _identity_suites(
     tables = build_tables(max(3600, cohen_qmax))
     height_bad, stated_bad, height_cases = verify_height_classes(60, 60, tables)
     suites = {
-        "progression_ramanujan": verify_progression_ramanujan(
-            qmax, ymax, max_tuples=max_tuples, seed=seed
-        ),
+        "progression_ramanujan": verify_progression_ramanujan(qmax, ymax, max_tuples=max_tuples, seed=seed),
         "gauss_upsilon": verify_gauss_upsilon(qmax, ymax, max_tuples=max_tuples, seed=seed),
         "cohen_progression": verify_cohen_progression(cohen_qmax, cohen_ymax, tables),
         "divisor_identity": verify_divisor_identity(200),
@@ -171,14 +167,8 @@ def _identity_suites(
         {"suite": suite, "cases": count, "max_scaled_err": float(err), "pass": err < 1e-8}
         for suite, (err, count) in suites.items()
     ]
-    rows.append(
-        {
-            "suite": "height_class_stated_formula",
-            "cases": height_cases,
-            "max_scaled_err": float(stated_bad),
-            "pass": "",
-        }
-    )
+    rows.append({"suite": "height_class_stated_formula", "cases": height_cases,
+                 "max_scaled_err": float(stated_bad), "pass": ""})
     return rows
 
 
@@ -208,10 +198,10 @@ def cmd_verify(cfg: dict) -> tuple[list[dict], dict, bool]:
     cells = [("suites", sizes)]
     if cfg.get("fixtures", True):
         cells += [("fixtures", group) for group in recipe_groups(list(dict.fromkeys(names)))]
-    # the suites and the recipes are independent: one pool task for the suites
+    # the suites and the recipes are independent: one fresh process for the suites
     # and one per group of recipes sharing a sweep, each name measured once;
     # the fixture rows go back in the order of names, a repeated name at each place
-    rows = run_cells(_verify_cell, cells, os.cpu_count() or 1)
+    rows = run_cells(_verify_cell, cells, os.cpu_count() or 1, fresh=True)
     suite_rows = [r for r in rows if r["suite"] != "fixture"]
     by_name = {r["name"]: r for r in rows if r["suite"] == "fixture"}
     fixture_rows = [by_name[name] for name in names if name in by_name]
@@ -239,15 +229,7 @@ def cmd_approx(cfg: dict) -> tuple[list[dict], dict, bool]:
     sup, residuals = approx_residual(N, prog, q_cut, M, stride)
     near = near_zero_error(N, prog)
     rows = [{"xi": k / M, "abs_residual": float(v)} for k, v in zip(range(0, M, stride), residuals)]
-    summary = {
-        "N": N,
-        "y": prog.y,
-        "b": prog.b,
-        "q_cut": q_cut,
-        "M": M,
-        "sup_residual": sup,
-        "near_zero_error": near,
-    }
+    summary = {"N": N, "y": prog.y, "b": prog.b, "q_cut": q_cut, "M": M, "sup_residual": sup, "near_zero_error": near}
     return rows, summary, True
 
 
@@ -284,16 +266,8 @@ def cmd_highlow(cfg: dict) -> tuple[list[dict], dict, bool]:
         )
     worst_partition = max(row["partition_err"] for row in rows)
     ok = worst_partition < 1e-10
-    summary = {
-        "N": N,
-        "y": prog.y,
-        "b": prog.b,
-        "M": M,
-        "Q_list": Q_list,
-        "r": r,
-        "max_partition_err": worst_partition,
-        "partition_pass": ok,
-    }
+    summary = {"N": N, "y": prog.y, "b": prog.b, "M": M, "Q_list": Q_list, "r": r,
+               "max_partition_err": worst_partition, "partition_pass": ok}
     return rows, summary, ok
 
 
@@ -344,15 +318,8 @@ def cmd_ramanujan_avg(cfg: dict) -> tuple[list[dict], dict, bool]:
     exponent = fit_exponent([r["Q"] for r in rows], [r["lhs"] for r in rows])
     cap = cfg.get("exponent_cap")
     ok = True if cap is None else exponent <= cap
-    summary = {
-        "y": prog.y,
-        "b": prog.b,
-        "t": t,
-        "Q_list": Q_list,
-        "fitted_exponent": exponent,
-        "exponent_cap": cap,
-        "pass": ok,
-    }
+    summary = {"y": prog.y, "b": prog.b, "t": t, "Q_list": Q_list, "fitted_exponent": exponent,
+               "exponent_cap": cap, "pass": ok}
     return rows, summary, ok
 
 
@@ -360,13 +327,7 @@ def cmd_sw(cfg: dict) -> tuple[list[dict], dict, bool]:
     prog = _prog_from(cfg)
     x_grid = cfg.get("x_grid", [10**4, 10**5, 10**6])
     rows = sw_error_report(x_grid, prog)
-    summary = {
-        "y": prog.y,
-        "b": prog.b,
-        "J": ARC_J,
-        "x_grid": x_grid,
-        "final_rel_error": rows[-1]["rel_error"],
-    }
+    summary = {"y": prog.y, "b": prog.b, "J": ARC_J, "x_grid": x_grid, "final_rel_error": rows[-1]["rel_error"]}
     return rows, summary, True
 
 
@@ -425,10 +386,8 @@ def _flag(key: str) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="primeavg",
-        description="Laboratory for prime averages along arithmetic progressions",
-    )
+    parser = argparse.ArgumentParser(prog="primeavg",
+                                     description="Laboratory for prime averages along arithmetic progressions")
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
     for command, (help_text, func, _) in COMMANDS.items():

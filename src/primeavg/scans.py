@@ -41,6 +41,7 @@ import concurrent.futures
 import functools
 import math
 import multiprocessing
+import multiprocessing.connection
 import warnings
 
 import numpy as np
@@ -165,11 +166,13 @@ def _family_sups(N_list, prog: Progression, densities, seed: int, greedy: bool =
 # Improving scan
 
 
-def run_cells(cell_fn, cells: list, workers: int) -> list:
+def run_cells(cell_fn, cells: list, workers: int, fresh: bool = False) -> list:
     """Rows of every cell in cell order, on a pool of up to `workers` processes.
 
     Each cell runs as one task.  When min(workers, cells) exceeds one, every
-    cell runs in the pool; otherwise all run here, in order.  The warnings of
+    cell runs in the pool; otherwise all run here, in order.  With fresh,
+    each cell gets a process of its own, so its peak memory does not depend
+    on the heap that earlier cells left in a shared worker.  The warnings of
     each cell are recorded where it runs and raised again here in cell
     order, as a serial run would raise them.  The pool forks where the
     platform can, so the workers inherit the tables the parent sieved; other
@@ -178,10 +181,12 @@ def run_cells(cell_fn, cells: list, workers: int) -> list:
     run = functools.partial(_run_task, cell_fn)
     workers = min(workers, len(cells))
     if workers > 1:
-        fork = "fork" in multiprocessing.get_all_start_methods()
-        context = multiprocessing.get_context("fork") if fork else None
-        with concurrent.futures.ProcessPoolExecutor(workers, mp_context=context) as pool:
-            done = list(pool.map(run, cells))
+        context = multiprocessing.get_context("fork" if "fork" in multiprocessing.get_all_start_methods() else None)
+        if fresh:
+            done = _run_fresh(run, cells, workers, context)
+        else:
+            with concurrent.futures.ProcessPoolExecutor(workers, mp_context=context) as pool:
+                done = list(pool.map(run, cells))
     else:
         done = [run(cell) for cell in cells]
     rows = []
@@ -190,6 +195,42 @@ def run_cells(cell_fn, cells: list, workers: int) -> list:
             warnings.warn_explicit(message, category, filename, lineno)
         rows += cell_rows
     return rows
+
+
+def _run_fresh(run, cells: list, workers: int, context) -> list:
+    """[run(cell) for cell in cells], each in a new process started from this thread, `workers` at a time.
+
+    A cell's exception is raised again here, and EOFError for a process that
+    ended without a result; the processes still running are then killed.
+    """
+    done, running, todo = [None] * len(cells), {}, list(enumerate(cells))[::-1]
+    try:
+        while todo or running:
+            while todo and len(running) < workers:
+                i, cell = todo.pop()
+                reader, writer = context.Pipe(duplex=False)
+                running[reader] = i, context.Process(target=_send_task, args=(run, cell, writer))
+                running[reader][1].start()
+                writer.close()
+            for reader in multiprocessing.connection.wait(list(running)):
+                i, proc = running.pop(reader)
+                with reader:
+                    ok, done[i] = reader.recv()
+                proc.join()
+                if not ok:
+                    raise done[i]
+    finally:
+        for _, proc in running.values():
+            proc.kill()
+            proc.join()
+    return done
+
+
+def _send_task(run, cell, writer) -> None:
+    try:
+        writer.send((True, run(cell)))
+    except BaseException as exc:  # raised again by _run_fresh
+        writer.send((False, exc))
 
 
 def _run_scan_cells(cell_fn, cells_of, N_list, y_list, floor: int, workers: int, b_sweep: bool = False) -> list:

@@ -536,9 +536,9 @@ def test_verify_artifacts_equal_serial_run(tmp_path, monkeypatch):
     groups = []
     run_cells = cli.run_cells
 
-    def spy(cell_fn, cells, workers):
+    def spy(cell_fn, cells, workers, **kwargs):
         groups.append([group for _, group in cells[1:]])
-        return run_cells(cell_fn, cells, workers)
+        return run_cells(cell_fn, cells, workers, **kwargs)
 
     monkeypatch.setattr(cli, "run_cells", spy)
     outputs = []

@@ -1,6 +1,7 @@
 import math
 import multiprocessing
 import os
+import sys
 import tracemalloc
 import warnings
 
@@ -8,6 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
 
 from primeavg import scans
 from primeavg.cli import _csv_text
@@ -435,6 +441,35 @@ def test_run_cells_uses_a_pool_only_for_two_tasks_and_workers(workers, cells, in
     pids = run_cells(_pid_cell, list(range(cells)), workers)
     assert len(pids) == cells
     assert all((pid != os.getpid()) == in_pool for pid in pids)
+
+
+def _fresh_cell(cell):
+    if cell == "raise":
+        raise KeyError(cell)
+    if cell == "die":
+        os._exit(3)
+    if cell == "big":
+        np.ones(1 << 23)  # 64 MiB, touched and freed
+    return [(os.getpid(), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)]
+
+
+@pytest.mark.skipif(resource is None or not sys.platform.startswith("linux"), reason="ru_maxrss in KiB on Linux")
+def test_run_cells_fresh_gives_each_cell_its_own_process_and_peak():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cells(_warning_cell, list("abcde"), 2, fresh=True) == list("abcde")
+    assert [str(w.message) for w in caught] == [f"cell {c}" for c in "abcde"]
+    # a persistent worker would carry the big cell's 64 MiB high-water mark into the next cell
+    (big_pid, big_peak), *probes = run_cells(_fresh_cell, ["big", "probe", "probe", "probe"], 2, fresh=True)
+    assert len({big_pid, os.getpid(), *(pid for pid, _ in probes)}) == 5
+    assert all(peak < big_peak - 32 * 1024 for _, peak in probes)
+
+
+def test_run_cells_fresh_raises_a_cells_error_and_a_lost_process():
+    with pytest.raises(KeyError):
+        run_cells(_fresh_cell, ["probe", "raise", "probe"], 2, fresh=True)
+    with pytest.raises(EOFError):
+        run_cells(_fresh_cell, ["probe", "die", "probe"], 2, fresh=True)
 
 
 # ---------------------------------------------------------------------------
