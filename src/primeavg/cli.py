@@ -192,9 +192,8 @@ def cmd_verify(cfg: dict) -> tuple[list[dict], dict, bool]:
     for name in names:
         if name not in RECIPES:
             raise ConfigError(f"unknown fixture name: {name}")
-    defaults = {"qmax": 96, "ymax": 36, "max_tuples": 100_000, "cohen_qmax": 64, "cohen_ymax": 24}
+    defaults = {"qmax": 96, "ymax": 36, "max_tuples": 100_000, "cohen_qmax": 64, "cohen_ymax": 24, "seed": 0}
     sizes = {key: cfg.get(key, default) for key, default in defaults.items()}
-    sizes["seed"] = cfg.get("seed", 0)
     cells = [("suites", sizes)]
     if cfg.get("fixtures", True):
         cells += [("fixtures", group) for group in recipe_groups(list(dict.fromkeys(names)))]

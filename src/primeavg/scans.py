@@ -209,9 +209,10 @@ def _run_fresh(run, cells: list, workers: int, context) -> list:
             while todo and len(running) < workers:
                 i, cell = todo.pop()
                 reader, writer = context.Pipe(duplex=False)
-                running[reader] = i, context.Process(target=_send_task, args=(run, cell, writer))
-                running[reader][1].start()
+                proc = context.Process(target=_send_task, args=(run, cell, writer))
+                proc.start()
                 writer.close()
+                running[reader] = i, proc
             for reader in multiprocessing.connection.wait(list(running)):
                 i, proc = running.pop(reader)
                 with reader:
@@ -229,7 +230,7 @@ def _run_fresh(run, cells: list, workers: int, context) -> list:
 def _send_task(run, cell, writer) -> None:
     try:
         writer.send((True, run(cell)))
-    except BaseException as exc:  # raised again by _run_fresh
+    except Exception as exc:  # raised again by _run_fresh
         writer.send((False, exc))
 
 
