@@ -450,7 +450,7 @@ def _fresh_cell(cell):
         os._exit(3)
     if cell == "big":
         np.ones(1 << 23)  # 64 MiB, touched and freed
-    return [(os.getpid(), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)]
+    return [(os.getpid(), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss if resource else 0)]
 
 
 @pytest.mark.skipif(resource is None or not sys.platform.startswith("linux"), reason="ru_maxrss in KiB on Linux")
