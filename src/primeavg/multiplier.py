@@ -18,13 +18,11 @@ filled into its preallocated output WINDOW_BLOCK points at a time
 (fill_window), so its temporaries are O(WINDOW_BLOCK) however wide it is.
 
 approx_residual streams the residual a_hat - approximant one residue class
-of k at a time, never holding a length-M array.  With L = min(M,
-CLASS_LENGTH) and D = M/L, class r holds k = D m + r: a_hat there is the
-length-L DFT at m of the support weights twiddled by e(-n r/M), evaluated at
-the prime powers alone, and folded to n mod L.  Only r <= D/2 is
-transformed, since the conjugated reversal of class r is class D - r on
-k <= M/2.  Each class has the windows at its own k subtracted in Farey order,
-strided by D, then updates the sup and the rows and is dropped.
+k = D m + r at a time, D = M/L, in one buffer of L = min(M, CLASS_LENGTH)
+points: the in-place DFT at m of the prime-power weights twiddled by
+e(-n r/M) and folded to n mod L, less the windows at those k in Farey order.
+Only r <= D/2 is transformed; for 0 < r < D - r, class r is the lower half,
+and class D - r on k <= M/2 the upper half conjugated and reversed in place.
 
 The major-arc errors sweep a_hat over a short uniform grid near a rational.
 That sweep is a blocked Bluestein chirp-z transform (Rabiner, Schafer and
@@ -220,10 +218,10 @@ def m_hat(theta, length: float):
 
 def _weighted_support(N: int, prog: Progression):
     """Indices n < N in the progression with Lambda(n) > 0, and their weights."""
-    n = prog.indices(N)
-    w = von_mangoldt(N)[n]
-    nz = w > 0
-    return n[nz], w[nz]
+    start = prog.b if prog.b >= 1 else prog.y
+    view = von_mangoldt(N)[start:N:prog.y]
+    j = np.flatnonzero(view)
+    return start + prog.y * j, view[j]
 
 
 def a_kernel(N: int, prog: Progression, M: int) -> np.ndarray:
@@ -262,7 +260,6 @@ def a_hat_uniform_grid(
     N a power of two, it is exact.
     """
     n, w = _weighted_support(N, prog)
-    phi_y = phi(prog.y)
     P = pow2_at_least(2 * count)
     K = P - count + 1
 
@@ -281,7 +278,7 @@ def a_hat_uniform_grid(
         block = np.zeros(P, dtype=np.complex128)
         block[n[lo:hi] - s] = u[lo:hi]
         spectrum += np.fft.fft(block) * np.fft.fft(chirp(lags - s, 1))
-    return (phi_y / N) * chirp(np.arange(count), -1) * np.fft.ifft(spectrum)[K - 1 : K - 1 + count]
+    return (phi(prog.y) / N) * chirp(np.arange(count), -1) * np.fft.ifft(spectrum)[K - 1 : K - 1 + count]
 
 
 # ---------------------------------------------------------------------------
@@ -350,10 +347,9 @@ def approximant_profile(
     if windows is None:
         windows = approximant_windows(N, prog, q_cut, M)
     top = math.inf if height_max is None else height_max
-    held = lambda p: p.q < q_cut and height_min <= p.height <= top
     values = np.zeros(M // 2 + 1, dtype=np.complex128)
     for p, k0, vals in windows:
-        if held(p):
+        if p.q < q_cut and height_min <= p.height <= top:
             values[k0 : k0 + len(vals)] += vals
     return SpectralProfile(M, values)
 
@@ -392,20 +388,24 @@ def near_zero_error(
 
 
 def _residual_classes(N: int, prog: Progression, q_cut: int, M: int):
-    """(r, values): a_hat - approximant at k = r, r + D, ... <= M/2, for each class r < D; see the module notes."""
+    """(r, a_hat - approximant at k = r, r + D, ... <= M/2) per class r < D, a view the next class overwrites."""
     L = min(M, CLASS_LENGTH)
     D = M // L
     n, w = _weighted_support(N, prog)
     w = (phi(prog.y) / N) * w
     folded = n % L
     points = _window_points(prog, q_cut)
+    grid = np.empty(L, dtype=np.complex128)
     for r in range(D // 2 + 1):
         twiddled = w * np.exp(-2j * np.pi * ((n * r) % M / M))
-        spectrum = np.fft.fft(np.bincount(folded, twiddled.real, L) + 1j * np.bincount(folded, twiddled.imag, L))
-        # the conjugated reversal of class r is class D - r on k <= M/2
-        classes = [(r, spectrum), (D - r, np.conj(spectrum[::-1]))] if 0 < r < D - r else [(r, spectrum)]
+        grid.real = np.bincount(folded, twiddled.real, L)
+        grid.imag = np.bincount(folded, twiddled.imag, L)
+        np.fft.fft(grid, out=grid)
+        classes = [(r, grid[: (M // 2 - r) // D + 1])]  # grid[:L/2] when 0 < r < D - r
+        if 0 < r < D - r:  # class D - r stored contiguous: np.abs rounds differently on a negative stride
+            grid[L // 2 :] = np.conj(grid[L // 2 :][::-1])
+            classes.append((D - r, grid[L // 2 :]))
         for c, values in classes:
-            values = values[: (M // 2 - c) // D + 1]
             # window by window, in place: at y = 1 the window of 0/1 overlaps
             # those of a/q for q >= 4, so a pre-summed approximant changes last bits
             for p in points:

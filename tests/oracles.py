@@ -3,8 +3,10 @@
 Ramanujan and Gauss sums, the identity checks and the height-class counts of
 primeavg.expsums one case at a time; a_hat, l_hat and the approximant of
 primeavg.multiplier one frequency at a time; and highlow's closed-form Low
-kernel one Q at a time.  Each comes straight from its defining sum.  No
-command runs them; the tests pin every fast path to them.
+kernel one Q at a time.  Each comes straight from its defining sum.  The
+prime-power support and the residual's classes are also kept as multiplier
+built them before their lean paths: a gather and a mask, and fresh arrays
+per class.  No command runs them; the tests pin every fast path to them.
 """
 
 from __future__ import annotations
@@ -26,8 +28,17 @@ from primeavg.expsums import (
     ramanujan_table,
 )
 from primeavg.highlow import DecompositionConfig, _centered_coords, phi_kernel
-from primeavg.multiplier import CUTOFF_OUTER, _warn_qcut, _weighted_support, cutoff, m_hat
-from primeavg.tables import ArithTables, Progression, phi, reduced_residues
+from primeavg import multiplier
+from primeavg.multiplier import (
+    CUTOFF_OUTER,
+    _l_hat_window,
+    _warn_qcut,
+    _weighted_support,
+    _window_points,
+    cutoff,
+    m_hat,
+)
+from primeavg.tables import ArithTables, Progression, phi, reduced_residues, von_mangoldt
 
 # ---------------------------------------------------------------------------
 # primeavg.expsums
@@ -208,6 +219,35 @@ def a_hat(theta: float, N: int, prog: Progression) -> complex:
     n, w = _weighted_support(N, prog)
     phi_y = phi(prog.y)
     return complex((phi_y / N) * np.sum(w * np.exp(-2j * np.pi * theta * n)))
+
+
+def weighted_support_gather(N: int, prog: Progression):
+    """_weighted_support as it was: every member of the progression gathered, then masked to Lambda(n) > 0."""
+    n = prog.indices(N)
+    w = von_mangoldt(N)[n]
+    nz = w > 0
+    return n[nz], w[nz]
+
+
+def residual_classes_fresh(N: int, prog: Progression, q_cut: int, M: int):
+    """multiplier._residual_classes as it was before its one class buffer: fresh arrays for every class."""
+    L = min(M, multiplier.CLASS_LENGTH)
+    D = M // L
+    n, w = _weighted_support(N, prog)
+    w = (phi(prog.y) / N) * w
+    folded = n % L
+    points = _window_points(prog, q_cut)
+    for r in range(D // 2 + 1):
+        twiddled = w * np.exp(-2j * np.pi * ((n * r) % M / M))
+        spectrum = np.fft.fft(np.bincount(folded, twiddled.real, L) + 1j * np.bincount(folded, twiddled.imag, L))
+        # the conjugated reversal of class r is class D - r on k <= M/2
+        classes = [(r, spectrum), (D - r, np.conj(spectrum[::-1]))] if 0 < r < D - r else [(r, spectrum)]
+        for c, values in classes:
+            values = values[: (M // 2 - c) // D + 1]
+            for p in points:
+                j0, vals = _l_hat_window(p, N, M, D, c)
+                values[j0 : j0 + len(vals)] -= vals
+            yield c, values
 
 
 def _torus_offset(xi: float, center: float) -> float:

@@ -12,6 +12,7 @@ from primeavg.multiplier import (
     _l_hat_window,
     _mollifier_tail,
     _residual_classes,
+    _weighted_support,
     CLASS_LENGTH,
     CUTOFF_OUTER,
     WINDOW_BLOCK,
@@ -34,7 +35,15 @@ from primeavg.multiplier import (
 from primeavg.scans import improving_scan, maximal_scan
 from primeavg.tables import Progression, default_residue, reduced_residues, von_mangoldt
 
-from oracles import a_hat, approximant_hat, cutoff_linear, cutoff_reference, l_hat
+from oracles import (
+    a_hat,
+    approximant_hat,
+    cutoff_linear,
+    cutoff_reference,
+    l_hat,
+    residual_classes_fresh,
+    weighted_support_gather,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -513,16 +522,18 @@ def test_approx_error_profile_residual():
         assert sup == pytest.approx(float(np.abs(v).max()), rel=1e-14)
 
 
-@pytest.mark.parametrize(
-    "class_length, N, M",
+# M = N, 2N, 4N and 16N: D = M / min(M, L) is 1, 1, 1, 2 at the module's
+# L = 2^18, and 4, 8, 16, 64 at L = 2^10; N = 3000 is no power of two
+CLASS_CASES = (
     [(CLASS_LENGTH, 1 << 15, (1 << 15) * f) for f in (1, 2, 4, 16)]
     + [(1 << 10, 1 << 12, (1 << 12) * f) for f in (1, 2, 4, 16)]
-    + [(CLASS_LENGTH, 3000, 1 << 14), (1 << 10, 3000, 1 << 14)],
+    + [(CLASS_LENGTH, 3000, 1 << 14), (1 << 10, 3000, 1 << 14)]
 )
+
+
+@pytest.mark.parametrize("class_length, N, M", CLASS_CASES)
 def test_residual_classes_match_full_residual(monkeypatch, class_length, N, M):
-    # M = N, 2N, 4N and 16N: D = M / min(M, L) is 1, 1, 1, 2 at the module's
-    # L = 2^18, and 4, 8, 16, 64 at L = 2^10; N = 3000 is no power of two.
-    # Rows at strides 1, 3 and M/16 read |residual| at min(k, M - k) from every class.
+    # rows at strides 1, 3 and M/16 read |residual| at min(k, M - k) from every class
     monkeypatch.setattr(multiplier, "CLASS_LENGTH", class_length)
     for y in (1, 3, 5):
         prog = Progression(y, default_residue(y))
@@ -552,6 +563,53 @@ def test_streamed_residual_holds_no_grid_array(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 8 * M
+
+
+@pytest.mark.parametrize("class_length, N, M", CLASS_CASES)
+def test_residual_classes_match_fresh_array_oracle(monkeypatch, class_length, N, M):
+    # the one reused class buffer yields every class bit for bit as the loop
+    # that built fresh arrays per class, each on contiguous data, where np.abs
+    # rounds as on a fresh array; each class is copied before the generator
+    # resumes and overwrites it
+    monkeypatch.setattr(multiplier, "CLASS_LENGTH", class_length)
+    for y in (1, 3, 5):
+        prog = Progression(y, default_residue(y))
+        reused = []
+        for r, values in _residual_classes(N, prog, 16, M):
+            assert values.flags.c_contiguous
+            reused.append((r, values.copy()))
+        fresh = list(residual_classes_fresh(N, prog, 16, M))
+        assert [r for r, _ in reused] == [r for r, _ in fresh]
+        for (_, got), (_, want) in zip(reused, fresh):
+            assert np.array_equal(got, want)
+
+
+def test_residual_classes_reuse_one_class_buffer(monkeypatch):
+    # at N = 2^16, M = 2^18 and L = 2^14 the traced peak is 4.2 class buffers
+    # of 16 L bytes; fresh arrays per class peaked at 6.2
+    N, M, L = 1 << 16, 1 << 18, 1 << 14
+    prog = Progression(1, 0)
+    monkeypatch.setattr(multiplier, "CLASS_LENGTH", L)
+    approx_residual(N, prog, 16, M, M)  # sieve and tabulate before tracing
+    tracemalloc.start()
+    try:
+        approx_residual(N, prog, 16, M, M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 16 * L
+
+
+@pytest.mark.parametrize("N", [3000, 1 << 12])
+@pytest.mark.parametrize("y", [1, 3, 5])
+def test_weighted_support_matches_gather(N, y):
+    # the strided view of Lambda gives the gathered and masked support bit for bit
+    for b in reduced_residues(y):
+        prog = Progression(y, int(b))
+        n, w = _weighted_support(N, prog)
+        n_old, w_old = weighted_support_gather(N, prog)
+        assert n.dtype == n_old.dtype and w.dtype == w_old.dtype
+        assert np.array_equal(n, n_old) and np.array_equal(w, w_old)
 
 
 @settings(max_examples=30, deadline=None)
