@@ -48,7 +48,6 @@ from .multiplier import approx_residual, approximant_profile, approximant_window
 from .scans import fit_exponent, improving_scan, maximal_scan, run_cells
 from .tables import ARC_J, Progression, build_tables, default_residue, memory_cap, sw_error_report
 
-VARIATION_CAP = 1.5  # maximal fails when the largest weak ratio over b reaches this times the smallest
 APPROX_ROWS = 1 << 14  # approx writes the residual at every max(1, M // APPROX_ROWS)-th k
 
 
@@ -270,30 +269,21 @@ def cmd_highlow(cfg: dict) -> tuple[list[dict], dict, bool]:
     return rows, summary, ok
 
 
-def _run_scan(scan, cfg: dict):
-    """One scan with the keys of cfg it takes; workers default to the cpu count."""
+def _run_scan(scan, cfg: dict, verdict: str) -> tuple[list[dict], dict, bool]:
+    """One scan with the keys of cfg it takes, and its summary's verdict; workers default to the cpu count."""
     taken = inspect.signature(scan).parameters
     kwargs = {key: value for key, value in cfg.items() if key in taken}
     kwargs["workers"] = cfg.get("workers", os.cpu_count() or 1)
-    return scan(**kwargs)
+    rows, report = scan(**kwargs)
+    return rows, report, report["summary"][verdict]
 
 
 def cmd_improving(cfg: dict) -> tuple[list[dict], dict, bool]:
-    rows, report = _run_scan(improving_scan, cfg)
-    return rows, report, report["summary"]["stable"]
+    return _run_scan(improving_scan, cfg, "stable")
 
 
 def cmd_maximal(cfg: dict) -> tuple[list[dict], dict, bool]:
-    lambdas = cfg.get("lambda_grid")
-    # the weak ratio scales with lambda and the q_policy column is lambda^(r/2 - 1)
-    if lambdas is not None and not all(lam > 0.0 for lam in lambdas):
-        raise ConfigError(f"--lambda-grid needs positive values, got {lambdas}")
-    rows, report = _run_scan(maximal_scan, cfg)
-    ceiling = cfg.get("weak_ceiling", 1.0)
-    summary = report["summary"]
-    ok = summary["max_weak_ratio"] <= ceiling and all(v < VARIATION_CAP for v in summary["b_variation"].values())
-    summary["pass"] = ok
-    return rows, report, ok
+    return _run_scan(maximal_scan, cfg, "pass")
 
 
 def cmd_ramanujan_avg(cfg: dict) -> tuple[list[dict], dict, bool]:

@@ -50,7 +50,7 @@ def ramanujan_table(q: int) -> np.ndarray:
     whole x array at once; mu comes from the cached tables, a view of any
     larger table sieved.
     """
-    mobius, x = build_tables(max(q, 2)).mobius, np.arange(q)
+    mobius, x = build_tables(q).mobius, np.arange(q)
     table = np.zeros(q, dtype=np.int64)
     for d in _divisors(q):
         table += d * int(mobius[q // d]) * (x % d == 0)
@@ -172,7 +172,7 @@ def farey_points(Qmax: int, prog: Progression) -> list[FareyPoint]:
     if Qmax < 1:
         raise ValueError("Qmax must be >= 1")
     y, b = prog.y, prog.b
-    tables = build_tables(max(2, y * Qmax))  # lcm(y, q) <= y * Qmax
+    tables = build_tables(y * Qmax)  # lcm(y, q) <= y * Qmax
     points = []
     for q in range(1, Qmax + 1):
         a = reduced_residues(q)
@@ -271,7 +271,7 @@ def _verify_sampled(
     cache lets the second suite of a run reuse the first one's pass.
     """
     rng = np.random.default_rng(seed)
-    tables = build_tables(max(2, qmax * ymax))
+    tables = build_tables(qmax * ymax)
     worst_r = worst_u = 0.0
     count = 0
     for q, (y, b, a) in _sample_tuples(qmax, ymax, max_tuples, rng).items():

@@ -73,11 +73,6 @@ def hi_hat_profile(cfg: DecompositionConfig, windows: list | None = None) -> Spe
 # Kernels
 
 
-def _centered_coords(M: int) -> np.ndarray:
-    x = np.arange(M, dtype=np.int64)
-    return np.where(x < M // 2, x, x - M)
-
-
 def _phi_hat(cfg: DecompositionConfig, q: int) -> np.ndarray:
     """m_hat(l xi, N/l) cutoff(l^2 xi), l = lcm(y, q), on k <= M/2: the major-arc window at 0/1 of weight 1.
 
@@ -108,7 +103,8 @@ def lo_kernels_closed(cfgs: list[DecompositionConfig], tables: ArithTables) -> l
     """
     cfg = cfgs[0]
     y, b = cfg.prog.y, cfg.prog.b
-    x = _centered_coords(cfg.M)
+    x = np.arange(cfg.M, dtype=np.int64)
+    x[cfg.M // 2 :] -= cfg.M  # centered: -M/2 <= x < M/2
     Qs = {c.Q for c in cfgs}
     sums = {}
     out = np.zeros(cfg.M, dtype=np.float64)

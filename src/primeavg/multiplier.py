@@ -217,18 +217,17 @@ def m_hat(theta, length: float):
 
 
 def _weighted_support(N: int, prog: Progression):
-    """Indices n < N in the progression with Lambda(n) > 0, and their weights."""
-    start = prog.b if prog.b >= 1 else prog.y
-    view = von_mangoldt(N)[start:N:prog.y]
+    """Indices n < N in the progression with Lambda(n) > 0, and the average's weights phi(y)/N Lambda(n) there."""
+    view = von_mangoldt(N)[prog.start : N : prog.y]
     j = np.flatnonzero(view)
-    return start + prog.y * j, view[j]
+    return prog.start + prog.y * j, (phi(prog.y) / N) * view[j]
 
 
 def a_kernel(N: int, prog: Progression, M: int) -> np.ndarray:
     """Kernel of the average on Z_M: phi(y)/N * Lambda(n) on the progression, n < N."""
     n, w = _weighted_support(N, prog)
     kernel = np.zeros(M, dtype=np.float64)
-    kernel[n] = (phi(prog.y) / N) * w
+    kernel[n] = w
     return kernel
 
 
@@ -278,7 +277,7 @@ def a_hat_uniform_grid(
         block = np.zeros(P, dtype=np.complex128)
         block[n[lo:hi] - s] = u[lo:hi]
         spectrum += np.fft.fft(block) * np.fft.fft(chirp(lags - s, 1))
-    return (phi(prog.y) / N) * chirp(np.arange(count), -1) * np.fft.ifft(spectrum)[K - 1 : K - 1 + count]
+    return chirp(np.arange(count), -1) * np.fft.ifft(spectrum)[K - 1 : K - 1 + count]
 
 
 # ---------------------------------------------------------------------------
@@ -314,11 +313,6 @@ def major_arc_window(a: int, q: int, ell: int, weight: complex, N: int, M: int, 
     return j0, fill_window(np.empty(max(j1 + 1 - j0, 0), dtype=np.complex128), residue + j0 * stride, value, stride)
 
 
-def _l_hat_window(point: FareyPoint, N: int, M: int, stride: int = 1, residue: int = 0):
-    """(j0, values): l_hat at this point, the major-arc window at a/q of weight Upsilon and spacing lcm(q, y)."""
-    return major_arc_window(point.a, point.q, point.ell, point.upsilon, N, M, stride, residue)
-
-
 def _window_points(prog: Progression, q_cut: int) -> list[FareyPoint]:
     """The Farey points with q < q_cut and positive height, in Farey order, but those centred above 1/2.
 
@@ -331,7 +325,7 @@ def _window_points(prog: Progression, q_cut: int) -> list[FareyPoint]:
 def approximant_windows(N: int, prog: Progression, q_cut: int, M: int) -> list:
     """(point, k0, values) of the l_hat windows on k <= M/2 at _window_points, each evaluated once."""
     check_grid(N, M)
-    return [(p, *_l_hat_window(p, N, M)) for p in _window_points(prog, q_cut)]
+    return [(p, *major_arc_window(p.a, p.q, p.ell, p.upsilon, N, M)) for p in _window_points(prog, q_cut)]
 
 
 def approximant_profile(
@@ -392,7 +386,6 @@ def _residual_classes(N: int, prog: Progression, q_cut: int, M: int):
     L = min(M, CLASS_LENGTH)
     D = M // L
     n, w = _weighted_support(N, prog)
-    w = (phi(prog.y) / N) * w
     folded = n % L
     points = _window_points(prog, q_cut)
     grid = np.empty(L, dtype=np.complex128)
@@ -409,7 +402,7 @@ def _residual_classes(N: int, prog: Progression, q_cut: int, M: int):
             # window by window, in place: at y = 1 the window of 0/1 overlaps
             # those of a/q for q >= 4, so a pre-summed approximant changes last bits
             for p in points:
-                j0, vals = _l_hat_window(p, N, M, D, c)
+                j0, vals = major_arc_window(p.a, p.q, p.ell, p.upsilon, N, M, D, c)
                 values[j0 : j0 + len(vals)] -= vals
             yield c, values
 

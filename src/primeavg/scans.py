@@ -53,6 +53,7 @@ DEFAULT_N_FLOOR_FACTOR = 1 << 10
 # Exponents j of the Bernoulli input families at density 2^-j, by scan.
 IMPROVING_DENSITIES = (3, 5)
 MAXIMAL_DENSITIES = (3,)
+VARIATION_CAP = 1.5  # maximal fails when the largest weak ratio over b reaches this times the smallest
 
 
 # ---------------------------------------------------------------------------
@@ -90,10 +91,9 @@ def input_families(
             idx = np.array([0], dtype=np.int64)
         fams[f"bernoulli_2^-{j}"] = idx
     if greedy:
-        n = prog.indices(N)
-        w = von_mangoldt(N)[n]
-        k = max(len(n) // 8, 1)
-        fams["greedy_lambda"] = np.sort(n[np.argsort(w)[::-1][:k]])
+        w = von_mangoldt(N)[prog.start : N : prog.y]
+        k = max(len(w) // 8, 1)
+        fams["greedy_lambda"] = np.sort(prog.start + prog.y * np.argsort(w)[::-1][:k])
     return fams
 
 
@@ -106,7 +106,7 @@ def _class_sums(N: int, prog: Progression, step: int) -> tuple[np.ndarray, np.nd
     """
     c = prog.b % step
     terms = np.zeros(len(range(c, N, step)))
-    terms[(prog.b - c) // step :: prog.y // step] = von_mangoldt(N)[prog.b : N : prog.y]
+    terms[(prog.start - c) // step :: prog.y // step] = von_mangoldt(N)[prog.start : N : prog.y]
     q = math.ldexp(1.0, math.frexp(terms.sum())[1] - 52)
     hi = terms / q
     np.round(hi, out=hi)
@@ -238,7 +238,7 @@ def _run_scan_cells(cell_fn, cells_of, N_list, y_list, floor: int, workers: int,
     """run_cells on the cells cells_of(y, b) of each admitted (y, b), b = default_residue(y) or, with b_sweep, all of A_y.
 
     min(N_list) must reach floor*y and leave {1 <= n < N/2 : n = b mod y}
-    nonempty (its least member is b, or y at b = 0): both rules are monotone
+    nonempty (its least member is Progression.start): both rules are monotone
     in N.  Then Z_M, M = pow2_at_least(2 N_max), is checked, and Lambda up to
     N_max and mu/phi up to max(y_list) are sieved once, before the pool
     forks, so the workers inherit them as cached views.
@@ -249,13 +249,13 @@ def _run_scan_cells(cell_fn, cells_of, N_list, y_list, floor: int, workers: int,
         if N < floor * y:
             raise ValueError(f"N={N} below desk-scale floor {floor}*y for y={y}")
         for b in [int(v) for v in reduced_residues(y)] if b_sweep else [default_residue(y)]:
-            if N // 2 <= (b or y):
+            if N // 2 <= Progression(y, b).start:
                 raise ValueError(f"N={N} leaves the progression segment of y={y}, b={b} below N/2 empty")
             cells += cells_of(y, b)
     if cells:
         check_grid(N_max, pow2_at_least(2 * N_max))
         von_mangoldt(N_max)
-        build_tables(max(2, *y_list))
+        build_tables(max(y_list))
     return run_cells(cell_fn, cells, workers)
 
 
@@ -376,6 +376,7 @@ def maximal_scan(
     lambda_grid=tuple(2.0**-k for k in range(1, 7)),
     seed=0,
     b_sweep=False,
+    weak_ceiling=1.0,
     n_floor_factor=DEFAULT_N_FLOOR_FACTOR,
     workers: int = 1,
 ) -> tuple[list[dict], dict]:
@@ -383,7 +384,9 @@ def maximal_scan(
 
     Ratios are lambda |{sup > lambda}|^{1/r} / |F|^{1/r} over a lambda grid;
     the strong-type norm is reported as a secondary column.  With b_sweep the
-    scan covers every b in A_y and records the variation across b.
+    scan covers every b in A_y and records the variation across b.  The
+    verdict "pass" holds when the max weak ratio is at most weak_ceiling and
+    each variation across b is below VARIATION_CAP.
     """
     N_list = sorted(N_list)
     r = float(r)
@@ -392,6 +395,9 @@ def maximal_scan(
     b_sweep = bool(b_sweep)
     if not 1.0 <= r < math.inf:
         raise ValueError(f"r must be >= 1 and finite, got {r}")
+    # the weak ratio scales with lambda and the q_policy column is lambda^(r/2 - 1)
+    if not all(lam > 0.0 for lam in lambdas):
+        raise ValueError(f"--lambda-grid needs positive values, got {lambdas}")
     with np.errstate(all="ignore"):  # the cells' float power lam ** (-1 + r/2) raises on overflow
         if not np.isfinite(np.power(np.asarray(lambdas, dtype=float), -1.0 + r / 2.0)).all():
             raise ValueError(f"--lambda-grid {lambdas} with --r {r} makes the q_policy lambda^(r/2 - 1) non-finite")
@@ -412,6 +418,7 @@ def maximal_scan(
         "max_weak_ratio": max(max_by_yb.values()),
         "max_weak_by_yb": {f"y={y},b={b}": v for (y, b), v in sorted(max_by_yb.items())},
         "b_variation": variation,
+        "pass": max(max_by_yb.values()) <= weak_ceiling and all(v < VARIATION_CAP for v in variation.values()),
     }
     params = {
         "N_list": N_list,

@@ -53,9 +53,14 @@ class Progression:
         if math.gcd(self.b, self.y) != 1:
             raise ValueError(f"gcd(b, y) must be 1, got b={self.b}, y={self.y}")
 
+    @property
+    def start(self) -> int:
+        """The least member n >= 1 of the progression: b, or y at b = 0."""
+        return self.b or self.y
+
     def indices(self, stop: int) -> np.ndarray:
         """The members 1 <= n < stop of the progression, in increasing order."""
-        return np.arange(self.b if self.b >= 1 else self.y, stop, self.y, dtype=np.int64)
+        return np.arange(self.start, stop, self.y, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -79,19 +84,18 @@ def von_mangoldt(bound: int) -> np.ndarray:
 
 def phi(y: int) -> int:
     """Euler's phi(y), from the cached mu/phi sieve."""
-    return int(build_tables(max(2, y)).totient[y])
+    return int(build_tables(y).totient[y])
 
 
 def _cached(cache: dict, bound: int, sieve, prefix):
-    """sieve(bound), deterministic and exact, cached by bound.
+    """sieve(bound), deterministic and exact, cached by bound, which is floored at 2.
 
     The cache holds one copy: a bound below the largest sieved so far gets
     prefix(largest, bound), read-only slices of that table, and sieving a
     larger bound re-points every smaller entry at slices of the new one.  A
     slice equals a fresh sieve, since the sieve is exact.
     """
-    if bound < 2:
-        raise ValueError(f"bound must be >= 2, got {bound}")
+    bound = max(bound, 2)
     if bound + 1 > memory_cap():
         raise ValueError(f"bound {bound} exceeds memory cap")
     cached = cache.get(bound)
@@ -178,9 +182,7 @@ def reduced_residues(q: int) -> np.ndarray:
 
 def psi_progression(x: int, prog: Progression) -> float:
     """Sum of Lambda(n) over n < x with n = b mod y (strict upper limit)."""
-    if x < 2:
-        return 0.0
-    return float(von_mangoldt(x)[prog.indices(x)].sum())
+    return float(von_mangoldt(x)[prog.start : x : prog.y].sum())
 
 
 def sw_error_report(x_grid: list[int], prog: Progression) -> list[dict]:
@@ -194,15 +196,13 @@ def sw_error_report(x_grid: list[int], prog: Progression) -> list[dict]:
         raise ValueError("empty x grid")
     if min(x_grid) < 1:
         raise ValueError(f"x must be >= 1, got {min(x_grid)}")
-    von_mangoldt(max(2, *x_grid))  # one sieve; every psi reads a view of it
+    von_mangoldt(max(x_grid))  # one sieve; every psi reads a view of it
     phi_y = phi(prog.y)
     rows = []
     for x in x_grid:
-        if prog.y > (math.log(max(x, 3))) ** ARC_J:
-            warnings.warn(
-                f"y={prog.y} exceeds (log x)^J = {(math.log(x)) ** ARC_J:.3g} at x={x}",
-                stacklevel=2,
-            )
+        bound = math.log(max(x, 3)) ** ARC_J
+        if prog.y > bound:
+            warnings.warn(f"y={prog.y} exceeds (log x)^J = {bound:.3g} at x={x}", stacklevel=2)
         psi = psi_progression(x, prog)
         main = x / phi_y
         rows.append(

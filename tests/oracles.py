@@ -27,16 +27,16 @@ from primeavg.expsums import (
     height,
     ramanujan_table,
 )
-from primeavg.highlow import DecompositionConfig, _centered_coords, phi_kernel
+from primeavg.highlow import DecompositionConfig, phi_kernel
 from primeavg import multiplier
 from primeavg.multiplier import (
     CUTOFF_OUTER,
-    _l_hat_window,
     _warn_qcut,
     _weighted_support,
     _window_points,
     cutoff,
     m_hat,
+    major_arc_window,
 )
 from primeavg.tables import ArithTables, Progression, phi, reduced_residues, von_mangoldt
 
@@ -216,17 +216,16 @@ def cutoff_reference(u) -> np.ndarray:
 
 def a_hat(theta: float, N: int, prog: Progression) -> complex:
     """(phi(y)/N) sum over n < N, n = b mod y, of Lambda(n) e(-n theta)."""
-    n, w = _weighted_support(N, prog)
-    phi_y = phi(prog.y)
-    return complex((phi_y / N) * np.sum(w * np.exp(-2j * np.pi * theta * n)))
+    n, w = _weighted_support(N, prog)  # w carries the scale phi(y)/N
+    return complex(np.sum(w * np.exp(-2j * np.pi * theta * n)))
 
 
 def weighted_support_gather(N: int, prog: Progression):
-    """_weighted_support as it was: every member of the progression gathered, then masked to Lambda(n) > 0."""
+    """_weighted_support as it was: every member of the progression gathered, masked to Lambda(n) > 0, then scaled."""
     n = prog.indices(N)
     w = von_mangoldt(N)[n]
     nz = w > 0
-    return n[nz], w[nz]
+    return n[nz], (phi(prog.y) / N) * w[nz]
 
 
 def residual_classes_fresh(N: int, prog: Progression, q_cut: int, M: int):
@@ -234,7 +233,6 @@ def residual_classes_fresh(N: int, prog: Progression, q_cut: int, M: int):
     L = min(M, multiplier.CLASS_LENGTH)
     D = M // L
     n, w = _weighted_support(N, prog)
-    w = (phi(prog.y) / N) * w
     folded = n % L
     points = _window_points(prog, q_cut)
     for r in range(D // 2 + 1):
@@ -245,7 +243,7 @@ def residual_classes_fresh(N: int, prog: Progression, q_cut: int, M: int):
         for c, values in classes:
             values = values[: (M // 2 - c) // D + 1]
             for p in points:
-                j0, vals = _l_hat_window(p, N, M, D, c)
+                j0, vals = major_arc_window(p.a, p.q, p.ell, p.upsilon, N, M, D, c)
                 values[j0 : j0 + len(vals)] -= vals
             yield c, values
 
@@ -301,7 +299,8 @@ def lo_kernel_closed(cfg: DecompositionConfig, tables: ArithTables) -> np.ndarra
     Phi_{N,q'}(x) mu(q')/phi(q') tau_{q'}(x), with x in a centered window.
     """
     y, b = cfg.prog.y, cfg.prog.b
-    x = _centered_coords(cfg.M)
+    x = np.arange(cfg.M, dtype=np.int64)
+    x[cfg.M // 2 :] -= cfg.M
     out = np.zeros(cfg.M, dtype=np.float64)
     for qp in range(1, cfg.Q):
         if math.gcd(qp, y) != 1:

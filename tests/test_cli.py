@@ -378,7 +378,7 @@ def test_bad_input_exits_two_before_any_window(tmp_path, capsys, monkeypatch, ar
     def must_not_run(*args, **kwargs):
         raise AssertionError("a window was evaluated before the input was checked")
 
-    monkeypatch.setattr(multiplier, "_l_hat_window", must_not_run)
+    monkeypatch.setattr(multiplier, "major_arc_window", must_not_run)
     rc = main(argv + ["--out-dir", str(tmp_path)])
     assert rc == 2
     assert message in capsys.readouterr().err
@@ -413,6 +413,26 @@ def test_bad_grid_exits_two_before_sieving(tmp_path, capsys, monkeypatch, argv, 
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and message in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("y", ["0", "-3"])
+@pytest.mark.parametrize("command", ["improving", "maximal"])
+def test_nonpositive_y_exits_two_before_sieving(tmp_path, capsys, monkeypatch, command, y):
+    # admission reads each progression's least member, Progression(y, b).start,
+    # so a bad y is rejected before Lambda is sieved to N_max
+    from primeavg import expsums, multiplier
+
+    def must_not_run(*args, **kwargs):
+        pytest.fail("tables were sieved before y was checked")
+
+    for module in (scans, expsums):
+        monkeypatch.setattr(module, "build_tables", must_not_run)
+    for module in (scans, multiplier):
+        monkeypatch.setattr(module, "von_mangoldt", must_not_run)
+    rc = main([command, "--N-list", "2048", "--y-list", y, "--workers", "1", "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"config error: spacing y must be positive, got {y}\n"
     assert not list(tmp_path.iterdir())
 
 
@@ -468,13 +488,13 @@ def test_highlow_evaluates_each_window_once(tmp_path, monkeypatch):
     from primeavg.tables import Progression
 
     seen = []
-    window = multiplier._l_hat_window
+    window = multiplier.major_arc_window
 
-    def spy(point, N, M):
-        seen.append((point.a, point.q))
-        return window(point, N, M)
+    def spy(a, q, ell, weight, N, M):
+        seen.append((a, q))
+        return window(a, q, ell, weight, N, M)
 
-    monkeypatch.setattr(multiplier, "_l_hat_window", spy)
+    monkeypatch.setattr(multiplier, "major_arc_window", spy)
     rc = main(["highlow", "--N", "4096", "--y", "3", "--b", "1", "--Q-list", "2", "4",
                "--out-dir", str(tmp_path)])
     assert rc == 0

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from primeavg import expsums, multiplier
 from primeavg.highlow import DecompositionConfig
 from primeavg.multiplier import (
-    _l_hat_window,
     _mollifier_tail,
     _residual_classes,
     _weighted_support,
@@ -28,6 +27,7 @@ from primeavg.multiplier import (
     geometric_sum,
     indicator,
     m_hat,
+    major_arc_window,
     near_zero_error,
     pow2_at_least,
     sup_abs,
@@ -409,7 +409,7 @@ def test_approximant_profile_matches_pointwise():
 def _full_windows(N, prog, q_cut, M, held=lambda p: True):
     """The l_hat windows on all of Z_M, unclipped, in Farey order: the oracle of the half windows.
 
-    The offset k/M - a/q is formed as in multiplier._l_hat_window, so on
+    The offset k/M - a/q is formed as in multiplier.major_arc_window, so on
     k <= M/2 the values agree bit for bit.
     """
     for p in farey_points(max(q_cut - 1, 1), prog):
@@ -652,7 +652,7 @@ def test_blocked_window_matches_one_shot(monkeypatch, block):
     monkeypatch.setattr(multiplier, "WINDOW_BLOCK", block)
     p = _zero_point()
     N, M = 1 << 15, 5 << 15
-    k0, vals = _l_hat_window(p, N, M)
+    k0, vals = major_arc_window(p.a, p.q, p.ell, p.upsilon, N, M)
     assert k0 == 0 and len(vals) == M // 4
     k = np.arange(M // 4)
     d = (k * p.q - p.a * M) / (p.q * M)
@@ -668,9 +668,9 @@ def test_strided_window_is_every_stride_th_value(stride):
     for p in farey_points(5, prog):
         if 2 * p.a > p.q:
             continue
-        k0, full = _l_hat_window(p, N, M)
+        k0, full = major_arc_window(p.a, p.q, p.ell, p.upsilon, N, M)
         for r in range(stride):
-            j0, vals = _l_hat_window(p, N, M, stride, r)
+            j0, vals = major_arc_window(p.a, p.q, p.ell, p.upsilon, N, M, stride, r)
             k = r + stride * (j0 + np.arange(len(vals)))
             kept = np.arange(k0, k0 + len(full))
             assert np.array_equal(k, kept[kept % stride == r])
@@ -685,7 +685,7 @@ def test_window_temporaries_stay_within_a_few_blocks():
     cutoff(0.0)  # tabulate the mollifier before tracing
     tracemalloc.start()
     try:
-        k0, vals = _l_hat_window(p, 1 << 18, 1 << 20)
+        k0, vals = major_arc_window(p.a, p.q, p.ell, p.upsilon, 1 << 18, 1 << 20)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -346,6 +346,28 @@ def test_scan_floor_violation_names_the_least_N(scan):
         run(**config(y_list=[1, 5]))
 
 
+def test_maximal_scan_owns_its_verdict():
+    # pass: the max weak ratio at most weak_ceiling, each variation over b below VARIATION_CAP
+    _, report = maximal_scan(**_small_maximal_config())
+    summary = report["summary"]
+    assert summary["pass"] is (
+        summary["max_weak_ratio"] <= 1.0 and all(v < scans.VARIATION_CAP for v in summary["b_variation"].values())
+    )
+    _, low = maximal_scan(**_small_maximal_config(weak_ceiling=summary["max_weak_ratio"] / 2))
+    assert low["summary"]["pass"] is False
+    assert {k: v for k, v in low["summary"].items() if k != "pass"} == {k: v for k, v in summary.items() if k != "pass"}
+
+
+@pytest.mark.parametrize("lambdas", [(0.5, 0.0), (-0.25,)])
+def test_maximal_scan_rejects_nonpositive_lambda_before_any_cell(monkeypatch, lambdas):
+    def must_not_run(*args, **kwargs):
+        pytest.fail("a scan cell ran before the lambda grid was checked")
+
+    monkeypatch.setattr(scans, "run_cells", must_not_run)
+    with pytest.raises(ValueError, match=r"^--lambda-grid needs positive values, got \["):
+        maximal_scan(**_small_maximal_config(lambda_grid=lambdas))
+
+
 def test_maximal_scan_b_sweep_covers_residues():
     _, report = maximal_scan(**_small_maximal_config())
     keys = set(report["summary"]["max_weak_by_yb"])

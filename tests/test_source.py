@@ -110,6 +110,46 @@ def test_progression_closed_form_is_written_once():
     assert not re.search(r"\bgauss_upsilon_closed\b|FareyPoint\.build\b|\b_upsilon_from_progression\b", source)
 
 
+def test_least_member_rule_is_written_once():
+    # the least member of b mod y, b or y at b = 0, is tables.Progression.start alone
+    source = "".join(_sources().values())
+    assert len(re.findall(r"\bb or (?:self\.|prog\.)?y\b|\bb >= 1 else\b", source)) == 1
+
+
+def test_table_floor_is_written_once():
+    # tables._cached floors every bound at 2; no caller pads its own bound
+    source = "".join(_sources().values())
+    assert re.findall(r"max\(2, [^()]*\)|max\([^()]*, 2\)", source) == ["max(bound, 2)"]
+
+
+def test_lambda_is_never_gathered_along_a_progression():
+    # Lambda along a progression is read as the strided view
+    # von_mangoldt(stop)[prog.start : stop : prog.y], never through an index array
+    gathers = [
+        f"{name}:{node.lineno}"
+        for name, text in _sources().items()
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.Subscript)
+        and isinstance(node.value, ast.Call)
+        and _dotted(node.value.func).endswith("von_mangoldt")
+        and not isinstance(node.slice, ast.Slice)
+    ]
+    assert not gathers, f"Lambda gathered at {gathers}"
+
+
+def test_average_scale_is_written_once_in_multiplier():
+    # _weighted_support returns the average's weights phi(y)/N Lambda(n);
+    # the kernel, the chirp sweep and the residual classes take them as they are
+    assert _sources()["multiplier.py"].count("phi(prog.y) / N") == 1
+
+
+def test_scan_verdicts_live_in_scans():
+    # both scans own their verdicts: cli reads summary["stable"] or summary["pass"]
+    sources = _sources()
+    assert [name for name, text in sources.items() if "VARIATION_CAP" in text] == ["scans.py"]
+    assert not re.search(r"max_weak_ratio|b_variation|get\(\"weak_ceiling\"", sources["cli.py"])
+
+
 def test_no_module_imports_another_modules_private_name():
     # a _private name is its module's own: another module that needs it
     # calls the public function built on it instead

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from primeavg import tables as tables_module
 from primeavg.tables import (
+    ARC_J,
     ArithTables,
     Progression,
     build_tables,
@@ -107,6 +109,35 @@ def test_psi_strict_upper_limit():
     p9 = psi_progression(9, Progression(1, 0))
     assert p9 - p8 == pytest.approx(math.log(2), abs=1e-12)
     assert psi_progression(3, Progression(1, 0)) == pytest.approx(math.log(2), abs=1e-12)
+
+
+def test_bounds_below_two_are_served_by_the_bound_two_table(monkeypatch):
+    # _cached floors every bound at 2, so no caller pads its own; psi below
+    # x = 3 sums an empty slice or Lambda(1) = 0 of that table
+    monkeypatch.setattr(tables_module, "_TABLE_CACHE", {})
+    monkeypatch.setattr(tables_module, "_LAMBDA_CACHE", {})
+    two = build_tables(2)
+    assert build_tables(0) is two and build_tables(1) is two and two.bound == 2
+    assert von_mangoldt(1) is von_mangoldt(2)
+    for prog in (Progression(1, 0), Progression(3, 1), Progression(3, 2)):
+        assert [psi_progression(x, prog) for x in (0, 1, 2)] == [0.0, 0.0, 0.0]
+    assert list(tables_module._LAMBDA_CACHE) == [2]
+
+
+@pytest.mark.parametrize("y, b", [(1, 0), (3, 1)])
+def test_psi_progression_sums_a_strided_view(y, b):
+    # Lambda along the progression is a view of the cached table, summed as
+    # the gathered copy is, bit for bit; the gather peaked at 16.0 MB at y = 1
+    prog, x = Progression(y, b), 10**6
+    gathered = float(von_mangoldt(x)[prog.indices(x)].sum())  # sieves Lambda to x before tracing
+    tracemalloc.start()
+    try:
+        psi = psi_progression(x, prog)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert psi == gathered
+    assert peak < 1 << 20
 
 
 def test_psi_million_within_asymptotic_band():
@@ -247,6 +278,14 @@ def test_sw_error_report_trend():
 def test_sw_error_report_warns_on_large_modulus():
     with pytest.warns(UserWarning):
         sw_error_report([1000], Progression(97, 1))
+
+
+def test_sw_error_report_warns_with_the_threshold_it_tested():
+    # y is compared with (log max(x, 3))^J, and that bound is the one printed
+    with pytest.warns(UserWarning) as record:
+        sw_error_report([1, 2, 3], Progression(2, 1))
+    bound = math.log(3) ** ARC_J  # 1.21
+    assert [str(w.message) for w in record] == [f"y=2 exceeds (log x)^J = {bound:.3g} at x={x}" for x in (1, 2, 3)]
 
 
 def test_arith_tables_type(tables):
