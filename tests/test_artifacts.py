@@ -4,14 +4,13 @@ import hashlib
 import importlib.util
 import json
 import pathlib
-import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def _artifacts():
     spec = importlib.util.spec_from_file_location("artifacts_tool", ROOT / "tools" / "artifacts.py")
-    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
