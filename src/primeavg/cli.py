@@ -1,13 +1,13 @@
 """Command-line entry point: verification suites and reproducible reports.
 
 Every subcommand reads an optional JSON config file, lets explicit flags
-override it, and returns (rows, summary, ok).  `main` alone stamps the seed,
-version, fixture hash and the distinct warning messages the command raised
-(the desk-scale overrides that fired) on the summary, writes the rows as a
-CSV artifact and the summary as JSON, and maps ok to the exit code.  Exit
-codes: 0 on pass, 1 when an assertion or stability verdict fails, 2 on
-config errors.
-All randomness flows from the single echoed seed.
+override it, and returns (rows, summary, ok), its rows a list or an iterator.
+`main` alone stamps the seed, version, fixture hash and the distinct warning
+messages the command raised (the desk-scale overrides that fired) on the
+summary, streams the rows into a CSV artifact, writes the summary as JSON,
+and maps ok to the exit code.  Exit codes: 0 on pass, 1 when an assertion
+or stability verdict fails, 2 on config errors.  All randomness flows from
+the single echoed seed.
 """
 
 from __future__ import annotations
@@ -15,12 +15,12 @@ from __future__ import annotations
 import argparse
 import csv
 import inspect
-import io
 import json
 import math
 import os
 import sys
 import warnings
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from .highlow import (
     dual_path_rel,
     hi_hat_profile,
     hi_l2_ratios,
+    indicator_spectrum,
     lo_hat_profile,
     lo_kernels_closed,
     lo_linf_ratio,
@@ -59,16 +60,14 @@ def _fmt(v) -> str:
     return format(v, ".12g") if isinstance(v, float) else str(v)
 
 
-def _csv_text(rows: list[dict]) -> str:
-    """Rows as CSV, columns in the first row's key order; floats to 12 digits."""
-    if not rows:
-        return ""
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
-    writer.writeheader()
+def _write_csv(fh, rows) -> None:
+    """Rows, dicts from a list or an iterator, into fh one at a time as CSV, keyed as the first; floats to 12 digits."""
+    writer = None
     for row in rows:
+        if writer is None:
+            writer = csv.DictWriter(fh, fieldnames=list(row))
+            writer.writeheader()
         writer.writerow({k: _fmt(v) for k, v in row.items()})
-    return buf.getvalue()
 
 
 def _json_text(payload: dict) -> str:
@@ -217,7 +216,7 @@ def cmd_verify(cfg: dict) -> tuple[list[dict], dict, bool]:
     return [{k: r.get(k, "") for k in columns} for r in rows], summary, ok
 
 
-def cmd_approx(cfg: dict) -> tuple[list[dict], dict, bool]:
+def cmd_approx(cfg: dict) -> tuple[Iterator[dict], dict, bool]:
     N = cfg.get("N", 4096)
     prog = _prog_from(cfg)
     q_cut = cfg.get("qcut", 16)
@@ -226,9 +225,19 @@ def cmd_approx(cfg: dict) -> tuple[list[dict], dict, bool]:
     stride = max(1, M // APPROX_ROWS)
     sup, residuals = approx_residual(N, prog, q_cut, M, stride)
     near = near_zero_error(N, prog)
-    rows = [{"xi": k / M, "abs_residual": float(v)} for k, v in zip(range(0, M, stride), residuals)]
+    rows = ({"xi": k / M, "abs_residual": float(v)} for k, v in zip(range(0, M, stride), residuals))
     summary = {"N": N, "y": prog.y, "b": prog.b, "q_cut": q_cut, "M": M, "sup_residual": sup, "near_zero_error": near}
     return rows, summary, True
+
+
+def _highlow_row(d: DecompositionConfig, closed: np.ndarray, windows: list, F: tuple, r: float) -> dict:
+    """The row of one Q: its Hi, Lo and total bands are built from the shared windows and dropped on return."""
+    hi, lo = hi_hat_profile(d, windows), lo_hat_profile(d, windows)
+    gap = hi.values + lo.values
+    gap -= approximant_profile(d.N, d.prog, d.q_cut, d.M, windows=windows).values
+    return {"Q": d.Q, "q_cut": d.q_cut, "partition_err": float(np.abs(gap).max()),
+            "dual_path_rel": dual_path_rel(lo, closed), "hi_l2_ratio_interval": float(hi_l2_ratios([hi], [F])[0, 0]),
+            "lo_linf_ratio_interval": lo_linf_ratio(lo, d, F, r)}
 
 
 def cmd_highlow(cfg: dict) -> tuple[list[dict], dict, bool]:
@@ -243,25 +252,13 @@ def cmd_highlow(cfg: dict) -> tuple[list[dict], dict, bool]:
     _check_qcut(N, prog.y, max(d.q_cut for d in dcfgs))
     tables = build_tables(N)  # after _check_qcut, every q' < Q coprime to y is at most N / y
     _check_phi(prog.y, M, max(Q_list), tables.mobius)
-    F = np.arange(N // 8)
-    # Hi, Lo and the total of every Q share one evaluation of the Farey windows
+    # every Q shares one evaluation of the Farey windows and one transform of 1_F
     windows = approximant_windows(N, prog, max(d.q_cut for d in dcfgs), M)
-    his = [hi_hat_profile(d, windows) for d in dcfgs]
-    closed = lo_kernels_closed(dcfgs, tables)
-    rows = []
-    for d, hi, hi_ratio, kc in zip(dcfgs, his, hi_l2_ratios(his, [F])[0], closed):
-        lo = lo_hat_profile(d, windows)
-        total = approximant_profile(N, prog, d.q_cut, M, windows=windows)
-        rows.append(
-            {
-                "Q": d.Q,
-                "q_cut": d.q_cut,
-                "partition_err": float(np.abs(hi.values + lo.values - total.values).max()),
-                "dual_path_rel": dual_path_rel(lo, kc),
-                "hi_l2_ratio_interval": float(hi_ratio),
-                "lo_linf_ratio_interval": lo_linf_ratio(lo, d, F, r),
-            }
-        )
+    F = indicator_spectrum(np.arange(N // 8), M)
+    # each distinct Q once, in increasing Q: the one pass over q' yields each Low kernel as it reaches it
+    bands = sorted({d.Q: d for d in dcfgs}.values(), key=lambda d: d.Q)
+    by_Q = {d.Q: _highlow_row(d, closed, windows, F, r) for d, closed in zip(bands, lo_kernels_closed(bands, tables))}
+    rows = [by_Q[Q] for Q in Q_list]
     worst_partition = max(row["partition_err"] for row in rows)
     ok = worst_partition < 1e-10
     summary = {"N": N, "y": prog.y, "b": prog.b, "M": M, "Q_list": Q_list, "r": r,
@@ -420,7 +417,7 @@ def main(argv: list[str] | None = None) -> int:
     os.makedirs(out_dir, exist_ok=True)
     text = _json_text(summary)
     with open(os.path.join(out_dir, f"{args.command}.csv"), "w", newline="") as fh:
-        fh.write(_csv_text(rows))
+        _write_csv(fh, rows)
     with open(os.path.join(out_dir, f"{args.command}.json"), "w") as fh:
         fh.write(text + "\n")
     print(text)

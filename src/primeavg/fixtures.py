@@ -24,6 +24,7 @@ from .highlow import (
     dual_path_rel,
     hi_hat_profile,
     hi_l2_ratios,
+    indicator_spectrum,
     lo_hat_profile,
     lo_kernels_closed,
     lo_linf_ratio,
@@ -120,7 +121,7 @@ def _measure_hi_decay_slope(prog: Progression) -> float:
     cfgs = [DecompositionConfig(N=N, prog=prog, Q=Q, M=M, q_cut=32) for Q in (2, 4, 8, 16)]
     windows = approximant_windows(N, prog, 32, M)
     his = [hi_hat_profile(cfg, windows) for cfg in cfgs]
-    return fit_exponent([2.0, 4.0, 8.0, 16.0], hi_l2_ratios(his, fams).max(axis=0))
+    return fit_exponent([2.0, 4.0, 8.0, 16.0], hi_l2_ratios(his, (indicator_spectrum(F, M) for F in fams)).max(axis=0))
 
 
 def _measure_improving_max(y: int) -> float:
@@ -159,7 +160,7 @@ def _measure_lo_linf(prog: Progression) -> float:
     N = 1 << 14
     cfg = DecompositionConfig(N=N, prog=prog, Q=4, M=1 << 16)
     F = np.arange(N // 8) if prog.y == 1 else np.arange(prog.b, N, prog.y)
-    return lo_linf_ratio(lo_hat_profile(cfg), cfg, F, 1.5)
+    return lo_linf_ratio(lo_hat_profile(cfg), cfg, indicator_spectrum(F, cfg.M), 1.5)
 
 
 def _measure_sw_rel_error(prog: Progression) -> float:

@@ -92,36 +92,36 @@ def phi_kernel(cfg: DecompositionConfig, q: int) -> np.ndarray:
     return np.fft.irfft(_phi_hat(cfg, q), cfg.M)
 
 
-def lo_kernels_closed(cfgs: list[DecompositionConfig], tables: ArithTables) -> list[np.ndarray]:
-    """Low kernel of every cfg via the closed-form resummation, from one pass over q' < max Q.
+def lo_kernels_closed(cfgs: list[DecompositionConfig], tables: ArithTables):
+    """Low kernel of each cfg in turn, a generator, via the closed-form resummation in one pass over q' < max Q.
 
     Lo(x) = y 1_{y | x-b} sum over q' < Q coprime to y of
     Phi_{N,q'}(x) mu(q')/phi(q') tau_{q'}(x), with x in a centered window.
-    The cfgs differ only in Q; the running sum over q' is taken at each Q as
-    the pass reaches it, so each q' term is built once.  The per-Q
-    lo_kernel_closed of tests/oracles.py forms each sum in the same order.
+    The cfgs differ only in Q.  Each kernel is yielded once the running sum
+    over q' reaches its Q, so each q' term is built once; the sum is copied
+    only at a Q that the pass leaves before that Q's turn, and cfgs in
+    increasing Q hold none.  The per-Q lo_kernel_closed of tests/oracles.py
+    forms each sum in the same order.
     """
     cfg = cfgs[0]
     y, b = cfg.prog.y, cfg.prog.b
     x = np.arange(cfg.M, dtype=np.int64)
     x[cfg.M // 2 :] -= cfg.M  # centered: -M/2 <= x < M/2
-    Qs = {c.Q for c in cfgs}
-    sums = {}
-    out = np.zeros(cfg.M, dtype=np.float64)
-    for qp in range(1, max(Qs)):
-        if qp in Qs:
-            sums[qp] = out.copy()
-        if math.gcd(qp, y) != 1:
-            continue
-        mu = int(tables.mobius[qp])
-        if mu == 0:
-            continue
-        phi_vals = phi_kernel(cfg, qp)
-        tau_vals = ramanujan_table(qp)[x % qp]
-        out += phi_vals * (mu / int(tables.totient[qp])) * tau_vals
-    sums[max(Qs)] = out
     mask = (x - b) % y == 0
-    return [y * mask * sums[c.Q] for c in cfgs]
+    passed = {c.Q for i, c in enumerate(cfgs) if any(d.Q > c.Q for d in cfgs[:i])}
+    copies, out, qp = {}, np.zeros(cfg.M, dtype=np.float64), 1  # out sums the terms q' < qp
+    for c in cfgs:
+        while qp < c.Q:
+            if qp in passed:
+                copies[qp] = out.copy()
+            mu = int(tables.mobius[qp]) if math.gcd(qp, y) == 1 else 0
+            if mu:
+                term = phi_kernel(cfg, qp)
+                term *= mu / int(tables.totient[qp])
+                term *= ramanujan_table(qp)[x % qp]
+                out += term
+            qp += 1
+        yield y * mask * (out if c.Q == qp else copies[c.Q])
 
 
 def dual_path_rel(lo: SpectralProfile, closed: np.ndarray) -> float:
@@ -135,38 +135,39 @@ def dual_path_rel(lo: SpectralProfile, closed: np.ndarray) -> float:
 # Ratios
 
 
-def hi_l2_ratios(his, families) -> np.ndarray:
-    """l2 norm of Hi * 1_F over |F|^(1/2): input sets F (rows) by High profiles (columns).
+def indicator_spectrum(F, M: int) -> tuple[np.ndarray, int]:
+    """(np.fft.rfft of 1_F on Z_M, |F|): the input set F as hi_l2_ratios and lo_linf_ratio read it."""
+    F = np.asarray(F)
+    if len(F) == 0:
+        raise ValueError("empty F")
+    return np.fft.rfft(indicator(F, M)), len(F)
+
+
+def hi_l2_ratios(his, sets) -> np.ndarray:
+    """l2 norm of Hi * 1_F over |F|^(1/2): input sets (rows, from indicator_spectrum) by High profiles (columns).
 
     By Parseval ||Hi * 1_F||_2^2 = sum over all k of |hi|^2 |fhat|^2 / M.  Both
     spectra are Hermitian, so the sum runs over k <= M/2, k = 0 and k = M/2
-    weighted once and every other k twice: one rfft per F, no inverse.
+    weighted once and every other k twice: no inverse transform.
     """
     powers = [hi.values.real**2 + hi.values.imag**2 for hi in his]
     for p in powers:
         p[1:-1] *= 2.0
     M = his[0].grid_size
     out = []
-    for F in families:
-        F = np.asarray(F)
-        if len(F) == 0:
-            raise ValueError("empty F")
-        fhat = np.fft.rfft(indicator(F, M))
+    for fhat, size in sets:
         fpower = fhat.real**2 + fhat.imag**2
-        out.append([math.sqrt(float(np.einsum("i,i->", p, fpower)) / (M * len(F))) for p in powers])
+        out.append([math.sqrt(float(np.einsum("i,i->", p, fpower)) / (M * size)) for p in powers])
     return np.array(out)
 
 
-def lo_linf_ratio(lo: SpectralProfile, cfg: DecompositionConfig, F, r: float) -> float:
-    """sup norm of Lo * 1_F relative to ((y/N)|F|)^(1/r), for the Low profile lo of cfg."""
-    F = np.asarray(F)
-    if len(F) == 0:
-        raise ValueError("empty F")
+def lo_linf_ratio(lo: SpectralProfile, cfg: DecompositionConfig, F: tuple[np.ndarray, int], r: float) -> float:
+    """sup norm of Lo * 1_F over ((y/N)|F|)^(1/r): lo the Low profile of cfg, F from indicator_spectrum."""
     if not 1.0 < r < 2.0:
         raise ValueError(f"r must lie in (1, 2), got {r}")
-    g = lo.apply(indicator(F, lo.grid_size))
-    scale = (cfg.prog.y / cfg.N * len(F)) ** (1.0 / r)
-    return float(np.abs(g).max() / scale)
+    fhat, size = F
+    scale = (cfg.prog.y / cfg.N * size) ** (1.0 / r)
+    return float(np.abs(lo.apply(fhat)).max() / scale)
 
 
 # ---------------------------------------------------------------------------

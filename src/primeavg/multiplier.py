@@ -141,11 +141,11 @@ class SpectralProfile:
         if len(self.values) != half:
             raise ValueError(f"a profile on Z_{self.grid_size} holds {half} values, got {len(self.values)}")
 
-    def apply(self, f: np.ndarray) -> np.ndarray:
-        """Cyclic convolution of the real f with the kernel, a real array."""
-        if len(f) != self.grid_size:
-            raise ValueError(f"size mismatch: {len(f)} vs {self.grid_size}")
-        return np.fft.irfft(self.values * np.fft.rfft(f), self.grid_size)
+    def apply(self, fhat: np.ndarray) -> np.ndarray:
+        """Cyclic convolution of the real f with the kernel, a real array, from fhat = np.fft.rfft(f)."""
+        if len(fhat) != len(self.values):
+            raise ValueError(f"size mismatch: {len(fhat)} vs {len(self.values)} values on Z_{self.grid_size}")
+        return np.fft.irfft(self.values * fhat, self.grid_size)
 
     def kernel(self) -> np.ndarray:
         """The real kernel on Z_M: the inverse real transform of the values."""
@@ -156,7 +156,7 @@ def sup_abs(profiles, fhat: np.ndarray) -> np.ndarray:
     """Pointwise sup of |P f| over a nonempty iterable of profiles on one grid, from fhat = np.fft.rfft(f), in place."""
     sup = None
     for p in profiles:
-        conv = np.fft.irfft(p.values * fhat, p.grid_size)
+        conv = p.apply(fhat)
         np.abs(conv, out=conv)
         sup = conv if sup is None else np.maximum(sup, conv, out=sup)
         del conv  # freed before the next profile transforms

@@ -6,13 +6,17 @@ primeavg.multiplier one frequency at a time; and highlow's closed-form Low
 kernel one Q at a time.  Each comes straight from its defining sum.  The
 prime-power support and the residual's classes are also kept as multiplier
 built them before their lean paths: a gather and a mask, and fresh arrays
-per class.  No command runs them; the tests pin every fast path to them.
+per class; and a command's CSV as cli built it before it streamed rows, as
+one text in memory.  No command runs them; the tests pin every fast path to
+them.
 """
 
 from __future__ import annotations
 
 import collections
+import csv
 import functools
+import io
 import math
 
 import numpy as np
@@ -313,3 +317,20 @@ def lo_kernel_closed(cfg: DecompositionConfig, tables: ArithTables) -> np.ndarra
         out += phi_vals * (mu / int(tables.totient[qp])) * tau_vals
     mask = (x - b) % y == 0
     return y * mask * out
+
+
+# ---------------------------------------------------------------------------
+# primeavg.cli
+
+
+def csv_text(rows: list[dict]) -> str:
+    """Rows as CSV, columns in the first row's key order; floats to 12 digits."""
+    if not rows:
+        return ""
+    fmt = lambda v: format(v, ".12g") if isinstance(v, float) else str(v)
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
+    writer.writeheader()
+    for row in rows:
+        writer.writerow({k: fmt(v) for k, v in row.items()})
+    return buf.getvalue()

@@ -241,7 +241,7 @@ def test_criterion_12_convolution_oracle():
         k = rng.standard_normal(M)
         F = rng.choice(M, size=int(rng.integers(1, min(33, M + 1))), replace=False)
         f = indicator(F, M)
-        via_fft = SpectralProfile(M, np.fft.rfft(k)).apply(f)
+        via_fft = SpectralProfile(M, np.fft.rfft(k)).apply(np.fft.rfft(f))
         direct = np.zeros(M)
         for u in F:
             direct += np.roll(k, u)

@@ -1,4 +1,4 @@
-"""tools/artifacts.py compare: each file reported identical or moved, from two run directories."""
+"""tools/artifacts.py: the commands `run` writes, and `compare` reporting each file identical or moved."""
 
 import hashlib
 import importlib.util
@@ -54,3 +54,15 @@ def test_compare_reports_identical_and_moved_files(tmp_path):
     ]
     report, identical = tool.compare(a, a)
     assert identical and report[-1] == "3 identical, 0 moved, 0 missing; exit codes same"
+
+
+def test_run_writes_the_benchmark_commands_at_seeds_1_2_and_3():
+    # each seed's steps get a directory of their own, and each argv carries its seed
+    tool = _artifacts()
+    lines = tool.command_lines(ROOT)
+    for seed in (1, 2, 3):
+        at_seed = {name: argv for name, argv in lines.items() if name.startswith(f"bench/seed{seed}/")}
+        assert [argv for _, argv in tool.bench_commands(ROOT, seed)] == list(at_seed.values())
+        assert {name.rsplit("-", 2)[1] for name in at_seed} == {"verify", "spectral", "scan"}
+        assert all(argv[argv.index("--seed") + 1] == str(seed) for argv in at_seed.values())
+    assert len(lines) == len(tool.readme_commands(ROOT)) + 3 * len(tool.bench_commands(ROOT, 1))

@@ -13,6 +13,8 @@ from primeavg import __version__, fixtures, scans
 from primeavg.cli import main
 from primeavg.fixtures import fixture_hash
 
+from oracles import csv_text
+
 
 def _read_csv(path):
     with open(path, newline="") as fh:
@@ -767,6 +769,60 @@ def test_maximal_overflowing_q_policy_exits_two_before_sieving(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("config error") and "--lambda-grid" in err and "--r" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("y", ["0", "-3"])
+def test_nonpositive_y_with_b_sweep_exits_two_before_sieving(tmp_path, capsys, monkeypatch, y):
+    # the residue sweep enumerates A_y only after Progression has checked y, so
+    # the message names y as it does without --b-sweep, not a q never given
+    _forbid_work(monkeypatch, "tables were sieved before y was checked")
+    rc = main(["maximal", "--N-list", "2048", "--y-list", y, "--b-sweep", "--workers", "1",
+               "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"config error: spacing y must be positive, got {y}\n"
+    assert not list(tmp_path.iterdir())
+
+
+def _stub_rows(monkeypatch, rows):
+    """Make `primeavg sw` return rows as its rows."""
+    from primeavg import cli
+
+    help_text, _, keys = cli.COMMANDS["sw"]
+    monkeypatch.setitem(cli.COMMANDS, "sw", (help_text, lambda cfg: (rows, {}, True), keys))
+
+
+STREAMED_ROWS = [
+    {"name": "a,b", "x": 1 / 3, "n": 7, "pass": True, "note": ""},
+    {"name": 'q"uote', "x": 2.5e-300, "n": -1, "pass": False, "note": "line\nbreak"},
+    {"name": "c", "x": float("inf"), "n": 0, "pass": "", "note": None},
+]
+
+
+@pytest.mark.parametrize("make", [list, lambda rows: (row for row in rows), lambda rows: []],
+                         ids=["list", "generator", "empty"])
+def test_streamed_csv_equals_in_memory_text(tmp_path, monkeypatch, make):
+    # main writes the rows one at a time through one csv writer, whether the
+    # command returns a list or an iterator; the bytes are those of the CSV
+    # text built whole in memory, and no rows make an empty file
+    rows = make(STREAMED_ROWS)
+    _stub_rows(monkeypatch, rows)
+    assert main(["sw", "--out-dir", str(tmp_path)]) == 0
+    expected = csv_text(list(make(STREAMED_ROWS))).encode()
+    assert (tmp_path / "sw.csv").read_bytes() == expected
+    assert expected == b"" or expected.count(b"\r\n") == 1 + len(STREAMED_ROWS)
+
+
+def test_approx_returns_its_rows_as_an_iterator():
+    # the rows are made one at a time from the residual array as main writes them
+    from collections.abc import Iterator
+
+    from primeavg.cli import cmd_approx
+
+    rows, summary, ok = cmd_approx({"N": 4096, "y": 3, "b": 1, "qcut": 2})
+    assert isinstance(rows, Iterator) and not isinstance(rows, list)
+    rows = list(rows)
+    assert len(rows) == 1 << 14 and rows[1] == {"xi": 1 / (1 << 14), "abs_residual": rows[1]["abs_residual"]}
+    assert max(row["abs_residual"] for row in rows) <= summary["sup_residual"]
 
 
 @pytest.mark.parametrize("command", ["improving", "maximal"])

@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from primeavg.cli import cmd_highlow
 from primeavg.highlow import (
     DecompositionConfig,
+    dual_path_rel,
     hi_hat_profile,
     hi_l2_ratios,
+    indicator_spectrum,
     lo_hat_profile,
     lo_kernels_closed,
     lo_linf_ratio,
@@ -170,6 +173,31 @@ def test_low_kernels_one_pass_match_per_Q(tables, y, b, Qs):
         assert np.array_equal(kernel, lo_kernel_closed(cfg, tables))
 
 
+def test_highlow_rows_match_per_Q_oracles_in_Q_list_order(tables):
+    # the command passes over q' once in increasing Q and puts each row back at
+    # its place in --Q-list: unsorted and repeated Q give, bit for bit, the rows
+    # of each Q built alone with the per-Q Low kernel and its own transform of 1_F
+    N, M, r, Q_list = 1 << 12, 1 << 16, 1.5, [8, 2, 4, 2]
+    rows, summary, ok = cmd_highlow({"N": N, "y": 3, "b": 1, "Q_list": Q_list, "r": r})
+    F = np.arange(N // 8)
+    expected = []
+    for Q in Q_list:
+        cfg = _cfg(N=N, y=3, b=1, Q=Q, M=M)
+        hi, lo = hi_hat_profile(cfg), lo_hat_profile(cfg)
+        total = approximant_profile(N, cfg.prog, cfg.q_cut, M)
+        expected.append({
+            "Q": Q,
+            "q_cut": cfg.q_cut,
+            "partition_err": float(np.abs(hi.values + lo.values - total.values).max()),
+            "dual_path_rel": dual_path_rel(lo, lo_kernel_closed(cfg, tables)),
+            "hi_l2_ratio_interval": float(hi_l2_ratios([hi], [indicator_spectrum(F, M)])[0, 0]),
+            "lo_linf_ratio_interval": float(np.abs(lo.apply(np.fft.rfft(indicator(F, M)))).max()
+                                            / (3 / N * len(F)) ** (1 / r)),
+        })
+    assert [list(row.items()) for row in rows] == [list(row.items()) for row in expected]
+    assert ok and summary["max_partition_err"] == max(row["partition_err"] for row in expected)
+
+
 def test_low_kernel_envelope_invariant(tables):
     # |Lo(x)| stays under a multiple of y Q^2 / N uniformly
     cfg = _cfg(N=1 << 12, y=3, b=1, Q=4, M=1 << 15)
@@ -188,7 +216,7 @@ def test_convolve_with_delta_is_identity():
     f = rng.standard_normal(M)
     delta = np.zeros(M)
     delta[0] = 1.0
-    out = SpectralProfile(M, np.fft.rfft(delta)).apply(f)
+    out = SpectralProfile(M, np.fft.rfft(delta)).apply(np.fft.rfft(f))
     assert np.allclose(out, f, atol=1e-12)
 
 
@@ -200,7 +228,7 @@ def test_convolve_matches_direct_sum():
     direct = np.array(
         [sum(k[(x - u) % M] * f[u] for u in range(M)) for x in range(M)]
     )
-    out = SpectralProfile(M, np.fft.rfft(k)).apply(f)
+    out = SpectralProfile(M, np.fft.rfft(k)).apply(np.fft.rfft(f))
     assert np.allclose(out, direct, atol=1e-10)
 
 
@@ -210,20 +238,20 @@ def test_convolve_is_linear():
     k = SpectralProfile(M, np.fft.rfft(rng.standard_normal(M)))
     f = rng.standard_normal(M)
     g = rng.standard_normal(M)
-    lhs = k.apply(2 * f - 3 * g)
-    rhs = 2 * k.apply(f) - 3 * k.apply(g)
+    lhs = k.apply(np.fft.rfft(2 * f - 3 * g))
+    rhs = 2 * k.apply(np.fft.rfft(f)) - 3 * k.apply(np.fft.rfft(g))
     assert np.allclose(lhs, rhs, atol=1e-10)
 
 
 def test_convolve_size_mismatch():
     with pytest.raises(ValueError):
-        SpectralProfile(64, np.fft.rfft(np.zeros(64))).apply(np.zeros(128))
+        SpectralProfile(64, np.fft.rfft(np.zeros(64))).apply(np.fft.rfft(np.zeros(128)))
 
 
 def test_apply_profile_size_mismatch(tables):
     cfg = _cfg()
     with pytest.raises(ValueError):
-        lo_hat_profile(cfg).apply(np.zeros(cfg.M // 2))
+        lo_hat_profile(cfg).apply(np.fft.rfft(np.zeros(cfg.M // 2)))
 
 
 def test_indicator_wraps_modulo():
@@ -237,7 +265,7 @@ def test_indicator_wraps_modulo():
 
 def test_hi_l2_ratio_rejects_empty(tables):
     with pytest.raises(ValueError):
-        hi_l2_ratios([hi_hat_profile(_cfg())], [[]])
+        hi_l2_ratios([hi_hat_profile(_cfg())], [indicator_spectrum([], _cfg().M)])
 
 
 @settings(max_examples=40, deadline=None)
@@ -252,7 +280,7 @@ def test_hi_l2_ratios_match_inverse_transform(families):
     # through the complex inverse FFT of the full spectrum, k > M/2 read as
     # the conjugate at M - k
     his = [hi_hat_profile(_cfg(N=1 << 10, y=3, b=1, Q=Q, M=1 << 12, q_cut=12)) for Q in (2, 4)]
-    ratios = hi_l2_ratios(his, families)
+    ratios = hi_l2_ratios(his, [indicator_spectrum(F, 1 << 12) for F in families])
     assert ratios.shape == (len(families), len(his))
     for i, F in enumerate(families):
         for j, hi in enumerate(his):
@@ -260,7 +288,7 @@ def test_hi_l2_ratios_match_inverse_transform(families):
             g = np.fft.ifft(full * np.fft.fft(indicator(F, hi.grid_size)))
             oracle = np.linalg.norm(g) / math.sqrt(len(F))
             assert ratios[i, j] == pytest.approx(oracle, rel=1e-12, abs=1e-15)
-        assert hi_l2_ratios([his[0]], [F])[0, 0] == ratios[i, 0]
+        assert hi_l2_ratios([his[0]], [indicator_spectrum(F, 1 << 12)])[0, 0] == ratios[i, 0]
 
 
 def test_hi_l2_ratios_einsum_matches_blas_dot():
@@ -271,7 +299,7 @@ def test_hi_l2_ratios_einsum_matches_blas_dot():
     his = [hi_hat_profile(_cfg(N=N, y=3, b=1, Q=Q, M=M, q_cut=25)) for Q in (2, 4, 8)]
     rng = np.random.default_rng(11)
     families = [np.arange(N // 8), np.arange(1, N, 3), rng.choice(N, N // 4, replace=False)]
-    ratios = hi_l2_ratios(his, families)
+    ratios = hi_l2_ratios(his, (indicator_spectrum(F, M) for F in families))
     for i, F in enumerate(families):
         fhat = np.fft.rfft(indicator(F, M))
         fpower = fhat.real**2 + fhat.imag**2
@@ -286,11 +314,11 @@ def test_lo_linf_ratio_r_range(tables):
     cfg = _cfg()
     lo = lo_hat_profile(cfg)
     with pytest.raises(ValueError):
-        lo_linf_ratio(lo, cfg, [0, 1], 2.5)
+        lo_linf_ratio(lo, cfg, indicator_spectrum([0, 1], cfg.M), 2.5)
     with pytest.raises(ValueError):
-        lo_linf_ratio(lo, cfg, [0, 1], 1.0)
+        lo_linf_ratio(lo, cfg, indicator_spectrum([0, 1], cfg.M), 1.0)
     with pytest.raises(ValueError):
-        lo_linf_ratio(lo, cfg, [], 1.5)
+        indicator_spectrum([], cfg.M)
 
 
 def test_hi_ratio_decreases_in_Q(tables):
@@ -299,7 +327,8 @@ def test_hi_ratio_decreases_in_Q(tables):
     N = 1 << 14
     F = np.arange(0, N, 3) + 1
     vals = [
-        hi_l2_ratios([hi_hat_profile(_cfg(N=N, y=3, b=1, Q=Q, M=4 * N, q_cut=25))], [F])[0, 0]
+        hi_l2_ratios([hi_hat_profile(_cfg(N=N, y=3, b=1, Q=Q, M=4 * N, q_cut=25))],
+                     [indicator_spectrum(F, 4 * N)])[0, 0]
         for Q in (2, 8)
     ]
     assert vals[1] < vals[0]
@@ -310,7 +339,7 @@ def test_lo_linf_ratio_progression_order_one(tables):
     N = 1 << 12
     cfg = _cfg(N=N, y=3, b=1, Q=4, M=1 << 14)
     F = np.arange(1, N, 3)
-    ratio = lo_linf_ratio(lo_hat_profile(cfg), cfg, F, 1.5)
+    ratio = lo_linf_ratio(lo_hat_profile(cfg), cfg, indicator_spectrum(F, cfg.M), 1.5)
     assert 0.5 < ratio < 2.0
 
 

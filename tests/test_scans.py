@@ -16,7 +16,6 @@ except ImportError:  # not on Windows
     resource = None
 
 from primeavg import scans
-from primeavg.cli import _csv_text
 from primeavg.multiplier import a_hat_profile, a_kernel, indicator, pow2_at_least, sup_abs
 from primeavg.scans import (
     _class_sums,
@@ -32,6 +31,7 @@ from primeavg.scans import (
 )
 from primeavg.tables import Progression, reduced_residues, von_mangoldt
 
+from oracles import csv_text
 
 # ---------------------------------------------------------------------------
 # Kernel and single-case ratios
@@ -56,7 +56,7 @@ def test_improving_ratio_single_point_closed_form():
     den = (3 / N) ** (1 / r - 1 / rp)
     expected = num / den
     for M in (pow2_at_least(2 * N), pow2_at_least(4 * N)):  # the scans' grid, and twice it
-        conv = a_hat_profile(N, prog, M).apply(indicator([0], M))
+        conv = a_hat_profile(N, prog, M).apply(np.fft.rfft(indicator([0], M)))
         assert _improving_value(conv, r, prog.y, N, 1) == pytest.approx(expected, rel=1e-10)
 
 
@@ -99,7 +99,8 @@ def test_improving_cell_grid_holds_linear_convolution(N, y, pick, seed):
     small_prof, big_prof = a_hat_profile(N, prog, M), a_hat_profile(N, prog, big)
     expected = []
     for F in fams.values():
-        conv, oracle = small_prof.apply(indicator(F, M)), big_prof.apply(indicator(F, big))
+        conv = small_prof.apply(np.fft.rfft(indicator(F, M)))
+        oracle = big_prof.apply(np.fft.rfft(indicator(F, big)))
         peak = np.abs(oracle).max()
         # the cell's grid holds the first M >= 2N entries of the twice-longer conv ...
         assert np.abs(conv - oracle[:M]).max() <= 1e-14 * peak
@@ -177,7 +178,7 @@ def test_run_averages_match_transform_and_exact_sum(N, y):
                 runs = np.zeros(M)
                 runs[F[0] + int(b) % step :: step][: len(avg)] = avg
                 exact = _exact_average(n, prog, F, step, M)
-                fft = a_hat_profile(n, prog, M).apply(indicator(F, M))
+                fft = a_hat_profile(n, prog, M).apply(np.fft.rfft(indicator(F, M)))
                 peak = exact.max()
                 assert np.abs(runs - fft).max() <= 1e-14 * peak
                 assert np.abs(runs - exact).max() <= np.abs(fft - exact).max() + np.spacing(peak)
@@ -218,7 +219,8 @@ def test_run_average_holds_less_than_transform():
     assert hi.nbytes + lo.nbytes <= 8 * M  # one float64 array of length M
     profile = a_hat_profile(N, prog, M)  # shared by a cell's families, built before either trace
     peaks = []
-    for average in (lambda: list(run_averages([N], prog, F, 1)), lambda: profile.apply(indicator(F, M))):
+    for average in (lambda: list(run_averages([N], prog, F, 1)),
+                    lambda: profile.apply(np.fft.rfft(indicator(F, M)))):
         tracemalloc.start()
         average()
         peaks.append(tracemalloc.get_traced_memory()[1])
@@ -233,7 +235,8 @@ def test_sup_abs_of_one_profile_holds_no_more_than_apply():
     M, F = pow2_at_least(2 * N), np.flatnonzero(np.random.default_rng(0).random(N) < 0.125)
     profiles = [a_hat_profile(N, prog, M)]
     peaks = []
-    for transform in (lambda: sup_abs(profiles, np.fft.rfft(indicator(F, M))), lambda: profiles[0].apply(indicator(F, M))):
+    for transform in (lambda: sup_abs(profiles, np.fft.rfft(indicator(F, M))),
+                      lambda: profiles[0].apply(np.fft.rfft(indicator(F, M)))):
         tracemalloc.start()
         transform()
         peaks.append(tracemalloc.get_traced_memory()[1])
@@ -500,7 +503,7 @@ def test_run_cells_fresh_raises_a_cells_error_and_a_lost_process():
 
 def test_report_csv_formats_12_sig_digits():
     rows, _ = improving_scan(**_small_improving_config(y_list=[1], N_list=[1 << 10]))
-    line = _csv_text(rows).splitlines()[1]
+    line = csv_text(rows).splitlines()[1]
     ratio_field = line.split(",")[-1]
     mantissa = ratio_field.replace("-", "").replace(".", "").lstrip("0")
     assert len(mantissa.split("e")[0]) <= 12

@@ -7,7 +7,8 @@
 TREE/src, each command in a fresh process and into its own directory under DIR:
 
 - readme/:   the nine command lines of README's "Command line" block;
-- bench/:    the benchmark's commands at seed 1, as perfbench/workloads.py builds them;
+- bench/:    the benchmark's commands at seeds 1, 2 and 3, as perfbench/workloads.py builds
+             them, under bench/seed<n>/;
 - fixtures/: measure_fixture.json, the repr of every fixtures.RECIPES value, measured
              in one process with one BLAS/OpenMP thread and warnings off (their
              text holds the tree's path).
@@ -40,7 +41,7 @@ import subprocess
 import sys
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-BENCH_SEED = 1
+BENCH_SEEDS = (1, 2, 3)
 MEASURE = (
     "import json, sys\n"
     "from primeavg.fixtures import RECIPES, measure_fixture\n"
@@ -60,8 +61,8 @@ def readme_commands(root: pathlib.Path) -> list[list[str]]:
     return [shlex.split(line)[1:] for line in lines if line.startswith("primeavg ")]
 
 
-def bench_commands(root: pathlib.Path) -> list[tuple[str, list[str]]]:
-    """(workload, argv) of every step of the benchmark's workloads at BENCH_SEED, read from perfbench/workloads.py."""
+def bench_commands(root: pathlib.Path, seed: int) -> list[tuple[str, list[str]]]:
+    """(workload, argv) of every step of the benchmark's workloads at seed, read from perfbench/workloads.py."""
     spec = importlib.util.spec_from_file_location("bench_workloads", root / "perfbench" / "workloads.py")
     workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # its dataclasses look it up there
     spec.loader.exec_module(workloads)
@@ -69,7 +70,7 @@ def bench_commands(root: pathlib.Path) -> list[tuple[str, list[str]]]:
     return [
         (name, step.argv)
         for name, build in workloads.WORKLOADS.items()
-        for step in build(BENCH_SEED, fixtures, digest)
+        for step in build(seed, fixtures, digest)
     ]
 
 
@@ -86,14 +87,20 @@ def _run(args: list[str], out: pathlib.Path, env: dict) -> int:
         return subprocess.run(args, cwd=out, env=env, stdout=stdout, stderr=stderr).returncode
 
 
+def command_lines(root: pathlib.Path) -> dict[str, list[str]]:
+    """The argv after `primeavg` of every command `run` writes, by its directory under the run's DIR."""
+    found = {f"readme/{i:02d}-{argv[0]}": argv for i, argv in enumerate(readme_commands(root), 1)}
+    for seed in BENCH_SEEDS:
+        steps = enumerate(bench_commands(root, seed), 1)
+        found.update({f"bench/seed{seed}/{i:02d}-{name}-{argv[0]}": argv for i, (name, argv) in steps})
+    return found
+
+
 def run(root: pathlib.Path, out: pathlib.Path) -> dict:
     """Write every artifact of root under out, and out/manifest.json; the manifest."""
     out.mkdir(parents=True, exist_ok=False)
     cli = [sys.executable, "-m", "primeavg.cli"]
-    commands = {f"readme/{i:02d}-{argv[0]}": argv for i, argv in enumerate(readme_commands(root), 1)}
-    commands.update(
-        {f"bench/{i:02d}-{name}-{argv[0]}": argv for i, (name, argv) in enumerate(bench_commands(root), 1)}
-    )
+    commands = command_lines(root)
     codes = {}
     for name, argv in commands.items():
         codes[name] = _run([*cli, *argv, "--out-dir", "."], out / name, _env(root))
