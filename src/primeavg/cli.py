@@ -1,7 +1,9 @@
 """Command-line entry point: verification suites and reproducible reports.
 
 Every subcommand reads an optional JSON config file, lets explicit flags
-override it, and returns (rows, summary, ok), its rows a list or an iterator.
+override it, and returns (rows, summary, ok), its rows a list or an iterator
+that only reads computed results: `main` drains it after it has caught the
+warnings and config errors, so making a row must neither warn nor raise.
 `main` alone stamps the seed, version, fixture hash and the distinct warning
 messages the command raised (the desk-scale overrides that fired) on the
 summary, streams the rows into a CSV artifact, writes the summary as JSON,
@@ -255,10 +257,7 @@ def cmd_highlow(cfg: dict) -> tuple[list[dict], dict, bool]:
     # every Q shares one evaluation of the Farey windows and one transform of 1_F
     windows = approximant_windows(N, prog, max(d.q_cut for d in dcfgs), M)
     F = indicator_spectrum(np.arange(N // 8), M)
-    # each distinct Q once, in increasing Q: the one pass over q' yields each Low kernel as it reaches it
-    bands = sorted({d.Q: d for d in dcfgs}.values(), key=lambda d: d.Q)
-    by_Q = {d.Q: _highlow_row(d, closed, windows, F, r) for d, closed in zip(bands, lo_kernels_closed(bands, tables))}
-    rows = [by_Q[Q] for Q in Q_list]
+    rows = [_highlow_row(d, closed, windows, F, r) for d, closed in zip(dcfgs, lo_kernels_closed(dcfgs, tables))]
     worst_partition = max(row["partition_err"] for row in rows)
     ok = worst_partition < 1e-10
     summary = {"N": N, "y": prog.y, "b": prog.b, "M": M, "Q_list": Q_list, "r": r,

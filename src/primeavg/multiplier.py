@@ -143,8 +143,8 @@ class SpectralProfile:
 
     def apply(self, fhat: np.ndarray) -> np.ndarray:
         """Cyclic convolution of the real f with the kernel, a real array, from fhat = np.fft.rfft(f)."""
-        if len(fhat) != len(self.values):
-            raise ValueError(f"size mismatch: {len(fhat)} vs {len(self.values)} values on Z_{self.grid_size}")
+        if len(fhat) != len(self.values) or not np.iscomplexobj(fhat):  # a real f of length M = 2 is no spectrum
+            raise ValueError(f"size mismatch: {len(fhat)} vs {len(self.values)} complex values on Z_{self.grid_size}")
         return np.fft.irfft(self.values * fhat, self.grid_size)
 
     def kernel(self) -> np.ndarray:

@@ -248,8 +248,8 @@ def _run_scan_cells(cell_fn, cells_of, N_list, y_list, floor: int, workers: int,
     for y in y_list:
         if N < floor * y:
             raise ValueError(f"N={N} below desk-scale floor {floor}*y for y={y}")
-        first = Progression(y, default_residue(y))  # rejects y < 1 before A_y is enumerated
-        for b in [int(v) for v in reduced_residues(y)] if b_sweep else [first.b]:
+        Progression(y, default_residue(y))  # rejects y < 1 before A_y is enumerated
+        for b in [int(v) for v in reduced_residues(y)] if b_sweep else [default_residue(y)]:
             if N // 2 <= Progression(y, b).start:
                 raise ValueError(f"N={N} leaves the progression segment of y={y}, b={b} below N/2 empty")
             cells += cells_of(y, b)

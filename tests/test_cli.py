@@ -820,7 +820,9 @@ def test_approx_returns_its_rows_as_an_iterator():
 
     rows, summary, ok = cmd_approx({"N": 4096, "y": 3, "b": 1, "qcut": 2})
     assert isinstance(rows, Iterator) and not isinstance(rows, list)
-    rows = list(rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # main drains the rows after it has recorded the warnings
+        rows = list(rows)
     assert len(rows) == 1 << 14 and rows[1] == {"xi": 1 / (1 << 14), "abs_residual": rows[1]["abs_residual"]}
     assert max(row["abs_residual"] for row in rows) <= summary["sup_residual"]
 

@@ -174,9 +174,9 @@ def test_low_kernels_one_pass_match_per_Q(tables, y, b, Qs):
 
 
 def test_highlow_rows_match_per_Q_oracles_in_Q_list_order(tables):
-    # the command passes over q' once in increasing Q and puts each row back at
-    # its place in --Q-list: unsorted and repeated Q give, bit for bit, the rows
-    # of each Q built alone with the per-Q Low kernel and its own transform of 1_F
+    # the command takes --Q-list in its order: the one pass over q' reaches 8
+    # first, so 2, 4 and the repeated 2 read copies of its running sum, and each
+    # row equals, bit for bit, that of its Q built alone with the per-Q Low kernel
     N, M, r, Q_list = 1 << 12, 1 << 16, 1.5, [8, 2, 4, 2]
     rows, summary, ok = cmd_highlow({"N": N, "y": 3, "b": 1, "Q_list": Q_list, "r": r})
     F = np.arange(N // 8)
@@ -246,6 +246,14 @@ def test_convolve_is_linear():
 def test_convolve_size_mismatch():
     with pytest.raises(ValueError):
         SpectralProfile(64, np.fft.rfft(np.zeros(64))).apply(np.fft.rfft(np.zeros(128)))
+
+
+def test_apply_rejects_a_real_input_of_spectrum_length():
+    # on Z_2 a real f has as many entries as a spectrum: apply reads only rfft(f)
+    profile = SpectralProfile(2, np.fft.rfft(np.array([1.0, 0.0])))
+    with pytest.raises(ValueError):
+        profile.apply(np.array([1.0, 0.0]))
+    assert np.array_equal(profile.apply(np.fft.rfft(np.array([0.0, 1.0]))), [0.0, 1.0])
 
 
 def test_apply_profile_size_mismatch(tables):
