@@ -246,14 +246,8 @@ def test_convolve_is_linear():
 def test_convolve_size_mismatch():
     with pytest.raises(ValueError):
         SpectralProfile(64, np.fft.rfft(np.zeros(64))).apply(np.fft.rfft(np.zeros(128)))
-
-
-def test_apply_rejects_a_real_input_of_spectrum_length():
-    # on Z_2 a real f has as many entries as a spectrum: apply reads only rfft(f)
-    profile = SpectralProfile(2, np.fft.rfft(np.array([1.0, 0.0])))
-    with pytest.raises(ValueError):
-        profile.apply(np.array([1.0, 0.0]))
-    assert np.array_equal(profile.apply(np.fft.rfft(np.array([0.0, 1.0]))), [0.0, 1.0])
+    with pytest.raises(ValueError):  # on Z_2 a real f has as many entries as its rfft
+        SpectralProfile(2, np.fft.rfft(np.array([1.0, 0.0]))).apply(np.array([1.0, 0.0]))
 
 
 def test_apply_profile_size_mismatch(tables):
