@@ -54,7 +54,7 @@ from .tables import ARC_J, Progression, build_tables, default_residue, memory_ca
 APPROX_ROWS = 1 << 14  # approx writes the residual at every max(1, M // APPROX_ROWS)-th k
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     pass
 
 
@@ -294,7 +294,8 @@ def cmd_ramanujan_avg(cfg: dict) -> tuple[list[dict], dict, bool]:
     for Q, M in grids:
         # bourgain_average holds up to M // y + 1 points n <= M of the progression
         if M // prog.y + 1 > memory_cap():
-            raise ConfigError(f"--Q-list {Q} averages to M={M}, {M // prog.y + 1} entries above memory cap {memory_cap()}")
+            raise ConfigError(
+                f"--Q-list {Q} averages to M={M}, {M // prog.y + 1} entries above memory cap {memory_cap()}")
     build_tables(max(Q_list))  # one sieve; every tau_q row reads mu from it as a view
     rows = []
     for Q, M in grids:
@@ -391,19 +392,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def parse_argv(argv: list[str] | None) -> tuple:
+    """(command, its cmd_*, its config) of a command line; a bad config raises ConfigError."""
+    args = build_parser().parse_args(argv)
+    return args.command, args.func, _merge_config(args, set(_keys(args.command)))
+
+
 def main(argv: list[str] | None = None) -> int:
     # freeing an untouched, mmapped 8 MiB block lifts glibc malloc's dynamic mmap
     # threshold to its size: numpy's per-call FFT scratch of a few MB then reuses
     # heap pages, not a fresh mapping faulted in on every call; forked workers inherit it
     np.empty(1 << 20)
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        cfg = _merge_config(args, set(_keys(args.command)))
+        command, run, cfg = parse_argv(argv)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            rows, summary, ok = args.func(cfg)
-    except (ConfigError, ValueError) as exc:
+            rows, summary, ok = run(cfg)
+    except ValueError as exc:  # a ConfigError of either copy of this module: `-m` runs one as __main__
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     summary.update(
@@ -415,9 +420,9 @@ def main(argv: list[str] | None = None) -> int:
     out_dir = cfg.get("out_dir", ".")
     os.makedirs(out_dir, exist_ok=True)
     text = _json_text(summary)
-    with open(os.path.join(out_dir, f"{args.command}.csv"), "w", newline="") as fh:
+    with open(os.path.join(out_dir, f"{command}.csv"), "w", newline="") as fh:
         _write_csv(fh, rows)
-    with open(os.path.join(out_dir, f"{args.command}.json"), "w") as fh:
+    with open(os.path.join(out_dir, f"{command}.json"), "w") as fh:
         fh.write(text + "\n")
     print(text)
     return 0 if ok else 1

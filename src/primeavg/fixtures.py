@@ -4,7 +4,7 @@ Fixtures freeze quantities measured at bring-up (decay errors, ratio
 ceilings, fitted exponents).  Each entry carries a comparison kind:
 "upper"  -> measured <= value * (1 + tol)
 "close"  -> |measured - value| <= tol * |value|
-RECIPES re-measures each one: by a sweep, its arguments, and a read of its result.
+RECIPES re-measures each one, most by the command that prints it.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from importlib import resources
 
 import numpy as np
 
-from .expsums import bourgain_average
 from .highlow import (
     DecompositionConfig,
     dual_path_rel,
@@ -31,9 +30,9 @@ from .highlow import (
     multifrequency_max_ratio,
     multifrequency_profile,
 )
-from .multiplier import approx_residual, approximant_windows, near_zero_error
-from .scans import fit_exponent, improving_scan, maximal_scan
-from .tables import Progression, build_tables, default_residue, sw_error_report
+from .multiplier import approximant_windows
+from .scans import fit_exponent
+from .tables import Progression, build_tables, default_residue
 
 
 def _raw() -> bytes:
@@ -65,16 +64,27 @@ def check_fixture(name: str, measured: float, fixtures: dict | None = None) -> b
 # so the frozen constants and their procedure cannot drift apart.  A row
 # name: (sweep, args, read) measures read(sweep(*args)); rows with one sweep
 # and args share a `verify` task (recipe_groups), so a sweep cached per
-# process runs once.  Each sweep is a function of this module calling the
-# library by its module-global name, where a tracer can rebind it.
+# process runs once.  A value a command prints is measured by that command
+# (_command); the other sweeps call the library by its module-global name
+# in this module, where a tracer can rebind it.
 
 
-def _measure_near_zero(N: int, prog: Progression) -> float:
-    return near_zero_error(N, prog)
+@functools.cache
+def _command(*argv: str) -> tuple:
+    """(rows, summary) of `primeavg *argv` as `main` runs it, less files and stamps; approx's rows stay an iterator."""
+    from . import cli  # cli imports this module
+    _, run, cfg = cli.parse_argv(list(argv))
+    return run(cfg)[:2]
 
 
-def _measure_residual_sup(N: int, prog: Progression) -> float:
-    return approx_residual(N, prog, 16, 4 * N, 4 * N)[0]
+def _printed(line: str, *path) -> tuple:
+    """The row measuring the value `primeavg line` prints at path in its JSON summary."""
+    return _command, tuple(line.split()), lambda run: functools.reduce(operator.getitem, path, run[1])
+
+
+def _bourgain_runs() -> dict:
+    """The (rows, summary) of `ramanujan-avg --t 2` at each y in (1, 5, 12), by y: one task for all four rows."""
+    return {y: _command("ramanujan-avg", "--y", str(y), "--t", "2") for y in (1, 5, 12)}
 
 
 def _measure_dual_path_worst() -> float:
@@ -90,26 +100,6 @@ def _measure_dual_path_worst() -> float:
     return worst
 
 
-BOURGAIN_Q = (4, 8, 16, 32)
-
-
-@functools.cache
-def _bourgain_sweeps() -> dict[int, list[float]]:
-    """The t = 2 averages over M = 16 y Q^2 at each Q of BOURGAIN_Q, by y, at b = default_residue(y)."""
-    return {
-        y: [bourgain_average(Q, 16 * y * Q * Q, Progression(y, default_residue(y)), 2) for Q in BOURGAIN_Q]
-        for y in (1, 5, 12)
-    }
-
-
-def _bourgain_exponent(y: int, sweeps: dict) -> float:
-    return fit_exponent(BOURGAIN_Q, sweeps[y])
-
-
-def _bourgain_ceiling(sweeps: dict) -> float:
-    return max(v / Q**1.25 for values in sweeps.values() for v, Q in zip(values, BOURGAIN_Q))
-
-
 def _measure_hi_decay_slope(prog: Progression) -> float:
     N, M = 1 << 16, 1 << 18
     # inputs probing the High operator norm: interval, Bernoulli set, and
@@ -122,24 +112,6 @@ def _measure_hi_decay_slope(prog: Progression) -> float:
     windows = approximant_windows(N, prog, 32, M)
     his = [hi_hat_profile(cfg, windows) for cfg in cfgs]
     return fit_exponent([2.0, 4.0, 8.0, 16.0], hi_l2_ratios(his, (indicator_spectrum(F, M) for F in fams)).max(axis=0))
-
-
-def _measure_improving_max(y: int) -> float:
-    rows, _ = improving_scan(N_list=[1 << 16], y_list=[y], r_list=[1.5], seed=0)
-    return max(row["ratio"] for row in rows)
-
-
-@functools.cache
-def _maximal_summary() -> dict:
-    return maximal_scan(
-        N_list=[1 << k for k in range(10, 17)],
-        y_list=[1, 5],
-        r=2.0,
-        lambda_grid=[2.0**-k for k in range(1, 7)],
-        seed=0,
-        b_sweep=True,
-        n_floor_factor=128,
-    )[1]["summary"]
 
 
 @functools.cache
@@ -163,41 +135,43 @@ def _measure_lo_linf(prog: Progression) -> float:
     return lo_linf_ratio(lo_hat_profile(cfg), cfg, indicator_spectrum(F, cfg.M), 1.5)
 
 
-def _measure_sw_rel_error(prog: Progression) -> float:
-    return sw_error_report([10**6], prog)[0]["rel_error"]
-
-
-_Y1, _Y3, _Y5 = Progression(1, 0), Progression(3, 1), Progression(5, 1)
+# one worker: the scans default to one per CPU, a pool in each fresh `verify` task
+_MAXIMAL = ("maximal --N-list 1024 2048 4096 8192 16384 32768 65536 --y-list 1 5 --b-sweep "
+            "--n-floor-factor 128 --workers 1")
 
 RECIPES = {
-    "near_zero_y1_N12": (_measure_near_zero, (1 << 12, _Y1), float),
-    "near_zero_y1_N16": (_measure_near_zero, (1 << 16, _Y1), float),
-    "near_zero_y1_N20": (_measure_near_zero, (1 << 20, _Y1), float),
-    "near_zero_y3_N12": (_measure_near_zero, (1 << 12, _Y3), float),
-    "near_zero_y3_N16": (_measure_near_zero, (1 << 16, _Y3), float),
-    "near_zero_y3_N20": (_measure_near_zero, (1 << 20, _Y3), float),
-    "residual_sup_y1_N12": (_measure_residual_sup, (1 << 12, _Y1), float),
-    "residual_sup_y1_N20": (_measure_residual_sup, (1 << 20, _Y1), float),
-    "residual_sup_y3_N12": (_measure_residual_sup, (1 << 12, _Y3), float),
-    "residual_sup_y3_N20": (_measure_residual_sup, (1 << 20, _Y3), float),
+    "near_zero_y1_N12": _printed("approx --N 4096 --y 1 --b 0", "near_zero_error"),
+    "near_zero_y1_N16": _printed("approx --N 65536 --y 1 --b 0", "near_zero_error"),
+    "near_zero_y1_N20": _printed("approx --N 1048576 --y 1 --b 0", "near_zero_error"),
+    "near_zero_y3_N12": _printed("approx --N 4096 --y 3 --b 1", "near_zero_error"),
+    "near_zero_y3_N16": _printed("approx --N 65536 --y 3 --b 1", "near_zero_error"),
+    "near_zero_y3_N20": _printed("approx --N 1048576 --y 3 --b 1", "near_zero_error"),
+    "residual_sup_y1_N12": _printed("approx --N 4096 --y 1 --b 0", "sup_residual"),
+    "residual_sup_y1_N20": _printed("approx --N 1048576 --y 1 --b 0", "sup_residual"),
+    "residual_sup_y3_N12": _printed("approx --N 4096 --y 3 --b 1", "sup_residual"),
+    "residual_sup_y3_N20": _printed("approx --N 1048576 --y 3 --b 1", "sup_residual"),
     "dual_path_worst_rel": (_measure_dual_path_worst, (), float),
-    "bourgain_ratio_ceiling_t2": (_bourgain_sweeps, (), _bourgain_ceiling),
-    "bourgain_exponent_y1": (_bourgain_sweeps, (), functools.partial(_bourgain_exponent, 1)),
-    "bourgain_exponent_y5": (_bourgain_sweeps, (), functools.partial(_bourgain_exponent, 5)),
-    "bourgain_exponent_y12": (_bourgain_sweeps, (), functools.partial(_bourgain_exponent, 12)),
-    "hi_decay_slope_y1": (_measure_hi_decay_slope, (_Y1,), float),
-    "hi_decay_slope_y3": (_measure_hi_decay_slope, (_Y3,), float),
-    "improving_max_y1_r15": (_measure_improving_max, (1,), float),
-    "improving_max_y3_r15": (_measure_improving_max, (3,), float),
-    "improving_max_y5_r15": (_measure_improving_max, (5,), float),
-    "maximal_weak_ceiling": (_maximal_summary, (), operator.itemgetter("max_weak_ratio")),
-    "maximal_b_variation_y5": (_maximal_summary, (), lambda summary: summary["b_variation"]["5"]),
+    "bourgain_ratio_ceiling_t2": (_bourgain_runs, (), lambda runs: max(
+        row["lhs_over_Q125"] for rows, _ in runs.values() for row in rows)),
+    "bourgain_exponent_y1": (_bourgain_runs, (), lambda runs: runs[1][1]["fitted_exponent"]),
+    "bourgain_exponent_y5": (_bourgain_runs, (), lambda runs: runs[5][1]["fitted_exponent"]),
+    "bourgain_exponent_y12": (_bourgain_runs, (), lambda runs: runs[12][1]["fitted_exponent"]),
+    "hi_decay_slope_y1": (_measure_hi_decay_slope, (Progression(1, 0),), float),
+    "hi_decay_slope_y3": (_measure_hi_decay_slope, (Progression(3, 1),), float),
+    "improving_max_y1_r15": _printed("improving --N-list 65536 --y-list 1 --r-list 1.5 --workers 1",
+                                     "summary", "stability", "y=1,r=1.5", "max_ratio_by_N", "65536"),
+    "improving_max_y3_r15": _printed("improving --N-list 65536 --y-list 3 --r-list 1.5 --workers 1",
+                                     "summary", "stability", "y=3,r=1.5", "max_ratio_by_N", "65536"),
+    "improving_max_y5_r15": _printed("improving --N-list 65536 --y-list 5 --r-list 1.5 --workers 1",
+                                     "summary", "stability", "y=5,r=1.5", "max_ratio_by_N", "65536"),
+    "maximal_weak_ceiling": _printed(_MAXIMAL, "summary", "max_weak_ratio"),
+    "maximal_b_variation_y5": _printed(_MAXIMAL, "summary", "b_variation", "5"),
     "multifrequency_d12_constant": (multifrequency_adapted_ratios, (), max),
     "multifrequency_d12_spread": (multifrequency_adapted_ratios, (), lambda r: max(r) / min(r)),
-    "lo_linf_interval_y1": (_measure_lo_linf, (_Y1,), float),
-    "lo_linf_progression_y3": (_measure_lo_linf, (_Y3,), float),
-    "sw_rel_error_1e6_y1": (_measure_sw_rel_error, (_Y1,), float),
-    "sw_rel_error_1e6_y3": (_measure_sw_rel_error, (_Y3,), float),
+    "lo_linf_interval_y1": (_measure_lo_linf, (Progression(1, 0),), float),
+    "lo_linf_progression_y3": (_measure_lo_linf, (Progression(3, 1),), float),
+    "sw_rel_error_1e6_y1": _printed("sw --y 1 --b 0 --x-grid 1000000", "final_rel_error"),
+    "sw_rel_error_1e6_y3": _printed("sw --y 3 --b 1 --x-grid 1000000", "final_rel_error"),
 }
 
 

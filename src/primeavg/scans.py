@@ -235,7 +235,7 @@ def _send_task(run, cell, writer) -> None:
 
 
 def _run_scan_cells(cell_fn, cells_of, N_list, y_list, floor: int, workers: int, b_sweep: bool = False) -> list:
-    """run_cells on the cells cells_of(y, b) of each admitted (y, b), b = default_residue(y) or, with b_sweep, all of A_y.
+    """run_cells on cells_of(y, b) of each admitted (y, b), b = default_residue(y) or, with b_sweep, all of A_y.
 
     min(N_list) must reach floor*y and leave {1 <= n < N/2 : n = b mod y}
     nonempty (its least member is Progression.start): both rules are monotone

@@ -215,9 +215,8 @@ def test_criterion_10_improving_stability():
 
 
 def test_criterion_11_maximal_weak_type():
-    summary = fx._maximal_summary()
-    weak = summary["max_weak_ratio"]
-    variation = summary["b_variation"]["5"]
+    weak = fx.measure_fixture("maximal_weak_ceiling")
+    variation = fx.measure_fixture("maximal_b_variation_y5")
     weak_ok = fx.check_fixture("maximal_weak_ceiling", weak)
     var_ok = variation < 1.5
     ok = weak_ok and var_ok

@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import platform
+import runpy
 import subprocess
 import sys
 import warnings
@@ -460,12 +461,32 @@ def test_scan_grid_above_memory_cap_exits_two_before_sieving(tmp_path, capsys, m
 
 def test_verify_recipe_grid_above_memory_cap_exits_two(tmp_path, capsys, monkeypatch):
     # the recipe's approx grid is M = 4N = 2^22; the library's check surfaces
-    # from the pool as a config error, not as a failed property
+    # from the pool as a config error, not as a failed property.  A run cached
+    # by an earlier test would skip the check: a fresh `primeavg verify` has
+    # measured nothing when it forks, so the test starts from a cold cache
+    fixtures._command.cache_clear()
     monkeypatch.setenv("PRIMEAVG_MEMORY_CAP", "2000000")
     rc = main(["verify", "--qmax", "8", "--ymax", "4", "--cohen-qmax", "8", "--cohen-ymax", "4",
                "--max-tuples", "200", "--fixture-names", "residual_sup_y1_N20", "--out-dir", str(tmp_path)])
     assert rc == 2
     assert capsys.readouterr().err == "config error: grid size M=4194304 exceeds memory cap 2000000\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.filterwarnings("ignore:'primeavg.cli' found in sys.modules")
+def test_verify_run_as_module_exits_two_on_a_recipes_config_error(tmp_path, capsys, monkeypatch):
+    # `python -m primeavg.cli` runs a copy of cli as __main__, while a command
+    # recipe raises the ConfigError of primeavg.cli, so main must catch either
+    fixtures._command.cache_clear()
+    monkeypatch.setenv("PRIMEAVG_MEMORY_CAP", "16000")
+    monkeypatch.setattr(sys, "argv", ["primeavg", "verify", "--qmax", "4", "--ymax", "2", "--cohen-qmax", "4",
+                                      "--cohen-ymax", "2", "--max-tuples", "10",
+                                      "--fixture-names", "bourgain_exponent_y1", "--out-dir", str(tmp_path)])
+    with pytest.raises(SystemExit) as done:
+        runpy.run_module("primeavg.cli", run_name="__main__")
+    assert done.value.code == 2
+    err = "config error: --Q-list 32 averages to M=16384, 16385 entries above memory cap 16000\n"
+    assert capsys.readouterr().err == err
     assert not list(tmp_path.iterdir())
 
 
@@ -565,7 +586,7 @@ def test_verify_artifacts_equal_serial_run(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "run_cells", spy)
     outputs = []
     for workers in (2, 1):
-        for sweep in (fixtures._bourgain_sweeps, fixtures._maximal_summary, fixtures.multifrequency_adapted_ratios):
+        for sweep in (fixtures._command, fixtures.multifrequency_adapted_ratios):
             sweep.cache_clear()
         monkeypatch.setattr(os, "cpu_count", lambda: workers)
         out = tmp_path / str(workers)

@@ -241,12 +241,31 @@ def test_scan_floor_rule_is_written_once():
 def test_recipe_sweeps_are_fixtures_functions_with_hashable_keys():
     # the benchmark tracer rebinds library names in the fixtures module's
     # globals, so a sweep defined elsewhere would run untraced; recipe_groups
-    # keys its tasks on (sweep, args)
+    # keys its tasks on (sweep, args).  A fixture a command prints is measured
+    # by that command, on one worker where it takes them, so fixtures.py
+    # calls none of the entry points the commands own
+    from primeavg import cli, fixtures
     from primeavg.fixtures import RECIPES
 
+    text = _sources()["fixtures.py"]
+    argvs = [args for sweep, args, _ in RECIPES.values() if sweep is fixtures._command]
+    argvs += [(command,) for command in re.findall(r'_command\("([^"]+)"', text)]
+    assert len(argvs) > 10
     for name, (sweep, args, _) in RECIPES.items():
         assert sweep.__module__ == "primeavg.fixtures", name
         hash((sweep, args))
+    for argv in argvs:
+        assert argv[0] in cli.COMMANDS, argv
+        if "workers" in cli.COMMANDS[argv[0]][2].split():
+            assert argv[argv.index("--workers") + 1] == "1", argv
+    named = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.ImportFrom):
+            named |= {alias.name for alias in node.names}
+        named |= {getattr(node, "id", None), getattr(node, "attr", None)}
+    owned = {"approx_residual", "near_zero_error", "improving_scan", "maximal_scan", "bourgain_average",
+             "sw_error_report"}
+    assert not owned & named
 
 
 def _tracer():
