@@ -233,13 +233,15 @@ def cmd_approx(cfg: dict) -> tuple[Iterator[dict], dict, bool]:
 
 
 def _highlow_row(d: DecompositionConfig, closed: np.ndarray, windows: list, F: tuple, r: float) -> dict:
-    """The row of one Q: its Hi, Lo and total bands are built from the shared windows and dropped on return."""
+    """The row of one Q: its Hi, Lo and total bands are built from the shared windows, each dropped once read."""
     hi, lo = hi_hat_profile(d, windows), lo_hat_profile(d, windows)
-    gap = hi.values + lo.values
-    gap -= approximant_profile(d.N, d.prog, d.q_cut, d.M, windows=windows).values
-    return {"Q": d.Q, "q_cut": d.q_cut, "partition_err": float(np.abs(gap).max()),
-            "dual_path_rel": dual_path_rel(lo, closed), "hi_l2_ratio_interval": float(hi_l2_ratios([hi], [F])[0, 0]),
-            "lo_linf_ratio_interval": lo_linf_ratio(lo, d, F, r)}
+    hi_ratio = float(hi_l2_ratios([hi], [F])[0, 0])
+    hi.values += lo.values  # Hi's band becomes the gap Hi + Lo - total in place
+    hi.values -= approximant_profile(d.N, d.prog, d.q_cut, d.M, windows=windows).values
+    partition_err = float(np.abs(hi.values).max())
+    del hi
+    return {"Q": d.Q, "q_cut": d.q_cut, "partition_err": partition_err, "dual_path_rel": dual_path_rel(lo, closed),
+            "hi_l2_ratio_interval": hi_ratio, "lo_linf_ratio_interval": lo_linf_ratio(lo, d, F, r)}
 
 
 def cmd_highlow(cfg: dict) -> tuple[list[dict], dict, bool]:

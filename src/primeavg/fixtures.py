@@ -110,7 +110,7 @@ def _measure_hi_decay_slope(prog: Progression) -> float:
     fams += [np.arange(0, N, qp) for qp in range(2, 32)]
     cfgs = [DecompositionConfig(N=N, prog=prog, Q=Q, M=M, q_cut=32) for Q in (2, 4, 8, 16)]
     windows = approximant_windows(N, prog, 32, M)
-    his = [hi_hat_profile(cfg, windows) for cfg in cfgs]
+    his = (hi_hat_profile(cfg, windows) for cfg in cfgs)
     return fit_exponent([2.0, 4.0, 8.0, 16.0], hi_l2_ratios(his, (indicator_spectrum(F, M) for F in fams)).max(axis=0))
 
 

@@ -104,10 +104,8 @@ def lo_kernels_closed(cfgs: list[DecompositionConfig], tables: ArithTables):
     forms each sum in the same order.
     """
     cfg = cfgs[0]
-    y, b = cfg.prog.y, cfg.prog.b
-    x = np.arange(cfg.M, dtype=np.int64)
-    x[cfg.M // 2 :] -= cfg.M  # centered: -M/2 <= x < M/2
-    mask = (x - b) % y == 0
+    y, b, half = cfg.prog.y, cfg.prog.b, cfg.M // 2
+    halves = ((0, 0), (half, -half))  # (first index, its x): x = i below M/2 and i - M above
     passed = {c.Q for i, c in enumerate(cfgs) if any(d.Q > c.Q for d in cfgs[:i])}
     copies, out, qp = {}, np.zeros(cfg.M, dtype=np.float64), 1  # out sums the terms q' < qp
     for c in cfgs:
@@ -118,10 +116,15 @@ def lo_kernels_closed(cfgs: list[DecompositionConfig], tables: ArithTables):
             if mu:
                 term = phi_kernel(cfg, qp)
                 term *= mu / int(tables.totient[qp])
-                term *= ramanujan_table(qp)[x % qp]
+                for i0, x0 in halves:  # tau_{q'} is periodic: the table rotated to the half's first x, tiled
+                    term[i0 : i0 + half] *= np.tile(np.roll(ramanujan_table(qp), -x0), -(-half // qp))[:half]
                 out += term
             qp += 1
-        yield y * mask * (out if c.Q == qp else copies[c.Q])
+        kernel = np.zeros(cfg.M, dtype=np.float64)  # y times the sum on the class x = b mod y, 0 off it
+        for i0, x0 in halves:
+            on = slice(i0 + (b - x0) % y, i0 + half, y)
+            np.multiply(out[on] if c.Q == qp else copies[c.Q][on], y, out=kernel[on])
+        yield kernel
 
 
 def dual_path_rel(lo: SpectralProfile, closed: np.ndarray) -> float:
@@ -150,10 +153,10 @@ def hi_l2_ratios(his, sets) -> np.ndarray:
     spectra are Hermitian, so the sum runs over k <= M/2, k = 0 and k = M/2
     weighted once and every other k twice: no inverse transform.
     """
-    powers = [hi.values.real**2 + hi.values.imag**2 for hi in his]
+    powers = [hi.values.real**2 + hi.values.imag**2 for hi in his]  # his any iterable: only the powers are kept
     for p in powers:
         p[1:-1] *= 2.0
-    M = his[0].grid_size
+    M = 2 * (len(powers[0]) - 1)  # a profile holds the M//2 + 1 values on k <= M/2 of its grid
     out = []
     for fhat, size in sets:
         fpower = fhat.real**2 + fhat.imag**2

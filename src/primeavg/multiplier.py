@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expsums import FareyPoint, farey_points
-from .tables import ARC_J, Progression, memory_cap, phi, von_mangoldt
+from .tables import ARC_J, Progression, memory_cap, phi, prime_powers
 
 # The sup errors sweep |theta| < (log N)^ARC_J / N, POINTS_PER_UNIT grid points per 1/N.
 POINTS_PER_UNIT = 64
@@ -218,9 +218,10 @@ def m_hat(theta, length: float):
 
 def _weighted_support(N: int, prog: Progression):
     """Indices n < N in the progression with Lambda(n) > 0, and the average's weights phi(y)/N Lambda(n) there."""
-    view = von_mangoldt(N)[prog.start : N : prog.y]
-    j = np.flatnonzero(view)
-    return prog.start + prog.y * j, (phi(prog.y) / N) * view[j]
+    n, logs = prime_powers(N)
+    n, logs = n[: (k := np.searchsorted(n, N))], logs[:k]  # n < N, a prefix view
+    keep = n % prog.y == prog.b if prog.y > 1 else slice(None)  # at y = 1 every n, with no mask
+    return n[keep], (phi(prog.y) / N) * logs[keep]
 
 
 def a_kernel(N: int, prog: Progression, M: int) -> np.ndarray:

@@ -1,10 +1,11 @@
 """Sieved arithmetic functions and Chebyshev-type prime counting in progressions.
 
 Everything downstream consumes the read-only tables sieved here, each up to
-the bound its readers index: von Mangoldt Lambda alone (von_mangoldt), read
-up to a length N or x, and the ArithTables of Mobius mu and Euler totient
-phi, read at moduli such as q, y and lcm(y, q).  Sums written "n < N" are
-implemented strictly (1 <= n < N) throughout the package.
+the bound its readers index: von Mangoldt Lambda, read up to a length N or x,
+and the ArithTables of Mobius mu and Euler totient phi, read at moduli such
+as q, y and lcm(y, q).  Lambda is sieved once, as its support (prime_powers:
+the prime powers and their log p); the dense table that von_mangoldt serves
+is that support scattered into zeros.  "n < N" in a sum means 1 <= n < N.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ ARC_J = 2
 
 _TABLE_CACHE: dict[int, "ArithTables"] = {}
 _LAMBDA_CACHE: dict[int, np.ndarray] = {}
+_SUPPORT_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def memory_cap() -> int:
@@ -77,9 +79,18 @@ def build_tables(bound: int) -> ArithTables:
     return _cached(_TABLE_CACHE, bound, _sieve, lambda t, b: ArithTables(b, t.mobius[: b + 1], t.totient[: b + 1]))
 
 
+def prime_powers(bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """(n, Lambda(n)): prime powers n <= bound, increasing, and their log p; read-only, cached as _cached describes."""
+    if max(_LAMBDA_CACHE, default=0) >= bound:  # read off the dense table a process holds: no second sieve or cache
+        n = np.flatnonzero(lam := von_mangoldt(bound))
+        return _read_only(n, lam[n])
+    return _cached(_SUPPORT_CACHE, bound, _lambda_sieve,
+                   lambda s, b: tuple(a[: np.searchsorted(s[0], b, side="right")] for a in s))
+
+
 def von_mangoldt(bound: int) -> np.ndarray:
     """Lambda(n) in natural-log units for 0 <= n <= bound, read-only float64, cached as _cached describes."""
-    return _cached(_LAMBDA_CACHE, bound, _lambda_sieve, lambda lam, b: lam[: b + 1])
+    return _cached(_LAMBDA_CACHE, bound, _dense_lambda, lambda lam, b: lam[: b + 1])
 
 
 def phi(y: int) -> int:
@@ -124,20 +135,27 @@ def _primes(n: int) -> tuple[np.ndarray, int]:
     return primes, int(np.searchsorted(primes, root, side="right"))
 
 
-def _lambda_sieve(n: int) -> np.ndarray:
-    """Lambda up to n: log p on every power of a prime p <= sqrt(n), and on each larger prime."""
+def _lambda_sieve(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lambda's support up to n, sorted: each prime p <= n and each power p^k <= n of a p <= sqrt(n), with log p."""
     primes, split = _primes(n)
-    lam = np.zeros(n + 1, dtype=np.float64)
-    for p in primes[:split].tolist():
-        logp = math.log(p)
-        pk = p
-        while pk <= n:
-            lam[pk] = logp
-            pk *= p
-    large = primes[split:]
-    lam[large] = np.fromiter(map(math.log, large), np.float64, len(large))  # bit for bit as math.log(p) above
-    lam.setflags(write=False)
-    return lam
+    logp = np.fromiter(map(math.log, primes), np.float64, len(primes))  # math.log(p), bit for bit
+    levels, pk = [primes], primes[:split]  # levels[k - 1]: the p^k <= n
+    while len(pk):  # p^k grows with p, so the p with p^k <= n are a prefix
+        pk = pk * primes[: len(pk)]
+        levels.append(pk := pk[pk <= n])
+    order = np.argsort(powers := np.concatenate(levels))
+    return _read_only(powers[order], np.concatenate([logp[: len(level)] for level in levels])[order])
+
+
+def _dense_lambda(n: int) -> np.ndarray:
+    """Lambda up to n: the support of its own _lambda_sieve scattered into zeros, so no support cache is kept."""
+    return _read_only(np.bincount(*_lambda_sieve(n), minlength=n + 1))[0]  # each n once: 0.0 + log p
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 def _sieve(n: int) -> ArithTables:
@@ -165,9 +183,7 @@ def _sieve(n: int) -> ArithTables:
         mobius[k] *= -1
         totient[k] -= totient[k] // P
 
-    for arr in (mobius, totient):
-        arr.setflags(write=False)
-    return ArithTables(bound=n, mobius=mobius, totient=totient)
+    return ArithTables(n, *_read_only(mobius, totient))
 
 
 def reduced_residues(q: int) -> np.ndarray:
@@ -205,12 +221,5 @@ def sw_error_report(x_grid: list[int], prog: Progression) -> list[dict]:
             warnings.warn(f"y={prog.y} exceeds (log x)^J = {bound:.3g} at x={x}", stacklevel=2)
         psi = psi_progression(x, prog)
         main = x / phi_y
-        rows.append(
-            {
-                "x": x,
-                "psi": psi,
-                "main_term": main,
-                "rel_error": abs(psi - main) * phi_y / x,
-            }
-        )
+        rows.append({"x": x, "psi": psi, "main_term": main, "rel_error": abs(psi - main) * phi_y / x})
     return rows

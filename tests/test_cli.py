@@ -411,7 +411,7 @@ def test_bad_grid_exits_two_before_sieving(tmp_path, capsys, monkeypatch, argv, 
         monkeypatch.setenv("PRIMEAVG_MEMORY_CAP", cap)
     monkeypatch.setattr(cli, "build_tables", must_not_run)
     monkeypatch.setattr(expsums, "build_tables", must_not_run)
-    monkeypatch.setattr(multiplier, "von_mangoldt", must_not_run)
+    monkeypatch.setattr(multiplier, "prime_powers", must_not_run)
     rc = main(argv + ["--out-dir", str(tmp_path)])
     assert rc == 2
     err = capsys.readouterr().err
@@ -431,8 +431,8 @@ def test_nonpositive_y_exits_two_before_sieving(tmp_path, capsys, monkeypatch, c
 
     for module in (scans, expsums):
         monkeypatch.setattr(module, "build_tables", must_not_run)
-    for module in (scans, multiplier):
-        monkeypatch.setattr(module, "von_mangoldt", must_not_run)
+    monkeypatch.setattr(scans, "von_mangoldt", must_not_run)
+    monkeypatch.setattr(multiplier, "prime_powers", must_not_run)
     rc = main([command, "--N-list", "2048", "--y-list", y, "--workers", "1", "--out-dir", str(tmp_path)])
     assert rc == 2
     assert capsys.readouterr().err == f"config error: spacing y must be positive, got {y}\n"
@@ -450,8 +450,8 @@ def test_scan_grid_above_memory_cap_exits_two_before_sieving(tmp_path, capsys, m
     monkeypatch.setenv("PRIMEAVG_MEMORY_CAP", "100000")
     for module in (scans, expsums):
         monkeypatch.setattr(module, "build_tables", must_not_run)
-    for module in (scans, multiplier):
-        monkeypatch.setattr(module, "von_mangoldt", must_not_run)
+    monkeypatch.setattr(scans, "von_mangoldt", must_not_run)
+    monkeypatch.setattr(multiplier, "prime_powers", must_not_run)
     rc = main([command, "--N-list", "65536", "--y-list", "1", "--workers", "1", "--out-dir", str(tmp_path)])
     assert rc == 2
     err = capsys.readouterr().err
@@ -650,8 +650,10 @@ def _forbid_work(monkeypatch, why):
 
     for module in (primeavg, cli, expsums, fixtures, scans):
         monkeypatch.setattr(module, "build_tables", must_not_run)
-    for module in (primeavg, multiplier, scans, tables):
+    for module in (primeavg, scans, tables):
         monkeypatch.setattr(module, "von_mangoldt", must_not_run)
+    for module in (multiplier, tables):
+        monkeypatch.setattr(module, "prime_powers", must_not_run)
     monkeypatch.setattr(cli, "run_cells", must_not_run)
 
 
@@ -846,6 +848,19 @@ def test_approx_returns_its_rows_as_an_iterator():
         rows = list(rows)
     assert len(rows) == 1 << 14 and rows[1] == {"xi": 1 / (1 << 14), "abs_residual": rows[1]["abs_residual"]}
     assert max(row["abs_residual"] for row in rows) <= summary["sup_residual"]
+
+
+def test_approx_sieves_no_dense_lambda_table(monkeypatch):
+    # the average weights only the prime powers: approx caches Lambda's support
+    # up to N, never the dense table of N + 1 entries
+    from primeavg import tables
+    from primeavg.cli import cmd_approx
+
+    monkeypatch.setattr(tables, "_LAMBDA_CACHE", {})
+    monkeypatch.setattr(tables, "_SUPPORT_CACHE", {})
+    rows, summary, ok = cmd_approx({"N": 4096})
+    list(rows)
+    assert tables._LAMBDA_CACHE == {} and list(tables._SUPPORT_CACHE) == [4096]
 
 
 @pytest.mark.parametrize("command", ["improving", "maximal"])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -173,6 +174,24 @@ def test_low_kernels_one_pass_match_per_Q(tables, y, b, Qs):
         assert np.array_equal(kernel, lo_kernel_closed(cfg, tables))
 
 
+@pytest.mark.parametrize("y, b", [(3, 1), (1, 0)])
+def test_low_kernel_pass_holds_no_coordinate_array(tables, y, b):
+    # tau_{q'}(x) and the class x = b mod y are periodic, so the pass holds no
+    # length-M coordinates, residues, gather or mask: draining it traced 5.0-5.3
+    # float64 arrays of length M at its peak, against 6.3-6.4 with them
+    M = 1 << 16
+    cfgs = [_cfg(N=1 << 12, y=y, b=b, Q=Q, M=M) for Q in (2, 4, 8, 16)]
+    list(lo_kernels_closed(cfgs, tables))  # the Ramanujan tables it reads, before tracing
+    tracemalloc.start()
+    try:
+        for _ in lo_kernels_closed(cfgs, tables):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.75 * 8 * M
+
+
 def test_highlow_rows_match_per_Q_oracles_in_Q_list_order(tables):
     # the command takes --Q-list in its order: the one pass over q' reaches 8
     # first, so 2, 4 and the repeated 2 read copies of its running sum, and each
@@ -291,6 +310,14 @@ def test_hi_l2_ratios_match_inverse_transform(families):
             oracle = np.linalg.norm(g) / math.sqrt(len(F))
             assert ratios[i, j] == pytest.approx(oracle, rel=1e-12, abs=1e-15)
         assert hi_l2_ratios([his[0]], [indicator_spectrum(F, 1 << 12)])[0, 0] == ratios[i, 0]
+
+
+def test_hi_l2_ratios_take_profiles_one_at_a_time():
+    # only each profile's power is kept, so the profiles may come from a
+    # generator, as the hi_decay_slope recipe passes them
+    his = [hi_hat_profile(_cfg(N=1 << 10, y=3, b=1, Q=Q, M=1 << 12, q_cut=12)) for Q in (2, 4)]
+    sets = [indicator_spectrum(F, 1 << 12) for F in (np.arange(128), np.arange(1, 1 << 10, 3))]
+    assert np.array_equal(hi_l2_ratios((hi for hi in his), sets), hi_l2_ratios(his, sets))
 
 
 def test_hi_l2_ratios_einsum_matches_blas_dot():

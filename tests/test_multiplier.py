@@ -344,8 +344,8 @@ def test_grid_above_memory_cap_raises_value_error_before_sieving(monkeypatch, bu
     monkeypatch.setenv("PRIMEAVG_MEMORY_CAP", "2000")
     for module in (expsums, scans):
         monkeypatch.setattr(module, "build_tables", must_not_run)
-    for module in (multiplier, scans):
-        monkeypatch.setattr(module, "von_mangoldt", must_not_run)
+    monkeypatch.setattr(multiplier, "prime_powers", must_not_run)
+    monkeypatch.setattr(scans, "von_mangoldt", must_not_run)
     monkeypatch.setattr(tables, "_sieve", must_not_run)
     monkeypatch.setattr(tables, "_lambda_sieve", must_not_run)
     with pytest.raises(ValueError, match=r"grid size M=\d+ exceeds memory cap 2000"):

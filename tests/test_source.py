@@ -135,6 +135,8 @@ def test_lambda_is_never_gathered_along_a_progression():
         and not isinstance(node.slice, ast.Slice)
     ]
     assert not gathers, f"Lambda gathered at {gathers}"
+    # the average weights only the prime powers: multiplier reads tables.prime_powers, never the dense table
+    assert not re.search(r"\bvon_mangoldt\b", _sources()["multiplier.py"])
 
 
 def test_average_scale_is_written_once_in_multiplier():

@@ -13,6 +13,7 @@ from primeavg.tables import (
     ArithTables,
     Progression,
     build_tables,
+    prime_powers,
     psi_progression,
     reduced_residues,
     sw_error_report,
@@ -30,7 +31,7 @@ def _primes_below(n):
 
 
 def _loop_sieve(n):
-    """The sieve as a Python loop over every prime up to n: the oracle of tables._lambda_sieve and _sieve."""
+    """The sieve as a Python loop over every prime up to n: the oracle of tables._dense_lambda and _sieve."""
     is_prime = np.ones(n + 1, dtype=bool)
     is_prime[:2] = False
     for p in range(2, math.isqrt(n) + 1):
@@ -61,7 +62,7 @@ def _assert_sieve_matches_loop(n):
     fast, oracle = tables_module._sieve(n), _loop_sieve(n)
     assert fast.bound == n
     for name, expected in oracle.items():
-        got = tables_module._lambda_sieve(n) if name == "von_mangoldt" else getattr(fast, name)
+        got = tables_module._dense_lambda(n) if name == "von_mangoldt" else getattr(fast, name)
         assert got.dtype == expected.dtype, (n, name)
         assert np.array_equal(got, expected), (n, name)
 
@@ -229,7 +230,7 @@ def test_smaller_lambda_bound_is_read_only_view_of_largest(monkeypatch):
     assert np.shares_memory(small, large)
     assert not small.flags.writeable
     assert small.dtype == np.float64
-    assert np.array_equal(small, tables_module._lambda_sieve(1 << 12))
+    assert np.array_equal(small, tables_module._dense_lambda(1 << 12))
 
 
 def test_larger_lambda_sieve_repoints_smaller_cached_table(monkeypatch):
@@ -241,7 +242,71 @@ def test_larger_lambda_sieve_repoints_smaller_cached_table(monkeypatch):
     assert von_mangoldt(1 << 12) is small
     assert np.shares_memory(small, large)
     assert not small.flags.writeable
-    assert np.array_equal(small, tables_module._lambda_sieve(1 << 12))
+    assert np.array_equal(small, tables_module._dense_lambda(1 << 12))
+
+
+@pytest.fixture
+def no_lambda_caches(monkeypatch):
+    monkeypatch.setattr(tables_module, "_LAMBDA_CACHE", {})
+    monkeypatch.setattr(tables_module, "_SUPPORT_CACHE", {})
+
+
+@pytest.mark.parametrize("bound", [2, 3, 1000, 1 << 12, (1 << 16) + 1])
+def test_prime_powers_are_the_support_of_the_dense_table(no_lambda_caches, bound):
+    # sieved with no dense table held, then read off the dense table once a
+    # process holds one: flatnonzero(von_mangoldt) and its values, bit for bit
+    sieved = prime_powers(bound)
+    assert tables_module._LAMBDA_CACHE == {}
+    lam = von_mangoldt(bound)
+    n = np.flatnonzero(lam)
+    for got in (sieved, prime_powers(bound)):
+        assert got[0].dtype == n.dtype and got[1].dtype == np.float64
+        assert np.array_equal(got[0], n) and got[1].tobytes() == lam[n].tobytes()
+        assert not got[0].flags.writeable and not got[1].flags.writeable
+    assert list(tables_module._SUPPORT_CACHE) == [bound]  # the read off the dense table caches nothing
+
+
+def test_smaller_support_bound_is_read_only_prefix_of_largest(no_lambda_caches):
+    large = prime_powers(1 << 16)
+    small = prime_powers(1 << 12)
+    assert prime_powers(1) is prime_powers(2)  # floored at 2, as every table is
+    for view, whole, fresh in zip(small, large, tables_module._lambda_sieve(1 << 12), strict=True):
+        assert np.shares_memory(view, whole)
+        assert not view.flags.writeable
+        assert view.dtype == fresh.dtype and np.array_equal(view, fresh)
+
+
+def test_larger_support_sieve_repoints_smaller_cached_support(no_lambda_caches):
+    # the cache holds one copy: sieving 2^16 after 2^12 turns the 2^12 entry into prefix views
+    prime_powers(1 << 12)
+    large = prime_powers(1 << 16)
+    small = tables_module._SUPPORT_CACHE[1 << 12]
+    assert prime_powers(1 << 12) is small
+    for view, whole, fresh in zip(small, large, tables_module._lambda_sieve(1 << 12), strict=True):
+        assert np.shares_memory(view, whole)
+        assert not view.flags.writeable
+        assert np.array_equal(view, fresh)
+
+
+def test_support_is_write_protected(no_lambda_caches):
+    n, logs = prime_powers(100)
+    with pytest.raises(ValueError):
+        n[0] = 1
+    with pytest.raises(ValueError):
+        logs[0] = 1.0
+
+
+def test_support_memory_cap_guard(no_lambda_caches, monkeypatch):
+    # bound + 1 is checked against the cap as von_mangoldt checks it, whether the
+    # support is read off a dense table held (1000) or sieved (2^22)
+    von_mangoldt(1 << 12)
+    monkeypatch.setenv("PRIMEAVG_MEMORY_CAP", "1000")
+    for bound in (1000, 1 << 22):
+        with pytest.raises(ValueError, match="memory cap"):
+            prime_powers(bound)
+        with pytest.raises(ValueError, match="memory cap"):
+            von_mangoldt(bound)
+    assert prime_powers(999)[0][-1] == 997
 
 
 def test_tables_are_write_protected(tables):
@@ -261,7 +326,7 @@ def test_memory_cap_guard(monkeypatch):
 
 def test_psi_progression_sizes_its_own_table(monkeypatch):
     # no caller passes a table: psi at x above every cached bound sieves Lambda to x
-    monkeypatch.setattr(tables_module, "_LAMBDA_CACHE", {1000: tables_module._lambda_sieve(1000)})
+    monkeypatch.setattr(tables_module, "_LAMBDA_CACHE", {1000: tables_module._dense_lambda(1000)})
     x = 5000
     expected = _loop_sieve(x)["von_mangoldt"][np.arange(1, x, 3)].sum()
     assert psi_progression(x, Progression(3, 1)) == float(expected)
