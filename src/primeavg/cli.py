@@ -410,7 +410,7 @@ def main(argv: list[str] | None = None) -> int:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             rows, summary, ok = run(cfg)
-    except ValueError as exc:  # a ConfigError of either copy of this module: `-m` runs one as __main__
+    except ValueError as exc:  # a ConfigError, or a ValueError from an input check inside the library
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     summary.update(
@@ -430,5 +430,5 @@ def main(argv: list[str] | None = None) -> int:
     return 0 if ok else 1
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+if __name__ == "__main__":  # registered as primeavg.cli unless imported: a recipe's `from . import cli` gets this module
+    sys.exit(sys.modules.setdefault("primeavg.cli", sys.modules[__name__]).main())

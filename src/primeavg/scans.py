@@ -46,7 +46,7 @@ import warnings
 import numpy as np
 
 from .multiplier import a_hat_profile, check_grid, indicator, pow2_at_least, sup_abs
-from .tables import Progression, build_tables, default_residue, phi, reduced_residues, von_mangoldt
+from .tables import Progression, build_tables, default_residue, phi, prime_powers, reduced_residues, von_mangoldt
 
 # Desk-scale replacement for the ineffective asymptotic onset threshold.
 DEFAULT_N_FLOOR_FACTOR = 1 << 10
@@ -81,6 +81,10 @@ def input_families(
 ) -> dict[str, np.ndarray]:
     """Fixed a-priori test sets inside [0, N): intervals, progression segments,
     Bernoulli sets at dyadic densities, and, if greedy, a greedy Lambda-weighted set."""
+    if greedy:  # first, so its transient dense Lambda is freed before the other families are allocated
+        w = von_mangoldt(N)[prog.start : N : prog.y]
+        top = np.sort(prog.start + prog.y * np.argsort(w)[::-1][: max(len(w) // 8, 1)])
+        del w
     fams: dict[str, np.ndarray] = {}
     fams["interval"] = np.arange(N // 2, dtype=np.int64)
     fams["progression_segment"] = prog.indices(N // 2)
@@ -91,9 +95,7 @@ def input_families(
             idx = np.array([0], dtype=np.int64)
         fams[f"bernoulli_2^-{j}"] = idx
     if greedy:
-        w = von_mangoldt(N)[prog.start : N : prog.y]
-        k = max(len(w) // 8, 1)
-        fams["greedy_lambda"] = np.sort(prog.start + prog.y * np.argsort(w)[::-1][:k])
+        fams["greedy_lambda"] = top
     return fams
 
 
@@ -255,7 +257,7 @@ def _run_scan_cells(cell_fn, cells_of, N_list, y_list, floor: int, workers: int,
             cells += cells_of(y, b)
     if cells:
         check_grid(N_max, pow2_at_least(2 * N_max))
-        von_mangoldt(N_max)
+        prime_powers(N_max)
         build_tables(max(y_list))
     return run_cells(cell_fn, cells, workers)
 

@@ -1,11 +1,12 @@
 """Sieved arithmetic functions and Chebyshev-type prime counting in progressions.
 
-Everything downstream consumes the read-only tables sieved here, each up to
-the bound its readers index: von Mangoldt Lambda, read up to a length N or x,
-and the ArithTables of Mobius mu and Euler totient phi, read at moduli such
-as q, y and lcm(y, q).  Lambda is sieved once, as its support (prime_powers:
-the prime powers and their log p); the dense table that von_mangoldt serves
-is that support scattered into zeros.  "n < N" in a sum means 1 <= n < N.
+Everything downstream consumes the read-only tables cached here, each sieved
+up to the bound its readers index: von Mangoldt Lambda, read up to a length N
+or x, and the ArithTables of Mobius mu and Euler totient phi, read at moduli
+such as q, y and lcm(y, q).  Lambda has one cache, of its support
+(prime_powers: the prime powers and their log p); von_mangoldt scatters that
+support into a fresh dense table, which its reader drops when done.  "n < N"
+in a sum means 1 <= n < N.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ DEFAULT_MEMORY_CAP = 200_000_000
 ARC_J = 2
 
 _TABLE_CACHE: dict[int, "ArithTables"] = {}
-_LAMBDA_CACHE: dict[int, np.ndarray] = {}
 _SUPPORT_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
@@ -81,16 +81,13 @@ def build_tables(bound: int) -> ArithTables:
 
 def prime_powers(bound: int) -> tuple[np.ndarray, np.ndarray]:
     """(n, Lambda(n)): prime powers n <= bound, increasing, and their log p; read-only, cached as _cached describes."""
-    if max(_LAMBDA_CACHE, default=0) >= bound:  # read off the dense table a process holds: no second sieve or cache
-        n = np.flatnonzero(lam := von_mangoldt(bound))
-        return _read_only(n, lam[n])
     return _cached(_SUPPORT_CACHE, bound, _lambda_sieve,
                    lambda s, b: tuple(a[: np.searchsorted(s[0], b, side="right")] for a in s))
 
 
 def von_mangoldt(bound: int) -> np.ndarray:
-    """Lambda(n) in natural-log units for 0 <= n <= bound, read-only float64, cached as _cached describes."""
-    return _cached(_LAMBDA_CACHE, bound, _dense_lambda, lambda lam, b: lam[: b + 1])
+    """Lambda(n) in natural-log units for 0 <= n <= bound: a fresh float64 table scattered from prime_powers(bound)."""
+    return np.bincount(*prime_powers(bound), minlength=bound + 1)  # each n once: 0.0 + log p
 
 
 def phi(y: int) -> int:
@@ -145,11 +142,6 @@ def _lambda_sieve(n: int) -> tuple[np.ndarray, np.ndarray]:
         levels.append(pk := pk[pk <= n])
     order = np.argsort(powers := np.concatenate(levels))
     return _read_only(powers[order], np.concatenate([logp[: len(level)] for level in levels])[order])
-
-
-def _dense_lambda(n: int) -> np.ndarray:
-    """Lambda up to n: the support of its own _lambda_sieve scattered into zeros, so no support cache is kept."""
-    return _read_only(np.bincount(*_lambda_sieve(n), minlength=n + 1))[0]  # each n once: 0.0 + log p
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -212,7 +204,7 @@ def sw_error_report(x_grid: list[int], prog: Progression) -> list[dict]:
         raise ValueError("empty x grid")
     if min(x_grid) < 1:
         raise ValueError(f"x must be >= 1, got {min(x_grid)}")
-    von_mangoldt(max(x_grid))  # one sieve; every psi reads a view of it
+    prime_powers(max(x_grid))  # one sieve; every psi scatters a prefix of it
     phi_y = phi(prog.y)
     rows = []
     for x in x_grid:

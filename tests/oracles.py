@@ -6,9 +6,10 @@ primeavg.multiplier one frequency at a time; and highlow's closed-form Low
 kernel one Q at a time.  Each comes straight from its defining sum.  The
 prime-power support and the residual's classes are also kept as multiplier
 built them before their lean paths: a gather and a mask, and fresh arrays
-per class; and a command's CSV as cli built it before it streamed rows, as
-one text in memory.  No command runs them; the tests pin every fast path to
-them.
+per class; the scans' input families as scans built them before the greedy
+set came first, from a dense Lambda sieved by a loop; and a command's CSV as
+cli built it before it streamed rows, as one text in memory.  No command runs
+them; the tests pin every fast path to them.
 """
 
 from __future__ import annotations
@@ -317,6 +318,42 @@ def lo_kernel_closed(cfg: DecompositionConfig, tables: ArithTables) -> np.ndarra
         out += phi_vals * (mu / int(tables.totient[qp])) * tau_vals
     mask = (x - b) % y == 0
     return y * mask * out
+
+
+# ---------------------------------------------------------------------------
+# primeavg.scans
+
+
+def loop_lambda(n: int) -> np.ndarray:
+    """Lambda(m) for 0 <= m <= n by a Python loop: log p at each prime power p^k <= n, else 0."""
+    lam = np.zeros(n + 1)
+    is_prime = np.ones(n + 1, dtype=bool)
+    for p in range(2, n + 1):
+        if is_prime[p]:
+            is_prime[p * p :: p] = False
+            pk = p
+            while pk <= n:
+                lam[pk] = math.log(p)
+                pk *= p
+    return lam
+
+
+def input_families_greedy_last(N: int, prog: Progression, rng: np.random.Generator, densities, greedy: bool = False):
+    """scans.input_families as it was: the greedy set built last, here from loop_lambda."""
+    fams: dict[str, np.ndarray] = {}
+    fams["interval"] = np.arange(N // 2, dtype=np.int64)
+    fams["progression_segment"] = prog.indices(N // 2)
+    for j in densities:
+        mask = rng.random(N) < 2.0**-j
+        idx = np.flatnonzero(mask)
+        if len(idx) == 0:
+            idx = np.array([0], dtype=np.int64)
+        fams[f"bernoulli_2^-{j}"] = idx
+    if greedy:
+        w = loop_lambda(N)[prog.start : N : prog.y]
+        k = max(len(w) // 8, 1)
+        fams["greedy_lambda"] = np.sort(prog.start + prog.y * np.argsort(w)[::-1][:k])
+    return fams
 
 
 # ---------------------------------------------------------------------------

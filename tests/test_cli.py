@@ -305,15 +305,9 @@ def test_verify_divisor_identity_reports_pairs_checked(tmp_path):
     ],
     ids=["t_zero", "one_Q", "t_forty", "above_cap", "Q_zero", "Q_negative"],
 )
-def test_ramanujan_avg_bad_input_exits_two_before_sieving(tmp_path, capsys, monkeypatch, bad, cap):
-    import primeavg.cli as cli
-
-    def must_not_run(*args, **kwargs):
-        pytest.fail("tables were sieved before the input was checked")
-
+def test_ramanujan_avg_bad_input_exits_two_before_sieving(tmp_path, capsys, monkeypatch, forbid_sieves, bad, cap):
     if cap is not None:
         monkeypatch.setenv("PRIMEAVG_MEMORY_CAP", cap)
-    monkeypatch.setattr(cli, "build_tables", must_not_run)
     rc = main(["ramanujan-avg", *bad, "--out-dir", str(tmp_path)])
     assert rc == 2
     assert capsys.readouterr().err.startswith("config error")
@@ -400,18 +394,9 @@ def test_bad_input_exits_two_before_any_window(tmp_path, capsys, monkeypatch, ar
     ],
     ids=["approx_cap", "approx_not_pow2", "approx_below_N", "highlow_cap", "highlow_not_pow2"],
 )
-def test_bad_grid_exits_two_before_sieving(tmp_path, capsys, monkeypatch, argv, cap, message):
-    import primeavg.cli as cli
-    from primeavg import expsums, multiplier
-
-    def must_not_run(*args, **kwargs):
-        pytest.fail("tables were sieved before the grid was checked")
-
+def test_bad_grid_exits_two_before_sieving(tmp_path, capsys, monkeypatch, forbid_sieves, argv, cap, message):
     if cap is not None:
         monkeypatch.setenv("PRIMEAVG_MEMORY_CAP", cap)
-    monkeypatch.setattr(cli, "build_tables", must_not_run)
-    monkeypatch.setattr(expsums, "build_tables", must_not_run)
-    monkeypatch.setattr(multiplier, "prime_powers", must_not_run)
     rc = main(argv + ["--out-dir", str(tmp_path)])
     assert rc == 2
     err = capsys.readouterr().err
@@ -421,18 +406,9 @@ def test_bad_grid_exits_two_before_sieving(tmp_path, capsys, monkeypatch, argv, 
 
 @pytest.mark.parametrize("y", ["0", "-3"])
 @pytest.mark.parametrize("command", ["improving", "maximal"])
-def test_nonpositive_y_exits_two_before_sieving(tmp_path, capsys, monkeypatch, command, y):
+def test_nonpositive_y_exits_two_before_sieving(tmp_path, capsys, forbid_sieves, command, y):
     # admission reads each progression's least member, Progression(y, b).start,
     # so a bad y is rejected before Lambda is sieved to N_max
-    from primeavg import expsums, multiplier
-
-    def must_not_run(*args, **kwargs):
-        pytest.fail("tables were sieved before y was checked")
-
-    for module in (scans, expsums):
-        monkeypatch.setattr(module, "build_tables", must_not_run)
-    monkeypatch.setattr(scans, "von_mangoldt", must_not_run)
-    monkeypatch.setattr(multiplier, "prime_powers", must_not_run)
     rc = main([command, "--N-list", "2048", "--y-list", y, "--workers", "1", "--out-dir", str(tmp_path)])
     assert rc == 2
     assert capsys.readouterr().err == f"config error: spacing y must be positive, got {y}\n"
@@ -440,18 +416,9 @@ def test_nonpositive_y_exits_two_before_sieving(tmp_path, capsys, monkeypatch, c
 
 
 @pytest.mark.parametrize("command", ["improving", "maximal"])
-def test_scan_grid_above_memory_cap_exits_two_before_sieving(tmp_path, capsys, monkeypatch, command):
+def test_scan_grid_above_memory_cap_exits_two_before_sieving(tmp_path, capsys, monkeypatch, forbid_sieves, command):
     # the cells' grid pow2_at_least(2 N_max) = 131072 is checked before any sieve
-    from primeavg import expsums, multiplier, scans
-
-    def must_not_run(*args, **kwargs):
-        pytest.fail("tables were sieved before the grid was checked")
-
     monkeypatch.setenv("PRIMEAVG_MEMORY_CAP", "100000")
-    for module in (scans, expsums):
-        monkeypatch.setattr(module, "build_tables", must_not_run)
-    monkeypatch.setattr(scans, "von_mangoldt", must_not_run)
-    monkeypatch.setattr(multiplier, "prime_powers", must_not_run)
     rc = main([command, "--N-list", "65536", "--y-list", "1", "--workers", "1", "--out-dir", str(tmp_path)])
     assert rc == 2
     err = capsys.readouterr().err
@@ -475,8 +442,8 @@ def test_verify_recipe_grid_above_memory_cap_exits_two(tmp_path, capsys, monkeyp
 
 @pytest.mark.filterwarnings("ignore:'primeavg.cli' found in sys.modules")
 def test_verify_run_as_module_exits_two_on_a_recipes_config_error(tmp_path, capsys, monkeypatch):
-    # `python -m primeavg.cli` runs a copy of cli as __main__, while a command
-    # recipe raises the ConfigError of primeavg.cli, so main must catch either
+    # with primeavg.cli imported, `python -m primeavg.cli` runs its main, so a
+    # command recipe raises the ConfigError that main catches
     fixtures._command.cache_clear()
     monkeypatch.setenv("PRIMEAVG_MEMORY_CAP", "16000")
     monkeypatch.setattr(sys, "argv", ["primeavg", "verify", "--qmax", "4", "--ymax", "2", "--cohen-qmax", "4",
@@ -488,6 +455,30 @@ def test_verify_run_as_module_exits_two_on_a_recipes_config_error(tmp_path, caps
     err = "config error: --Q-list 32 averages to M=16384, 16385 entries above memory cap 16000\n"
     assert capsys.readouterr().err == err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.filterwarnings("ignore:'primeavg.cli' found in sys.modules")
+def test_run_as_module_calls_primeavg_cli_main(monkeypatch):
+    # with primeavg.cli imported, the __main__ copy hands over to its main, so a
+    # command recipe's `from . import cli` reads the ConfigError, COMMANDS and parser main uses
+    import primeavg.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "main", lambda: calls.append("primeavg.cli") or 0)
+    with pytest.raises(SystemExit) as done:
+        runpy.run_module("primeavg.cli", run_name="__main__")
+    assert done.value.code == 0 and calls == ["primeavg.cli"]
+
+
+def test_run_as_module_registers_itself_as_primeavg_cli(tmp_path, monkeypatch):
+    # a fresh `python -m primeavg.cli` has imported no primeavg.cli: the
+    # __main__ module takes that name, so no recipe imports a second copy
+    monkeypatch.delitem(sys.modules, "primeavg.cli")
+    monkeypatch.setattr(sys, "argv", ["primeavg", "sw", "--x-grid", "1000", "--out-dir", str(tmp_path)])
+    with pytest.raises(SystemExit) as done:
+        runpy.run_module("primeavg.cli", run_name="__main__", alter_sys=True)
+    assert done.value.code == 0
+    assert sys.modules["primeavg.cli"].__name__ == "__main__"
 
 
 def test_approx_sieves_mu_and_phi_only_to_its_moduli(tmp_path, monkeypatch):
@@ -640,21 +631,18 @@ def test_verify_measures_a_repeated_fixture_name_once(tmp_path, monkeypatch):
     assert lines[3] == once + [y1_row]
 
 
-def _forbid_work(monkeypatch, why):
-    """Make every sieve, and verify's pool, fail the test with why."""
-    import primeavg
-    from primeavg import cli, expsums, multiplier, tables
+@pytest.fixture
+def _forbid_work(monkeypatch, forbid_sieves):
+    """Every sieve fails the test (forbid_sieves); _forbid_work(why) makes verify's pool fail it with why."""
+    from primeavg import cli
 
-    def must_not_run(*args, **kwargs):
-        pytest.fail(why)
+    def forbid(why):
+        def must_not_run(*args, **kwargs):
+            pytest.fail(why)
 
-    for module in (primeavg, cli, expsums, fixtures, scans):
-        monkeypatch.setattr(module, "build_tables", must_not_run)
-    for module in (primeavg, scans, tables):
-        monkeypatch.setattr(module, "von_mangoldt", must_not_run)
-    for module in (multiplier, tables):
-        monkeypatch.setattr(module, "prime_powers", must_not_run)
-    monkeypatch.setattr(cli, "run_cells", must_not_run)
+        monkeypatch.setattr(cli, "run_cells", must_not_run)
+
+    return forbid
 
 
 @pytest.mark.parametrize(
@@ -672,9 +660,9 @@ def _forbid_work(monkeypatch, why):
     ids=["scalar_for_int_list", "scalar_for_float_list", "empty_x_grid", "empty_N_list",
          "empty_Q_list", "empty_fixture_names", "string_for_switch", "bad_int_text"],
 )
-def test_config_value_of_wrong_type_exits_two_before_sieving(tmp_path, capsys, monkeypatch, command, config, flag):
+def test_config_value_of_wrong_type_exits_two_before_sieving(tmp_path, capsys, _forbid_work, command, config, flag):
     # a config-file value is parsed as its flag would parse it, before any work
-    _forbid_work(monkeypatch, "work started before the config file's values were checked")
+    _forbid_work("work started before the config file's values were checked")
     (tmp_path / "cfg.json").write_text(json.dumps(config))
     out = tmp_path / "out"
     rc = main([command, "--config", str(tmp_path / "cfg.json"), "--out-dir", str(out)])
@@ -709,10 +697,10 @@ def _exit_code(argv):
     [("maximal", "r"), ("improving", "r_list"), ("maximal", "lambda_grid"), ("maximal", "weak_ceiling"),
      ("ramanujan-avg", "exponent_cap")],
 )
-def test_non_finite_float_exits_two_before_sieving(tmp_path, capsys, monkeypatch, command, key, source, value):
+def test_non_finite_float_exits_two_before_sieving(tmp_path, capsys, _forbid_work, command, key, source, value):
     # nan passed every comparison of the checks as false, so maximal --r nan
     # passed with NaN in its JSON; every float key now takes finite values only
-    _forbid_work(monkeypatch, "work started before the float values were checked")
+    _forbid_work("work started before the float values were checked")
     flag = "--" + key.replace("_", "-")
     if source == "flag":
         argv = [flag, value]
@@ -741,12 +729,12 @@ def test_non_finite_float_exits_two_before_sieving(tmp_path, capsys, monkeypatch
         ("approx", "N", 0), ("approx", "N", 1), ("highlow", "N", 0), ("highlow", "N", 1),
     ],
 )
-def test_out_of_range_int_exits_two_naming_its_flag(tmp_path, capsys, monkeypatch, command, key, value, source):
+def test_out_of_range_int_exits_two_naming_its_flag(tmp_path, capsys, _forbid_work, command, key, value, source):
     # a negative seed failed inside numpy's generator with a message naming no
     # flag (approx, which only echoes it, passed); workers below 1 ran serially,
     # a negative floor factor reported "stable", and an N below 2 was blamed
     # on q_cut or the grid.  The floor factor 0, no floor, stays legal
-    _forbid_work(monkeypatch, "work started before the int values were checked")
+    _forbid_work("work started before the int values were checked")
     flag = "--" + key.replace("_", "-")
     if source == "flag":
         argv = [flag, str(value)]
@@ -770,10 +758,10 @@ def test_out_of_range_int_exits_two_naming_its_flag(tmp_path, capsys, monkeypatc
     ],
     ids=["improving", "maximal"],
 )
-def test_empty_progression_segment_exits_two_before_sieving(tmp_path, capsys, monkeypatch, argv, message):
+def test_empty_progression_segment_exits_two_before_sieving(tmp_path, capsys, _forbid_work, argv, message):
     # the segment {1 <= n < N/2 : n = b mod y} is an input family of both
     # scans; empty, it broke their running sums with a numpy message
-    _forbid_work(monkeypatch, "tables were sieved before the segment was checked")
+    _forbid_work("tables were sieved before the segment was checked")
     rc = main([*argv, "--n-floor-factor", "0", "--workers", "1", "--out-dir", str(tmp_path)])
     assert rc == 2
     err = capsys.readouterr().err
@@ -781,10 +769,10 @@ def test_empty_progression_segment_exits_two_before_sieving(tmp_path, capsys, mo
     assert not list(tmp_path.iterdir())
 
 
-def test_maximal_overflowing_q_policy_exits_two_before_sieving(tmp_path, capsys, monkeypatch):
+def test_maximal_overflowing_q_policy_exits_two_before_sieving(tmp_path, capsys, _forbid_work):
     # q_policy = lambda^(r/2 - 1) = (1e10)^49 overflows a float, and the cell's
     # float power raised OverflowError: exit 1 with a traceback
-    _forbid_work(monkeypatch, "work started before the q_policy was checked")
+    _forbid_work("work started before the q_policy was checked")
     out = tmp_path / "out"
     rc = main(["maximal", "--N-list", "1024", "--y-list", "1", "--r", "100", "--lambda-grid", "1e10",
                "--n-floor-factor", "1", "--workers", "1", "--out-dir", str(out)])
@@ -795,10 +783,10 @@ def test_maximal_overflowing_q_policy_exits_two_before_sieving(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("y", ["0", "-3"])
-def test_nonpositive_y_with_b_sweep_exits_two_before_sieving(tmp_path, capsys, monkeypatch, y):
+def test_nonpositive_y_with_b_sweep_exits_two_before_sieving(tmp_path, capsys, _forbid_work, y):
     # the residue sweep enumerates A_y only after Progression has checked y, so
     # the message names y as it does without --b-sweep, not a q never given
-    _forbid_work(monkeypatch, "tables were sieved before y was checked")
+    _forbid_work("tables were sieved before y was checked")
     rc = main(["maximal", "--N-list", "2048", "--y-list", y, "--b-sweep", "--workers", "1",
                "--out-dir", str(tmp_path)])
     assert rc == 2
@@ -856,11 +844,10 @@ def test_approx_sieves_no_dense_lambda_table(monkeypatch):
     from primeavg import tables
     from primeavg.cli import cmd_approx
 
-    monkeypatch.setattr(tables, "_LAMBDA_CACHE", {})
     monkeypatch.setattr(tables, "_SUPPORT_CACHE", {})
     rows, summary, ok = cmd_approx({"N": 4096})
     list(rows)
-    assert tables._LAMBDA_CACHE == {} and list(tables._SUPPORT_CACHE) == [4096]
+    assert list(tables._SUPPORT_CACHE) == [4096]
 
 
 @pytest.mark.parametrize("command", ["improving", "maximal"])

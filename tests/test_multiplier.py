@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from primeavg import expsums, multiplier
+from primeavg import multiplier
 from primeavg.highlow import DecompositionConfig
 from primeavg.multiplier import (
     _mollifier_tail,
@@ -334,20 +334,9 @@ def test_a_hat_profile_requires_power_of_two():
     ids=["a_hat_profile", "approximant_windows", "approx_residual", "DecompositionConfig",
          "improving_scan", "maximal_scan"],
 )
-def test_grid_above_memory_cap_raises_value_error_before_sieving(monkeypatch, build):
+def test_grid_above_memory_cap_raises_value_error_before_sieving(monkeypatch, forbid_sieves, build):
     # the cap sits above every table bound here, so only the grid can exceed it
-    from primeavg import scans, tables
-
-    def must_not_run(*args, **kwargs):
-        pytest.fail("tables were sieved before the grid was checked")
-
     monkeypatch.setenv("PRIMEAVG_MEMORY_CAP", "2000")
-    for module in (expsums, scans):
-        monkeypatch.setattr(module, "build_tables", must_not_run)
-    monkeypatch.setattr(multiplier, "prime_powers", must_not_run)
-    monkeypatch.setattr(scans, "von_mangoldt", must_not_run)
-    monkeypatch.setattr(tables, "_sieve", must_not_run)
-    monkeypatch.setattr(tables, "_lambda_sieve", must_not_run)
     with pytest.raises(ValueError, match=r"grid size M=\d+ exceeds memory cap 2000"):
         build()
 

@@ -31,7 +31,7 @@ from primeavg.scans import (
 )
 from primeavg.tables import Progression, reduced_residues, von_mangoldt
 
-from oracles import csv_text
+from oracles import csv_text, input_families_greedy_last
 
 # ---------------------------------------------------------------------------
 # Kernel and single-case ratios
@@ -267,6 +267,23 @@ def test_input_families_contents():
     assert all(von_mangoldt(1 << 10)[v] > 0 for v in fams["greedy_lambda"])
 
 
+@pytest.mark.parametrize("N, y", [(1 << 12, 1), (1 << 12, 3), (1 << 12, 5), (1 << 14, 1)])
+def test_input_families_match_the_greedy_last_oracle(N, y):
+    # the greedy set is built first, from a transient dense Lambda, and the sets
+    # and key order are the old ones.  At N = 2^14, y = 1 the set's k = N/8
+    # members exceed the 1960 prime powers, so ties among zeros decide it
+    prog = Progression(y, 0 if y == 1 else 1)
+    got = input_families(N, prog, np.random.default_rng(7), (3, 5), greedy=True)
+    want = input_families_greedy_last(N, prog, np.random.default_rng(7), (3, 5), greedy=True)
+    assert list(got) == list(want)
+    for name in want:
+        assert got[name].dtype == want[name].dtype and np.array_equal(got[name], want[name]), name
+    plain = input_families(N, prog, np.random.default_rng(7), (3, 5))
+    assert list(plain) == list(want)[:-1]
+    for name in plain:
+        assert np.array_equal(plain[name], want[name]), name
+
+
 # ---------------------------------------------------------------------------
 # Improving scan
 
@@ -403,7 +420,7 @@ def _record_sieves(monkeypatch, once=False):
     from primeavg import tables as tables_mod
 
     sieved = {"lambda": [], "mu_phi": []}
-    for kind, name, cache in (("lambda", "_lambda_sieve", "_LAMBDA_CACHE"), ("mu_phi", "_sieve", "_TABLE_CACHE")):
+    for kind, name, cache in (("lambda", "_lambda_sieve", "_SUPPORT_CACHE"), ("mu_phi", "_sieve", "_TABLE_CACHE")):
         monkeypatch.setattr(tables_mod, cache, {})
 
         def record(n, kind=kind, sieve=getattr(tables_mod, name)):

@@ -20,6 +20,8 @@ from primeavg.tables import (
     von_mangoldt,
 )
 
+from oracles import loop_lambda
+
 
 def _primes_below(n):
     sieve = np.ones(n, dtype=bool)
@@ -31,7 +33,7 @@ def _primes_below(n):
 
 
 def _loop_sieve(n):
-    """The sieve as a Python loop over every prime up to n: the oracle of tables._dense_lambda and _sieve."""
+    """The sieve as a Python loop over every prime up to n: the oracle of tables._lambda_sieve and _sieve."""
     is_prime = np.ones(n + 1, dtype=bool)
     is_prime[:2] = False
     for p in range(2, math.isqrt(n) + 1):
@@ -40,18 +42,13 @@ def _loop_sieve(n):
     mobius = np.ones(n + 1, dtype=np.int8)
     mobius[0] = 0
     totient = np.arange(n + 1, dtype=np.int64)
-    lam = np.zeros(n + 1, dtype=np.float64)
     for p in np.flatnonzero(is_prime).tolist():
         mobius[p::p] *= -1
         if p * p <= n:
             mobius[p * p :: p * p] = 0
         totient[p::p] -= totient[p::p] // p
-        pk = p
-        while pk <= n:
-            lam[pk] = math.log(p)
-            pk *= p
     return {
-        "von_mangoldt": lam,
+        "von_mangoldt": loop_lambda(n),
         "mobius": mobius,
         "totient": totient,
     }
@@ -61,8 +58,9 @@ def _assert_sieve_matches_loop(n):
     # each sieve fresh at bound n, not a cached slice of a larger one
     fast, oracle = tables_module._sieve(n), _loop_sieve(n)
     assert fast.bound == n
+    lam = np.bincount(*tables_module._lambda_sieve(n), minlength=n + 1)
     for name, expected in oracle.items():
-        got = tables_module._dense_lambda(n) if name == "von_mangoldt" else getattr(fast, name)
+        got = getattr(fast, name, lam)  # Lambda is no field of ArithTables
         assert got.dtype == expected.dtype, (n, name)
         assert np.array_equal(got, expected), (n, name)
 
@@ -116,19 +114,19 @@ def test_bounds_below_two_are_served_by_the_bound_two_table(monkeypatch):
     # _cached floors every bound at 2, so no caller pads its own; psi below
     # x = 3 sums an empty slice or Lambda(1) = 0 of that table
     monkeypatch.setattr(tables_module, "_TABLE_CACHE", {})
-    monkeypatch.setattr(tables_module, "_LAMBDA_CACHE", {})
+    monkeypatch.setattr(tables_module, "_SUPPORT_CACHE", {})
     two = build_tables(2)
     assert build_tables(0) is two and build_tables(1) is two and two.bound == 2
-    assert von_mangoldt(1) is von_mangoldt(2)
     for prog in (Progression(1, 0), Progression(3, 1), Progression(3, 2)):
         assert [psi_progression(x, prog) for x in (0, 1, 2)] == [0.0, 0.0, 0.0]
-    assert list(tables_module._LAMBDA_CACHE) == [2]
+    assert list(tables_module._SUPPORT_CACHE) == [2]
 
 
 @pytest.mark.parametrize("y, b", [(1, 0), (3, 1)])
 def test_psi_progression_sums_a_strided_view(y, b):
-    # Lambda along the progression is a view of the cached table, summed as
-    # the gathered copy is, bit for bit; the gather peaked at 16.0 MB at y = 1
+    # Lambda along the progression is a view of the dense table, summed as the
+    # gathered copy is, bit for bit.  The table is scattered afresh for each
+    # call, 8 (x + 1) bytes; the gather peaked at 16.0 MB at y = 1
     prog, x = Progression(y, b), 10**6
     gathered = float(von_mangoldt(x)[prog.indices(x)].sum())  # sieves Lambda to x before tracing
     tracemalloc.start()
@@ -138,7 +136,7 @@ def test_psi_progression_sums_a_strided_view(y, b):
     finally:
         tracemalloc.stop()
     assert psi == gathered
-    assert peak < 1 << 20
+    assert peak < 8 * (x + 1) + (2 << 20)
 
 
 def test_psi_million_within_asymptotic_band():
@@ -174,11 +172,10 @@ def test_build_tables_cached():
     a = build_tables(1 << 14)
     b = build_tables(1 << 14)
     assert a is b
-    assert von_mangoldt(1 << 14) is von_mangoldt(1 << 14)
 
 
 def test_arith_tables_hold_mu_and_phi_alone():
-    # Lambda is sieved by von_mangoldt alone, to the bound its readers index
+    # Lambda is sieved by prime_powers alone, to the bound its readers index
     assert [f.name for f in fields(ArithTables)] == ["bound", "mobius", "totient"]
 
 
@@ -223,47 +220,22 @@ def test_larger_sieve_repoints_smaller_cached_table():
         assert np.array_equal(view, getattr(fresh, f.name)), f.name
 
 
-def test_smaller_lambda_bound_is_read_only_view_of_largest(monkeypatch):
-    monkeypatch.setattr(tables_module, "_LAMBDA_CACHE", {})
-    large = von_mangoldt(1 << 16)
-    small = von_mangoldt(1 << 12)
-    assert np.shares_memory(small, large)
-    assert not small.flags.writeable
-    assert small.dtype == np.float64
-    assert np.array_equal(small, tables_module._dense_lambda(1 << 12))
-
-
-def test_larger_lambda_sieve_repoints_smaller_cached_table(monkeypatch):
-    # the cache holds one copy: sieving 2^16 after 2^12 turns the 2^12 entry into a view
-    monkeypatch.setattr(tables_module, "_LAMBDA_CACHE", {})
-    von_mangoldt(1 << 12)
-    large = von_mangoldt(1 << 16)
-    small = tables_module._LAMBDA_CACHE[1 << 12]
-    assert von_mangoldt(1 << 12) is small
-    assert np.shares_memory(small, large)
-    assert not small.flags.writeable
-    assert np.array_equal(small, tables_module._dense_lambda(1 << 12))
-
-
 @pytest.fixture
 def no_lambda_caches(monkeypatch):
-    monkeypatch.setattr(tables_module, "_LAMBDA_CACHE", {})
     monkeypatch.setattr(tables_module, "_SUPPORT_CACHE", {})
 
 
 @pytest.mark.parametrize("bound", [2, 3, 1000, 1 << 12, (1 << 16) + 1])
 def test_prime_powers_are_the_support_of_the_dense_table(no_lambda_caches, bound):
-    # sieved with no dense table held, then read off the dense table once a
-    # process holds one: flatnonzero(von_mangoldt) and its values, bit for bit
-    sieved = prime_powers(bound)
-    assert tables_module._LAMBDA_CACHE == {}
-    lam = von_mangoldt(bound)
+    # flatnonzero of the loop oracle's dense Lambda and its values, bit for
+    # bit, sieved once and then served from the one cache
+    lam = _loop_sieve(bound)["von_mangoldt"]
     n = np.flatnonzero(lam)
-    for got in (sieved, prime_powers(bound)):
+    for got in (prime_powers(bound), prime_powers(bound)):
         assert got[0].dtype == n.dtype and got[1].dtype == np.float64
         assert np.array_equal(got[0], n) and got[1].tobytes() == lam[n].tobytes()
         assert not got[0].flags.writeable and not got[1].flags.writeable
-    assert list(tables_module._SUPPORT_CACHE) == [bound]  # the read off the dense table caches nothing
+    assert list(tables_module._SUPPORT_CACHE) == [bound]
 
 
 def test_smaller_support_bound_is_read_only_prefix_of_largest(no_lambda_caches):
@@ -297,9 +269,8 @@ def test_support_is_write_protected(no_lambda_caches):
 
 
 def test_support_memory_cap_guard(no_lambda_caches, monkeypatch):
-    # bound + 1 is checked against the cap as von_mangoldt checks it, whether the
-    # support is read off a dense table held (1000) or sieved (2^22)
-    von_mangoldt(1 << 12)
+    # bound + 1 is checked against the cap, as for every table, although the
+    # support holds only the prime powers; von_mangoldt checks it through the support
     monkeypatch.setenv("PRIMEAVG_MEMORY_CAP", "1000")
     for bound in (1000, 1 << 22):
         with pytest.raises(ValueError, match="memory cap"):
@@ -312,8 +283,6 @@ def test_support_memory_cap_guard(no_lambda_caches, monkeypatch):
 def test_tables_are_write_protected(tables):
     with pytest.raises(ValueError):
         tables.totient[0] = 1
-    with pytest.raises(ValueError):
-        von_mangoldt(100)[0] = 1.0
 
 
 def test_memory_cap_guard(monkeypatch):
@@ -326,11 +295,11 @@ def test_memory_cap_guard(monkeypatch):
 
 def test_psi_progression_sizes_its_own_table(monkeypatch):
     # no caller passes a table: psi at x above every cached bound sieves Lambda to x
-    monkeypatch.setattr(tables_module, "_LAMBDA_CACHE", {1000: tables_module._dense_lambda(1000)})
+    monkeypatch.setattr(tables_module, "_SUPPORT_CACHE", {1000: tables_module._lambda_sieve(1000)})
     x = 5000
     expected = _loop_sieve(x)["von_mangoldt"][np.arange(1, x, 3)].sum()
     assert psi_progression(x, Progression(3, 1)) == float(expected)
-    assert max(tables_module._LAMBDA_CACHE) == x
+    assert max(tables_module._SUPPORT_CACHE) == x
 
 
 def test_sw_error_report_trend():
