@@ -338,8 +338,8 @@ def loop_lambda(n: int) -> np.ndarray:
     return lam
 
 
-def input_families_greedy_last(N: int, prog: Progression, rng: np.random.Generator, densities, greedy: bool = False):
-    """scans.input_families as it was: the greedy set built last, here from loop_lambda."""
+def input_families_greedy_last(N: int, prog: Progression, rng: np.random.Generator, densities):
+    """scans.input_families(..., greedy=True) as it was: the greedy set built last, here from loop_lambda."""
     fams: dict[str, np.ndarray] = {}
     fams["interval"] = np.arange(N // 2, dtype=np.int64)
     fams["progression_segment"] = prog.indices(N // 2)
@@ -349,10 +349,9 @@ def input_families_greedy_last(N: int, prog: Progression, rng: np.random.Generat
         if len(idx) == 0:
             idx = np.array([0], dtype=np.int64)
         fams[f"bernoulli_2^-{j}"] = idx
-    if greedy:
-        w = loop_lambda(N)[prog.start : N : prog.y]
-        k = max(len(w) // 8, 1)
-        fams["greedy_lambda"] = np.sort(prog.start + prog.y * np.argsort(w)[::-1][:k])
+    w = loop_lambda(N)[prog.start : N : prog.y]
+    k = max(len(w) // 8, 1)
+    fams["greedy_lambda"] = np.sort(prog.start + prog.y * np.argsort(w)[::-1][:k])
     return fams
 
 

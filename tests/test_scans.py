@@ -29,7 +29,7 @@ from primeavg.scans import (
     run_averages,
     run_cells,
 )
-from primeavg.tables import Progression, reduced_residues, von_mangoldt
+from primeavg.tables import Progression, default_residue, reduced_residues, von_mangoldt
 
 from oracles import csv_text, input_families_greedy_last
 
@@ -272,9 +272,9 @@ def test_input_families_match_the_greedy_last_oracle(N, y):
     # the greedy set is built first, from a transient dense Lambda, and the sets
     # and key order are the old ones.  At N = 2^14, y = 1 the set's k = N/8
     # members exceed the 1960 prime powers, so ties among zeros decide it
-    prog = Progression(y, 0 if y == 1 else 1)
+    prog = Progression(y, default_residue(y))
     got = input_families(N, prog, np.random.default_rng(7), (3, 5), greedy=True)
-    want = input_families_greedy_last(N, prog, np.random.default_rng(7), (3, 5), greedy=True)
+    want = input_families_greedy_last(N, prog, np.random.default_rng(7), (3, 5))
     assert list(got) == list(want)
     for name in want:
         assert got[name].dtype == want[name].dtype and np.array_equal(got[name], want[name]), name

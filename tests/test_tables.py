@@ -229,7 +229,7 @@ def no_lambda_caches(monkeypatch):
 def test_prime_powers_are_the_support_of_the_dense_table(no_lambda_caches, bound):
     # flatnonzero of the loop oracle's dense Lambda and its values, bit for
     # bit, sieved once and then served from the one cache
-    lam = _loop_sieve(bound)["von_mangoldt"]
+    lam = loop_lambda(bound)
     n = np.flatnonzero(lam)
     for got in (prime_powers(bound), prime_powers(bound)):
         assert got[0].dtype == n.dtype and got[1].dtype == np.float64
